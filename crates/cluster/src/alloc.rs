@@ -149,6 +149,15 @@ impl GpuAlloc {
         GpuAlloc { gpus }
     }
 
+    /// Replaces the contents with an already sorted, deduplicated run of
+    /// GPU ids, keeping the buffer (the reuse counterpart of
+    /// [`GpuAlloc::from_sorted`]).
+    pub(crate) fn refill_sorted(&mut self, gpus: impl IntoIterator<Item = GpuId>) {
+        self.gpus.clear();
+        self.gpus.extend(gpus);
+        debug_assert!(self.gpus.windows(2).all(|w| w[0] < w[1]), "must be sorted");
+    }
+
     /// Number of GPUs in the allocation.
     pub fn len(&self) -> usize {
         self.gpus.len()

@@ -28,6 +28,14 @@ pub struct Assignment {
     pub job: JobId,
 }
 
+/// Reusable buffers for [`Cluster::for_each_job_of_app`]. Keep one per
+/// long-lived caller; its contents between calls are unspecified.
+#[derive(Debug, Clone, Default)]
+pub struct JobHoldings {
+    pairs: Vec<(JobId, GpuId)>,
+    alloc: GpuAlloc,
+}
+
 /// Mutable cluster state built on top of an immutable [`ClusterSpec`].
 ///
 /// Tracks per-GPU assignment and leases, and answers the queries the
@@ -191,19 +199,40 @@ impl Cluster {
         self.app_gpus(app).len()
     }
 
-    /// All GPUs currently held by an app, grouped by job. One pass over the
-    /// app's GPU index — prefer this over calling [`Cluster::gpus_of_job`]
-    /// in a loop.
+    /// All GPUs currently held by an app, grouped by job.
     pub fn jobs_of_app(&self, app: AppId) -> BTreeMap<JobId, GpuAlloc> {
-        let mut by_job: BTreeMap<JobId, Vec<GpuId>> = BTreeMap::new();
-        for &gpu in self.app_gpus(app) {
-            let assignment = self.assignments[gpu.index()].expect("indexed gpu is assigned");
-            by_job.entry(assignment.job).or_default().push(gpu);
-        }
+        let mut by_job = BTreeMap::new();
+        self.for_each_job_of_app(app, &mut JobHoldings::default(), |job, alloc| {
+            by_job.insert(job, alloc.clone());
+        });
         by_job
-            .into_iter()
-            .map(|(job, gpus)| (job, GpuAlloc::from_sorted(gpus)))
-            .collect()
+    }
+
+    /// Calls `f(job, gpus)` once for every job of `app` that holds GPUs, in
+    /// ascending job-id order (the order [`Cluster::jobs_of_app`] iterates
+    /// in). One pass over the app's GPU index through the caller's reusable
+    /// `scratch`, so a warm call allocates nothing — prefer this over
+    /// [`Cluster::jobs_of_app`] or a [`Cluster::gpus_of_job`] loop anywhere
+    /// that runs every scheduling round.
+    pub fn for_each_job_of_app(
+        &self,
+        app: AppId,
+        scratch: &mut JobHoldings,
+        mut f: impl FnMut(JobId, &GpuAlloc),
+    ) {
+        let JobHoldings { pairs, alloc } = scratch;
+        pairs.clear();
+        pairs.extend(self.app_gpus(app).iter().map(|&gpu| {
+            let assignment = self.assignments[gpu.index()].expect("indexed gpu is assigned");
+            (assignment.job, gpu)
+        }));
+        // Keys are unique, so the unstable sort is deterministic; each
+        // job's GPUs stay ascending.
+        pairs.sort_unstable();
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            alloc.refill_sorted(run.iter().map(|(_, gpu)| *gpu));
+            f(run[0].0, alloc);
+        }
     }
 
     /// All GPUs currently held by a specific job.
@@ -349,11 +378,38 @@ impl Cluster {
 
     /// Releases every GPU held by a specific job, returning the freed GPUs.
     pub fn release_job(&mut self, app: AppId, job: JobId) -> Vec<GpuId> {
-        let gpus: Vec<GpuId> = self.gpus_of_job(app, job).into_iter().collect();
+        let gpus: Vec<GpuId> = self
+            .app_gpus(app)
+            .iter()
+            .copied()
+            .filter(|g| self.assignment(*g).is_some_and(|a| a.job == job))
+            .collect();
         for gpu in &gpus {
             let _ = self.release(*gpu);
         }
         gpus
+    }
+
+    /// Releases every GPU of `app` whose job satisfies `done`, returning
+    /// how many were freed. One allocation-free pass over the app's GPU
+    /// index, whatever the number of jobs.
+    pub fn release_jobs_where(&mut self, app: AppId, mut done: impl FnMut(JobId) -> bool) -> usize {
+        let mut freed = 0;
+        // Back to front: releasing entry `i` shifts only the entries after
+        // it, which have been visited already.
+        let mut i = self.app_gpus(app).len();
+        while i > 0 {
+            i -= 1;
+            let gpu = self.per_app[app.index()][i];
+            let job = self.assignments[gpu.index()]
+                .expect("indexed gpu is assigned")
+                .job;
+            if done(job) {
+                let _ = self.release(gpu);
+                freed += 1;
+            }
+        }
+        freed
     }
 
     /// Reclaims all leases that have expired at or before `now`, releasing
@@ -552,6 +608,48 @@ mod tests {
         let freed = c.release_app(AppId(1));
         assert_eq!(freed, vec![GpuId(2)]);
         assert_eq!(c.gpus_of_app(AppId(2)).len(), 1);
+    }
+
+    #[test]
+    fn job_grouping_and_conditional_release() {
+        let mut c = cluster();
+        // Jobs interleave in GPU order: job 1 holds {0, 3}, job 0 holds {1, 2}.
+        for (gpu, job) in [(0u32, 1u32), (1, 0), (2, 0), (3, 1), (5, 4)] {
+            c.allocate(
+                GpuId(gpu),
+                AppId(2),
+                JobId(job),
+                Time::ZERO,
+                Time::minutes(20.0),
+            )
+            .unwrap();
+        }
+        let mut scratch = JobHoldings::default();
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            seen.clear();
+            c.for_each_job_of_app(AppId(2), &mut scratch, |job, alloc| {
+                seen.push((job, alloc.as_slice().to_vec()));
+            });
+        }
+        assert_eq!(
+            seen,
+            vec![
+                (JobId(0), vec![GpuId(1), GpuId(2)]),
+                (JobId(1), vec![GpuId(0), GpuId(3)]),
+                (JobId(4), vec![GpuId(5)]),
+            ]
+        );
+        let by_job = c.jobs_of_app(AppId(2));
+        assert_eq!(by_job.len(), 3);
+        assert_eq!(by_job[&JobId(1)].as_slice(), &[GpuId(0), GpuId(3)]);
+        c.for_each_job_of_app(AppId(9), &mut scratch, |_, _| panic!("app 9 holds nothing"));
+
+        assert_eq!(c.release_jobs_where(AppId(2), |job| job != JobId(0)), 3);
+        assert_eq!(c.gpus_of_app(AppId(2)).as_slice(), &[GpuId(1), GpuId(2)]);
+        assert!(c.leases().lease(GpuId(3)).is_none());
+        assert_eq!(c.free_gpu_count(), 6);
+        assert_eq!(c.release_jobs_where(AppId(9), |_| true), 0);
     }
 
     #[test]

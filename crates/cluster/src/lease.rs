@@ -9,7 +9,7 @@
 use crate::ids::{AppId, GpuId, JobId};
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An active lease: one GPU held by one job of one app until `expires_at`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,9 +39,42 @@ impl Lease {
 }
 
 /// Tracks the active lease (if any) for every GPU.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Beside the per-GPU map the table keeps an expiry-ordered index of the
+/// same leases, so "what has expired by `now`" and "when does the next
+/// lease run out" cost O(expired) and O(1) instead of a walk over every
+/// lease. The index is derived state: equality and the serialized form are
+/// those of the per-GPU map alone.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(from = "BTreeMap<GpuId, Lease>", into = "BTreeMap<GpuId, Lease>")]
 pub struct LeaseTable {
     leases: BTreeMap<GpuId, Lease>,
+    /// `(expires_at, gpu)` for every entry of `leases`.
+    by_expiry: BTreeSet<(Time, GpuId)>,
+}
+
+impl PartialEq for LeaseTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.leases == other.leases
+    }
+}
+
+impl From<BTreeMap<GpuId, Lease>> for LeaseTable {
+    /// Builds a table from per-GPU leases. Each lease is filed under its
+    /// own `gpu` field, as [`LeaseTable::grant`] would.
+    fn from(leases: BTreeMap<GpuId, Lease>) -> Self {
+        let mut table = LeaseTable::new();
+        for lease in leases.into_values() {
+            table.grant(lease);
+        }
+        table
+    }
+}
+
+impl From<LeaseTable> for BTreeMap<GpuId, Lease> {
+    fn from(table: LeaseTable) -> Self {
+        table.leases
+    }
 }
 
 impl LeaseTable {
@@ -67,12 +100,19 @@ impl LeaseTable {
 
     /// Grants (or replaces) a lease on a GPU.
     pub fn grant(&mut self, lease: Lease) -> Option<Lease> {
-        self.leases.insert(lease.gpu, lease)
+        let old = self.leases.insert(lease.gpu, lease);
+        if let Some(old) = &old {
+            self.by_expiry.remove(&(old.expires_at, old.gpu));
+        }
+        self.by_expiry.insert((lease.expires_at, lease.gpu));
+        old
     }
 
     /// Revokes the lease on a GPU, returning it if present.
     pub fn revoke(&mut self, gpu: GpuId) -> Option<Lease> {
-        self.leases.remove(&gpu)
+        let lease = self.leases.remove(&gpu)?;
+        self.by_expiry.remove(&(lease.expires_at, gpu));
+        Some(lease)
     }
 
     /// Extends the lease on a GPU to a new expiry time. Returns `false` if
@@ -80,7 +120,9 @@ impl LeaseTable {
     pub fn extend(&mut self, gpu: GpuId, new_expiry: Time) -> bool {
         match self.leases.get_mut(&gpu) {
             Some(lease) => {
+                self.by_expiry.remove(&(lease.expires_at, gpu));
                 lease.expires_at = new_expiry;
+                self.by_expiry.insert((new_expiry, gpu));
                 true
             }
             None => false,
@@ -89,25 +131,29 @@ impl LeaseTable {
 
     /// All leases that have expired at or before `now`, in GPU order.
     pub fn expired(&self, now: Time) -> Vec<Lease> {
-        self.leases
-            .values()
-            .filter(|l| l.is_expired(now))
-            .copied()
-            .collect()
+        let mut expired: Vec<Lease> = self
+            .by_expiry
+            .iter()
+            .take_while(|(expires_at, _)| *expires_at <= now)
+            .map(|(_, gpu)| self.leases[gpu])
+            .collect();
+        expired.sort_unstable_by_key(|l| l.gpu);
+        expired
     }
 
-    /// Removes and returns all leases that have expired at or before `now`.
+    /// Removes and returns all leases that have expired at or before `now`,
+    /// in GPU order.
     pub fn reclaim_expired(&mut self, now: Time) -> Vec<Lease> {
         let expired = self.expired(now);
         for lease in &expired {
-            self.leases.remove(&lease.gpu);
+            self.revoke(lease.gpu);
         }
         expired
     }
 
     /// The earliest lease expiry in the table, if any lease is active.
     pub fn next_expiry(&self) -> Option<Time> {
-        self.leases.values().map(|l| l.expires_at).min()
+        self.by_expiry.first().map(|(expires_at, _)| *expires_at)
     }
 
     /// All leases held by one app.
@@ -195,6 +241,43 @@ mod tests {
         let leases = table.leases_of_app(AppId(1));
         assert_eq!(leases.len(), 2);
         assert!(leases.iter().all(|l| l.app == AppId(1)));
+    }
+
+    #[test]
+    fn expiry_index_follows_replace_extend_and_revoke() {
+        let mut table = LeaseTable::new();
+        table.grant(lease(0, 1, 0.0, 20.0));
+        table.grant(lease(1, 1, 0.0, 30.0));
+        // Replacing and extending move a GPU's place in the expiry order.
+        table.grant(lease(0, 2, 5.0, 50.0));
+        assert_eq!(table.next_expiry(), Some(Time::minutes(30.0)));
+        table.extend(GpuId(1), Time::minutes(60.0));
+        assert_eq!(table.next_expiry(), Some(Time::minutes(50.0)));
+        assert!(table.expired(Time::minutes(49.0)).is_empty());
+        table.revoke(GpuId(0));
+        assert_eq!(table.next_expiry(), Some(Time::minutes(60.0)));
+        let reclaimed = table.reclaim_expired(Time::minutes(60.0));
+        assert_eq!(reclaimed.len(), 1);
+        assert!(table.is_empty());
+        assert_eq!(table.next_expiry(), None);
+    }
+
+    #[test]
+    fn equality_and_conversion_see_only_the_leases() {
+        let mut a = LeaseTable::new();
+        a.grant(lease(3, 1, 0.0, 20.0));
+        a.grant(lease(1, 2, 0.0, 10.0));
+        a.grant(lease(7, 1, 0.0, 5.0));
+        a.reclaim_expired(Time::minutes(5.0));
+        let mut b = LeaseTable::new();
+        b.grant(lease(1, 2, 0.0, 10.0));
+        b.grant(lease(3, 1, 0.0, 20.0));
+        assert_eq!(a, b);
+        let map: BTreeMap<GpuId, Lease> = a.into();
+        assert_eq!(map.len(), 2);
+        let rebuilt = LeaseTable::from(map);
+        assert_eq!(rebuilt, b);
+        assert_eq!(rebuilt.next_expiry(), Some(Time::minutes(10.0)));
     }
 
     #[test]

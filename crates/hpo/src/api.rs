@@ -33,6 +33,40 @@ impl JobView<'_> {
     }
 }
 
+/// Read-only views of every job of one app, in the app's job order.
+///
+/// Two parallel borrowed slices rather than a `Vec<JobView>`: the simulator
+/// keeps job specs and progress in position-indexed vectors, so handing the
+/// app scheduler its jobs costs no allocation per round.
+#[derive(Debug, Clone, Copy)]
+pub struct JobViews<'a> {
+    specs: &'a [JobSpec],
+    progress: &'a [JobProgress],
+}
+
+impl<'a> JobViews<'a> {
+    /// Pairs `specs[i]` with `progress[i]`.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn new(specs: &'a [JobSpec], progress: &'a [JobProgress]) -> Self {
+        assert_eq!(
+            specs.len(),
+            progress.len(),
+            "one progress record per job spec"
+        );
+        JobViews { specs, progress }
+    }
+
+    /// Iterates over the jobs in order.
+    pub fn iter(&self) -> impl Iterator<Item = JobView<'a>> + 'a {
+        self.specs
+            .iter()
+            .zip(self.progress)
+            .map(|(spec, progress)| JobView { spec, progress })
+    }
+}
+
 /// The classification HyperDrive-style schedulers assign to a job (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum JobClass {
@@ -96,13 +130,13 @@ pub trait AppScheduler: std::fmt::Debug + Send {
     /// Observes the current state of every job in the app and returns which
     /// jobs to kill / re-prioritize. Called by the simulator at every
     /// scheduling event (lease expiry / auction round).
-    fn update(&mut self, now: Time, jobs: &[JobView<'_>]) -> SchedulerUpdate;
+    fn update(&mut self, now: Time, jobs: JobViews<'_>) -> SchedulerUpdate;
 
     /// The Agent API: per-job estimates used to prepare bids. The default
     /// implementation reports clairvoyant work-left (matching the paper's
     /// simulator, which assumes clairvoyance of iteration counts, §8.1) and
     /// the spec's max parallelism.
-    fn estimates(&self, jobs: &[JobView<'_>]) -> Vec<JobEstimate> {
+    fn estimates(&self, jobs: JobViews<'_>) -> Vec<JobEstimate> {
         jobs.iter()
             .filter(|j| j.is_active())
             .map(|j| JobEstimate {
@@ -129,7 +163,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "noop"
         }
-        fn update(&mut self, _now: Time, _jobs: &[JobView<'_>]) -> SchedulerUpdate {
+        fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> SchedulerUpdate {
             SchedulerUpdate::none()
         }
     }
@@ -143,11 +177,8 @@ mod tests {
         let spec = spec();
         let mut progress = JobProgress::new();
         progress.advance(&spec, Time::minutes(1.0), 4, Locality::Slot);
-        let views = [JobView {
-            spec: &spec,
-            progress: &progress,
-        }];
-        let estimates = Noop.estimates(&views);
+        let views = JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress));
+        let estimates = Noop.estimates(views);
         assert_eq!(estimates.len(), 1);
         assert_eq!(estimates[0].total_work, spec.total_work());
         assert_eq!(estimates[0].work_left, progress.work_left(&spec));
@@ -159,12 +190,9 @@ mod tests {
         let spec = spec();
         let mut progress = JobProgress::new();
         progress.kill(Time::ZERO);
-        let views = [JobView {
-            spec: &spec,
-            progress: &progress,
-        }];
-        assert!(Noop.estimates(&views).is_empty());
-        assert!(!views[0].is_active());
+        let views = JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress));
+        assert!(Noop.estimates(views).is_empty());
+        assert!(!views.iter().next().unwrap().is_active());
     }
 
     #[test]

@@ -6,16 +6,23 @@
 //! App schedulers use the projection to decide which jobs to kill, and the
 //! Agent uses it as the work-left `W'` input to bid preparation.
 
+use std::cell::OnceCell;
 use themis_cluster::time::Time;
 use themis_workload::job::{JobProgress, JobSpec};
 use themis_workload::loss::{fit_power_law, LossCurve};
 
 /// Accumulates `(iteration, loss)` observations for one job and projects the
 /// remaining work by curve fitting.
+///
+/// The fit is a pure function of the retained samples, so it is computed on
+/// first read after an observation rather than on every observation: an app
+/// scheduler observes every running job every round but reads the
+/// projection only when it has a decision to make.
 #[derive(Debug, Clone, Default)]
 pub struct WorkEstimator {
     samples: Vec<(f64, f64)>,
-    fitted: Option<LossCurve>,
+    /// The fit over the current `samples`; unset after each new sample.
+    fitted: OnceCell<Option<LossCurve>>,
 }
 
 impl WorkEstimator {
@@ -34,8 +41,7 @@ impl WorkEstimator {
     /// make each curve fit progressively more expensive.
     const MAX_SAMPLES: usize = 256;
 
-    /// Records a loss observation at the given iteration and refreshes the
-    /// fitted curve.
+    /// Records a loss observation at the given iteration.
     pub fn observe(&mut self, iteration: f64, loss: f64) {
         // Skip duplicate observations at the same iteration (a job that made
         // no progress since the last scheduling round adds no information).
@@ -52,9 +58,7 @@ impl WorkEstimator {
                 keep_odd
             });
         }
-        if self.samples.len() >= 3 {
-            self.fitted = fit_power_law(&self.samples);
-        }
+        self.fitted.take();
     }
 
     /// Convenience helper: samples the job's true loss curve at its current
@@ -66,7 +70,15 @@ impl WorkEstimator {
 
     /// The fitted curve, if enough samples have been observed.
     pub fn fitted_curve(&self) -> Option<&LossCurve> {
-        self.fitted.as_ref()
+        self.fitted
+            .get_or_init(|| {
+                if self.samples.len() >= 3 {
+                    fit_power_law(&self.samples)
+                } else {
+                    None
+                }
+            })
+            .as_ref()
     }
 
     /// Projected *total* iterations needed to reach `target_loss`.
@@ -75,7 +87,7 @@ impl WorkEstimator {
     /// returns `None` when the fitted curve says the target is unreachable
     /// (the job should be classified as poor).
     pub fn projected_total_iterations(&self, spec: &JobSpec) -> Option<f64> {
-        match &self.fitted {
+        match self.fitted_curve() {
             Some(curve) => curve.iterations_to_target(spec.target_loss),
             None => Some(spec.total_iterations),
         }

@@ -6,7 +6,7 @@
 //! remains (§5.2, "App scheduler background"). The paper's prototype
 //! implements this scheduler inside the Submarine Application Master (§7).
 
-use crate::api::{AppScheduler, JobView, SchedulerUpdate};
+use crate::api::{AppScheduler, JobViews, SchedulerUpdate};
 use crate::estimator::WorkEstimator;
 use std::collections::BTreeMap;
 use themis_cluster::ids::JobId;
@@ -71,7 +71,7 @@ impl HyperBand {
 
     /// Ranks active jobs by projected total iterations to convergence
     /// (ascending: fastest-converging first).
-    fn rank_jobs(&self, jobs: &[JobView<'_>]) -> Vec<(JobId, f64)> {
+    fn rank_jobs(&self, jobs: JobViews<'_>) -> Vec<(JobId, f64)> {
         let mut ranked: Vec<(JobId, f64)> = jobs
             .iter()
             .filter(|j| j.is_active())
@@ -98,26 +98,21 @@ impl AppScheduler for HyperBand {
         "hyperband"
     }
 
-    fn update(&mut self, _now: Time, jobs: &[JobView<'_>]) -> SchedulerUpdate {
-        // Record fresh loss observations for every active job.
+    fn update(&mut self, _now: Time, jobs: JobViews<'_>) -> SchedulerUpdate {
+        // Record fresh loss observations for every active job. A rung
+        // completes when every surviving job has reached the rung's
+        // iteration threshold (or finished).
+        let mut active = 0usize;
+        let mut all_reached = true;
         for job in jobs.iter().filter(|j| j.is_active()) {
             self.estimators
                 .entry(job.id())
                 .or_default()
                 .observe_progress(job.spec, job.progress);
+            active += 1;
+            all_reached &= job.progress.iterations_done >= self.next_rung;
         }
-
-        let active: Vec<&JobView<'_>> = jobs.iter().filter(|j| j.is_active()).collect();
-        if active.len() <= 1 {
-            return SchedulerUpdate::none();
-        }
-
-        // A rung completes when every surviving job has reached the rung's
-        // iteration threshold (or finished).
-        let all_reached = active
-            .iter()
-            .all(|j| j.progress.iterations_done >= self.next_rung);
-        if !all_reached {
+        if active <= 1 || !all_reached {
             return SchedulerUpdate::none();
         }
 
@@ -145,7 +140,7 @@ mod tests {
 
     /// Builds a job whose convergence speed is controlled by `exponent`:
     /// larger exponent = faster convergence = better hyper-parameters.
-    fn job(id: u32, exponent: f64) -> (JobSpec, JobProgress) {
+    fn job(id: u32, exponent: f64) -> JobSpec {
         let mut spec = JobSpec::new(
             JobId(id),
             ModelArch::ResNet50,
@@ -159,33 +154,30 @@ mod tests {
             exponent,
         };
         spec.target_loss = 0.1;
-        (spec, JobProgress::new())
+        spec
     }
 
-    fn views<'a>(jobs: &'a [(JobSpec, JobProgress)]) -> Vec<JobView<'a>> {
-        jobs.iter()
-            .map(|(s, p)| JobView {
-                spec: s,
-                progress: p,
-            })
-            .collect()
+    fn fresh(specs: &[JobSpec]) -> Vec<JobProgress> {
+        vec![JobProgress::new(); specs.len()]
     }
 
     #[test]
     fn no_kills_before_rung_completes() {
-        let jobs = vec![job(0, 0.6), job(1, 0.3)];
+        let specs = vec![job(0, 0.6), job(1, 0.3)];
+        let progress = fresh(&specs);
         let mut hb = HyperBand::new(HyperBandConfig {
             rung_iterations: 100.0,
             eta: 2.0,
         });
-        let update = hb.update(Time::ZERO, &views(&jobs));
+        let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
         assert!(update.kill.is_empty());
         assert_eq!(hb.rungs_completed(), 0);
     }
 
     #[test]
     fn kills_bottom_half_at_rung() {
-        let mut jobs = vec![job(0, 0.8), job(1, 0.7), job(2, 0.3), job(3, 0.25)];
+        let specs = vec![job(0, 0.8), job(1, 0.7), job(2, 0.3), job(3, 0.25)];
+        let mut progress = fresh(&specs);
         let mut hb = HyperBand::new(HyperBandConfig {
             rung_iterations: 50.0,
             eta: 2.0,
@@ -193,11 +185,10 @@ mod tests {
         // Feed several observations as training progresses so the curve fit
         // has data, then cross the rung.
         for _ in 0..6 {
-            for (spec, progress) in jobs.iter_mut() {
+            for (spec, progress) in specs.iter().zip(&mut progress) {
                 progress.advance(spec, Time::minutes(2.5), 4, Locality::Slot);
             }
-            let v = views(&jobs);
-            let update = hb.update(Time::ZERO, &v);
+            let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
             if !update.kill.is_empty() {
                 // The slowly-converging jobs (small exponents => ids 2, 3)
                 // must be the ones killed.
@@ -212,30 +203,29 @@ mod tests {
 
     #[test]
     fn successive_rungs_reduce_to_one_job() {
-        let mut jobs = vec![job(0, 0.9), job(1, 0.6), job(2, 0.45), job(3, 0.3)];
+        let specs = vec![job(0, 0.9), job(1, 0.6), job(2, 0.45), job(3, 0.3)];
+        let mut progress = fresh(&specs);
         let mut hb = HyperBand::new(HyperBandConfig {
             rung_iterations: 40.0,
             eta: 2.0,
         });
-        let mut killed: Vec<JobId> = Vec::new();
         for step in 0..200 {
-            for (spec, progress) in jobs.iter_mut() {
-                if !killed.contains(&spec.id) {
+            for (spec, progress) in specs.iter().zip(&mut progress) {
+                if !progress.killed {
                     progress.advance(spec, Time::minutes(1.0), 4, Locality::Slot);
                 }
             }
-            let v = views(&jobs);
-            let update = hb.update(Time::minutes(step as f64), &v);
+            let update = hb.update(Time::minutes(step as f64), JobViews::new(&specs, &progress));
             for id in update.kill {
-                let (spec, progress) = jobs.iter_mut().find(|(s, _)| s.id == id).unwrap();
-                progress.kill(Time::minutes(step as f64));
-                killed.push(spec.id);
+                progress[id.index()].kill(Time::minutes(step as f64));
             }
-            let active = jobs.iter().filter(|(s, p)| !p.is_finished(s)).count();
-            if active == 1 {
+            let mut survivors = specs
+                .iter()
+                .zip(&progress)
+                .filter(|(s, p)| !p.is_finished(s));
+            if let (Some((survivor, _)), None) = (survivors.next(), survivors.next()) {
                 // Exactly the fastest job survives.
-                let survivor = jobs.iter().find(|(s, p)| !p.is_finished(s)).unwrap();
-                assert_eq!(survivor.0.id, JobId(0));
+                assert_eq!(survivor.id, JobId(0));
                 return;
             }
         }
@@ -244,10 +234,11 @@ mod tests {
 
     #[test]
     fn single_active_job_is_never_killed() {
-        let jobs = vec![job(0, 0.5)];
+        let specs = vec![job(0, 0.5)];
+        let progress = fresh(&specs);
         let mut hb = HyperBand::with_defaults(1);
         for _ in 0..10 {
-            let update = hb.update(Time::ZERO, &views(&jobs));
+            let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
             assert!(update.kill.is_empty());
         }
     }

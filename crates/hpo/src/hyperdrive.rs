@@ -6,7 +6,7 @@
 //! (larger max parallelism) to good jobs, keeps promising jobs at their
 //! base priority, and terminates poor jobs as soon as they are classified.
 
-use crate::api::{AppScheduler, JobClass, JobView, SchedulerUpdate};
+use crate::api::{AppScheduler, JobClass, JobViews, SchedulerUpdate};
 use crate::estimator::WorkEstimator;
 use std::collections::BTreeMap;
 use themis_cluster::ids::JobId;
@@ -69,7 +69,7 @@ impl HyperDrive {
         self.classes.get(&job).copied()
     }
 
-    fn classify(&mut self, jobs: &[JobView<'_>]) {
+    fn classify(&mut self, jobs: JobViews<'_>) {
         // Projected total iterations per active, warmed-up job.
         let mut projections: Vec<(JobId, Option<f64>)> = Vec::new();
         for job in jobs.iter().filter(|j| j.is_active()) {
@@ -106,7 +106,7 @@ impl AppScheduler for HyperDrive {
         "hyperdrive"
     }
 
-    fn update(&mut self, _now: Time, jobs: &[JobView<'_>]) -> SchedulerUpdate {
+    fn update(&mut self, _now: Time, jobs: JobViews<'_>) -> SchedulerUpdate {
         for job in jobs.iter().filter(|j| j.is_active()) {
             self.estimators
                 .entry(job.id())
@@ -170,15 +170,6 @@ mod tests {
         (spec, JobProgress::new())
     }
 
-    fn views<'a>(jobs: &'a [(JobSpec, JobProgress)]) -> Vec<JobView<'a>> {
-        jobs.iter()
-            .map(|(s, p)| JobView {
-                spec: s,
-                progress: p,
-            })
-            .collect()
-    }
-
     fn run_scheduler(
         hd: &mut HyperDrive,
         jobs: &mut [(JobSpec, JobProgress)],
@@ -191,8 +182,8 @@ mod tests {
                     progress.advance(spec, Time::minutes(1.0), 4, Locality::Slot);
                 }
             }
-            let v = views(jobs);
-            let update = hd.update(Time::minutes(step as f64), &v);
+            let (specs, progress): (Vec<JobSpec>, Vec<JobProgress>) = jobs.iter().cloned().unzip();
+            let update = hd.update(Time::minutes(step as f64), JobViews::new(&specs, &progress));
             for id in &update.kill {
                 let (_, progress) = jobs.iter_mut().find(|(s, _)| s.id == *id).unwrap();
                 progress.kill(Time::minutes(step as f64));

@@ -33,7 +33,7 @@ pub mod single;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::api::{AppScheduler, JobClass, JobEstimate, JobView, SchedulerUpdate};
+    pub use crate::api::{AppScheduler, JobClass, JobEstimate, JobView, JobViews, SchedulerUpdate};
     pub use crate::estimator::WorkEstimator;
     pub use crate::hyperband::HyperBand;
     pub use crate::hyperdrive::HyperDrive;

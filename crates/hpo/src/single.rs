@@ -4,7 +4,7 @@
 //! job (§2.1); there is nothing to kill or re-prioritize, so the scheduler
 //! is a no-op that simply exposes the Agent API defaults.
 
-use crate::api::{AppScheduler, JobView, SchedulerUpdate};
+use crate::api::{AppScheduler, JobViews, SchedulerUpdate};
 use themis_cluster::time::Time;
 
 /// App scheduler for single-job apps: never kills, never re-prioritizes.
@@ -23,7 +23,7 @@ impl AppScheduler for SingleJob {
         "single-job"
     }
 
-    fn update(&mut self, _now: Time, _jobs: &[JobView<'_>]) -> SchedulerUpdate {
+    fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> SchedulerUpdate {
         SchedulerUpdate::none()
     }
 }
@@ -44,10 +44,7 @@ mod tests {
         let mut s = SingleJob::new();
         let update = s.update(
             Time::ZERO,
-            &[JobView {
-                spec: &spec,
-                progress: &progress,
-            }],
+            JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress)),
         );
         assert!(update.is_empty());
         assert_eq!(s.name(), "single-job");
@@ -58,10 +55,10 @@ mod tests {
         let spec = JobSpec::new(JobId(0), ModelArch::Vgg16, 100.0, Time::minutes(0.1), 2);
         let progress = JobProgress::new();
         let s = SingleJob::new();
-        let est = s.estimates(&[JobView {
-            spec: &spec,
-            progress: &progress,
-        }]);
+        let est = s.estimates(JobViews::new(
+            std::slice::from_ref(&spec),
+            std::slice::from_ref(&progress),
+        ));
         assert_eq!(est.len(), 1);
         assert_eq!(est[0].job, JobId(0));
         assert_eq!(est[0].work_left, spec.total_work());

@@ -6,13 +6,18 @@
 //! scheduler, per-job parallelism overrides, attained GPU service (the
 //! Tiresias metric), restart penalties from checkpoint/restore, and the
 //! samples used for the evaluation metrics.
+//!
+//! Per-job state is position-indexed (see [`JobTable`]): entry `i` of every
+//! table belongs to `spec.jobs[i]`.
 
-use std::collections::BTreeMap;
-use themis_cluster::cluster::Cluster;
+use crate::job_table::JobTable;
+use std::sync::Arc;
+use themis_cluster::cluster::{Cluster, JobHoldings};
 use themis_cluster::ids::{AppId, JobId};
+use themis_cluster::placement::spread;
 use themis_cluster::time::Time;
 use themis_cluster::view::ClusterState;
-use themis_hpo::api::{AppScheduler, JobEstimate, JobView, SchedulerUpdate};
+use themis_hpo::api::{AppScheduler, JobEstimate, JobViews, SchedulerUpdate};
 use themis_workload::app::AppSpec;
 use themis_workload::job::{JobProgress, JobSpec};
 
@@ -21,18 +26,18 @@ pub struct AppRuntime {
     /// Static description of the app.
     pub spec: AppSpec,
     /// Per-job training progress.
-    pub progress: BTreeMap<JobId, JobProgress>,
+    pub progress: JobTable<JobProgress>,
     /// The app's own hyper-parameter tuning scheduler (top level of the
     /// two-level architecture).
     pub hpo: Box<dyn AppScheduler>,
     /// Per-job max-parallelism overrides set by the HPO scheduler.
-    pub max_par_override: BTreeMap<JobId, usize>,
+    pub max_par_override: JobTable<Option<usize>>,
     /// Total GPU service attained so far (GPU-minutes held), the metric the
     /// Tiresias baseline equalizes.
     pub attained_service: Time,
     /// Per-job "no progress before" timestamps modelling checkpoint/restore
     /// overhead when an allocation changes (§8.3.2).
-    pub restart_until: BTreeMap<JobId, Time>,
+    pub restart_until: JobTable<Option<Time>>,
     /// Time the app finished (all jobs converged or killed).
     pub finished_at: Option<Time>,
     /// Duration-weighted placement-score accumulator: (score · GPU-minutes,
@@ -40,6 +45,9 @@ pub struct AppRuntime {
     pub placement_acc: (f64, f64),
     /// Timeline of the app's total GPU count: appended whenever it changes.
     pub gpu_timeline: Vec<(Time, usize)>,
+    /// The engine's last queued finish projection per GPU-holding job, in
+    /// ascending job-id order.
+    pub(crate) scheduled_finish: Vec<(JobId, Time)>,
 }
 
 impl std::fmt::Debug for AppRuntime {
@@ -55,21 +63,18 @@ impl std::fmt::Debug for AppRuntime {
 impl AppRuntime {
     /// Creates runtime state for an app with the given HPO scheduler.
     pub fn new(spec: AppSpec, hpo: Box<dyn AppScheduler>) -> Self {
-        let progress = spec
-            .jobs
-            .iter()
-            .map(|j| (j.id, JobProgress::new()))
-            .collect();
+        let ids: Arc<[JobId]> = spec.jobs.iter().map(|j| j.id).collect();
         AppRuntime {
+            progress: JobTable::filled(ids.clone(), JobProgress::new),
+            max_par_override: JobTable::filled(ids.clone(), || None),
+            restart_until: JobTable::filled(ids, || None),
             spec,
-            progress,
             hpo,
-            max_par_override: BTreeMap::new(),
             attained_service: Time::ZERO,
-            restart_until: BTreeMap::new(),
             finished_at: None,
             placement_acc: (0.0, 0.0),
             gpu_timeline: Vec::new(),
+            scheduled_finish: Vec::new(),
         }
     }
 
@@ -90,18 +95,18 @@ impl AppRuntime {
         self.spec.arrival <= now
     }
 
+    /// Every job's spec paired with its progress, in job order.
+    fn jobs(&self) -> impl Iterator<Item = (&JobSpec, &JobProgress)> {
+        self.spec.jobs.iter().zip(self.progress.as_slice())
+    }
+
     /// Whether the app has identified its best model: every exploration job
     /// has either converged to the target accuracy or been terminated by
     /// the app's hyper-parameter scheduler (§2.1 — the finish time of an
     /// app is when the best model and hyper-parameters have been
     /// identified, which requires the exploration to have run its course).
     pub fn is_finished(&self) -> bool {
-        self.finished_at.is_some()
-            || self
-                .spec
-                .jobs
-                .iter()
-                .all(|j| self.progress[&j.id].is_finished(j))
+        self.finished_at.is_some() || self.jobs().all(|(j, p)| p.is_finished(j))
     }
 
     /// Whether the app is eligible for scheduling at `now`: it has arrived
@@ -115,31 +120,40 @@ impl AppRuntime {
         self.spec.job(job)
     }
 
+    /// The spec and progress of a job, if the app has that job.
+    pub fn job(&self, job: JobId) -> Option<(&JobSpec, &JobProgress)> {
+        let pos = self.spec.job_position(job)?;
+        Some((&self.spec.jobs[pos], &self.progress.as_slice()[pos]))
+    }
+
     /// Jobs that are still running (not converged, not killed), in id order.
     pub fn active_jobs(&self) -> Vec<JobId> {
-        self.spec
-            .jobs
-            .iter()
-            .filter(|j| !self.progress[&j.id].is_finished(j))
-            .map(|j| j.id)
+        self.jobs()
+            .filter(|(j, p)| !p.is_finished(j))
+            .map(|(j, _)| j.id)
             .collect()
     }
 
     /// The effective max parallelism of a job: the HPO override if present,
     /// otherwise the spec value.
     pub fn effective_max_parallelism(&self, job: JobId) -> usize {
-        self.max_par_override
-            .get(&job)
-            .copied()
-            .unwrap_or_else(|| self.job_spec(job).map(|j| j.max_parallelism).unwrap_or(0))
+        match self.spec.job_position(job) {
+            Some(pos) => self.max_parallelism_at(pos),
+            None => 0,
+        }
+    }
+
+    fn max_parallelism_at(&self, pos: usize) -> usize {
+        self.max_par_override.as_slice()[pos].unwrap_or(self.spec.jobs[pos].max_parallelism)
     }
 
     /// Total GPU demand of the app right now: the sum of active jobs'
     /// effective max parallelism.
     pub fn total_demand(&self) -> usize {
-        self.active_jobs()
-            .iter()
-            .map(|j| self.effective_max_parallelism(*j))
+        self.jobs()
+            .enumerate()
+            .filter(|(_, (j, p))| !p.is_finished(j))
+            .map(|(pos, _)| self.max_parallelism_at(pos))
             .sum()
     }
 
@@ -152,22 +166,14 @@ impl AppRuntime {
     }
 
     /// Read-only views of every job, for the HPO scheduler API.
-    pub fn job_views(&self) -> Vec<JobView<'_>> {
-        self.spec
-            .jobs
-            .iter()
-            .map(|j| JobView {
-                spec: j,
-                progress: &self.progress[&j.id],
-            })
-            .collect()
+    pub fn job_views(&self) -> JobViews<'_> {
+        JobViews::new(&self.spec.jobs, self.progress.as_slice())
     }
 
     /// Per-job estimates for bid preparation (work left, max parallelism,
     /// placement sensitivity), honouring HPO parallelism overrides.
     pub fn estimates(&self) -> Vec<JobEstimate> {
-        let views = self.job_views();
-        let mut estimates = self.hpo.estimates(&views);
+        let mut estimates = self.hpo.estimates(self.job_views());
         for est in &mut estimates {
             est.max_parallelism = self.effective_max_parallelism(est.job);
         }
@@ -177,19 +183,10 @@ impl AppRuntime {
     /// Runs the app's HPO scheduler and applies its decisions (kills and
     /// parallelism overrides). Returns the jobs that were killed.
     pub fn run_hpo(&mut self, now: Time) -> Vec<JobId> {
-        // Build the views from `spec`/`progress` directly so the borrow of
-        // `self.hpo` stays disjoint.
-        let views: Vec<JobView<'_>> = self
-            .spec
-            .jobs
-            .iter()
-            .map(|j| JobView {
-                spec: j,
-                progress: &self.progress[&j.id],
-            })
-            .collect();
-        let update: SchedulerUpdate = self.hpo.update(now, &views);
-        drop(views);
+        // Built from the fields directly so the borrow of `self.hpo` stays
+        // disjoint.
+        let views = JobViews::new(&self.spec.jobs, self.progress.as_slice());
+        let update: SchedulerUpdate = self.hpo.update(now, views);
         for (job, par) in update.max_parallelism {
             self.max_par_override.insert(job, par);
         }
@@ -220,47 +217,53 @@ impl AppRuntime {
     /// Advances every running job by `dt` according to the GPUs it holds in
     /// `cluster`, honouring restart penalties, and accumulates metrics.
     pub fn advance(&mut self, cluster: &Cluster, from: Time, dt: Time) {
+        self.advance_with(cluster, from, dt, &mut JobHoldings::default());
+    }
+
+    /// [`AppRuntime::advance`] through the caller's reusable grouping
+    /// buffers. Walks the jobs that hold GPUs (ascending job id — the order
+    /// the float accumulators below are summed in), not every job spec.
+    pub(crate) fn advance_with(
+        &mut self,
+        cluster: &Cluster,
+        from: Time,
+        dt: Time,
+        holdings: &mut JobHoldings,
+    ) {
         if dt <= Time::ZERO || !self.has_arrived(from + dt) {
             return;
         }
-        let app = self.id();
         let to = from + dt;
-        // One pass over the cluster's assignment table for this app rather
-        // than one per job (apps can have up to ~98 jobs).
-        let by_job = cluster.jobs_of_app(app);
-        if by_job.is_empty() {
-            return;
-        }
-        for job_spec in &self.spec.jobs {
-            let progress = self
-                .progress
-                .get_mut(&job_spec.id)
-                .expect("progress exists for every job");
-            if progress.is_finished(job_spec) {
-                continue;
-            }
-            let Some(alloc) = by_job.get(&job_spec.id) else {
-                continue;
+        let Self {
+            spec,
+            progress,
+            restart_until,
+            attained_service,
+            placement_acc,
+            ..
+        } = self;
+        cluster.for_each_job_of_app(spec.id, holdings, |job, alloc| {
+            let Some(pos) = spec.job_position(job) else {
+                return;
             };
-            let gpus = alloc.len();
-            if gpus == 0 {
-                continue;
+            let job_spec = &spec.jobs[pos];
+            let progress = &mut progress.as_mut_slice()[pos];
+            if progress.is_finished(job_spec) {
+                return;
             }
-            let locality = themis_cluster::placement::spread(alloc, cluster.spec());
+            let gpus = alloc.len();
+            let locality = spread(alloc, cluster.spec());
             // Attained service and placement score accrue for the full
             // interval the GPUs are held — physical GPU-minutes, never
             // speed-weighted (a slow GPU occupies the cluster just as long).
             let gpu_minutes = dt.as_minutes() * gpus as f64;
-            self.attained_service += Time::minutes(gpu_minutes);
-            let score = cluster.scorer().score(alloc, cluster.spec());
-            self.placement_acc.0 += score * gpu_minutes;
-            self.placement_acc.1 += gpu_minutes;
+            *attained_service += Time::minutes(gpu_minutes);
+            let score = cluster.scorer().score_for(locality);
+            placement_acc.0 += score * gpu_minutes;
+            placement_acc.1 += gpu_minutes;
             // Training progress only accrues after any restart penalty, at
             // the generation-weighted effective rate G_eff = Σ speed_i × S.
-            let start = self
-                .restart_until
-                .get(&job_spec.id)
-                .copied()
+            let start = restart_until.as_slice()[pos]
                 .unwrap_or(Time::ZERO)
                 .max(from);
             if start < to {
@@ -270,7 +273,7 @@ impl AppRuntime {
             if progress.is_converged(job_spec) {
                 progress.mark_finished(to);
             }
-        }
+        });
     }
 
     /// Records a change in the app's total GPU count for the timeline.

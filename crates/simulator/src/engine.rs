@@ -18,9 +18,10 @@ use crate::arena::AppArena;
 use crate::events::{EventKind, EventQueue};
 use crate::metrics::SimReport;
 use crate::scheduler::Scheduler;
-use std::collections::{BTreeMap, BTreeSet};
-use themis_cluster::cluster::Cluster;
-use themis_cluster::ids::{AppId, JobId};
+use std::collections::BTreeSet;
+use themis_cluster::cluster::{Cluster, JobHoldings};
+use themis_cluster::ids::{AppId, GpuId, JobId};
+use themis_cluster::placement::spread;
 use themis_cluster::time::Time;
 use themis_protocol::transport::FaultConfig;
 use themis_workload::app::AppSpec;
@@ -139,9 +140,6 @@ pub struct Engine<S: Scheduler> {
     events: EventQueue,
     peak_contention: f64,
     scheduling_rounds: u64,
-    /// The last projected-finish time pushed per job, to avoid flooding the
-    /// event queue with duplicate projections every round.
-    scheduled_finish: BTreeMap<(AppId, JobId), Time>,
     /// A retry event is already queued (at most one outstanding).
     retry_pending: bool,
     /// Times with a scheduler-requested wakeup already queued, so repeated
@@ -159,6 +157,13 @@ pub struct Engine<S: Scheduler> {
     auctions_run: u64,
     /// Rounds in which the incremental hot path skipped the policy call.
     auctions_skipped: u64,
+    /// Per-round scratch, kept for its capacity: the per-job grouping of an
+    /// app's GPUs, this round's successful grants and reclaimed leases keyed
+    /// `(app, job, gpu)`, and one app's finish projections.
+    holdings: JobHoldings,
+    granted: Vec<(AppId, JobId, GpuId)>,
+    reclaimed: Vec<(AppId, JobId, GpuId)>,
+    projections: Vec<(JobId, Time)>,
 }
 
 impl<S: Scheduler> Engine<S> {
@@ -190,13 +195,16 @@ impl<S: Scheduler> Engine<S> {
             events: EventQueue::new(),
             peak_contention: 0.0,
             scheduling_rounds: 0,
-            scheduled_finish: BTreeMap::new(),
             retry_pending: false,
             pending_wakeups: BTreeSet::new(),
             idle_retries: 0,
             offer_dirty: true,
             auctions_run: 0,
             auctions_skipped: 0,
+            holdings: JobHoldings::default(),
+            granted: Vec::new(),
+            reclaimed: Vec::new(),
+            projections: Vec::new(),
         }
     }
 
@@ -248,7 +256,7 @@ impl<S: Scheduler> Engine<S> {
             self.note_event(&event);
             self.advance_to(event.time);
             self.process_round();
-            if self.apps.iter().all(|a| a.is_finished()) {
+            if self.all_finished() {
                 break;
             }
         }
@@ -263,7 +271,12 @@ impl<S: Scheduler> Engine<S> {
             // A firing projection is consumed; a fresh one will be pushed if
             // the job is still running after this round.
             EventKind::JobFinish(app, job) => {
-                self.scheduled_finish.remove(&(app, job));
+                if let Some(rt) = self.apps.get_mut(app) {
+                    let queued = &mut rt.scheduled_finish;
+                    if let Ok(i) = queued.binary_search_by_key(&job, |(j, _)| *j) {
+                        queued.remove(i);
+                    }
+                }
             }
             // A new app changes the demand side of the offer.
             EventKind::AppArrival(_) => self.offer_dirty = true,
@@ -286,9 +299,9 @@ impl<S: Scheduler> Engine<S> {
         self.events.peek_time()
     }
 
-    /// `true` once every app currently in the arena has finished.
+    /// `true` once every app currently in the arena has finished. O(1).
     pub fn all_finished(&self) -> bool {
-        self.apps.iter().all(|a| a.is_finished())
+        self.apps.unfinished() == 0
     }
 
     /// Admits a batch of apps sharing one arrival time into a running
@@ -358,15 +371,10 @@ impl<S: Scheduler> Engine<S> {
     /// (timelines and accumulators no longer move), so retiring it early is
     /// observationally identical to keeping it until the end of the run.
     pub fn retire_finished(&mut self) -> Vec<crate::metrics::AppOutcome> {
-        let done: Vec<AppId> = self
-            .apps
+        self.apps
+            .take_finished()
             .iter()
-            .filter(|rt| rt.finished_at.is_some())
-            .map(|rt| rt.id())
-            .collect();
-        done.into_iter()
-            .filter_map(|id| self.apps.remove(id))
-            .map(|rt| crate::metrics::AppOutcome::from_runtime(&rt))
+            .map(crate::metrics::AppOutcome::from_runtime)
             .collect()
     }
 
@@ -389,85 +397,84 @@ impl<S: Scheduler> Engine<S> {
         .with_control(control)
     }
 
-    /// Advances training progress of every running job to time `t`.
+    /// Advances training progress of every running job to time `t`: a walk
+    /// over the active apps that hold GPUs (an app that arrived since the
+    /// last round holds none yet).
     fn advance_to(&mut self, t: Time) {
         let dt = t - self.now;
         if dt > Time::ZERO {
-            for rt in self.apps.iter_mut() {
-                if rt.has_arrived(t) && !rt.is_finished() {
-                    // Only advance from the later of `now` and the app's
-                    // arrival (an app arriving mid-interval has nothing to
-                    // advance before its arrival anyway — it holds no GPUs).
-                    let from = self.now.max(rt.spec.arrival);
-                    let span = t - from;
-                    if span > Time::ZERO {
-                        rt.advance(&self.cluster, from, span);
-                    }
+            let Engine {
+                cluster,
+                apps,
+                holdings,
+                ..
+            } = self;
+            for i in 0..apps.active_ids().len() {
+                let app_id = apps.active_ids()[i];
+                if cluster.gpus_held_by(app_id) > 0 {
+                    apps[app_id].advance_with(cluster, self.now, dt, holdings);
                 }
             }
         }
         self.now = t;
     }
 
-    /// One full post-event processing + scheduling round.
+    /// Whether some active app still wants GPUs beyond what it holds.
+    fn has_unmet_demand(&self) -> bool {
+        self.apps
+            .active()
+            .any(|a| a.unmet_demand(&self.cluster) > 0)
+    }
+
+    /// One full post-event processing + scheduling round. Every per-app
+    /// pass below walks the arena's active list (arrived, unfinished, id
+    /// order): an app that has not arrived is not in the system yet, and a
+    /// finished app holds no GPUs and has a frozen timeline.
     fn process_round(&mut self) {
         let now = self.now;
+        self.apps.activate_arrived(now);
         // Reclaims and releases below only ever *free* GPUs, so a changed
         // free count after steps 1–2 is exactly "the offer set changed".
         let free_before = self.cluster.free_gpu_count();
 
-        // 1. Reclaim expired leases, remembering what each job held so that
-        //    an immediate re-grant of the same GPUs (a lease renewal) does
-        //    not pay the checkpoint penalty.
-        let mut held_before: BTreeMap<(AppId, JobId), BTreeSet<themis_cluster::ids::GpuId>> =
-            BTreeMap::new();
-        for rt in self.apps.iter() {
-            if !rt.has_arrived(now) {
-                continue;
-            }
-            let app_id = rt.id();
-            for (job, alloc) in self.cluster.jobs_of_app(app_id) {
-                if !alloc.is_empty() {
-                    held_before.insert((app_id, job), alloc.iter().collect());
-                }
-            }
-        }
-        self.cluster.reclaim_expired_leases(now);
+        // 1. Reclaim expired leases, remembering them so that an immediate
+        //    re-grant of the same GPUs (a lease renewal) does not pay the
+        //    checkpoint penalty.
+        self.reclaimed.clear();
+        self.reclaimed.extend(
+            self.cluster
+                .reclaim_expired_leases(now)
+                .iter()
+                .map(|lease| (lease.app, lease.job, lease.gpu)),
+        );
 
         // 2. Release GPUs of finished jobs, run each app's HPO scheduler,
         //    release GPUs of killed jobs, and detect app completion.
-        let app_ids: Vec<AppId> = self.apps.ids().collect();
-        for app_id in app_ids {
-            let arrived = self.apps[app_id].has_arrived(now);
-            if !arrived {
-                continue;
-            }
+        let mut app_finished = false;
+        for i in 0..self.apps.active_ids().len() {
+            let app_id = self.apps.active_ids()[i];
+            let rt = &mut self.apps[app_id];
             // Finished (converged) jobs give up their GPUs.
-            let finished_jobs: Vec<JobId> = {
-                let rt = &self.apps[app_id];
-                rt.spec
-                    .jobs
-                    .iter()
-                    .filter(|j| rt.progress[&j.id].is_finished(j))
-                    .map(|j| j.id)
-                    .collect()
-            };
-            for job in finished_jobs {
-                self.cluster.release_job(app_id, job);
+            if self.cluster.gpus_held_by(app_id) > 0 {
+                self.cluster.release_jobs_where(app_id, |job| {
+                    rt.job(job).is_some_and(|(spec, p)| p.is_finished(spec))
+                });
             }
             // HPO decisions (kills, priority changes).
-            if !self.apps[app_id].is_finished() {
-                let killed = self.apps.get_mut(app_id).expect("app exists").run_hpo(now);
-                for job in killed {
+            if !rt.is_finished() {
+                for job in rt.run_hpo(now) {
                     self.cluster.release_job(app_id, job);
                 }
             }
-            let rt = self.apps.get_mut(app_id).expect("app exists");
             if rt.try_finish(now) {
                 // Defensive: an app that finished must hold no GPUs.
                 self.cluster.release_app(app_id);
                 rt.record_gpu_count(now, 0);
+                app_finished = true;
             }
+        }
+        if app_finished {
+            self.apps.settle_finished();
         }
 
         if self.cluster.free_gpu_count() != free_before {
@@ -475,12 +482,7 @@ impl<S: Scheduler> Engine<S> {
         }
 
         // 3. Track contention.
-        let demand: usize = self
-            .apps
-            .iter()
-            .filter(|a| a.is_schedulable(now))
-            .map(|a| a.total_demand())
-            .sum();
+        let demand: usize = self.apps.active().map(|a| a.total_demand()).sum();
         let contention = demand as f64 / self.cluster.total_gpus().max(1) as f64;
         if contention > self.peak_contention {
             self.peak_contention = contention;
@@ -496,11 +498,7 @@ impl<S: Scheduler> Engine<S> {
         let skip_auction = self.config.incremental
             && !self.offer_dirty
             && self.scheduler.supports_incremental()
-            && (self.cluster.free_gpu_count() == 0
-                || !self
-                    .apps
-                    .iter()
-                    .any(|a| a.is_schedulable(now) && a.unmet_demand(&self.cluster) > 0));
+            && (self.cluster.free_gpu_count() == 0 || !self.has_unmet_demand());
         let decisions = if skip_auction {
             self.auctions_skipped += 1;
             Vec::new()
@@ -511,19 +509,17 @@ impl<S: Scheduler> Engine<S> {
         };
         self.scheduling_rounds += 1;
         let lease_expiry = now + self.config.lease_duration;
-        let mut changed_jobs: BTreeSet<(AppId, JobId)> = BTreeSet::new();
-        let mut new_leases = false;
+        self.granted.clear();
         for decision in decisions {
-            let Some(rt) = self.apps.get(decision.app) else {
-                continue;
-            };
-            if !rt.is_schedulable(now) {
-                continue;
-            }
-            let Some(job_spec) = rt.job_spec(decision.job) else {
-                continue;
-            };
-            if rt.progress[&decision.job].is_finished(job_spec) {
+            // Decisions for an app that is gone or finished, or for a job
+            // it does not have or that is finished, are dropped.
+            let grantable = self.apps.get(decision.app).is_some_and(|rt| {
+                rt.is_schedulable(now)
+                    && rt
+                        .job(decision.job)
+                        .is_some_and(|(spec, p)| !p.is_finished(spec))
+            });
+            if !grantable {
                 continue;
             }
             for gpu in decision.gpus {
@@ -532,34 +528,36 @@ impl<S: Scheduler> Engine<S> {
                     .allocate(gpu, decision.app, decision.job, now, lease_expiry)
                     .is_ok()
                 {
-                    new_leases = true;
-                    changed_jobs.insert((decision.app, decision.job));
+                    self.granted.push((decision.app, decision.job, gpu));
                 }
             }
         }
+        let new_leases = !self.granted.is_empty();
 
         // Renewing exactly the GPUs a job already held is not a placement
         // change; anything else pays the checkpoint/restart overhead
-        // (provided the job had progressed at all).
-        for (app_id, job_id) in &changed_jobs {
-            let new_set: BTreeSet<_> = self.cluster.gpus_of_job(*app_id, *job_id).iter().collect();
-            let old_set = held_before.get(&(*app_id, *job_id));
-            let is_renewal = old_set.map(|s| *s == new_set).unwrap_or(false);
-            let rt = self.apps.get_mut(*app_id).expect("app exists");
-            let had_progress = rt.progress[job_id].iterations_done > 0.0;
+        // (provided the job had progressed at all). A job granted GPUs this
+        // round is unfinished, so nothing but step 1 took GPUs from it: its
+        // GPU set is unchanged exactly when what it was granted is what was
+        // reclaimed from it.
+        self.granted.sort_unstable();
+        self.reclaimed.sort_unstable();
+        for grants in self.granted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (app_id, job_id, _) = grants[0];
+            let lo = self
+                .reclaimed
+                .partition_point(|r| (r.0, r.1) < (app_id, job_id));
+            let len = self.reclaimed[lo..].partition_point(|r| (r.0, r.1) == (app_id, job_id));
+            let is_renewal = grants == &self.reclaimed[lo..lo + len];
+            let rt = &mut self.apps[app_id];
+            let had_progress = rt.progress[&job_id].iterations_done > 0.0;
             if !is_renewal && had_progress && self.config.checkpoint_overhead > Time::ZERO {
                 rt.restart_until
-                    .insert(*job_id, now + self.config.checkpoint_overhead);
+                    .insert(job_id, now + self.config.checkpoint_overhead);
             }
         }
 
-        // 5. Record timelines and enqueue follow-up events.
-        for rt in self.apps.iter_mut() {
-            if rt.has_arrived(now) {
-                let held = self.cluster.gpus_held_by(rt.id());
-                rt.record_gpu_count(now, held);
-            }
-        }
+        // 5. Enqueue follow-up events and record timelines.
         if new_leases {
             self.events.push(lease_expiry, EventKind::LeaseExpiry);
             self.idle_retries = 0;
@@ -568,11 +566,7 @@ impl<S: Scheduler> Engine<S> {
             // both exist is (for a message-driven scheduler) a round lost to
             // transport faults: re-attempt it after a backoff instead of
             // letting the event queue drain with apps stranded.
-            let starved = self.cluster.free_gpu_count() > 0
-                && self
-                    .apps
-                    .iter()
-                    .any(|a| a.is_schedulable(now) && a.unmet_demand(&self.cluster) > 0);
+            let starved = self.cluster.free_gpu_count() > 0 && self.has_unmet_demand();
             if starved && !self.retry_pending {
                 let backoff = base * f64::from(1u32 << self.idle_retries.min(16));
                 self.events.push(now + backoff, EventKind::Retry);
@@ -581,64 +575,66 @@ impl<S: Scheduler> Engine<S> {
             }
         }
         // Projected completion events for every job that currently holds
-        // GPUs. Projections are deduplicated: a new event is only pushed
-        // when the projection differs from the last one we enqueued, so the
-        // queue stays linear in the number of real state changes.
-        for rt in self.apps.iter() {
-            if !rt.is_schedulable(now) {
-                continue;
-            }
-            let app_id = rt.id();
-            let by_job = self.cluster.jobs_of_app(app_id);
-            for job_spec in &rt.spec.jobs {
-                let progress = &rt.progress[&job_spec.id];
-                if progress.is_finished(job_spec) {
-                    self.scheduled_finish.remove(&(app_id, job_spec.id));
-                    continue;
-                }
-                let Some(alloc) = by_job.get(&job_spec.id) else {
-                    self.scheduled_finish.remove(&(app_id, job_spec.id));
-                    continue;
+        // GPUs, walking each app's holdings rather than its job specs. The
+        // projections are deduplicated: a new event is only pushed when the
+        // projection differs from the last one we enqueued, so the queue
+        // stays linear in the number of real state changes. A job that
+        // holds nothing (or finished) drops out of `scheduled_finish`.
+        let Engine {
+            cluster,
+            apps,
+            events,
+            holdings,
+            projections,
+            ..
+        } = self;
+        for i in 0..apps.active_ids().len() {
+            let app_id = apps.active_ids()[i];
+            let rt = &mut apps[app_id];
+            rt.record_gpu_count(now, cluster.gpus_held_by(app_id));
+            projections.clear();
+            let mut queued = rt.scheduled_finish.iter().copied().peekable();
+            cluster.for_each_job_of_app(app_id, holdings, |job, alloc| {
+                let Some(pos) = rt.spec.job_position(job) else {
+                    return;
                 };
-                if alloc.is_empty() {
-                    self.scheduled_finish.remove(&(app_id, job_spec.id));
-                    continue;
+                let job_spec = &rt.spec.jobs[pos];
+                let progress = &rt.progress.as_slice()[pos];
+                if progress.is_finished(job_spec) {
+                    return;
                 }
-                let locality = themis_cluster::placement::spread(alloc, self.cluster.spec());
+                while queued.next_if(|(j, _)| *j < job).is_some() {}
+                let already = queued.next_if(|(j, _)| *j == job).map(|(_, at)| at);
+                let locality = spread(alloc, cluster.spec());
                 // Projections must stay symmetric with AppRuntime::advance,
                 // so they use the same generation-weighted effective rate.
-                let usable_speed = self
-                    .cluster
-                    .spec()
-                    .capped_speed(alloc, job_spec.max_parallelism);
+                let usable_speed = cluster.spec().capped_speed(alloc, job_spec.max_parallelism);
                 let mut eta = progress.time_to_complete_weighted(
                     job_spec,
                     alloc.len(),
                     usable_speed,
                     locality,
                 );
-                if let Some(restart) = rt.restart_until.get(&job_spec.id) {
-                    if *restart > now {
-                        eta += *restart - now;
+                if let Some(restart) = rt.restart_until.as_slice()[pos] {
+                    if restart > now {
+                        eta += restart - now;
                     }
                 }
-                if !eta.is_finite() {
-                    continue;
-                }
                 let finish = now + eta;
-                let key = (app_id, job_spec.id);
-                let already = self.scheduled_finish.get(&key).copied();
-                let needs_push = match already {
+                let keep = match already {
+                    // An unreachable finish leaves the queued projection be.
+                    _ if !eta.is_finite() => already,
                     // Re-push when the projection moved by more than a
                     // hundredth of a minute (avoids float-noise churn).
-                    Some(prev) => (prev - finish).as_minutes().abs() > 0.01,
-                    None => true,
+                    Some(prev) if (prev - finish).as_minutes().abs() <= 0.01 => already,
+                    _ => {
+                        events.push(finish, EventKind::JobFinish(app_id, job));
+                        Some(finish)
+                    }
                 };
-                if needs_push {
-                    self.scheduled_finish.insert(key, finish);
-                    self.events.push(finish, EventKind::JobFinish(key.0, key.1));
-                }
-            }
+                projections.extend(keep.map(|at| (job, at)));
+            });
+            std::mem::swap(&mut rt.scheduled_finish, projections);
         }
 
         // 6. An actor-based scheduler may have a message delivery or a

@@ -11,6 +11,7 @@
 //!   expiries, projected job completions),
 //! * [`app_runtime`] — the mutable per-app state (job progress, the app's
 //!   own hyper-parameter scheduler, attained service, placement samples),
+//!   kept per job in the position-indexed [`job_table::JobTable`],
 //! * [`arena`] — the dense app-id-indexed [`arena::AppArena`] the engine
 //!   stores those runtimes in (and hands to every scheduler),
 //! * [`scheduler`] — the [`scheduler::Scheduler`] trait every policy
@@ -40,6 +41,7 @@ pub mod arrivals;
 pub mod batch;
 pub mod engine;
 pub mod events;
+pub mod job_table;
 pub mod metrics;
 pub mod scheduler;
 pub mod service;

@@ -45,7 +45,17 @@ impl AppSpec {
 
     /// Looks up a job by id.
     pub fn job(&self, id: JobId) -> Option<&JobSpec> {
-        self.jobs.iter().find(|j| j.id == id)
+        self.job_position(id).map(|pos| &self.jobs[pos])
+    }
+
+    /// The position of a job in [`AppSpec::jobs`]. Generators number jobs
+    /// from zero, so job `k` normally sits at position `k` and the lookup is
+    /// O(1); any other numbering falls back to a search.
+    pub fn job_position(&self, id: JobId) -> Option<usize> {
+        match self.jobs.get(id.index()) {
+            Some(job) if job.id == id => Some(id.index()),
+            _ => self.jobs.iter().position(|j| j.id == id),
+        }
     }
 
     /// The model architecture of the app (the paper notes all jobs within an
@@ -132,6 +142,22 @@ mod tests {
         assert_eq!(app.max_parallelism(), 6);
         assert!(app.job(JobId(1)).is_some());
         assert!(app.job(JobId(9)).is_none());
+    }
+
+    #[test]
+    fn job_lookup_survives_sparse_and_unordered_ids() {
+        let app = AppSpec::new(
+            AppId(0),
+            Time::ZERO,
+            vec![job(9, 100.0, 1), job(5, 100.0, 2), job(1, 100.0, 3)],
+        );
+        assert_eq!(app.job_position(JobId(9)), Some(0));
+        assert_eq!(app.job_position(JobId(5)), Some(1));
+        // Position 1 exists but holds job 5: the dense guess must not win.
+        assert_eq!(app.job_position(JobId(1)), Some(2));
+        assert_eq!(app.job(JobId(1)).unwrap().max_parallelism, 3);
+        assert_eq!(app.job_position(JobId(0)), None);
+        assert!(app.job(JobId(2)).is_none());
     }
 
     #[test]
