@@ -3,11 +3,13 @@
 //! Reproduces the §8.3.2 overhead measurement: the paper reports 29 ms
 //! median / 334 ms 95th-percentile per bid, with the tail driven by rounds
 //! that offer many GPUs (larger subset enumeration). The bench sweeps the
-//! offer size and the number of jobs in the app.
+//! offer size and the number of jobs in the app, on an idle cluster and on
+//! a half-occupied one — there the app has a footprint to prefer and the
+//! offer is fragmented, the two things the packing order is sensitive to.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use themis_cluster::cluster::Cluster;
-use themis_cluster::ids::{AppId, JobId};
+use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
 use themis_core::agent::Agent;
@@ -30,6 +32,24 @@ fn runtime(num_jobs: usize) -> AppRuntime {
         })
         .collect();
     AppRuntime::with_default_hpo(AppSpec::new(AppId(0), Time::ZERO, jobs))
+}
+
+/// Occupies every other GPU: the even machines' for the bidding app's
+/// first two jobs, the odd machines' for a neighbour.
+fn half_occupied(spec: ClusterSpec) -> Cluster {
+    let mut cluster = Cluster::new(spec);
+    for gpu in (0..cluster.total_gpus() as u32).step_by(2) {
+        let machine = cluster.spec().machine_of(GpuId(gpu)).expect("gpu exists");
+        let (app, job) = if machine.0.is_multiple_of(2) {
+            (AppId(0), JobId(machine.0 / 2 % 2))
+        } else {
+            (AppId(1), JobId(0))
+        };
+        cluster
+            .allocate(GpuId(gpu), app, job, Time::ZERO, Time::minutes(20.0))
+            .expect("gpu is free");
+    }
+    cluster
 }
 
 fn bench_bid_preparation(c: &mut Criterion) {
@@ -65,6 +85,25 @@ fn bench_bid_preparation(c: &mut Criterion) {
         let rt = runtime(jobs);
         let config = ThemisConfig::default();
         group.bench_with_input(BenchmarkId::new("jobs_per_app", jobs), &jobs, |b, _| {
+            b.iter(|| {
+                let mut agent = Agent::new(AppId(0), &config);
+                agent.prepare_bid(
+                    Time::minutes(10.0),
+                    std::hint::black_box(&rt),
+                    std::hint::black_box(&cluster),
+                    std::hint::black_box(&offer),
+                )
+            })
+        });
+    }
+    // Both axes again on the half-occupied cluster, up to the 96-job app.
+    for &(racks, machines, jobs) in &[(2usize, 8usize, 16usize), (4, 16, 16), (2, 8, 96)] {
+        let cluster = half_occupied(ClusterSpec::homogeneous(racks, machines, 4));
+        let offer = cluster.free_vector();
+        let rt = runtime(jobs);
+        let config = ThemisConfig::default();
+        let id = format!("{}gpus_{jobs}jobs", offer.total());
+        group.bench_with_input(BenchmarkId::new("half_occupied", id), &jobs, |b, _| {
             b.iter(|| {
                 let mut agent = Agent::new(AppId(0), &config);
                 agent.prepare_bid(

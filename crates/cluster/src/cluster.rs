@@ -199,6 +199,21 @@ impl Cluster {
         self.app_gpus(app).len()
     }
 
+    /// `(machine, GPUs held)` for every machine an app holds GPUs on, in
+    /// ascending machine order — the pairs of
+    /// `gpus_of_app(app).per_machine(spec)` without the `GpuAlloc` or the
+    /// map. GPU ids are machine-contiguous, so every machine is one run of
+    /// the app's sorted GPU index.
+    pub fn machine_counts_of_app(
+        &self,
+        app: AppId,
+    ) -> impl Iterator<Item = (MachineId, usize)> + '_ {
+        let machine_of = |gpu: &GpuId| self.spec.machine_of(*gpu).expect("held gpu exists");
+        self.app_gpus(app)
+            .chunk_by(move |a, b| machine_of(a) == machine_of(b))
+            .map(move |run| (machine_of(&run[0]), run.len()))
+    }
+
     /// All GPUs currently held by an app, grouped by job.
     pub fn jobs_of_app(&self, app: AppId) -> BTreeMap<JobId, GpuAlloc> {
         let mut by_job = BTreeMap::new();
@@ -502,6 +517,26 @@ mod tests {
         assert_eq!(assignment.app, AppId(1));
         assert!(c.release(GpuId(0)).is_err());
         assert_eq!(c.gpus_held_by(AppId(1)), 0);
+    }
+
+    #[test]
+    fn machine_counts_of_app_are_the_per_machine_map() {
+        let mut c = cluster();
+        for gpu in [0, 1, 5, 7] {
+            c.allocate(
+                GpuId(gpu),
+                AppId(1),
+                JobId(gpu % 2),
+                Time::ZERO,
+                Time::minutes(20.0),
+            )
+            .unwrap();
+        }
+        let counts: Vec<(MachineId, usize)> = c.machine_counts_of_app(AppId(1)).collect();
+        assert_eq!(counts, vec![(MachineId(0), 2), (MachineId(1), 2)]);
+        let map = c.gpus_of_app(AppId(1)).per_machine(c.spec());
+        assert_eq!(counts, map.into_iter().collect::<Vec<_>>());
+        assert_eq!(c.machine_counts_of_app(AppId(9)).count(), 0);
     }
 
     #[test]

@@ -6,20 +6,138 @@
 //! candidate subsets of the offered GPUs to the new ρ the app would achieve
 //! with them (§5.2). The Agent also performs the job-level greedy
 //! distribution of whatever the app wins.
+//!
+//! Probe and bid are one computation at different supplies: what the app
+//! holds, and what it holds plus the first `k` GPUs of the offer in the
+//! app's packing order. Both go through `RhoKernel` over an
+//! `AppContext` that is built once per app per scheduling call.
 
 use crate::config::ThemisConfig;
-use crate::rho::{estimate_rho, greedy_job_distribution, RhoEstimate};
+use crate::rho::{greedy_job_distribution, RhoEstimate, RhoKernel, Supply};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, JobId, MachineId};
 use themis_cluster::time::Time;
+use themis_cluster::topology::ClusterSpec;
 use themis_cluster::view::ClusterState;
 use themis_hpo::api::JobEstimate;
 use themis_protocol::bid::BidTable;
 use themis_sim::app_runtime::AppRuntime;
+
+/// What an app's probe and its bid both read, computed once: the HPO
+/// framework's per-job estimates, the time since arrival and the app's
+/// holdings per machine (ascending machine id).
+#[derive(Debug)]
+pub(crate) struct AppContext {
+    pub(crate) estimates: Vec<JobEstimate>,
+    pub(crate) elapsed: Time,
+    pub(crate) holdings: Vec<(MachineId, usize)>,
+}
+
+impl AppContext {
+    pub(crate) fn new(app: AppId, now: Time, runtime: &AppRuntime, cluster: &Cluster) -> Self {
+        AppContext {
+            estimates: runtime.estimates(),
+            elapsed: (now - runtime.spec.arrival).clamp_non_negative(),
+            holdings: cluster.machine_counts_of_app(app).collect(),
+        }
+    }
+
+    /// The app's current ρ: the kernel at the supply the app holds.
+    pub(crate) fn current_rho(&self, spec: &ClusterSpec, scratch: &mut BidScratch) -> RhoEstimate {
+        scratch.fill_supply(&self.holdings, spec);
+        scratch
+            .kernel
+            .begin(&self.estimates, self.elapsed)
+            .rho_of(&scratch.supply)
+    }
+}
+
+/// Reusable buffers for probes and bids. None grows with the cluster: the
+/// supply holds an app's machines plus at most one per table row, the
+/// packing order at most one machine per row.
+#[derive(Debug, Default)]
+pub(crate) struct BidScratch {
+    kernel: RhoKernel,
+    supply: Vec<Supply>,
+    packing: Vec<Packed>,
+}
+
+impl BidScratch {
+    fn fill_supply(&mut self, holdings: &[(MachineId, usize)], spec: &ClusterSpec) {
+        self.supply.clear();
+        self.supply.extend(
+            holdings
+                .iter()
+                .map(|(machine, count)| Supply::new(*machine, *count, spec)),
+        );
+    }
+}
+
+/// An offered machine, keyed for the packing order.
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    /// The app already holds GPUs here.
+    preferred: bool,
+    count: usize,
+    speed: f64,
+    machine: MachineId,
+}
+
+impl Packed {
+    /// The order candidate subsets fill machines in: the app's current
+    /// footprint first, then machines with the most offered GPUs, then — on
+    /// a mixed-generation cluster — machines with the faster GPUs (at equal
+    /// locality a fast-GPU offer is worth more ρ per GPU, so the subsets
+    /// the Agent values should contain the fastest silicon available), then
+    /// lowest id. Uniform-speed clusters tie on every speed comparison and
+    /// get the speed-blind order.
+    fn packs_before(&self, other: &Packed) -> Ordering {
+        other
+            .preferred
+            .cmp(&self.preferred)
+            .then(other.count.cmp(&self.count))
+            .then_with(|| other.speed.total_cmp(&self.speed))
+            .then(self.machine.cmp(&other.machine))
+    }
+}
+
+/// The first `rows` machines of `offer` in packing order. The order does
+/// not depend on how many GPUs are wanted, so the most tightly-packed `k`
+/// GPUs are the `k`-GPU prefix of it for every `k`, and `rows` GPUs never
+/// reach past `rows` machines.
+fn packing_prefix(
+    packing: &mut Vec<Packed>,
+    offer: &FreeVector,
+    holdings: &[(MachineId, usize)],
+    rows: usize,
+    spec: &ClusterSpec,
+) {
+    packing.clear();
+    let mut held = holdings.iter().map(|(machine, _)| *machine).peekable();
+    for (machine, count) in offer.iter() {
+        while held.next_if(|h| *h < machine).is_some() {}
+        let candidate = Packed {
+            preferred: held.peek() == Some(&machine),
+            count,
+            speed: spec.machine_speed(machine).unwrap_or(1.0),
+            machine,
+        };
+        if packing.len() == rows {
+            let last = packing.last().expect("rows > 0");
+            if candidate.packs_before(last) != Ordering::Less {
+                continue;
+            }
+            packing.pop();
+        }
+        let at = packing.partition_point(|p| p.packs_before(&candidate) == Ordering::Less);
+        packing.insert(at, candidate);
+    }
+}
 
 /// The per-app Agent.
 #[derive(Debug)]
@@ -42,23 +160,11 @@ impl Agent {
         }
     }
 
-    /// The app's current aggregate per-machine allocation.
-    fn current_aggregate(&self, cluster: &Cluster) -> BTreeMap<MachineId, usize> {
-        cluster
-            .gpus_of_app(self.app)
-            .per_machine(cluster.spec())
-            .into_iter()
-            .collect()
-    }
-
     /// Estimates the app's *current* ρ (with the GPUs it already holds),
     /// answering the Arbiter's step-1 probe.
     pub fn current_rho(&self, now: Time, runtime: &AppRuntime, cluster: &Cluster) -> RhoEstimate {
-        let estimates = runtime.estimates();
-        let elapsed = (now - runtime.spec.arrival).clamp_non_negative();
-        let aggregate = self.current_aggregate(cluster);
-        let shares = greedy_job_distribution(&estimates, &aggregate, cluster.spec());
-        estimate_rho(&estimates, elapsed, &shares, cluster.spec())
+        AppContext::new(self.app, now, runtime, cluster)
+            .current_rho(cluster.spec(), &mut BidScratch::default())
     }
 
     /// Prepares the bid table in response to an offer (§5.2).
@@ -75,38 +181,62 @@ impl Agent {
         cluster: &Cluster,
         offer: &FreeVector,
     ) -> BidTable {
-        let estimates = runtime.estimates();
-        let elapsed = (now - runtime.spec.arrival).clamp_non_negative();
-        let spec = cluster.spec();
-        let current = self.current_aggregate(cluster);
-        let current_rho = estimate_rho(
-            &estimates,
-            elapsed,
-            &greedy_job_distribution(&estimates, &current, spec),
-            spec,
-        )
-        .rho;
+        let context = AppContext::new(self.app, now, runtime, cluster);
+        let mut scratch = BidScratch::default();
+        let current_rho = context.current_rho(cluster.spec(), &mut scratch).rho;
+        self.bid(&context, current_rho, cluster.spec(), offer, &mut scratch)
+    }
 
+    /// [`Agent::prepare_bid`] for a caller that has probed the app already
+    /// and holds its context and current ρ.
+    pub(crate) fn bid(
+        &mut self,
+        context: &AppContext,
+        current_rho: f64,
+        spec: &ClusterSpec,
+        offer: &FreeVector,
+        scratch: &mut BidScratch,
+    ) -> BidTable {
+        let AppContext {
+            estimates,
+            elapsed,
+            holdings,
+        } = context;
         let mut table = BidTable::empty(self.app, current_rho);
         let demand: usize = estimates.iter().map(|e| e.max_parallelism).sum();
-        let held: usize = current.values().sum();
+        let held: usize = holdings.iter().map(|(_, count)| count).sum();
         let unmet = demand.saturating_sub(held);
-        let max_k = unmet.min(offer.total()).min(self.max_bid_entries);
-        for k in 1..=max_k {
-            let subset = pick_packed_subset(offer, k, &current, spec);
-            if subset.total() < k {
-                break;
+        let rows = unmet.min(offer.total()).min(self.max_bid_entries);
+        if rows > 0 {
+            table.entries.reserve_exact(rows);
+            packing_prefix(&mut scratch.packing, offer, holdings, rows, spec);
+            scratch.fill_supply(holdings, spec);
+            let mut eval = scratch.kernel.begin(estimates, *elapsed);
+            // Row k is row k − 1 plus one GPU from the machine at the
+            // cursor: aggregate = existing + candidate subset.
+            let mut subset = FreeVector::empty();
+            for packed in &scratch.packing {
+                let wanted = rows - table.len();
+                if wanted == 0 {
+                    break;
+                }
+                let at = match holdings.binary_search_by_key(&packed.machine, |h| h.0) {
+                    Ok(held_at) => held_at,
+                    Err(_) => {
+                        scratch.supply.push(Supply::new(packed.machine, 0, spec));
+                        scratch.supply.len() - 1
+                    }
+                };
+                for taken in 1..=packed.count.min(wanted) {
+                    scratch.supply[at].count += 1;
+                    subset.set(packed.machine, taken);
+                    let rho = eval.rho_of(&scratch.supply).rho;
+                    table.push(subset.clone(), rho);
+                }
             }
-            // Aggregate = existing + candidate subset.
-            let mut aggregate = current.clone();
-            for (machine, count) in subset.iter() {
-                *aggregate.entry(machine).or_insert(0) += count;
-            }
-            let shares = greedy_job_distribution(&estimates, &aggregate, spec);
-            let rho = estimate_rho(&estimates, elapsed, &shares, spec).rho;
-            table.push(subset, rho);
         }
 
+        // One draw per bid, after the rows, whether or not there are any.
         if self.rho_error_theta > 0.0 {
             let error = self
                 .rng
@@ -126,14 +256,19 @@ impl Agent {
         cluster: &C,
         award: &FreeVector,
     ) -> BTreeMap<JobId, Vec<(MachineId, usize)>> {
-        let estimates = runtime.estimates();
         let aggregate: BTreeMap<MachineId, usize> = award.iter().collect();
         // Account for GPUs jobs already hold: reduce each job's residual
         // parallelism before distributing the award.
-        let adjusted: Vec<JobEstimate> = estimates
+        let mut held: BTreeMap<JobId, usize> = BTreeMap::new();
+        for gpu in cluster.gpus_of_app(self.app).iter() {
+            let job = cluster.assignment(gpu).expect("held gpu is assigned").job;
+            *held.entry(job).or_insert(0) += 1;
+        }
+        let adjusted: Vec<JobEstimate> = runtime
+            .estimates()
             .into_iter()
             .map(|mut e| {
-                let held = cluster.gpus_of_job(self.app, e.job).len();
+                let held = held.get(&e.job).copied().unwrap_or(0);
                 e.max_parallelism = e.max_parallelism.saturating_sub(held);
                 e
             })
@@ -141,43 +276,6 @@ impl Agent {
             .collect();
         greedy_job_distribution(&adjusted, &aggregate, cluster.spec())
     }
-}
-
-/// Picks the most tightly-packed subset of `k` GPUs from an offer,
-/// preferring machines in `prefer` (the app's current footprint), then
-/// machines with the most offered GPUs, then — on a mixed-generation
-/// cluster — machines with the faster GPUs: at equal locality a fast-GPU
-/// offer is worth more ρ per GPU, so the candidate subsets the Agent values
-/// should contain the fastest silicon available. Uniform-speed clusters
-/// tie on every speed comparison and get the speed-blind subsets.
-fn pick_packed_subset(
-    offer: &FreeVector,
-    k: usize,
-    prefer: &BTreeMap<MachineId, usize>,
-    spec: &themis_cluster::topology::ClusterSpec,
-) -> FreeVector {
-    let speed = |m: MachineId| spec.machine_speed(m).unwrap_or(1.0);
-    let mut machines: Vec<(MachineId, usize)> = offer.iter().collect();
-    machines.sort_by(|a, b| {
-        let a_pref = prefer.contains_key(&a.0);
-        let b_pref = prefer.contains_key(&b.0);
-        b_pref
-            .cmp(&a_pref)
-            .then(b.1.cmp(&a.1))
-            .then_with(|| speed(b.0).total_cmp(&speed(a.0)))
-            .then(a.0.cmp(&b.0))
-    });
-    let mut remaining = k;
-    let mut chosen: Vec<(MachineId, usize)> = Vec::new();
-    for (machine, avail) in machines {
-        if remaining == 0 {
-            break;
-        }
-        let take = remaining.min(avail);
-        chosen.push((machine, take));
-        remaining -= take;
-    }
-    FreeVector::from_counts(chosen)
 }
 
 #[cfg(test)]
@@ -327,6 +425,34 @@ mod tests {
         for (a, b) in clean.entries.iter().zip(noisy.entries.iter()) {
             let rel = (b.rho - a.rho).abs() / a.rho;
             assert!(rel <= 0.2 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn largest_rho_errors_keep_bid_values_finite_and_positive() {
+        let cluster = cluster();
+        let rt = runtime(0, ModelArch::ResNet50, 1, 4);
+        let offer = cluster.free_vector();
+        for seed in 0..64 {
+            let config = ThemisConfig::default().with_rho_error(0.99).with_seed(seed);
+            let table = Agent::new(AppId(0), &config).prepare_bid(
+                Time::minutes(5.0),
+                &rt,
+                &cluster,
+                &offer,
+            );
+            assert!(!table.is_empty());
+            // Holding nothing, the app's current rho is unbounded: it must
+            // stay so, not turn into NaN.
+            assert_eq!(table.current_rho, f64::INFINITY);
+            for entry in &table.entries {
+                assert!(
+                    entry.rho.is_finite() && entry.rho > 0.0,
+                    "rho {}",
+                    entry.rho
+                );
+                assert!(entry.value().is_finite() && entry.value() > 0.0);
+            }
         }
     }
 

@@ -104,44 +104,127 @@ impl AuctionOutcome {
     }
 }
 
-/// Reusable per-round scratch buffers. The leftover-allocation loop used
-/// to rebuild `BTreeMap`s of demands, footprints and grants every round;
-/// these vectors (parallel to the round's `statuses` slice) are cleared
-/// and reused instead, so a steady-state auction round allocates nothing
-/// for its bookkeeping.
+/// Who may receive a leftover GPU, kept current while one round's leftovers
+/// are handed out (§5.1 "Leftover Allocation").
+///
+/// A leftover GPU on a machine goes to the best non-empty tier of: apps
+/// outside the auction that are already on the machine; apps outside the
+/// auction; apps on the machine; anyone — always among apps with demand
+/// left, in ascending app order, the tie broken at random by the caller. An
+/// app is *on* a machine if its footprint covers it or it was granted a
+/// leftover there this round. The two machine-blind tiers are maintained
+/// lists; the two local tiers filter the few apps on the machine being
+/// drained. Buffers are reused from round to round.
 #[derive(Debug, Default)]
-struct RoundScratch {
-    /// `(app, status index)` pairs sorted by app id — the iteration order
-    /// the old `BTreeMap`s provided.
-    order: Vec<(AppId, usize)>,
+pub struct LeftoverRecipients {
     /// Remaining unmet demand per status index.
     demand: Vec<usize>,
-    /// Leftover grants per status index (vectors are reused across rounds).
-    grants: Vec<FreeVector>,
-    /// Participants sorted by app id, for binary-search membership.
-    participants: Vec<AppId>,
-    /// Candidate recipients of the leftover GPU under consideration,
-    /// as `(app, status index)` pairs so the pick needs no re-lookup.
+    /// Per status index: the app is not an auction participant.
+    outside: Vec<bool>,
+    /// `(app, status index)` of every app with demand left, by app.
+    anyone: Vec<(AppId, usize)>,
+    /// The entries of `anyone` outside the auction.
+    outsiders: Vec<(AppId, usize)>,
+    /// `(machine, app, status index)` for every footprint machine of every
+    /// app that entered the round with demand, sorted.
+    footprints: Vec<(MachineId, AppId, usize)>,
+    /// Apps on the machine being drained, by app.
+    local: Vec<(AppId, usize)>,
+    /// A filtered local tier.
     candidates: Vec<(AppId, usize)>,
+    /// The round's participants, sorted for membership tests.
+    participants: Vec<AppId>,
 }
 
-impl RoundScratch {
-    fn reset(&mut self, statuses: &[AppStatus], participants: &[AppId]) {
-        self.order.clear();
-        self.order
-            .extend(statuses.iter().enumerate().map(|(idx, s)| (s.app, idx)));
-        self.order.sort_unstable();
-        self.demand.clear();
-        self.demand.resize(statuses.len(), 0);
-        for grant in &mut self.grants {
-            grant.clear();
-        }
-        if self.grants.len() < statuses.len() {
-            self.grants.resize_with(statuses.len(), FreeVector::empty);
-        }
+impl LeftoverRecipients {
+    /// Starts a round: `statuses[i]` still wants its unmet demand minus
+    /// what `winners` awards it.
+    pub fn reset(
+        &mut self,
+        statuses: &[AppStatus],
+        participants: &[AppId],
+        winners: &BTreeMap<AppId, FreeVector>,
+    ) {
         self.participants.clear();
         self.participants.extend_from_slice(participants);
         self.participants.sort_unstable();
+        self.demand.clear();
+        self.outside.clear();
+        self.anyone.clear();
+        self.footprints.clear();
+        for (idx, status) in statuses.iter().enumerate() {
+            let granted = winners.get(&status.app).map_or(0, |w| w.total());
+            let demand = status.unmet_demand.saturating_sub(granted);
+            self.demand.push(demand);
+            self.outside
+                .push(self.participants.binary_search(&status.app).is_err());
+            if demand > 0 {
+                self.anyone.push((status.app, idx));
+                self.footprints
+                    .extend(status.footprint.iter().map(|m| (*m, status.app, idx)));
+            }
+        }
+        self.anyone.sort_unstable();
+        self.footprints.sort_unstable();
+        let outside = &self.outside;
+        self.outsiders.clear();
+        self.outsiders
+            .extend(self.anyone.iter().filter(|(_, idx)| outside[*idx]));
+    }
+
+    /// Turns to the leftover GPUs of `machine`. Each machine is drained at
+    /// most once per round.
+    pub fn drain(&mut self, machine: MachineId) {
+        let from = self.footprints.partition_point(|(m, ..)| *m < machine);
+        self.local.clear();
+        self.local.extend(
+            self.footprints[from..]
+                .iter()
+                .take_while(|(m, ..)| *m == machine)
+                .map(|(_, app, idx)| (*app, *idx)),
+        );
+    }
+
+    /// The apps the next GPU of the machine being drained is drawn from:
+    /// the best non-empty tier, ascending by app; empty when no app has
+    /// demand left.
+    pub fn candidates(&mut self) -> &[(AppId, usize)] {
+        // Outside the auction first. Either way the local tier is a subset
+        // of the machine-blind tier that follows it.
+        let outsiders_only = !self.outsiders.is_empty();
+        let (demand, outside) = (&self.demand, &self.outside);
+        let local = self.local.iter().copied();
+        self.candidates.clear();
+        self.candidates.extend(
+            local.filter(|(_, idx)| demand[*idx] > 0 && (outside[*idx] || !outsiders_only)),
+        );
+        if !self.candidates.is_empty() {
+            &self.candidates
+        } else if outsiders_only {
+            &self.outsiders
+        } else {
+            &self.anyone
+        }
+    }
+
+    /// Records that `recipient`, one of the current candidates, received a
+    /// GPU of the machine being drained.
+    pub fn grant(&mut self, recipient: (AppId, usize)) {
+        let (_, idx) = recipient;
+        if let Err(at) = self.local.binary_search(&recipient) {
+            self.local.insert(at, recipient);
+        }
+        self.demand[idx] -= 1;
+        if self.demand[idx] == 0 {
+            let unlist = |list: &mut Vec<(AppId, usize)>| {
+                let at = list.binary_search(&recipient).expect("had demand");
+                list.remove(at);
+            };
+            unlist(&mut self.anyone);
+            if self.outside[idx] {
+                unlist(&mut self.outsiders);
+            }
+        }
     }
 }
 
@@ -151,7 +234,9 @@ pub struct Arbiter {
     config: ThemisConfig,
     round: u64,
     rng: SmallRng,
-    scratch: RoundScratch,
+    recipients: LeftoverRecipients,
+    /// Leftover grants per status index (vectors are reused across rounds).
+    grants: Vec<FreeVector>,
 }
 
 impl Arbiter {
@@ -160,7 +245,8 @@ impl Arbiter {
         Arbiter {
             round: 0,
             rng: SmallRng::seed_from_u64(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            scratch: RoundScratch::default(),
+            recipients: LeftoverRecipients::default(),
+            grants: Vec::new(),
             config,
         }
     }
@@ -208,8 +294,10 @@ impl Arbiter {
 
     /// Runs one auction round over the provided bids and assigns leftovers.
     ///
-    /// `statuses` must cover every schedulable app (participants and
-    /// non-participants); `bids` are the tables received from the
+    /// `statuses` must cover every app that can still take a GPU,
+    /// participants and non-participants (an app without unmet demand may
+    /// be left out: it neither bids nor receives a leftover); `bids` are
+    /// the tables received from the
     /// participants' Agents; `spec` is the cluster topology, consulted for
     /// machine speeds when handing out leftovers (leftover GPUs on *faster*
     /// machines are placed first, so the most valuable stragglers are the
@@ -237,14 +325,15 @@ impl Arbiter {
         // have an allocation on the GPU's machine; ties broken at random.
         // If no outside app can take a GPU, fall back to participants with
         // remaining unmet demand so the allocation stays work-conserving.
-        self.scratch.reset(statuses, participants);
-        for &(app, idx) in &self.scratch.order {
-            let granted = winners.get(&app).map(|w| w.total()).unwrap_or(0);
-            self.scratch.demand[idx] = statuses[idx].unmet_demand.saturating_sub(granted);
+        self.recipients.reset(statuses, participants, &winners);
+        for grant in &mut self.grants {
+            grant.clear();
+        }
+        if self.grants.len() < statuses.len() {
+            self.grants.resize_with(statuses.len(), FreeVector::empty);
         }
 
-        let mut leftover = auction.leftover.clone();
-        let mut machines: Vec<MachineId> = leftover.machines().collect();
+        let mut machines: Vec<MachineId> = auction.leftover.machines().collect();
         // Fastest machines first (stable: id order within a generation, and
         // the speed-1.0 order is exactly the previous id order).
         machines.sort_by(|a, b| {
@@ -254,22 +343,23 @@ impl Arbiter {
                 .then(a.cmp(b))
         });
         for machine in machines {
-            while leftover.on_machine(machine) > 0 {
-                let pick = self.pick_leftover_recipient(machine, statuses);
-                let Some((app, idx)) = pick else { break };
+            self.recipients.drain(machine);
+            for _ in 0..auction.leftover.on_machine(machine) {
+                let Some(&recipient) = self.recipients.candidates().choose(&mut self.rng) else {
+                    break;
+                };
+                self.recipients.grant(recipient);
+                let (app, idx) = recipient;
                 debug_assert_eq!(statuses[idx].app, app);
-                let grant = &mut self.scratch.grants[idx];
+                let grant = &mut self.grants[idx];
                 grant.set(machine, grant.on_machine(machine) + 1);
-                leftover.set(machine, leftover.on_machine(machine) - 1);
-                self.scratch.demand[idx] = self.scratch.demand[idx].saturating_sub(1);
             }
         }
-        let leftover_grants: BTreeMap<AppId, FreeVector> = self
-            .scratch
-            .order
+        let leftover_grants: BTreeMap<AppId, FreeVector> = statuses
             .iter()
-            .filter(|(_, idx)| !self.scratch.grants[*idx].is_empty())
-            .map(|(app, idx)| (*app, self.scratch.grants[*idx].clone()))
+            .zip(&self.grants)
+            .filter(|(_, grant)| !grant.is_empty())
+            .map(|(status, grant)| (status.app, grant.clone()))
             .collect();
 
         AuctionOutcome {
@@ -279,45 +369,6 @@ impl Arbiter {
             leftover_grants,
             auction,
         }
-    }
-
-    /// Chooses the recipient of one leftover GPU on `machine`, returning
-    /// the app and its status index. Candidates come from the scratch
-    /// buffers in ascending app-id order (matching the old `BTreeMap`
-    /// iteration), so the RNG tie-break stream is unchanged.
-    fn pick_leftover_recipient(
-        &mut self,
-        machine: MachineId,
-        statuses: &[AppStatus],
-    ) -> Option<(AppId, usize)> {
-        // Candidate tiers, best first: outside the auction + local footprint,
-        // outside, local footprint, anyone with demand.
-        for tier in 0..4u8 {
-            self.scratch.candidates.clear();
-            for &(app, idx) in &self.scratch.order {
-                if self.scratch.demand[idx] == 0 {
-                    continue;
-                }
-                let outside = self.scratch.participants.binary_search(&app).is_err();
-                let on_machine = || {
-                    statuses[idx].footprint.contains(&machine)
-                        || self.scratch.grants[idx].on_machine(machine) > 0
-                };
-                let eligible = match tier {
-                    0 => outside && on_machine(),
-                    1 => outside,
-                    2 => on_machine(),
-                    _ => true,
-                };
-                if eligible {
-                    self.scratch.candidates.push((app, idx));
-                }
-            }
-            if !self.scratch.candidates.is_empty() {
-                return self.scratch.candidates.choose(&mut self.rng).copied();
-            }
-        }
-        None
     }
 }
 

@@ -121,13 +121,13 @@ fn entry_value(table: &BidTable, entry: Option<usize>) -> f64 {
     v.max(VALUE_FLOOR)
 }
 
-fn assignment_log_value(bids: &[BidTable], assignment: &Assignment) -> f64 {
+fn assignment_log_value(bids: &[&BidTable], assignment: &Assignment) -> f64 {
     bids.iter()
         .map(|t| entry_value(t, assignment.get(&t.app).copied()).ln())
         .sum()
 }
 
-fn assignment_fits(bids: &[BidTable], assignment: &Assignment, offer: &FreeVector) -> bool {
+fn assignment_fits(bids: &[&BidTable], assignment: &Assignment, offer: &FreeVector) -> bool {
     let mut used = FreeVector::empty();
     for table in bids {
         if let Some(idx) = assignment.get(&table.app) {
@@ -140,9 +140,9 @@ fn assignment_fits(bids: &[BidTable], assignment: &Assignment, offer: &FreeVecto
 /// Exhaustive search over per-app entry choices (including "nothing"),
 /// maximizing the sum of log-values subject to capacity. Exponential in the
 /// number of apps, so only used when `Π (entries+1)` is small.
-fn solve_exact(bids: &[BidTable], offer: &FreeVector) -> Assignment {
+fn solve_exact(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
     fn recurse(
-        bids: &[BidTable],
+        bids: &[&BidTable],
         idx: usize,
         remaining: &FreeVector,
         current: &mut Assignment,
@@ -155,7 +155,7 @@ fn solve_exact(bids: &[BidTable], offer: &FreeVector) -> Assignment {
             }
             return;
         }
-        let table = &bids[idx];
+        let table = bids[idx];
         // Option A: this app receives nothing.
         recurse(
             bids,
@@ -191,7 +191,7 @@ fn solve_exact(bids: &[BidTable], offer: &FreeVector) -> Assignment {
 
 /// Greedy assignment (largest marginal log-value gain first) followed by a
 /// round of single-app local-search improvements.
-fn solve_greedy(bids: &[BidTable], offer: &FreeVector) -> Assignment {
+fn solve_greedy(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
     let mut assignment = Assignment::new();
     let mut remaining = offer.clone();
 
@@ -275,7 +275,7 @@ fn solve_greedy(bids: &[BidTable], offer: &FreeVector) -> Assignment {
 
 /// Solves the proportional-fair assignment, choosing the exact solver when
 /// the search space is small enough.
-fn solve(bids: &[BidTable], offer: &FreeVector) -> (Assignment, SolverKind) {
+fn solve(bids: &[&BidTable], offer: &FreeVector) -> (Assignment, SolverKind) {
     const EXACT_SEARCH_LIMIT: f64 = 20_000.0;
     let space: f64 = bids.iter().map(|t| (t.entries.len() + 1) as f64).product();
     if space <= EXACT_SEARCH_LIMIT {
@@ -302,16 +302,18 @@ pub fn partial_allocation_with(
         };
     }
 
-    let (assignment, solver) = solve(bids, offer);
+    let bids: Vec<&BidTable> = bids.iter().collect();
+    let (assignment, solver) = solve(&bids, offer);
 
     // Π_{j≠i} V_j under the chosen assignment, per excluded app i, is
     // recomputed from scratch per app below via re-solving without i.
-    let full_log = assignment_log_value(bids, &assignment);
-    debug_assert!(assignment_fits(bids, &assignment, offer));
+    let full_log = assignment_log_value(&bids, &assignment);
+    debug_assert!(assignment_fits(&bids, &assignment, offer));
 
     let mut awards = Vec::new();
     let mut used = FreeVector::empty();
-    for table in bids {
+    let mut others: Vec<&BidTable> = Vec::with_capacity(bids.len());
+    for &table in &bids {
         let Some(&entry_idx) = assignment.get(&table.app) else {
             continue;
         };
@@ -325,13 +327,10 @@ pub fn partial_allocation_with(
             let log_without_i_present = full_log - entry_value(table, Some(entry_idx)).ln();
             // Denominator: Π_{j≠i} V_j under the PF assignment computed
             // without app i participating at all.
-            let other_bids: Vec<BidTable> = bids
-                .iter()
-                .filter(|t| t.app != table.app)
-                .cloned()
-                .collect();
-            let (assignment_without_i, _) = solve(&other_bids, offer);
-            let log_without_i = assignment_log_value(&other_bids, &assignment_without_i);
+            others.clear();
+            others.extend(bids.iter().filter(|t| t.app != table.app));
+            let (assignment_without_i, _) = solve(&others, offer);
+            let log_without_i = assignment_log_value(&others, &assignment_without_i);
             let ratio = (log_without_i_present - log_without_i).exp();
             ratio.clamp(0.0, 1.0)
         } else {
@@ -537,6 +536,96 @@ mod tests {
             used = used.add(&a.awarded);
         }
         assert!(offer.contains_vector(&used));
+    }
+
+    /// A table whose row `k` is the first `k` GPUs of `machines`, valued
+    /// with a sub-linear speed-up so the solver has real trade-offs.
+    fn prefix_bid(app: u32, current_rho: f64, machines: &[(u32, usize)], rows: usize) -> BidTable {
+        let mut table = BidTable::empty(AppId(app), current_rho);
+        let mut subset = FreeVector::empty();
+        let mut slots = machines
+            .iter()
+            .flat_map(|(m, count)| std::iter::repeat_n(MachineId(*m), *count));
+        for k in 1..=rows {
+            let machine = slots.next().expect("enough GPUs for the rows");
+            subset.set(machine, subset.on_machine(machine) + 1);
+            table.push(subset.clone(), current_rho / (k as f64).powf(0.9));
+        }
+        table
+    }
+
+    /// The hidden-payment factors as they were computed before the
+    /// leave-one-out solve borrowed its tables: deep-clone every other
+    /// bidder's table and run the mechanism on the copies.
+    fn payment_factors_by_cloning(bids: &[BidTable], offer: &FreeVector) -> Vec<(AppId, f64)> {
+        let log_value = |tables: &[BidTable], pf: &AuctionResult| -> f64 {
+            tables
+                .iter()
+                .map(|t| {
+                    let value = match pf.award_for(t.app) {
+                        Some(award) => t.entry_for(&award.proportional_fair).unwrap().value(),
+                        None => t.baseline_value(),
+                    };
+                    value.max(VALUE_FLOOR).ln()
+                })
+                .sum()
+        };
+        let pf = partial_allocation_with(bids, offer, false);
+        let full_log = log_value(bids, &pf);
+        pf.awards
+            .iter()
+            .map(|award| {
+                let own = bids.iter().find(|t| t.app == award.app).unwrap();
+                let own_value = own.entry_for(&award.proportional_fair).unwrap().value();
+                let others: Vec<BidTable> = bids
+                    .iter()
+                    .filter(|t| t.app != award.app)
+                    .cloned()
+                    .collect();
+                let without = partial_allocation_with(&others, offer, false);
+                let ratio =
+                    (full_log - own_value.max(VALUE_FLOOR).ln() - log_value(&others, &without))
+                        .exp();
+                (award.app, ratio.clamp(0.0, 1.0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn borrowed_leave_one_out_matches_the_cloning_version() {
+        // Three bidders x 16 rows: the exact solver's largest in-cap search.
+        let offer = fv(&[(0, 8), (1, 8), (2, 8)]);
+        let exact = vec![
+            prefix_bid(0, 40.0, &[(0, 8), (1, 8)], 16),
+            prefix_bid(1, 25.0, &[(1, 8), (2, 8)], 16),
+            prefix_bid(2, 60.0, &[(2, 8), (0, 8)], 16),
+        ];
+        // Eight bidders x 8 rows: greedy, with and without each bidder.
+        let wide = FreeVector::from_counts((0..6u32).map(|m| (MachineId(m), 4)));
+        let greedy: Vec<BidTable> = (0..8u32)
+            .map(|i| prefix_bid(i, 20.0 + 7.0 * i as f64, &[(i % 6, 4), ((i + 1) % 6, 4)], 8))
+            .collect();
+        for (bids, offer, solver) in [
+            (&exact, &offer, SolverKind::Exact),
+            (&greedy, &wide, SolverKind::Greedy),
+        ] {
+            let result = partial_allocation(bids, offer);
+            assert_eq!(result.solver, solver);
+            assert!(result.awards.iter().any(|a| a.payment_factor < 1.0));
+            let factors: Vec<(AppId, f64)> = result
+                .awards
+                .iter()
+                .map(|a| (a.app, a.payment_factor))
+                .collect();
+            assert_eq!(factors, payment_factors_by_cloning(bids, offer));
+            // The awards follow from the factors.
+            for award in &result.awards {
+                assert_eq!(
+                    award.awarded,
+                    scale_subset(&award.proportional_fair, award.payment_factor)
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,8 +52,12 @@ impl ThemisConfig {
     }
 
     /// Sets the ρ-error injection range θ.
+    ///
+    /// # Panics
+    /// Panics if θ is outside `[0, 1)`: a reported ρ is the estimate times
+    /// `1 + error`, which must stay positive over the whole range.
     pub fn with_rho_error(mut self, theta: f64) -> Self {
-        assert!(theta >= 0.0, "error range must be non-negative");
+        assert!((0.0..1.0).contains(&theta), "error range must be in [0, 1)");
         self.rho_error_theta = theta;
         self
     }
@@ -101,5 +105,11 @@ mod tests {
     #[should_panic(expected = "fairness knob")]
     fn invalid_knob_rejected() {
         let _ = ThemisConfig::default().with_fairness_knob(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "error range")]
+    fn rho_error_of_one_or_more_rejected() {
+        let _ = ThemisConfig::default().with_rho_error(1.0);
     }
 }

@@ -12,9 +12,16 @@
 //!    finish time,
 //! 4. `T_id = min_j (W_j / G_ideal_j)` with perfect placement,
 //! 5. ρ = T_sh / T_id.
+//!
+//! Steps 2–5 exist once, as the pieces of `RhoKernel`: the Agent's probe
+//! and every row of its bid table go through the kernel, which keeps its
+//! supply in a small dense buffer, places only the jobs that receive GPUs
+//! and allocates nothing when warm. [`greedy_job_distribution`] and
+//! [`estimate_rho`] are the same pieces behind map-shaped interfaces, for
+//! callers that need the job-level shares themselves.
 
 use std::collections::BTreeMap;
-use themis_cluster::ids::{JobId, MachineId};
+use themis_cluster::ids::{JobId, MachineId, RackId};
 use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
@@ -50,38 +57,126 @@ pub fn ideal_running_time(estimates: &[JobEstimate]) -> Time {
         .unwrap_or(Time::ZERO)
 }
 
+/// GPUs on one machine as the greedy distribution sees them: a count plus
+/// the topology facts every pick reads, looked up once. A job's share is a
+/// slice of these with `count` = GPUs taken there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Supply {
+    pub(crate) machine: MachineId,
+    pub(crate) count: usize,
+    speed: f64,
+    /// `None` for a machine the spec does not know.
+    rack: Option<RackId>,
+    slot_size: usize,
+}
+
+impl Supply {
+    /// An unknown machine runs at the reference speed and never spans a
+    /// slot boundary.
+    pub(crate) fn new(machine: MachineId, count: usize, spec: &ClusterSpec) -> Self {
+        let known = spec.machine(machine);
+        Supply {
+            machine,
+            count,
+            speed: known.map_or(1.0, |m| m.speed()),
+            rack: known.map(|m| m.rack),
+            slot_size: known.map_or(usize::MAX, |m| m.slot_size),
+        }
+    }
+}
+
+/// A share as [`Supply`] picks, dropping its zero-count entries.
+fn picks_of(share: &JobShare, spec: &ClusterSpec) -> Vec<Supply> {
+    share
+        .iter()
+        .filter(|(_, count)| *count > 0)
+        .map(|(machine, count)| Supply::new(*machine, *count, spec))
+        .collect()
+}
+
 /// The locality of a job share, approximated from machine placement (the
 /// slot structure of machines is credited when the whole share fits within
 /// one slot of one machine).
 pub fn share_locality(share: &JobShare, spec: &ClusterSpec) -> Locality {
-    let machines: Vec<MachineId> = share
-        .iter()
-        .filter(|(_, c)| *c > 0)
-        .map(|(m, _)| *m)
-        .collect();
-    match machines.len() {
-        0 | 1 => {
-            if let Some(machine) = machines.first().and_then(|m| spec.machine(*m)) {
-                let count: usize = share.iter().map(|(_, c)| *c).sum();
-                if count <= machine.slot_size {
-                    Locality::Slot
-                } else {
-                    Locality::Machine
-                }
-            } else {
-                Locality::Slot
-            }
-        }
+    locality_of(&picks_of(share, spec))
+}
+
+fn locality_of(picks: &[Supply]) -> Locality {
+    match picks {
+        [] => Locality::Slot,
+        [only] if only.count <= only.slot_size => Locality::Slot,
+        [_] => Locality::Machine,
         _ => {
-            let racks: std::collections::BTreeSet<_> = machines
-                .iter()
-                .filter_map(|m| spec.machine(*m).map(|ms| ms.rack))
-                .collect();
-            if racks.len() <= 1 {
+            let mut racks = picks.iter().filter_map(|p| p.rack);
+            let first = racks.next();
+            if racks.all(|rack| Some(rack) == first) {
                 Locality::Rack
             } else {
                 Locality::CrossRack
             }
+        }
+    }
+}
+
+/// The order the greedy distribution visits jobs in: increasing work left,
+/// then job id (then position, which makes the unstable sort the stable
+/// one).
+fn visiting_order(order: &mut Vec<usize>, estimates: &[JobEstimate]) {
+    order.clear();
+    order.extend(0..estimates.len());
+    order.sort_unstable_by(|&a, &b| {
+        let (ea, eb) = (&estimates[a], &estimates[b]);
+        ea.work_left
+            .cmp(&eb.work_left)
+            .then(ea.job.cmp(&eb.job))
+            .then(a.cmp(&b))
+    });
+}
+
+/// The greedy placement itself. Visits `estimates` in `order`; each job
+/// takes what it can use from the machine with the most remaining GPUs —
+/// fastest generation, then lowest id on ties, a total order, so how `work`
+/// is laid out cannot change a pick — and `on_share(position, picks)` sees
+/// every job that received GPUs. Stops when the supply is gone. `work`
+/// must hold no zero-count entry and no machine twice.
+fn place_greedily(
+    estimates: &[JobEstimate],
+    order: &[usize],
+    work: &mut Vec<Supply>,
+    picks: &mut Vec<Supply>,
+    mut on_share: impl FnMut(usize, &mut [Supply]),
+) {
+    let mut left: usize = work.iter().map(|s| s.count).sum();
+    for &pos in order {
+        if left == 0 {
+            break;
+        }
+        let mut need = estimates[pos].max_parallelism;
+        picks.clear();
+        while need > 0 && left > 0 {
+            let best = (0..work.len())
+                .max_by(|&a, &b| {
+                    let (a, b) = (&work[a], &work[b]);
+                    a.count
+                        .cmp(&b.count)
+                        .then_with(|| a.speed.total_cmp(&b.speed))
+                        .then_with(|| b.machine.cmp(&a.machine))
+                })
+                .expect("supply left means a machine is left");
+            let take = need.min(work[best].count);
+            picks.push(Supply {
+                count: take,
+                ..work[best]
+            });
+            work[best].count -= take;
+            if work[best].count == 0 {
+                work.swap_remove(best);
+            }
+            need -= take;
+            left -= take;
+        }
+        if !picks.is_empty() {
+            on_share(pos, picks);
         }
     }
 }
@@ -103,65 +198,88 @@ pub fn greedy_job_distribution(
     aggregate: &BTreeMap<MachineId, usize>,
     spec: &ClusterSpec,
 ) -> BTreeMap<JobId, JobShare> {
-    let mut remaining: BTreeMap<MachineId, usize> = aggregate
+    let mut work: Vec<Supply> = aggregate
         .iter()
-        .filter(|(_, c)| **c > 0)
-        .map(|(m, c)| (*m, *c))
+        .filter(|(_, count)| **count > 0)
+        .map(|(machine, count)| Supply::new(*machine, *count, spec))
         .collect();
-    let mut order: Vec<&JobEstimate> = estimates.iter().collect();
-    order.sort_by(|a, b| a.work_left.cmp(&b.work_left).then(a.job.cmp(&b.job)));
-
-    let speed = |m: MachineId| spec.machine_speed(m).unwrap_or(1.0);
+    let mut order = Vec::new();
+    visiting_order(&mut order, estimates);
     let mut shares: BTreeMap<JobId, JobShare> = BTreeMap::new();
-    for est in order {
-        let mut need = est.max_parallelism;
-        let mut share: JobShare = Vec::new();
-        while need > 0 {
-            // Machine with the most remaining GPUs (densest placement),
-            // fastest generation then lowest id on ties.
-            let Some((&machine, &avail)) =
-                remaining.iter().filter(|(_, c)| **c > 0).max_by(|a, b| {
-                    a.1.cmp(b.1)
-                        .then_with(|| speed(*a.0).total_cmp(&speed(*b.0)))
-                        .then_with(|| b.0.cmp(a.0))
-                })
-            else {
-                break;
-            };
-            let take = need.min(avail);
-            share.push((machine, take));
-            *remaining.get_mut(&machine).expect("machine present") -= take;
-            need -= take;
-        }
-        if !share.is_empty() {
-            shares.insert(est.job, share);
-        }
-    }
+    place_greedily(
+        estimates,
+        &order,
+        &mut work,
+        &mut Vec::new(),
+        |pos, picks| {
+            let share = picks.iter().map(|p| (p.machine, p.count)).collect();
+            shares.insert(estimates[pos].job, share);
+        },
+    );
     shares
 }
 
 /// Aggregate speed of the `cap` fastest GPUs of a job share — the
-/// `Σ speed_i` term of the effective-throughput model for a share expressed
-/// as per-machine counts (all GPUs of one machine share a generation).
-/// `min(total, cap) as f64` exactly on a uniform-speed cluster.
-fn share_speed(share: &JobShare, cap: usize, spec: &ClusterSpec) -> f64 {
-    let mut by_speed: Vec<(f64, usize)> = share
-        .iter()
-        .filter(|(_, count)| *count > 0)
-        .map(|(machine, count)| (spec.machine_speed(*machine).unwrap_or(1.0), *count))
-        .collect();
-    by_speed.sort_by(|a, b| b.0.total_cmp(&a.0));
+/// `Σ speed_i` term of the effective-throughput model (all GPUs of one
+/// machine share a generation). `min(total, cap) as f64` exactly on a
+/// uniform-speed cluster. Reorders `picks` fastest first.
+fn capped_speed(picks: &mut [Supply], cap: usize) -> f64 {
+    // Stable, so equal-speed machines add up in share order.
+    picks.sort_by(|a, b| b.speed.total_cmp(&a.speed));
     let mut left = cap;
     let mut speed = 0.0;
-    for (machine_speed, count) in by_speed {
+    for pick in picks.iter() {
         if left == 0 {
             break;
         }
-        let take = count.min(left);
-        speed += machine_speed * take as f64;
+        let take = pick.count.min(left);
+        speed += pick.speed * take as f64;
         left -= take;
     }
     speed
+}
+
+/// One job's term of `Σ_j G_eff_j · S_j(placement)`, from its share.
+fn share_speedup(est: &JobEstimate, picks: &mut [Supply]) -> f64 {
+    let gpus: usize = picks.iter().map(|p| p.count).sum();
+    let locality = locality_of(picks);
+    let usable = gpus.min(est.max_parallelism.max(1));
+    let usable_speed = capped_speed(picks, usable);
+    est.sensitivity
+        .effective_speedup_weighted(usable, usable_speed, locality)
+}
+
+/// Σ `work_left` over the jobs that have any, in `estimates` order.
+fn total_work_left(estimates: &[JobEstimate]) -> Time {
+    let mut total = Time::ZERO;
+    for est in estimates.iter().filter(|e| e.work_left > Time::ZERO) {
+        total += est.work_left;
+    }
+    total
+}
+
+/// Steps 3–5: ρ from the app's remaining work and aggregate speed-up.
+fn rho_from(
+    t_id: Time,
+    elapsed: Time,
+    total_work_left: Time,
+    aggregate_speedup: f64,
+) -> RhoEstimate {
+    let t_sh = if total_work_left <= Time::ZERO {
+        // Everything has converged or been terminated: the app's running
+        // time is the time that has already elapsed.
+        elapsed
+    } else if aggregate_speedup <= 0.0 {
+        Time::INFINITY
+    } else {
+        elapsed + Time::minutes(total_work_left.as_minutes() / aggregate_speedup)
+    };
+    let rho = if t_id > Time::ZERO {
+        t_sh.as_minutes() / t_id.as_minutes()
+    } else {
+        1.0
+    };
+    RhoEstimate { rho, t_sh, t_id }
 }
 
 /// Estimates ρ for an app given per-job estimates, the elapsed time since
@@ -188,42 +306,22 @@ pub fn estimate_rho(
     shares: &BTreeMap<JobId, JobShare>,
     spec: &ClusterSpec,
 ) -> RhoEstimate {
-    let t_id = ideal_running_time(estimates);
-    let mut total_work_left = Time::ZERO;
     let mut aggregate_speedup = 0.0;
-    for est in estimates {
-        if est.work_left <= Time::ZERO {
-            continue;
+    for est in estimates.iter().filter(|e| e.work_left > Time::ZERO) {
+        let mut picks = shares
+            .get(&est.job)
+            .map(|share| picks_of(share, spec))
+            .unwrap_or_default();
+        if !picks.is_empty() {
+            aggregate_speedup += share_speedup(est, &mut picks);
         }
-        total_work_left += est.work_left;
-        let share = shares.get(&est.job);
-        let gpus: usize = share.map(|s| s.iter().map(|(_, c)| *c).sum()).unwrap_or(0);
-        if gpus == 0 {
-            continue;
-        }
-        let share = share.expect("gpus > 0 implies share");
-        let locality = share_locality(share, spec);
-        let usable = gpus.min(est.max_parallelism.max(1));
-        let usable_speed = share_speed(share, usable, spec);
-        aggregate_speedup +=
-            est.sensitivity
-                .effective_speedup_weighted(usable, usable_speed, locality);
     }
-    let t_sh = if total_work_left <= Time::ZERO {
-        // Everything has converged or been terminated: the app's running
-        // time is the time that has already elapsed.
-        elapsed
-    } else if aggregate_speedup <= 0.0 {
-        Time::INFINITY
-    } else {
-        elapsed + Time::minutes(total_work_left.as_minutes() / aggregate_speedup)
-    };
-    let rho = if t_id > Time::ZERO {
-        t_sh.as_minutes() / t_id.as_minutes()
-    } else {
-        1.0
-    };
-    RhoEstimate { rho, t_sh, t_id }
+    rho_from(
+        ideal_running_time(estimates),
+        elapsed,
+        total_work_left(estimates),
+        aggregate_speedup,
+    )
 }
 
 /// Convenience: estimate ρ for an aggregate per-machine allocation, running
@@ -236,6 +334,91 @@ pub fn estimate_rho_for_aggregate(
 ) -> RhoEstimate {
     let shares = greedy_job_distribution(estimates, aggregate, spec);
     estimate_rho(estimates, elapsed, &shares, spec)
+}
+
+/// Reusable buffers of the ρ kernel. Whoever evaluates ρ round after round
+/// keeps one; they grow to the largest app seen (jobs, machines in one
+/// supply) and never with the cluster.
+#[derive(Debug, Default)]
+pub(crate) struct RhoKernel {
+    order: Vec<usize>,
+    work: Vec<Supply>,
+    picks: Vec<Supply>,
+    /// `(estimate position, speed-up term)` of the jobs holding a share.
+    speedups: Vec<(usize, f64)>,
+}
+
+impl RhoKernel {
+    /// Fixes what every candidate allocation of one app has in common:
+    /// `T_id`, Σ `work_left` and — from the first non-empty supply on — the
+    /// visiting order.
+    pub(crate) fn begin<'a>(
+        &'a mut self,
+        estimates: &'a [JobEstimate],
+        elapsed: Time,
+    ) -> RhoEval<'a> {
+        RhoEval {
+            estimates,
+            elapsed,
+            t_id: ideal_running_time(estimates),
+            total_work_left: total_work_left(estimates),
+            ordered: false,
+            kernel: self,
+        }
+    }
+}
+
+/// ρ of one app, as a function of the GPUs it would hold.
+#[derive(Debug)]
+pub(crate) struct RhoEval<'a> {
+    estimates: &'a [JobEstimate],
+    elapsed: Time,
+    t_id: Time,
+    total_work_left: Time,
+    /// Whether `kernel.order` is this app's visiting order yet.
+    ordered: bool,
+    kernel: &'a mut RhoKernel,
+}
+
+impl RhoEval<'_> {
+    /// ρ with `supply` (no machine twice) distributed greedily among the
+    /// app's jobs. Costs the jobs that receive GPUs, not the jobs the app
+    /// has; the speed-up terms are added in `estimates` order, as
+    /// [`estimate_rho`] adds them.
+    pub(crate) fn rho_of(&mut self, supply: &[Supply]) -> RhoEstimate {
+        let RhoKernel {
+            order,
+            work,
+            picks,
+            speedups,
+        } = &mut *self.kernel;
+        let estimates = self.estimates;
+        work.clear();
+        work.extend(supply.iter().filter(|s| s.count > 0));
+        if !work.is_empty() && !self.ordered {
+            // An app that holds nothing is probed without ever sorting.
+            visiting_order(order, estimates);
+            self.ordered = true;
+        }
+        speedups.clear();
+        place_greedily(estimates, order, work, picks, |pos, picks| {
+            // A converged job still takes its share; it adds no speed-up.
+            if estimates[pos].work_left > Time::ZERO {
+                speedups.push((pos, share_speedup(&estimates[pos], picks)));
+            }
+        });
+        speedups.sort_unstable_by_key(|(pos, _)| *pos);
+        let mut aggregate_speedup = 0.0;
+        for (_, speedup) in speedups.iter() {
+            aggregate_speedup += speedup;
+        }
+        rho_from(
+            self.t_id,
+            self.elapsed,
+            self.total_work_left,
+            aggregate_speedup,
+        )
+    }
 }
 
 #[cfg(test)]

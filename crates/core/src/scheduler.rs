@@ -3,14 +3,16 @@
 //! This is the glue between the Arbiter, the per-app Agents and the
 //! simulation engine. At every scheduling event it:
 //!
-//! 1. probes each schedulable app's Agent for its current ρ,
+//! 1. probes the current ρ of each schedulable app that can still take a
+//!    GPU (an app without unmet demand can neither bid nor receive a
+//!    leftover, so nothing about it is read),
 //! 2. selects the worst-off `1 − f` fraction as auction participants,
 //! 3. collects their bid tables over the free-GPU offer,
 //! 4. runs the partial-allocation auction and leftover assignment,
 //! 5. converts the per-machine awards into concrete GPU → job allocations
 //!    using each Agent's greedy job-level distribution.
 
-use crate::agent::Agent;
+use crate::agent::{Agent, AppContext, BidScratch};
 use crate::arbiter::{AppStatus, Arbiter};
 use crate::config::ThemisConfig;
 use crate::rho::JobShare;
@@ -31,6 +33,8 @@ pub struct ThemisScheduler {
     config: ThemisConfig,
     arbiter: Arbiter,
     agents: BTreeMap<AppId, Agent>,
+    /// Probe and bid buffers, shared by every Agent.
+    scratch: BidScratch,
 }
 
 impl ThemisScheduler {
@@ -39,6 +43,7 @@ impl ThemisScheduler {
         ThemisScheduler {
             arbiter: Arbiter::new(config),
             agents: BTreeMap::new(),
+            scratch: BidScratch::default(),
             config,
         }
     }
@@ -58,13 +63,14 @@ impl ThemisScheduler {
     pub fn auction_rounds(&self) -> u64 {
         self.arbiter.rounds()
     }
+}
 
-    fn agent_for(&mut self, app: AppId) -> &mut Agent {
-        let config = self.config;
-        self.agents
-            .entry(app)
-            .or_insert_with(|| Agent::new(app, &config))
-    }
+fn agent_for<'a>(
+    agents: &'a mut BTreeMap<AppId, Agent>,
+    config: &ThemisConfig,
+    app: AppId,
+) -> &'a mut Agent {
+    agents.entry(app).or_insert_with(|| Agent::new(app, config))
 }
 
 /// Converts a per-app grant (per-machine counts) into concrete allocation
@@ -84,11 +90,16 @@ pub(crate) fn materialize_grant(
     for (job, share) in shares {
         let mut gpus: Vec<GpuId> = Vec::new();
         for (machine, count) in share {
-            let free = shadow.free_gpus_on(machine);
-            for gpu in free.into_iter().take(count) {
-                if shadow.allocate(gpu, app, job).is_ok() {
-                    gpus.push(gpu);
-                }
+            // The machine's first `count` free GPUs, in id order.
+            let first = gpus.len();
+            if let Some(machine) = shadow.spec().machine(machine) {
+                let free = machine.gpus.iter().filter(|gpu| shadow.is_free(**gpu));
+                gpus.extend(free.take(count));
+            }
+            for gpu in &gpus[first..] {
+                shadow
+                    .allocate(*gpu, app, job)
+                    .expect("a GPU the view reports free can be granted");
             }
         }
         if !gpus.is_empty() {
@@ -113,40 +124,55 @@ impl Scheduler for ThemisScheduler {
         if offer.is_empty() {
             return Vec::new();
         }
+        let spec = cluster.spec();
 
-        // 1. Probe every schedulable app's Agent for its current ρ.
+        // 1. Probe the current ρ of every app that can take a GPU. Both
+        //    lists are in ascending app order, as the arena iterates.
         let mut statuses: Vec<AppStatus> = Vec::new();
+        let mut contexts: Vec<AppContext> = Vec::new();
         for runtime in apps.iter().filter(|a| a.is_schedulable(now)) {
+            let unmet_demand = runtime.unmet_demand(cluster);
+            if unmet_demand == 0 {
+                continue;
+            }
             let app = runtime.id();
-            let rho = self.agent_for(app).current_rho(now, runtime, cluster).rho;
+            let context = AppContext::new(app, now, runtime, cluster);
             statuses.push(AppStatus {
                 app,
-                rho,
-                unmet_demand: runtime.unmet_demand(cluster),
-                footprint: cluster.gpus_of_app(app).machines(cluster.spec()),
+                rho: context.current_rho(spec, &mut self.scratch).rho,
+                unmet_demand,
+                footprint: context.holdings.iter().map(|(m, _)| *m).collect(),
             });
+            contexts.push(context);
         }
-        if statuses.iter().all(|s| s.unmet_demand == 0) {
+        if statuses.is_empty() {
             return Vec::new();
         }
 
-        // 2. Select the worst-off 1−f fraction and collect their bids.
+        // 2. Select the worst-off 1−f fraction and collect their bids, each
+        //    from the context and ρ its probe computed.
         let participants = self.arbiter.select_participants(&statuses);
         let mut bids: Vec<BidTable> = Vec::new();
         for app in &participants {
-            let runtime = &apps[*app];
-            let bid = self
-                .agent_for(*app)
-                .prepare_bid(now, runtime, cluster, &offer);
+            let probed = statuses
+                .binary_search_by_key(app, |s| s.app)
+                .expect("participants are drawn from the statuses");
+            let bid = agent_for(&mut self.agents, &self.config, *app).bid(
+                &contexts[probed],
+                statuses[probed].rho,
+                spec,
+                &offer,
+                &mut self.scratch,
+            );
             if !bid.is_empty() {
                 bids.push(bid);
             }
         }
 
         // 3. Run the auction + leftover assignment.
-        let outcome =
-            self.arbiter
-                .run_auction(&offer, &statuses, &participants, &bids, cluster.spec());
+        let outcome = self
+            .arbiter
+            .run_auction(&offer, &statuses, &participants, &bids, spec);
 
         // 4. Materialize per-machine grants into concrete GPU decisions,
         //    against a borrowed per-round view (no cluster clone).
@@ -156,7 +182,7 @@ impl Scheduler for ThemisScheduler {
             let Some(runtime) = apps.get(app) else {
                 continue;
             };
-            let agent = self.agent_for(app);
+            let agent = agent_for(&mut self.agents, &self.config, app);
             decisions.extend(materialize_grant(agent, &mut shadow, runtime, &grant));
         }
         decisions
