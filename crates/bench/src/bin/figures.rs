@@ -9,12 +9,26 @@
 
 use themis_bench::experiments::{run_experiment, Scale, ALL_EXPERIMENTS};
 
+/// Prints the usage text and exits: to stdout with 0 for `--help`, to
+/// stderr with 2 for a usage error.
+fn usage(code: i32) -> ! {
+    let text = format!(
+        "usage: figures [--tiny] [--apps N] [--seed S] [--help] <fig-id>... | all\n\
+         known experiments: {}",
+        ALL_EXPERIMENTS.join(", ")
+    );
+    if code == 0 {
+        println!("{text}");
+    } else {
+        eprintln!("{text}");
+    }
+    std::process::exit(code);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: figures [--tiny] [--apps N] [--seed S] <fig-id>... | all");
-        eprintln!("known experiments: {}", ALL_EXPERIMENTS.join(", "));
-        std::process::exit(2);
+        usage(2);
     }
 
     let mut scale = Scale::default();
@@ -36,6 +50,11 @@ fn main() {
                     eprintln!("error: --seed needs a number");
                     std::process::exit(2);
                 });
+            }
+            "--help" | "-h" => usage(0),
+            flag if flag.starts_with('-') => {
+                eprintln!("error: unknown argument '{flag}'");
+                usage(2);
             }
             "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
             other => ids.push(other.to_string()),

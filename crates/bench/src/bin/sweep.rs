@@ -6,8 +6,7 @@
 //! sweep --matrix smoke --policy themis,drf
 //! sweep --matrix smoke --jobs 4 --check BENCH_BASELINE.json
 //! sweep --matrix smoke --timings --out sweep-timed.json
-//! sweep --matrix smoke,stress,scale --bench --out BENCH_PERF.json
-//! sweep --matrix scale --bench --out perf.json --check BENCH_PERF.json
+//! sweep --matrix scale --jobs 4 --check BENCH_SCALE_BASELINE.json
 //! sweep --matrix faults --replay-gate --log-out msglogs
 //! ```
 //!
@@ -16,30 +15,29 @@
 //! advisory; CI compares metrics only). `--check` diffs the run against a
 //! committed baseline and exits 1 on any divergence beyond `--tolerance`.
 //!
-//! `--bench` switches to perf mode: `--matrix` accepts a comma-separated
-//! list, every matrix runs with per-cell wall-clock recorded, and the
-//! output is a perf document (see `themis_bench::perf`) — the format of
-//! the committed `BENCH_PERF.json` performance trajectory. `--check` then
-//! compares *metrics* against a perf baseline; wall-clock never fails.
+//! Host time is not this binary's business: the repo's one timing
+//! instrument is the stand-alone `benchmark/` package (`BENCHMARK.json`).
 //!
-//! `--replay-gate` switches to the record→replay determinism gate: every
-//! distributed-mode cell of the matrix runs once with a message transcript
+//! `--replay-gate` switches to the record→replay determinism gate
+//! (`--matrix` then accepts a comma-separated list): every
+//! distributed-mode cell of each matrix runs once with a message transcript
 //! attached, is re-executed from the transcript alone, and the two
 //! canonical reports are byte-compared. Any divergence exits 1. With
 //! `--log-out DIR` each cell's transcript is written to
 //! `DIR/<scenario id>.msglog` (the CI artifact).
 
-use themis_bench::perf::{compare_perf, delta_markdown, PerfReport};
 use themis_bench::policies::Policy;
 use themis_bench::report::{compare_reports, SweepReport};
 use themis_bench::scenarios::Matrix;
 use themis_bench::sweep::{run_replay_gate, run_sweep_filtered};
 
-fn usage() -> ! {
-    eprintln!(
+/// Prints the usage text and exits: to stdout with 0 for `--help`, to
+/// stderr with 2 for a usage error.
+fn usage(code: i32) -> ! {
+    let text = format!(
         "usage: sweep [--matrix NAME[,NAME..]] [--policy A,B,..] [--jobs N] [--out FILE]\n\
-         \x20            [--check BASELINE] [--tolerance T] [--timings] [--bench] [--list]\n\
-         \x20            [--replay-gate] [--log-out DIR] [--summary-out FILE]\n\
+         \x20            [--check BASELINE] [--tolerance T] [--timings] [--list]\n\
+         \x20            [--replay-gate] [--log-out DIR] [--help]\n\
          known matrices: {}\n\
          known policies: {}",
         Matrix::NAMED.join(", "),
@@ -49,43 +47,17 @@ fn usage() -> ! {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    std::process::exit(2);
+    if code == 0 {
+        println!("{text}");
+    } else {
+        eprintln!("{text}");
+    }
+    std::process::exit(code);
 }
 
 fn arg_value(iter: &mut impl Iterator<Item = String>, flag: &str) -> String {
     iter.next().unwrap_or_else(|| {
         eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    })
-}
-
-fn fail_check(diffs: &[String], baseline_path: &str) -> ! {
-    eprintln!(
-        "baseline check FAILED against {baseline_path}: {} divergence(s)",
-        diffs.len()
-    );
-    for diff in diffs {
-        eprintln!("  {diff}");
-    }
-    std::process::exit(1);
-}
-
-fn write_or_print(out: &Option<String>, rendered: &str) {
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rendered) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("wrote {path}");
-        }
-        None => print!("{rendered}"),
-    }
-}
-
-fn read_baseline(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read baseline {path}: {e}");
         std::process::exit(2);
     })
 }
@@ -98,11 +70,9 @@ fn main() {
     let mut check: Option<String> = None;
     let mut tolerance: f64 = 1e-9;
     let mut timings = false;
-    let mut bench = false;
     let mut list = false;
     let mut replay_gate = false;
     let mut log_out: Option<String> = None;
-    let mut summary_out: Option<String> = None;
 
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -147,14 +117,13 @@ fn main() {
                     });
             }
             "--timings" => timings = true,
-            "--bench" => bench = true,
             "--list" => list = true,
             "--replay-gate" => replay_gate = true,
             "--log-out" => log_out = Some(arg_value(&mut iter, "--log-out")),
-            "--summary-out" => summary_out = Some(arg_value(&mut iter, "--summary-out")),
+            "--help" | "-h" => usage(0),
             _ => {
                 eprintln!("error: unknown argument '{arg}'");
-                usage();
+                usage(2);
             }
         }
     }
@@ -177,24 +146,17 @@ fn main() {
         return;
     }
 
-    if summary_out.is_some() && !bench {
-        eprintln!("error: --summary-out needs --bench (it tables perf wall-clock deltas)");
-        usage();
-    }
-
     let matrix_names: Vec<&str> = matrix_spec.split(',').filter(|s| !s.is_empty()).collect();
-    if matrix_names.is_empty() || (!bench && !replay_gate && matrix_names.len() > 1) {
-        eprintln!(
-            "error: --matrix takes one name (a comma-separated list needs --bench or --replay-gate)"
-        );
-        usage();
+    if matrix_names.is_empty() || (!replay_gate && matrix_names.len() > 1) {
+        eprintln!("error: --matrix takes one name (a comma-separated list needs --replay-gate)");
+        usage(2);
     }
     let matrices: Vec<Matrix> = matrix_names
         .iter()
         .map(|name| {
             Matrix::by_name(name).unwrap_or_else(|| {
                 eprintln!("error: unknown matrix '{name}'");
-                usage();
+                usage(2);
             })
         })
         .collect();
@@ -240,54 +202,6 @@ fn main() {
         return;
     }
 
-    if bench {
-        // Perf mode: run every matrix with timings, emit the perf document,
-        // and (with --check) gate metrics against a perf baseline.
-        let perf = PerfReport {
-            matrices: matrices
-                .iter()
-                .map(|m| run_sweep_filtered(m, jobs, policy_filter.as_deref()))
-                .collect(),
-        };
-        for line in perf.summary_lines() {
-            eprintln!("{line}");
-        }
-        write_or_print(&out, &perf.to_pretty_string());
-        let baseline = check.as_ref().map(|baseline_path| {
-            PerfReport::parse_str(&read_baseline(baseline_path)).unwrap_or_else(|e| {
-                eprintln!("error: cannot parse perf baseline {baseline_path}: {e}");
-                std::process::exit(2);
-            })
-        });
-        if let Some(path) = &summary_out {
-            // The markdown wall-clock delta table (advisory; CI appends it
-            // to $GITHUB_STEP_SUMMARY). Without --check there is no
-            // baseline, so every delta renders n/a.
-            let empty = PerfReport {
-                matrices: Vec::new(),
-            };
-            let table = delta_markdown(&perf, baseline.as_ref().unwrap_or(&empty));
-            if let Err(e) = std::fs::write(path, table) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("wrote {path}");
-        }
-        if let (Some(baseline_path), Some(baseline)) = (check, baseline) {
-            let diffs = compare_perf(&perf, &baseline, tolerance);
-            if diffs.is_empty() {
-                eprintln!(
-                    "perf metric check passed: {} matrices match {baseline_path} \
-                     (tolerance {tolerance}; wall-clock advisory)",
-                    perf.matrices.len()
-                );
-            } else {
-                fail_check(&diffs, &baseline_path);
-            }
-        }
-        return;
-    }
-
     let matrix = &matrices[0];
     let report = run_sweep_filtered(matrix, jobs, policy_filter.as_deref());
 
@@ -311,13 +225,28 @@ fn main() {
     } else {
         report.to_canonical_string()
     };
-    write_or_print(&out, &rendered);
+    match &out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, rendered) {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(2);
+            }
+            eprintln!("wrote {path}");
+        }
+        None => print!("{rendered}"),
+    }
 
     if let Some(baseline_path) = check {
-        let baseline = SweepReport::parse_str(&read_baseline(&baseline_path)).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        });
+        let baseline = std::fs::read_to_string(&baseline_path)
+            .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))
+            .and_then(|text| {
+                SweepReport::parse_str(&text)
+                    .map_err(|e| format!("cannot parse baseline {baseline_path}: {e}"))
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            });
         let diffs = compare_reports(&report, &baseline, tolerance);
         if diffs.is_empty() {
             eprintln!(
@@ -325,7 +254,14 @@ fn main() {
                 report.cells.len()
             );
         } else {
-            fail_check(&diffs, &baseline_path);
+            eprintln!(
+                "baseline check FAILED against {baseline_path}: {} divergence(s)",
+                diffs.len()
+            );
+            for diff in diffs {
+                eprintln!("  {diff}");
+            }
+            std::process::exit(1);
         }
     }
 }

@@ -5,8 +5,8 @@
 //! point). The experiments run on the event-driven simulator with the
 //! synthetic enterprise trace; absolute numbers therefore differ from the
 //! paper's testbed, but the *shape* — which scheduler wins, by roughly what
-//! factor, and where the crossovers fall — is what `EXPERIMENTS.md` records
-//! and what the assertions in `tests/` check.
+//! factor, and where the crossovers fall — is what the assertions in
+//! `tests/end_to_end.rs` check.
 //!
 //! Every simulation-backed figure is a *thin view* over the scenario
 //! subsystem ([`crate::scenarios`]): a figure builds the [`Scenario`] list

@@ -7,8 +7,8 @@
 //! experiments of the paper's evaluation section. Every table and figure
 //! has a function in [`experiments`] that regenerates its rows, and the
 //! `figures` binary prints them (`cargo run -p themis-bench --bin figures --
-//! all`). The Criterion benches in `benches/` measure the §8.3.2 system
-//! overheads (bid preparation and partial-allocation solve times).
+//! all`). Host time — the §8.3.2 system overheads included — is measured
+//! in one place, the stand-alone `benchmark/` package (`BENCHMARK.json`).
 //!
 //! The paper's evaluation is a *matrix* of such experiments, and the
 //! scenario subsystem makes that matrix first-class:
@@ -20,29 +20,24 @@
 //!   `(scenario × policy)` cell via `themis_sim::batch`,
 //! * [`report`] — the machine-readable [`report::SweepReport`] and the
 //!   `BENCH_BASELINE.json` regression gate CI diffs against,
-//! * [`perf`] — the timed [`perf::PerfReport`] behind `sweep --bench` and
-//!   the committed `BENCH_PERF.json` performance trajectory,
 //! * [`json`] — the deterministic JSON writer/parser backing it (the
 //!   vendored `serde` is an inert stub, see `vendor/README.md`).
 //!
 //! The `sweep` binary drives it all:
 //! `cargo run --release -p themis-bench --bin sweep -- --matrix smoke
-//! --jobs 4 --out sweep.json --check BENCH_BASELINE.json`, or in perf mode
-//! `-- --matrix smoke,stress,scale --bench --out BENCH_PERF.json`.
+//! --jobs 4 --out sweep.json --check BENCH_BASELINE.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
 pub mod json;
-pub mod perf;
 pub mod policies;
 pub mod report;
 pub mod scenarios;
 pub mod sweep;
 
 pub use experiments::*;
-pub use perf::{compare_perf, PerfReport};
 pub use policies::Policy;
 pub use report::{compare_reports, CellMetrics, CellReport, SweepReport};
 pub use scenarios::{ClusterKind, Matrix, Scenario};

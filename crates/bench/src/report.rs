@@ -12,7 +12,7 @@
 use crate::json::Json;
 use crate::scenarios::{ClusterKind, GenMix, Scenario, ServiceAxis, ServiceShape, StormAxis};
 use themis_cluster::time::Time;
-use themis_protocol::transport::FaultConfig;
+use themis_protocol::fault::FaultConfig;
 use themis_sim::metrics::SimReport;
 use themis_sim::scheduler::ControlPlaneStats;
 use themis_sim::service::ServiceReport;

@@ -25,9 +25,9 @@ use themis_cluster::cluster::Cluster;
 use themis_cluster::time::Time;
 use themis_cluster::topology::{ClusterSpec, GpuGeneration};
 use themis_core::config::ThemisConfig;
+use themis_protocol::fault::FaultConfig;
 use themis_protocol::log::MessageLog;
 use themis_protocol::network::LogMode;
-use themis_protocol::transport::FaultConfig;
 use themis_sim::arrivals::{ArrivalProcess, ArrivalShape};
 use themis_sim::engine::{Engine, SimConfig};
 use themis_sim::metrics::SimReport;
@@ -884,8 +884,9 @@ impl Matrix {
     /// the cheapest baseline (Tiresias/LAS) as a non-auction engine-loop
     /// reference; the quadratic greedy baselines (Gandiva, DRF, SLAQ)
     /// would dominate the wall-clock and measure themselves, not the
-    /// auction core. Intended for `sweep --bench`: its per-cell wall-clock
-    /// is the perf trajectory CI accumulates per commit.
+    /// auction core. Its metrics are gated against
+    /// `BENCH_SCALE_BASELINE.json`; its host time is the `scale_batch`
+    /// workload of `benchmark/`.
     pub fn scale() -> Matrix {
         Matrix {
             clusters: vec![ClusterKind::Scale1024, ClusterKind::Scale4096],

@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn replay_gate_covers_only_distributed_cells_and_passes() {
         use themis_cluster::time::Time;
-        use themis_protocol::transport::FaultConfig;
+        use themis_protocol::fault::FaultConfig;
         let matrix = Matrix {
             policies: vec![Policy::themis_default(), Policy::themis_dist_default()],
             faults: vec![FaultConfig::reliable()

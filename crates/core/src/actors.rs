@@ -1,18 +1,18 @@
 //! The actor-based distributed Themis scheduler: the §3.1 auction as an
 //! event-driven message protocol on a causal [`Network`].
 //!
-//! Where the legacy
-//! [`InstantDistributedScheduler`](crate::runtime::InstantDistributedScheduler)
-//! resolves a whole five-step round at a single engine instant, this
+//! Where the in-process
+//! [`ThemisScheduler`](crate::scheduler::ThemisScheduler) calls the Arbiter
+//! and the Agents as plain Rust objects at a single engine instant, this
 //! module runs the Arbiter and one Agent per app as **actors**: every
 //! protocol step is a message with a real delivery time
 //! (`send + size/bandwidth + delay + jitter`), and the round advances only
 //! when deliveries and deadline timers fire. Rounds therefore overlap in
 //! simulated time — a slow Agent's Bid genuinely races the bid deadline,
 //! a `Win` notification can still be in flight while the next round's ρ
-//! queries go out, and the fault family the instant design cannot express
-//! (partitions healing mid-round, message reordering via jitter, Arbiter
-//! failover, bandwidth backpressure) becomes expressible.
+//! queries go out, and a whole fault family (partitions healing
+//! mid-round, message reordering via jitter, Arbiter failover, bandwidth
+//! backpressure) is expressible.
 //!
 //! ## Round state machine (Arbiter side)
 //!
@@ -58,7 +58,6 @@
 use crate::agent::Agent;
 use crate::arbiter::{AppStatus, Arbiter};
 use crate::config::ThemisConfig;
-use crate::runtime::DistStats;
 use crate::scheduler::materialize_grant;
 use std::collections::{BTreeMap, BTreeSet};
 use themis_cluster::alloc::FreeVector;
@@ -67,14 +66,54 @@ use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
 use themis_protocol::actor::{ActorId, TimerWheel};
 use themis_protocol::bid::BidTable;
+use themis_protocol::fault::FaultConfig;
 use themis_protocol::log::SendFate;
 use themis_protocol::messages::{
     AgentToArbiter, ArbiterToAgent, OfferMsg, RhoReport, WinNotification,
 };
 use themis_protocol::network::{LogMode, NetMsg, Network};
-use themis_protocol::transport::FaultConfig;
 use themis_sim::arena::AppArena;
 use themis_sim::scheduler::{AllocationDecision, ControlPlaneStats, Scheduler};
+
+/// Counters describing how the message flow fared across rounds. Purely
+/// observational — used by tests and diagnostics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DistStats {
+    /// Rounds attempted (a round with an empty offer is not attempted).
+    pub rounds: u64,
+    /// Rounds in which every queried agent's ρ report arrived in time (a
+    /// round with nobody to query counts as complete). `rounds −
+    /// completed_rounds` is the missed-round count the storm matrix
+    /// reports.
+    pub completed_rounds: u64,
+    /// ρ queries whose report never arrived by the bid deadline.
+    pub missed_rho_reports: u64,
+    /// Offers whose bid (or pass) never arrived by the bid deadline.
+    pub missed_bids: u64,
+    /// Win notifications lost in transit; their grants were voided.
+    pub voided_wins: u64,
+    /// Messages discarded because they belonged to an earlier round.
+    pub stale_messages: u64,
+    /// Agent-rounds spent crashed.
+    pub crashed_agent_rounds: u64,
+    /// Arbiter failovers: the standby Arbiter took over, voiding every
+    /// in-flight Win notification.
+    pub failovers: u64,
+}
+
+impl DistStats {
+    /// The subset of counters reported to the engine as
+    /// [`ControlPlaneStats`].
+    pub fn control(&self) -> ControlPlaneStats {
+        ControlPlaneStats {
+            rounds: self.rounds,
+            completed_rounds: self.completed_rounds,
+            missed_rho_reports: self.missed_rho_reports,
+            missed_bids: self.missed_bids,
+            voided_wins: self.voided_wins,
+        }
+    }
+}
 
 /// Every protocol message, wrapped so one [`Network`] carries both
 /// directions. Sizes are abstract units for the bandwidth model: offers
@@ -1118,7 +1157,7 @@ mod tests {
     /// With a 5 s one-way delay every leg fits its phase: the round
     /// completes 25 s after it started, driven by wakeup-time `schedule`
     /// calls — the decisions arrive *later* in simulated time, unlike the
-    /// instant path.
+    /// in-process scheduler's.
     #[test]
     fn delayed_round_completes_across_wakeups() {
         let (cluster, apps) = world(2);

@@ -14,7 +14,8 @@
 //! 3. **Leftovers** — withheld GPUs (at most a `1/e` fraction in the worst
 //!    case) are handed out work-conservingly outside the auction.
 //!
-//! Valuations are `V = 1/ρ` (see DESIGN.md): maximizing the product of
+//! Valuations are `V = 1/ρ` (see `PAPER.md`, "Partial-allocation auction
+//! with hidden payments"): maximizing the product of
 //! `1/ρ` is exactly minimizing the product of the bidders' finish-time
 //! fairness metrics.
 
@@ -31,7 +32,8 @@ const VALUE_FLOOR: f64 = 1e-12;
 /// Which solver computed the proportional-fair assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Exhaustive branch-and-bound over bid entries (optimal).
+    /// Unpruned exhaustive search over every per-app entry choice
+    /// (optimal; there is no bound, so the cost is the full `Π (entries+1)`).
     Exact,
     /// Greedy assignment plus local-search improvement (used when the
     /// search space is too large for the exact solver).

@@ -26,10 +26,6 @@
 //!   overlap in simulated time, phase deadlines bound slow Agents, and
 //!   every transport decision can be recorded and replayed
 //!   byte-identically,
-//! * [`runtime`] — [`runtime::InstantDistributedScheduler`], the legacy
-//!   instant-round message-exchange path (`themis-dist-instant`), kept as
-//!   a baseline that must agree with the actor runtime under zero-latency
-//!   reliable links,
 //! * [`config`] — the tunables the paper studies: the fairness knob `f`,
 //!   the lease duration, and bid-valuation error injection.
 //!
@@ -57,18 +53,16 @@ pub mod arbiter;
 pub mod auction;
 pub mod config;
 pub mod rho;
-pub mod runtime;
 pub mod scheduler;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::actors::DistributedThemisScheduler;
+    pub use crate::actors::{DistStats, DistributedThemisScheduler};
     pub use crate::agent::Agent;
     pub use crate::arbiter::{Arbiter, AuctionOutcome};
     pub use crate::auction::{partial_allocation, AuctionResult, SolverKind};
     pub use crate::config::ThemisConfig;
     pub use crate::rho::{estimate_rho, RhoEstimate};
-    pub use crate::runtime::{DistStats, InstantDistributedScheduler};
     pub use crate::scheduler::ThemisScheduler;
 }
 

@@ -7,11 +7,18 @@
 //! 1. aggregate the candidate GPUs with the GPUs the app already holds,
 //! 2. distribute the aggregate among the app's jobs greedily and
 //!    placement-sensitively,
-//! 3. `T_sh = min_j (elapsed + W'_j / (G_j · S_j(placement)))` — the `min`
-//!    because the job with the best hyper-parameters determines the app's
-//!    finish time,
-//! 4. `T_id = min_j (W_j / G_ideal_j)` with perfect placement,
+//! 3. `T_sh = elapsed + Σ_j W'_j / Σ_j (G_eff_j · S_j(placement))` — the
+//!    app's aggregate remaining work over the aggregate effective
+//!    throughput of the allocation (`rho_from`),
+//! 4. `T_id = max_j (W_j / G_ideal_j)` with perfect placement — the
+//!    slowest job at its maximum parallelism ([`ideal_running_time`]),
 //! 5. ρ = T_sh / T_id.
+//!
+//! The paper's §5.2 writes both halves as a `min_j` (the job with the best
+//! hyper-parameters ends the app); for single-job apps the three forms
+//! coincide. For multi-job apps an aggregate `T_sh` over a `max_j` `T_id`
+//! is what the code computes and is under review — see `ROADMAP.md`,
+//! "Find out why Themis only ties LAS here", suspect (b).
 //!
 //! Steps 2–5 exist once, as the pieces of `RhoKernel`: the Agent's probe
 //! and every row of its bid table go through the kernel, which keeps its

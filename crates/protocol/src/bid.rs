@@ -26,8 +26,8 @@ pub struct BidEntry {
 impl BidEntry {
     /// The bid's *value* to the partial-allocation auction. ρ is a
     /// lower-is-better metric, so the auction maximizes `1/ρ` (see
-    /// DESIGN.md, "Valuation convention"). An unbounded ρ (an app with no
-    /// allocation and no prospects) has value 0.
+    /// `PAPER.md`, "Partial-allocation auction with hidden payments"). An
+    /// unbounded ρ (an app with no allocation and no prospects) has value 0.
     pub fn value(&self) -> f64 {
         if self.rho.is_finite() && self.rho > 0.0 {
             1.0 / self.rho

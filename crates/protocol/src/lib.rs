@@ -1,7 +1,7 @@
 //! # themis-protocol
 //!
-//! Message types and transport for the Arbiter ↔ Agent interface of the
-//! Themis reproduction (NSDI 2020).
+//! Message types and the simulated network for the Arbiter ↔ Agent
+//! interface of the Themis reproduction (NSDI 2020).
 //!
 //! The paper's prototype adds gRPC interfaces between the per-app **Agent**
 //! (co-located with the app's hyper-parameter tuning framework) and the
@@ -16,10 +16,9 @@
 //!   table, allocation, lease notifications), all serializable with serde,
 //! * [`bid`] — the bid-table representation shared with the auction in
 //!   `themis-core`,
-//! * [`transport`] — a [`transport::Transport`] trait plus an in-memory
-//!   duplex channel implementation with optional fault injection (message
-//!   drop and delay), in the spirit of the fault-injection hooks the
-//!   networking guides recommend for protocol testing,
+//! * [`fault`] — [`fault::FaultConfig`], the one description of what can go
+//!   wrong in a distributed run (drops, delay, jitter, bandwidth, crashes,
+//!   partitions, failover, Arbiter congestion),
 //! * [`actor`] / [`network`] / [`log`] — the event-driven actor runtime:
 //!   actor identities and deterministic timers, a causal [`network::Network`]
 //!   with per-link latency/jitter/bandwidth and partition modelling, and the
@@ -31,21 +30,21 @@
 
 pub mod actor;
 pub mod bid;
+pub mod fault;
 pub mod log;
 pub mod messages;
 pub mod network;
-pub mod transport;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::actor::{ActorId, TimerWheel};
     pub use crate::bid::{BidEntry, BidTable};
+    pub use crate::fault::FaultConfig;
     pub use crate::log::{LogRecord, MessageLog, ReplayCursor, SendFate};
     pub use crate::messages::{
         AgentToArbiter, ArbiterToAgent, OfferMsg, RhoReport, WinNotification,
     };
     pub use crate::network::{LogMode, NetMsg, NetStats, Network};
-    pub use crate::transport::{Endpoint, FaultConfig, InMemoryLink, Transport, TransportError};
 }
 
 pub use prelude::*;

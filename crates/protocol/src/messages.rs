@@ -23,7 +23,7 @@
 //! receivers unpack them into the exact per-app messages they coalesce, so
 //! enabling batching changes delivery *timing*, never auction semantics.
 //!
-//! [`FaultConfig::arbiter_service_time`]: crate::transport::FaultConfig::arbiter_service_time
+//! [`FaultConfig::arbiter_service_time`]: crate::fault::FaultConfig::arbiter_service_time
 
 use crate::bid::BidTable;
 use serde::{Deserialize, Serialize};

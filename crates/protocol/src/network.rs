@@ -1,8 +1,8 @@
 //! The simulated network that owns every Arbiter↔Agent link.
 //!
-//! Unlike the legacy per-pair [`InMemoryLink`](crate::transport::InMemoryLink)
-//! (where a whole auction round resolves at one instant), the [`Network`]
-//! is *causal*: a message sent at `t` is delivered at
+//! The paper's prototype speaks gRPC (§7); here one in-memory [`Network`]
+//! carries both directions of every link, and it is *causal*: a message
+//! sent at `t` is delivered at
 //! `t' = max(t, link busy) + size/bandwidth + delay + jitter`, and the
 //! caller drives deliveries from a discrete-event loop via
 //! [`Network::pop_due`] / [`Network::next_event_time`]. Rounds therefore
@@ -26,8 +26,8 @@
 //! ```
 //! use themis_cluster::time::Time;
 //! use themis_protocol::actor::ActorId;
+//! use themis_protocol::fault::FaultConfig;
 //! use themis_protocol::network::{LogMode, NetMsg, Network};
-//! use themis_protocol::transport::FaultConfig;
 //!
 //! struct Ping;
 //! impl NetMsg for Ping {
@@ -49,8 +49,8 @@
 //! ```
 
 use crate::actor::ActorId;
+use crate::fault::FaultConfig;
 use crate::log::{LogRecord, MessageLog, ReplayCursor, SendFate};
-use crate::transport::FaultConfig;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -433,6 +433,48 @@ mod tests {
             vec![(Time::ZERO, "a"), (Time::ZERO, "b")]
         );
         assert_eq!(net.stats().delivered, 2);
+    }
+
+    #[test]
+    fn delay_drop_and_seed_decide_each_message_fate() {
+        // A delayed message is invisible strictly before `send + delay`
+        // and visible exactly at it.
+        let (sent_at, delay) = (Time::minutes(7.0), Time::minutes(3.0));
+        let mut net = Network::new(FaultConfig::delayed(delay), LogMode::Off);
+        net.send(sent_at, ActorId::ARBITER, ActorId(0), Msg("m", 42));
+        assert!(net.pop_due(sent_at + delay - Time::seconds(1.0)).is_none());
+        let due = net.pop_due(sent_at + delay).map(|(at, .., m)| (at, m.1));
+        assert_eq!(due, Some((sent_at + delay, 42)));
+
+        // 200 numbered messages, one per minute, through a lossy link.
+        const N: u64 = 200;
+        let survivors = |drop_probability: f64, seed: u64| {
+            let mut net = Network::new(FaultConfig::lossy(drop_probability, seed), LogMode::Off);
+            for i in 0..N {
+                let at = Time::minutes(i as f64);
+                net.send(at, ActorId(0), ActorId::ARBITER, Msg("m", i));
+            }
+            let got: Vec<u64> = std::iter::from_fn(|| net.pop_due(Time::INFINITY))
+                .map(|(.., m)| m.1)
+                .collect();
+            // Whatever the loss rate, drops never corrupt: what arrives
+            // is an in-order subset of what was sent, every message is
+            // accounted for, and nothing stays queued.
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "FIFO, no duplicate");
+            assert!(got.iter().all(|v| *v < N), "no phantom message");
+            let stats = net.stats();
+            assert_eq!(stats.sent, got.len() as u64);
+            assert_eq!(stats.sent + stats.dropped_fault, N);
+            assert_eq!(net.pending(), 0);
+            got
+        };
+        for (drop_probability, delivered) in [(0.0, N..=N), (1.0, 0..=0), (0.4, 90..=150)] {
+            let got = survivors(drop_probability, 3).len() as u64;
+            assert!(delivered.contains(&got), "p={drop_probability}: {got}");
+        }
+        // Fates are a function of the seed alone.
+        assert_eq!(survivors(0.4, 3), survivors(0.4, 3));
+        assert_ne!(survivors(0.4, 3), survivors(0.4, 4));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use themis_cluster::cluster::{Cluster, JobHoldings};
 use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::placement::spread;
 use themis_cluster::time::Time;
-use themis_protocol::transport::FaultConfig;
+use themis_protocol::fault::FaultConfig;
 use themis_workload::app::AppSpec;
 
 /// Engine configuration.

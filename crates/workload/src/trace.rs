@@ -13,8 +13,8 @@
 //! * the workload is a 60:40 mixture of placement-insensitive (ResNet-like)
 //!   and placement-sensitive (VGG-like) apps.
 //!
-//! The generator is fully deterministic given a seed, so every figure in
-//! `EXPERIMENTS.md` can be regenerated exactly.
+//! The generator is fully deterministic given a seed, so every figure the
+//! `figures` binary prints can be regenerated exactly.
 
 use crate::app::AppSpec;
 use crate::distributions::{quantile, sample_exponential, sample_lognormal_median, Discrete};

@@ -4,10 +4,6 @@
 //!   reproduces the in-process Themis policy's `SimReport` exactly
 //!   (modulo the scheduler name) on every scenario of the smoke matrix —
 //!   the message flow adds faults, never behavior,
-//! * under zero-latency reliable links the **actor runtime and the legacy
-//!   instant-round path agree decision for decision** — the two
-//!   implementations of the §3.1 exchange are interchangeable exactly
-//!   when the network is invisible,
 //! * under **faults** (drops + delay + agent crashes) the auction degrades
 //!   gracefully: every app still finishes, max-ρ inflation stays bounded,
 //!   and the engine terminates,
@@ -24,8 +20,7 @@ use themis_bench::scenarios::{ClusterKind, Matrix, Scenario};
 use themis_bench::sweep::run_sweep;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::time::Time;
-use themis_core::runtime::InstantDistributedScheduler;
-use themis_protocol::transport::FaultConfig;
+use themis_protocol::fault::FaultConfig;
 use themis_sim::engine::Engine;
 
 /// With zero faults the full five-step message exchange must be
@@ -54,38 +49,6 @@ fn reliable_dist_matches_in_process_on_smoke_matrix() {
             themis,
             "themis-dist must reproduce in-process Themis on {}",
             scenario.id()
-        );
-    }
-}
-
-/// Under zero-latency reliable links the event-driven actor runtime and
-/// the legacy instant-round path must agree on every metric: the actor
-/// cascade collapses into a single engine event, which is exactly the
-/// instant path's shape. Pinned seeds across contention levels.
-#[test]
-fn actor_and_instant_paths_agree_on_reliable_links() {
-    for (contention, seed) in [(1.0, 7), (2.0, 42), (4.0, 13)] {
-        let scenario = Scenario::new(ClusterKind::Rack16, 5, seed).with_contention(contention);
-        let config = scenario.sim_config();
-        let themis_config = match scenario.instantiate(Policy::themis_dist_default()) {
-            Policy::ThemisDist(cfg) => cfg,
-            other => panic!("expected ThemisDist, got {other:?}"),
-        };
-        let mut actor = scenario.run_on_trace(Policy::themis_dist_default(), scenario.trace());
-        let mut instant = Engine::new(
-            Cluster::new(scenario.cluster_spec()),
-            scenario.trace(),
-            InstantDistributedScheduler::new(themis_config, config.fault),
-            config,
-        )
-        .run();
-        assert_eq!(actor.scheduler, "themis-dist");
-        assert_eq!(instant.scheduler, "themis-dist-instant");
-        actor.scheduler.clear();
-        instant.scheduler.clear();
-        assert_eq!(
-            actor, instant,
-            "actor and instant paths diverged on x{contention} s{seed}"
         );
     }
 }

@@ -25,7 +25,7 @@ use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::GpuId;
 use themis_cluster::time::Time;
 use themis_core::actors::DistributedThemisScheduler;
-use themis_protocol::transport::FaultConfig;
+use themis_protocol::fault::FaultConfig;
 use themis_sim::arena::AppArena;
 use themis_sim::engine::Engine;
 use themis_sim::scheduler::{AllocationDecision, Scheduler};
@@ -250,8 +250,8 @@ fn distributed_scheduler_conserves_gpus_under_faults() {
     }
 }
 
-/// Pinned-seed audit of the actor-runtime fault axes the instant path
-/// never had: split-and-heal partitions, jitter-induced reordering,
+/// Pinned-seed audit of the actor-runtime fault axes beyond drop, delay
+/// and crash: split-and-heal partitions, jitter-induced reordering,
 /// Arbiter failover and bandwidth-serialized links. The reservation-aware
 /// guard asserts every round that a `Win` lost to a cut link or a failed
 /// Arbiter voids its grant (reserved GPUs still count against capacity)

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: trace → simulator → schedulers → metrics,
-//! plus the Arbiter ↔ Agent protocol running over the in-memory transport.
+//! plus the Arbiter ↔ Agent protocol running over the in-memory network.
 
 use std::collections::BTreeMap;
 use themis_bench::experiments::{run_experiment, Scale};
@@ -84,11 +84,24 @@ fn experiment_tables_are_well_formed_at_tiny_scale() {
     }
 }
 
+/// Both directions of the §7 interface on one [`Network`].
+#[derive(Debug)]
+enum Wire {
+    ToAgent(ArbiterToAgent),
+    ToArbiter(AgentToArbiter),
+}
+
+impl NetMsg for Wire {
+    fn log_tag(&self) -> String {
+        "wire".to_string()
+    }
+}
+
 #[test]
 fn arbiter_and_agent_talk_over_the_in_memory_transport() {
-    // One auction round run end-to-end through the protocol layer: the
-    // Arbiter sends an offer over a lossless in-memory link, the Agent
-    // replies with a bid, and the Arbiter sends back a win notification.
+    // One auction round run end-to-end through the protocol layer: every
+    // step crosses a lossless in-memory network and arrives, as sent, at
+    // the actor it was addressed to.
     let cluster = Cluster::new(ClusterSpec::homogeneous(1, 2, 4));
     let app_spec = AppSpec::single_job(
         AppId(0),
@@ -100,52 +113,46 @@ fn arbiter_and_agent_talk_over_the_in_memory_transport() {
     let mut agent = Agent::new(AppId(0), &config);
     let mut arbiter = Arbiter::new(config);
     let now = Time::minutes(1.0);
-
-    // Arbiter side endpoint sends ArbiterToAgent, receives AgentToArbiter.
-    let (arbiter_ep, agent_ep) = InMemoryLink::reliable_pair::<ArbiterToAgent, AgentToArbiter>();
+    let mut net: Network<Wire> = Network::new(FaultConfig::reliable(), LogMode::Off);
+    let mut hop = |src: ActorId, dst: ActorId, msg: Wire| {
+        net.send(now, src, dst, msg);
+        let (at, _, from, to, delivered) = net.pop_due(now).expect("delivered instantly");
+        assert_eq!((at, from, to), (now, src, dst));
+        delivered
+    };
+    let (arbiter_id, agent_id) = (ActorId::ARBITER, ActorId(0));
 
     // Step 1-2: rho probe.
-    arbiter_ep
-        .send(now, ArbiterToAgent::QueryRho { round: 0 })
-        .unwrap();
-    let msg = agent_ep.try_recv(now).unwrap();
-    assert!(matches!(msg, ArbiterToAgent::QueryRho { round: 0 }));
+    let query = Wire::ToAgent(ArbiterToAgent::QueryRho { round: 0 });
+    let query = hop(arbiter_id, agent_id, query);
+    assert!(matches!(
+        query,
+        Wire::ToAgent(ArbiterToAgent::QueryRho { round: 0 })
+    ));
     let rho = agent.current_rho(now, &runtime, &cluster).rho;
-    agent_ep
-        .send(
-            now,
-            AgentToArbiter::Rho(RhoReport {
-                round: 0,
-                app: AppId(0),
-                rho,
-            }),
-        )
-        .unwrap();
-    let report = arbiter_ep.try_recv(now).unwrap();
-    assert_eq!(report.app(), AppId(0));
+    let report = AgentToArbiter::Rho(RhoReport {
+        round: 0,
+        app: AppId(0),
+        rho,
+    });
+    match hop(agent_id, arbiter_id, Wire::ToArbiter(report)) {
+        Wire::ToArbiter(report) => assert_eq!(report.app(), AppId(0)),
+        other => panic!("expected a rho report, got {other:?}"),
+    }
 
     // Step 3-4: offer and bid.
     let offer = arbiter.make_offer(now, cluster.free_vector());
-    arbiter_ep
-        .send(now, ArbiterToAgent::Offer(offer.clone()))
-        .unwrap();
-    let offer_msg = match agent_ep.try_recv(now).unwrap() {
-        ArbiterToAgent::Offer(o) => o,
+    let offer_msg = Wire::ToAgent(ArbiterToAgent::Offer(offer.clone()));
+    let offer_msg = match hop(arbiter_id, agent_id, offer_msg) {
+        Wire::ToAgent(ArbiterToAgent::Offer(o)) => o,
         other => panic!("expected an offer, got {other:?}"),
     };
-    let bid = agent.prepare_bid(now, &runtime, &cluster, &offer_msg.resources);
-    agent_ep
-        .send(
-            now,
-            AgentToArbiter::Bid {
-                round: offer_msg.round,
-                table: bid,
-            },
-        )
-        .unwrap();
-    let bid_msg = arbiter_ep.try_recv(now).unwrap();
-    let bids = match bid_msg {
-        AgentToArbiter::Bid { table, .. } => vec![table],
+    let bid = AgentToArbiter::Bid {
+        round: offer_msg.round,
+        table: agent.prepare_bid(now, &runtime, &cluster, &offer_msg.resources),
+    };
+    let bids = match hop(agent_id, arbiter_id, Wire::ToArbiter(bid)) {
+        Wire::ToArbiter(AgentToArbiter::Bid { table, .. }) => vec![table],
         other => panic!("expected a bid, got {other:?}"),
     };
 
@@ -170,40 +177,17 @@ fn arbiter_and_agent_talk_over_the_in_memory_transport() {
         4,
         "the lone app should win the whole machine"
     );
-    arbiter_ep
-        .send(
-            now,
-            ArbiterToAgent::Win(WinNotification {
-                round: outcome.round,
-                app: AppId(0),
-                job: JobId(0),
-                gpus: vec![GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
-                lease_expires_at: now + Time::minutes(20.0),
-            }),
-        )
-        .unwrap();
+    let win = ArbiterToAgent::Win(WinNotification {
+        round: outcome.round,
+        app: AppId(0),
+        job: JobId(0),
+        gpus: vec![GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
+        lease_expires_at: now + Time::minutes(20.0),
+    });
     assert!(matches!(
-        agent_ep.try_recv(now).unwrap(),
-        ArbiterToAgent::Win(_)
+        hop(arbiter_id, agent_id, Wire::ToAgent(win)),
+        Wire::ToAgent(ArbiterToAgent::Win(_))
     ));
-}
-
-#[test]
-fn lossy_transport_only_degrades_but_never_corrupts() {
-    // Bids lost in transit mean the Arbiter simply auctions among fewer
-    // participants — drops must never produce phantom messages.
-    let (tx, rx) =
-        InMemoryLink::pair::<u32, u32>(FaultConfig::lossy(0.4, 3), FaultConfig::reliable());
-    for i in 0..200u32 {
-        tx.send(Time::ZERO, i).unwrap();
-    }
-    let received = rx.drain(Time::ZERO);
-    assert!(received.len() < 200);
-    // Order and content of what *is* delivered are intact.
-    let mut sorted = received.clone();
-    sorted.sort_unstable();
-    assert_eq!(received, sorted);
-    assert!(received.iter().all(|v| *v < 200));
 }
 
 #[test]

@@ -19,9 +19,9 @@ use themis_bench::report::{CellMetrics, CellReport, SweepReport};
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::time::Time;
+use themis_protocol::fault::FaultConfig;
 use themis_protocol::log::{LogRecord, MessageLog, SendFate};
 use themis_protocol::network::LogMode;
-use themis_protocol::transport::FaultConfig;
 use themis_sim::engine::Engine;
 use themis_sim::metrics::SimReport;
 

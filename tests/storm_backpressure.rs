@@ -18,7 +18,7 @@ use themis_bench::scenarios::{ClusterKind, Matrix, Scenario, StormAxis};
 use themis_bench::sweep::{run_replay_gate, run_sweep};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::time::Time;
-use themis_protocol::transport::FaultConfig;
+use themis_protocol::fault::FaultConfig;
 use themis_sim::engine::Engine;
 use themis_sim::metrics::SimReport;
 
