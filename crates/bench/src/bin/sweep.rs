@@ -27,7 +27,7 @@
 //! `DIR/<scenario id>.msglog` (the CI artifact).
 
 use themis_bench::policies::Policy;
-use themis_bench::report::{compare_reports, SweepReport};
+use themis_bench::report::{check_baseline, BaselineError};
 use themis_bench::scenarios::Matrix;
 use themis_bench::sweep::{run_replay_gate, run_sweep_filtered};
 
@@ -237,31 +237,19 @@ fn main() {
     }
 
     if let Some(baseline_path) = check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))
-            .and_then(|text| {
-                SweepReport::parse_str(&text)
-                    .map_err(|e| format!("cannot parse baseline {baseline_path}: {e}"))
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-        let diffs = compare_reports(&report, &baseline, tolerance);
-        if diffs.is_empty() {
-            eprintln!(
+        match check_baseline(&baseline_path, Some(&report), tolerance) {
+            Ok(_) => eprintln!(
                 "baseline check passed: {} cells match {baseline_path} (tolerance {tolerance})",
                 report.cells.len()
-            );
-        } else {
-            eprintln!(
-                "baseline check FAILED against {baseline_path}: {} divergence(s)",
-                diffs.len()
-            );
-            for diff in diffs {
-                eprintln!("  {diff}");
+            ),
+            Err(BaselineError::Unusable(e)) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
             }
-            std::process::exit(1);
+            Err(BaselineError::Diverged(e)) => {
+                eprintln!("baseline check FAILED: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -77,11 +77,6 @@ impl Json {
         }
     }
 
-    /// The value as a number, treating `null` as absent.
-    pub fn as_opt_f64(&self) -> Option<f64> {
-        self.as_f64()
-    }
-
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -482,7 +477,7 @@ mod tests {
         assert_eq!(v.get("n").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("n").unwrap().as_str(), None);
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("z").unwrap().as_opt_f64(), None);
+        assert_eq!(v.get("z").unwrap().as_f64(), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
         assert_eq!(Json::opt_num(Some(f64::NAN)), Json::Null);

@@ -1,38 +1,106 @@
 //! Machine-readable sweep reports and the baseline regression gate.
 //!
 //! A sweep run aggregates one [`CellMetrics`] per `(scenario × policy)`
-//! cell into a [`SweepReport`]. The canonical JSON rendering
+//! cell into a [`SweepReport`]. A cell serializes as `{ "id", "metrics" }`:
+//! its id `"<scenario id>/<policy>"` is the scenario's one encoding (see
+//! [`Scenario::id`]), and the parser rebuilds the scenario from it with
+//! [`Scenario::from_id`], so a new scenario axis changes neither this
+//! module nor any committed baseline. The canonical JSON rendering
 //! ([`SweepReport::to_canonical_string`]) deliberately excludes wall-clock
 //! timings: metrics are a pure function of the scenario, so serial and
-//! parallel runs of the same matrix emit byte-identical documents, and CI
-//! can diff a run against the committed `BENCH_BASELINE.json` exactly.
-//! Timings are advisory — ask for them with
+//! parallel runs of the same matrix emit byte-identical documents, and
+//! [`check_baseline`] — the one gate behind `sweep --check` and every
+//! baseline test — can diff a run against a committed `BENCH_*.json`
+//! exactly. Timings are advisory — ask for them with
 //! [`SweepReport::to_json`]`(true)` or the `sweep --timings` flag.
+//!
+//! Parse errors carry their location in the document, e.g.
+//! `cells[7].metrics: missing numeric field 'gpu_hours'`.
 
 use crate::json::Json;
-use crate::scenarios::{ClusterKind, GenMix, Scenario, ServiceAxis, ServiceShape, StormAxis};
-use themis_cluster::time::Time;
-use themis_protocol::fault::FaultConfig;
+use crate::policies::Policy;
+use crate::scenarios::Scenario;
+use std::fmt;
+use std::path::Path;
 use themis_sim::metrics::SimReport;
 use themis_sim::scheduler::ControlPlaneStats;
 use themis_sim::service::ServiceReport;
 
 /// Version stamp of the JSON schema, bumped on incompatible change so a
-/// stale baseline fails loudly instead of diffing nonsense.
-/// v2 added the scenario's transport-fault axis (`fault_*` fields); v3
-/// added the GPU-generation heterogeneity axis (`gen_mix` plus the derived
-/// per-cell `speed_*` metadata); v4 added the actor-transport fault axes
-/// (jitter, bandwidth, partitions, Arbiter failover); v5 added the
-/// open-system service axis (`service_*` scenario fields and the windowed
-/// `service` metrics block, both present only on service-mode cells — a
-/// closed-system cell's JSON is byte-identical to v4 apart from the
-/// version stamp); v6 added the Arbiter-backpressure axes
-/// (`fault_arbiter_service_minutes` and `fault_arbiter_batch`, present
-/// only when engaged), the storm axis (`storm_bid_deadline_minutes`,
-/// present only on storm cells) and the control-plane metrics block
-/// (`control`, present on cells whose scheduler exposes auction-round
-/// accounting — distributed-mode Themis).
-pub const SCHEMA_VERSION: f64 = 6.0;
+/// stale baseline fails loudly instead of diffing nonsense. v7 made the
+/// cell id the only record of its scenario.
+pub const SCHEMA_VERSION: f64 = 7.0;
+
+/// One metric of a block: its JSON key and its value (`None` = absent,
+/// written `null`). Each block lists its metrics once; its JSON and its
+/// diffable `(name, value)` pairs both derive from that list.
+type Field<T> = (&'static str, fn(&T) -> Option<f64>);
+
+fn fields_json<T>(fields: &[Field<T>], block: &T) -> Vec<(String, Json)> {
+    fields
+        .iter()
+        .map(|(name, get)| ((*name).to_string(), Json::opt_num(get(block))))
+        .collect()
+}
+
+/// `(name, value)` pairs for diffing. Absent values — and every value of
+/// an absent block — read NaN.
+fn fields_numbered<'a, T>(
+    fields: &'a [Field<T>],
+    block: Option<&'a T>,
+) -> impl Iterator<Item = (&'static str, f64)> + 'a {
+    fields
+        .iter()
+        .map(move |(name, get)| (*name, block.and_then(get).unwrap_or(f64::NAN)))
+}
+
+/// A JSON object being parsed, with its location in the document for
+/// error messages (`cells[7].metrics.service`).
+struct At<'a> {
+    json: &'a Json,
+    path: String,
+}
+
+impl<'a> At<'a> {
+    fn err(&self, message: impl fmt::Display) -> String {
+        format!("{}: {message}", self.path)
+    }
+
+    fn num(&self, key: &str) -> Result<f64, String> {
+        self.json
+            .get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| self.err(format_args!("missing numeric field '{key}'")))
+    }
+
+    /// A required count: a non-negative integer, never a silent cast.
+    fn count(&self, key: &str) -> Result<u64, String> {
+        let v = self.num(key)?;
+        if v < 0.0 || v.fract() != 0.0 {
+            return Err(self.err(format_args!("'{key}' {v} is not a non-negative integer")));
+        }
+        Ok(v as u64)
+    }
+
+    /// An optional metric: absent or `null` is `None`, anything else must
+    /// be a number.
+    fn opt(&self, key: &str) -> Result<Option<f64>, String> {
+        match self.json.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v
+                .as_f64()
+                .map(Some)
+                .ok_or_else(|| self.err(format_args!("'{key}' must be a number or null"))),
+        }
+    }
+
+    fn child(&self, key: &str) -> Option<At<'a>> {
+        self.json.get(key).map(|json| At {
+            json,
+            path: format!("{}.{key}", self.path),
+        })
+    }
+}
 
 /// The windowed open-system metrics of one service-mode cell, extracted
 /// from the final [`ServiceReport`] snapshot. Deterministic for pinned
@@ -67,6 +135,20 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
+    const FIELDS: [Field<ServiceMetrics>; 11] = [
+        ("p50_rho", |m| m.p50_rho),
+        ("p99_rho", |m| m.p99_rho),
+        ("p50_queueing_minutes", |m| m.p50_queueing_minutes),
+        ("p99_queueing_minutes", |m| m.p99_queueing_minutes),
+        ("p99_renewal_minutes", |m| m.p99_renewal_minutes),
+        ("max_queue_rounds", |m| Some(m.max_queue_rounds as f64)),
+        ("admitted", |m| Some(m.admitted as f64)),
+        ("retired", |m| Some(m.retired as f64)),
+        ("steady_state_minutes", |m| m.steady_state_minutes),
+        ("auctions_run", |m| Some(m.auctions_run as f64)),
+        ("auctions_skipped", |m| Some(m.auctions_skipped as f64)),
+    ];
+
     /// Extracts the windowed metric set from a finished service run.
     pub fn from_report(report: &ServiceReport) -> ServiceMetrics {
         ServiceMetrics {
@@ -84,91 +166,20 @@ impl ServiceMetrics {
         }
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("p50_rho".into(), Json::opt_num(self.p50_rho)),
-            ("p99_rho".into(), Json::opt_num(self.p99_rho)),
-            (
-                "p50_queueing_minutes".into(),
-                Json::opt_num(self.p50_queueing_minutes),
-            ),
-            (
-                "p99_queueing_minutes".into(),
-                Json::opt_num(self.p99_queueing_minutes),
-            ),
-            (
-                "p99_renewal_minutes".into(),
-                Json::opt_num(self.p99_renewal_minutes),
-            ),
-            (
-                "max_queue_rounds".into(),
-                Json::num(self.max_queue_rounds as f64),
-            ),
-            ("admitted".into(), Json::num(self.admitted as f64)),
-            ("retired".into(), Json::num(self.retired as f64)),
-            (
-                "steady_state_minutes".into(),
-                Json::opt_num(self.steady_state_minutes),
-            ),
-            ("auctions_run".into(), Json::num(self.auctions_run as f64)),
-            (
-                "auctions_skipped".into(),
-                Json::num(self.auctions_skipped as f64),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<ServiceMetrics, String> {
-        let req = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("service metrics missing numeric field '{key}'"))
-        };
-        let opt = |key: &str| value.get(key).and_then(Json::as_opt_f64);
+    fn from_json(at: &At<'_>) -> Result<ServiceMetrics, String> {
         Ok(ServiceMetrics {
-            p50_rho: opt("p50_rho"),
-            p99_rho: opt("p99_rho"),
-            p50_queueing_minutes: opt("p50_queueing_minutes"),
-            p99_queueing_minutes: opt("p99_queueing_minutes"),
-            p99_renewal_minutes: opt("p99_renewal_minutes"),
-            max_queue_rounds: req("max_queue_rounds")? as u64,
-            admitted: req("admitted")? as u64,
-            retired: req("retired")? as u64,
-            steady_state_minutes: opt("steady_state_minutes"),
-            auctions_run: req("auctions_run")? as u64,
-            auctions_skipped: req("auctions_skipped")? as u64,
+            p50_rho: at.opt("p50_rho")?,
+            p99_rho: at.opt("p99_rho")?,
+            p50_queueing_minutes: at.opt("p50_queueing_minutes")?,
+            p99_queueing_minutes: at.opt("p99_queueing_minutes")?,
+            p99_renewal_minutes: at.opt("p99_renewal_minutes")?,
+            max_queue_rounds: at.count("max_queue_rounds")?,
+            admitted: at.count("admitted")?,
+            retired: at.count("retired")?,
+            steady_state_minutes: at.opt("steady_state_minutes")?,
+            auctions_run: at.count("auctions_run")?,
+            auctions_skipped: at.count("auctions_skipped")?,
         })
-    }
-
-    /// `(name, value)` pairs for diffing, mirroring
-    /// [`CellMetrics::numbered`].
-    fn numbered(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("p50_rho", self.p50_rho.unwrap_or(f64::NAN)),
-            ("p99_rho", self.p99_rho.unwrap_or(f64::NAN)),
-            (
-                "p50_queueing_minutes",
-                self.p50_queueing_minutes.unwrap_or(f64::NAN),
-            ),
-            (
-                "p99_queueing_minutes",
-                self.p99_queueing_minutes.unwrap_or(f64::NAN),
-            ),
-            (
-                "p99_renewal_minutes",
-                self.p99_renewal_minutes.unwrap_or(f64::NAN),
-            ),
-            ("max_queue_rounds", self.max_queue_rounds as f64),
-            ("admitted", self.admitted as f64),
-            ("retired", self.retired as f64),
-            (
-                "steady_state_minutes",
-                self.steady_state_minutes.unwrap_or(f64::NAN),
-            ),
-            ("auctions_run", self.auctions_run as f64),
-            ("auctions_skipped", self.auctions_skipped as f64),
-        ]
     }
 }
 
@@ -192,6 +203,17 @@ pub struct ControlMetrics {
 }
 
 impl ControlMetrics {
+    const FIELDS: [Field<ControlMetrics>; 6] = [
+        ("rounds", |m| Some(m.rounds as f64)),
+        ("completed_rounds", |m| Some(m.completed_rounds as f64)),
+        ("missed_rho_reports", |m| Some(m.missed_rho_reports as f64)),
+        ("missed_bids", |m| Some(m.missed_bids as f64)),
+        ("voided_wins", |m| Some(m.voided_wins as f64)),
+        // Derived from the counters above; write-only (recomputed on
+        // parse), kept in the document for human diffing.
+        ("missed_round_rate", ControlMetrics::missed_round_rate),
+    ];
+
     /// Extracts the control-plane metric set from the scheduler's counters.
     pub fn from_stats(stats: &ControlPlaneStats) -> ControlMetrics {
         ControlMetrics {
@@ -209,62 +231,14 @@ impl ControlMetrics {
         (self.rounds > 0).then(|| 1.0 - self.completed_rounds as f64 / self.rounds as f64)
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("rounds".into(), Json::num(self.rounds as f64)),
-            (
-                "completed_rounds".into(),
-                Json::num(self.completed_rounds as f64),
-            ),
-            (
-                "missed_rho_reports".into(),
-                Json::num(self.missed_rho_reports as f64),
-            ),
-            ("missed_bids".into(), Json::num(self.missed_bids as f64)),
-            ("voided_wins".into(), Json::num(self.voided_wins as f64)),
-            // Derived from the counters above; write-only (recomputed on
-            // parse), kept in the document for human diffing.
-            (
-                "missed_round_rate".into(),
-                Json::opt_num(self.missed_round_rate()),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<ControlMetrics, String> {
-        let uint = |key: &str| -> Result<u64, String> {
-            let v = value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("control metrics missing numeric field '{key}'"))?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("control {key} {v} is not a non-negative integer"));
-            }
-            Ok(v as u64)
-        };
+    fn from_json(at: &At<'_>) -> Result<ControlMetrics, String> {
         Ok(ControlMetrics {
-            rounds: uint("rounds")?,
-            completed_rounds: uint("completed_rounds")?,
-            missed_rho_reports: uint("missed_rho_reports")?,
-            missed_bids: uint("missed_bids")?,
-            voided_wins: uint("voided_wins")?,
+            rounds: at.count("rounds")?,
+            completed_rounds: at.count("completed_rounds")?,
+            missed_rho_reports: at.count("missed_rho_reports")?,
+            missed_bids: at.count("missed_bids")?,
+            voided_wins: at.count("voided_wins")?,
         })
-    }
-
-    /// `(name, value)` pairs for diffing, mirroring
-    /// [`CellMetrics::numbered`].
-    fn numbered(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("rounds", self.rounds as f64),
-            ("completed_rounds", self.completed_rounds as f64),
-            ("missed_rho_reports", self.missed_rho_reports as f64),
-            ("missed_bids", self.missed_bids as f64),
-            ("voided_wins", self.voided_wins as f64),
-            (
-                "missed_round_rate",
-                self.missed_round_rate().unwrap_or(f64::NAN),
-            ),
-        ]
     }
 }
 
@@ -301,6 +275,19 @@ pub struct CellMetrics {
 }
 
 impl CellMetrics {
+    const FIELDS: [Field<CellMetrics>; 10] = [
+        ("max_rho", |m| m.max_rho),
+        ("jain", |m| m.jain),
+        ("makespan_minutes", |m| Some(m.makespan_minutes)),
+        ("avg_jct_minutes", |m| m.avg_jct_minutes),
+        ("gpu_hours", |m| Some(m.gpu_hours)),
+        ("mean_placement_score", |m| m.mean_placement_score),
+        ("peak_contention", |m| Some(m.peak_contention)),
+        ("finished_apps", |m| Some(m.finished_apps as f64)),
+        ("unfinished_apps", |m| Some(m.unfinished_apps as f64)),
+        ("scheduling_rounds", |m| Some(m.scheduling_rounds as f64)),
+    ];
+
     /// Extracts the metric set from a finished simulation.
     pub fn from_report(report: &SimReport) -> CellMetrics {
         CellMetrics {
@@ -328,65 +315,37 @@ impl CellMetrics {
     }
 
     fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("max_rho".into(), Json::opt_num(self.max_rho)),
-            ("jain".into(), Json::opt_num(self.jain)),
-            ("makespan_minutes".into(), Json::num(self.makespan_minutes)),
-            (
-                "avg_jct_minutes".into(),
-                Json::opt_num(self.avg_jct_minutes),
-            ),
-            ("gpu_hours".into(), Json::num(self.gpu_hours)),
-            (
-                "mean_placement_score".into(),
-                Json::opt_num(self.mean_placement_score),
-            ),
-            ("peak_contention".into(), Json::num(self.peak_contention)),
-            ("finished_apps".into(), Json::num(self.finished_apps as f64)),
-            (
-                "unfinished_apps".into(),
-                Json::num(self.unfinished_apps as f64),
-            ),
-            (
-                "scheduling_rounds".into(),
-                Json::num(self.scheduling_rounds as f64),
-            ),
-        ];
+        let mut pairs = fields_json(&Self::FIELDS, self);
         if let Some(service) = &self.service {
-            pairs.push(("service".into(), service.to_json()));
+            let block = fields_json(&ServiceMetrics::FIELDS, service);
+            pairs.push(("service".into(), Json::Obj(block)));
         }
         if let Some(control) = &self.control {
-            pairs.push(("control".into(), control.to_json()));
+            let block = fields_json(&ControlMetrics::FIELDS, control);
+            pairs.push(("control".into(), Json::Obj(block)));
         }
         Json::Obj(pairs)
     }
 
-    fn from_json(value: &Json) -> Result<CellMetrics, String> {
-        let req = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("metrics missing numeric field '{key}'"))
-        };
-        let opt = |key: &str| value.get(key).and_then(Json::as_opt_f64);
+    fn from_json(at: &At<'_>) -> Result<CellMetrics, String> {
         Ok(CellMetrics {
-            max_rho: opt("max_rho"),
-            jain: opt("jain"),
-            makespan_minutes: req("makespan_minutes")?,
-            avg_jct_minutes: opt("avg_jct_minutes"),
-            gpu_hours: req("gpu_hours")?,
-            mean_placement_score: opt("mean_placement_score"),
-            peak_contention: req("peak_contention")?,
-            finished_apps: req("finished_apps")? as usize,
-            unfinished_apps: req("unfinished_apps")? as usize,
-            scheduling_rounds: req("scheduling_rounds")? as u64,
-            service: value
-                .get("service")
-                .map(ServiceMetrics::from_json)
+            max_rho: at.opt("max_rho")?,
+            jain: at.opt("jain")?,
+            makespan_minutes: at.num("makespan_minutes")?,
+            avg_jct_minutes: at.opt("avg_jct_minutes")?,
+            gpu_hours: at.num("gpu_hours")?,
+            mean_placement_score: at.opt("mean_placement_score")?,
+            peak_contention: at.num("peak_contention")?,
+            finished_apps: at.count("finished_apps")? as usize,
+            unfinished_apps: at.count("unfinished_apps")? as usize,
+            scheduling_rounds: at.count("scheduling_rounds")?,
+            service: at
+                .child("service")
+                .map(|block| ServiceMetrics::from_json(&block))
                 .transpose()?,
-            control: value
-                .get("control")
-                .map(ControlMetrics::from_json)
+            control: at
+                .child("control")
+                .map(|block| ControlMetrics::from_json(&block))
                 .transpose()?,
         })
     }
@@ -398,65 +357,25 @@ impl CellMetrics {
     /// without the block), so a cell missing its block compares as a
     /// divergence rather than being silently zipped short.
     fn numbered(&self) -> Vec<(&'static str, f64)> {
-        let mut pairs = vec![
-            ("max_rho", self.max_rho.unwrap_or(f64::NAN)),
-            ("jain", self.jain.unwrap_or(f64::NAN)),
-            ("makespan_minutes", self.makespan_minutes),
-            ("avg_jct_minutes", self.avg_jct_minutes.unwrap_or(f64::NAN)),
-            ("gpu_hours", self.gpu_hours),
-            (
-                "mean_placement_score",
-                self.mean_placement_score.unwrap_or(f64::NAN),
-            ),
-            ("peak_contention", self.peak_contention),
-            ("finished_apps", self.finished_apps as f64),
-            ("unfinished_apps", self.unfinished_apps as f64),
-            ("scheduling_rounds", self.scheduling_rounds as f64),
-        ];
-        match &self.service {
-            Some(service) => pairs.extend(service.numbered()),
-            None => pairs.extend(
-                ServiceMetrics {
-                    p50_rho: None,
-                    p99_rho: None,
-                    p50_queueing_minutes: None,
-                    p99_queueing_minutes: None,
-                    p99_renewal_minutes: None,
-                    max_queue_rounds: 0,
-                    admitted: 0,
-                    retired: 0,
-                    steady_state_minutes: None,
-                    auctions_run: 0,
-                    auctions_skipped: 0,
-                }
-                .numbered()
-                .into_iter()
-                .map(|(name, _)| (name, f64::NAN)),
-            ),
-        }
-        match &self.control {
-            Some(control) => pairs.extend(control.numbered()),
-            None => pairs.extend(
-                ControlMetrics {
-                    rounds: 0,
-                    completed_rounds: 0,
-                    missed_rho_reports: 0,
-                    missed_bids: 0,
-                    voided_wins: 0,
-                }
-                .numbered()
-                .into_iter()
-                .map(|(name, _)| (name, f64::NAN)),
-            ),
-        }
-        pairs
+        fields_numbered(&Self::FIELDS, Some(self))
+            .chain(fields_numbered(
+                &ServiceMetrics::FIELDS,
+                self.service.as_ref(),
+            ))
+            .chain(fields_numbered(
+                &ControlMetrics::FIELDS,
+                self.control.as_ref(),
+            ))
+            .collect()
     }
 }
 
 /// One `(scenario × policy)` cell of a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
-    /// `"<scenario id>/<policy>"` — unique within a matrix.
+    /// `"<scenario id>/<policy>"` — unique within a matrix, and the cell's
+    /// only serialized description: the scenario and policy below are
+    /// parsed back from it.
     pub id: String,
     /// Policy display name.
     pub policy: String,
@@ -470,255 +389,20 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    fn scenario_json(scenario: &Scenario) -> Json {
-        // Per-cell speed metadata, derived from the built topology: the
-        // aggregate/extreme GPU speeds the cell ran with. Write-only —
-        // `scenario_from_json` recomputes them from `gen_mix`, so they can
-        // never drift from the axis value they describe.
-        let spec = scenario.cluster_spec();
-        let speeds: Vec<f64> = spec
-            .machines()
-            .iter()
-            .map(themis_cluster::topology::MachineSpec::speed)
-            .collect();
-        let speed_min = speeds.iter().copied().fold(f64::INFINITY, f64::min);
-        let speed_max = speeds.iter().copied().fold(0.0, f64::max);
-        let mut pairs = vec![
-            ("cluster".into(), Json::str(scenario.cluster.name())),
-            ("gen_mix".into(), Json::str(scenario.gen_mix.name())),
-            ("speed_total".into(), Json::num(spec.total_speed())),
-            ("speed_min".into(), Json::num(speed_min)),
-            ("speed_max".into(), Json::num(speed_max)),
-            ("apps".into(), Json::num(scenario.apps as f64)),
-            ("contention".into(), Json::num(scenario.contention)),
-            (
-                "network_fraction".into(),
-                Json::num(scenario.network_fraction),
-            ),
-            ("fairness_knob".into(), Json::num(scenario.fairness_knob)),
-            ("lease_minutes".into(), Json::num(scenario.lease_minutes)),
-            ("rho_error".into(), Json::num(scenario.rho_error)),
-            ("burst_fraction".into(), Json::num(scenario.burst_fraction)),
-            (
-                "heavy_job_fraction".into(),
-                Json::num(scenario.heavy_job_fraction),
-            ),
-            (
-                "fault_drop".into(),
-                Json::num(scenario.fault.drop_probability),
-            ),
-            (
-                "fault_delay_minutes".into(),
-                Json::num(scenario.fault.delay.as_minutes()),
-            ),
-            (
-                "fault_crash_period".into(),
-                Json::num(scenario.fault.crash_period as f64),
-            ),
-            (
-                "fault_crash_rounds".into(),
-                Json::num(scenario.fault.crash_rounds as f64),
-            ),
-            (
-                "fault_jitter_minutes".into(),
-                Json::num(scenario.fault.jitter.as_minutes()),
-            ),
-            (
-                "fault_bandwidth".into(),
-                Json::num(scenario.fault.bandwidth),
-            ),
-            (
-                "fault_partition_period".into(),
-                Json::num(scenario.fault.partition_period as f64),
-            ),
-            (
-                "fault_partition_rounds".into(),
-                Json::num(scenario.fault.partition_rounds as f64),
-            ),
-            (
-                "fault_failover_period".into(),
-                Json::num(scenario.fault.failover_period as f64),
-            ),
-            ("fault_seed".into(), Json::num(scenario.fault.seed as f64)),
-            ("seed".into(), Json::num(scenario.seed as f64)),
-            (
-                "scheduler_seed".into(),
-                Json::num(scenario.scheduler_seed as f64),
-            ),
-        ];
-        // Arbiter-backpressure fields only when the knobs are engaged,
-        // keeping every pre-backpressure scenario object byte-identical to
-        // v5 runs apart from the version stamp.
-        if scenario.fault.arbiter_service_time > Time::ZERO {
-            pairs.push((
-                "fault_arbiter_service_minutes".into(),
-                Json::num(scenario.fault.arbiter_service_time.as_minutes()),
-            ));
+    /// The cell of `policy` on `scenario`, named by both; no wall-clock.
+    pub fn new(scenario: &Scenario, policy: Policy, metrics: CellMetrics) -> CellReport {
+        CellReport {
+            id: format!("{}/{}", scenario.id(), policy.name()),
+            policy: policy.name().to_string(),
+            scenario: scenario.clone(),
+            metrics,
+            wall_clock_ms: 0.0,
         }
-        if scenario.fault.arbiter_batch > 0 {
-            pairs.push((
-                "fault_arbiter_batch".into(),
-                Json::num(scenario.fault.arbiter_batch as f64),
-            ));
-        }
-        // Service axis fields only on service-mode cells, keeping every
-        // closed-system scenario object byte-identical to pre-service runs.
-        if let Some(axis) = &scenario.service {
-            pairs.push(("service_shape".into(), Json::str(axis.shape.name())));
-            pairs.push(("service_rate".into(), Json::num(axis.rate)));
-            pairs.push((
-                "service_horizon_minutes".into(),
-                Json::num(axis.horizon_minutes),
-            ));
-        }
-        // Storm axis field only on storm cells, same contract.
-        if let Some(axis) = &scenario.storm {
-            pairs.push((
-                "storm_bid_deadline_minutes".into(),
-                Json::num(axis.bid_deadline_minutes),
-            ));
-        }
-        Json::Obj(pairs)
-    }
-
-    fn scenario_from_json(value: &Json) -> Result<Scenario, String> {
-        let req = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("scenario missing numeric field '{key}'"))
-        };
-        let cluster_name = value
-            .get("cluster")
-            .and_then(Json::as_str)
-            .ok_or("scenario missing 'cluster'")?;
-        let cluster = ClusterKind::parse(cluster_name)
-            .ok_or_else(|| format!("unknown cluster kind '{cluster_name}'"))?;
-        let mix_name = value
-            .get("gen_mix")
-            .and_then(Json::as_str)
-            .ok_or("scenario missing 'gen_mix'")?;
-        let gen_mix = GenMix::parse(mix_name)
-            .ok_or_else(|| format!("unknown generation mix '{mix_name}'"))?;
-        Ok(Scenario {
-            cluster,
-            gen_mix,
-            apps: req("apps")? as usize,
-            contention: req("contention")?,
-            network_fraction: req("network_fraction")?,
-            fairness_knob: req("fairness_knob")?,
-            lease_minutes: req("lease_minutes")?,
-            rho_error: req("rho_error")?,
-            burst_fraction: req("burst_fraction")?,
-            heavy_job_fraction: req("heavy_job_fraction")?,
-            fault: {
-                // Built as a literal, not via the asserting `with_*`
-                // builders: a malformed baseline must surface as a parse
-                // error, never a panic or a silent `as`-cast clamp.
-                let uint = |key: &str| -> Result<u64, String> {
-                    let v = req(key)?;
-                    if v < 0.0 || v.fract() != 0.0 {
-                        return Err(format!("{key} {v} is not a non-negative integer"));
-                    }
-                    Ok(v as u64)
-                };
-                let drop_probability = req("fault_drop")?;
-                if !(0.0..=1.0).contains(&drop_probability) {
-                    return Err(format!("fault_drop {drop_probability} outside [0, 1]"));
-                }
-                let delay_minutes = req("fault_delay_minutes")?;
-                if delay_minutes.is_nan() || delay_minutes < 0.0 {
-                    return Err(format!("fault_delay_minutes {delay_minutes} is negative"));
-                }
-                let jitter_minutes = req("fault_jitter_minutes")?;
-                if jitter_minutes.is_nan() || jitter_minutes < 0.0 {
-                    return Err(format!("fault_jitter_minutes {jitter_minutes} is negative"));
-                }
-                let bandwidth = req("fault_bandwidth")?;
-                if !bandwidth.is_finite() || bandwidth < 0.0 {
-                    return Err(format!(
-                        "fault_bandwidth {bandwidth} is not finite and non-negative"
-                    ));
-                }
-                // The arbiter knobs are absent on pre-backpressure cells
-                // (and on any cell where they are zero), so they parse
-                // optionally with a zero default.
-                let arbiter_service_minutes = match value.get("fault_arbiter_service_minutes") {
-                    None => 0.0,
-                    Some(v) => {
-                        let v = v
-                            .as_f64()
-                            .ok_or("fault_arbiter_service_minutes must be a number")?;
-                        if !(v.is_finite() && v >= 0.0) {
-                            return Err(format!(
-                                "fault_arbiter_service_minutes {v} is not finite and non-negative"
-                            ));
-                        }
-                        v
-                    }
-                };
-                let arbiter_batch = match value.get("fault_arbiter_batch") {
-                    None => 0,
-                    Some(_) => uint("fault_arbiter_batch")?,
-                };
-                FaultConfig {
-                    drop_probability,
-                    delay: Time::minutes(delay_minutes),
-                    seed: uint("fault_seed")?,
-                    crash_period: uint("fault_crash_period")?,
-                    crash_rounds: uint("fault_crash_rounds")?,
-                    jitter: Time::minutes(jitter_minutes),
-                    bandwidth,
-                    partition_period: uint("fault_partition_period")?,
-                    partition_rounds: uint("fault_partition_rounds")?,
-                    failover_period: uint("fault_failover_period")?,
-                    arbiter_service_time: Time::minutes(arbiter_service_minutes),
-                    arbiter_batch,
-                }
-            },
-            seed: req("seed")? as u64,
-            scheduler_seed: req("scheduler_seed")? as u64,
-            service: match value.get("service_shape") {
-                None => None,
-                Some(shape) => {
-                    let name = shape
-                        .as_str()
-                        .ok_or("scenario 'service_shape' must be a string")?;
-                    let shape = ServiceShape::parse(name)
-                        .ok_or_else(|| format!("unknown service shape '{name}'"))?;
-                    let rate = req("service_rate")?;
-                    if !(rate.is_finite() && rate > 0.0) {
-                        return Err(format!("service_rate {rate} is not positive"));
-                    }
-                    let horizon = req("service_horizon_minutes")?;
-                    if !(horizon.is_finite() && horizon > 0.0) {
-                        return Err(format!("service_horizon_minutes {horizon} is not positive"));
-                    }
-                    Some(ServiceAxis::new(shape, rate, horizon))
-                }
-            },
-            storm: match value.get("storm_bid_deadline_minutes") {
-                None => None,
-                Some(v) => {
-                    let deadline = v
-                        .as_f64()
-                        .ok_or("storm_bid_deadline_minutes must be a number")?;
-                    if !(deadline.is_finite() && deadline > 0.0) {
-                        return Err(format!(
-                            "storm_bid_deadline_minutes {deadline} is not positive"
-                        ));
-                    }
-                    Some(StormAxis::new(deadline))
-                }
-            },
-        })
     }
 
     fn to_json(&self, timings: bool) -> Json {
         let mut pairs = vec![
             ("id".into(), Json::str(&self.id)),
-            ("policy".into(), Json::str(&self.policy)),
-            ("scenario".into(), Self::scenario_json(&self.scenario)),
             ("metrics".into(), self.metrics.to_json()),
         ];
         if timings {
@@ -735,24 +419,29 @@ impl CellReport {
         Json::Obj(pairs)
     }
 
-    fn from_json(value: &Json) -> Result<CellReport, String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("cell missing field '{key}'"))
-        };
+    fn from_json(cell: &At<'_>) -> Result<CellReport, String> {
+        let id = cell
+            .json
+            .get("id")
+            .and_then(Json::as_str)
+            .ok_or_else(|| cell.err("missing string field 'id'"))?;
+        let at_id = |e: String| format!("{}.id: {e}", cell.path);
+        let (scenario_id, policy) = id
+            .split_once('/')
+            .ok_or_else(|| at_id(format!("{id:?} has no '/<policy>' suffix")))?;
+        if Policy::parse(policy).is_none() {
+            return Err(at_id(format!("unknown policy {policy:?}")));
+        }
+        let metrics = cell
+            .child("metrics")
+            .ok_or_else(|| cell.err("missing field 'metrics'"))?;
         Ok(CellReport {
-            id: field("id")?
-                .as_str()
-                .ok_or("cell 'id' must be a string")?
-                .to_string(),
-            policy: field("policy")?
-                .as_str()
-                .ok_or("cell 'policy' must be a string")?
-                .to_string(),
-            scenario: Self::scenario_from_json(field("scenario")?)?,
-            metrics: CellMetrics::from_json(field("metrics")?)?,
-            wall_clock_ms: value
+            id: id.to_string(),
+            policy: policy.to_string(),
+            scenario: Scenario::from_id(scenario_id).map_err(at_id)?,
+            metrics: CellMetrics::from_json(&metrics)?,
+            wall_clock_ms: cell
+                .json
                 .get("wall_clock_ms")
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0),
@@ -820,7 +509,13 @@ impl SweepReport {
             .and_then(Json::as_arr)
             .ok_or("report missing 'cells' array")?
             .iter()
-            .map(CellReport::from_json)
+            .enumerate()
+            .map(|(i, json)| {
+                CellReport::from_json(&At {
+                    json,
+                    path: format!("cells[{i}]"),
+                })
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SweepReport {
             matrix,
@@ -880,23 +575,96 @@ pub fn compare_reports(current: &SweepReport, baseline: &SweepReport, tol: f64) 
     }
     for cell in &current.cells {
         if find(&baseline.cells, &cell.id).is_none() {
-            diffs.push(format!(
-                "cell '{}' not present in baseline (regenerate BENCH_BASELINE.json?)",
-                cell.id
-            ));
+            diffs.push(format!("cell '{}' not present in baseline", cell.id));
         }
     }
     diffs
 }
 
+/// Why [`check_baseline`] failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BaselineError {
+    /// The baseline cannot be read or parsed, or is not in canonical form.
+    Unusable(String),
+    /// The run diverged from the baseline.
+    Diverged(String),
+}
+
+impl fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BaselineError::Unusable(message) | BaselineError::Diverged(message) => {
+                f.write_str(message)
+            }
+        }
+    }
+}
+
+/// The baseline regression gate — `sweep --check` and every baseline test
+/// go through it. Reads the committed report at `path`, which must parse
+/// and be in canonical form (written by `sweep --out`, never hand-edited),
+/// and, when `current` is given, diffs the run against it with
+/// [`compare_reports`] at tolerance `tol`. Every error names `path`; a
+/// divergence also says how to regenerate it. Returns the parsed baseline.
+pub fn check_baseline(
+    path: impl AsRef<Path>,
+    current: Option<&SweepReport>,
+    tol: f64,
+) -> Result<SweepReport, BaselineError> {
+    let path = path.as_ref();
+    let shown = path.display();
+    let unusable = BaselineError::Unusable;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| unusable(format!("cannot read baseline {shown}: {e}")))?;
+    let baseline = SweepReport::parse_str(&text)
+        .map_err(|e| unusable(format!("cannot parse baseline {shown}: {e}")))?;
+    if baseline.to_canonical_string() != text {
+        return Err(unusable(format!(
+            "baseline {shown} is not in canonical form (regenerate it with `sweep --out`; \
+             never hand-edit it)"
+        )));
+    }
+    if let Some(current) = current {
+        let diffs = compare_reports(current, &baseline, tol);
+        if !diffs.is_empty() {
+            return Err(BaselineError::Diverged(format!(
+                "{} divergence(s) from {shown}; if the behavior change is intentional, \
+                 regenerate it with `sweep --matrix {} --jobs 4 --out {shown}`:\n  {}",
+                diffs.len(),
+                baseline.matrix,
+                diffs.join("\n  ")
+            )));
+        }
+    }
+    Ok(baseline)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::ClusterKind;
+    use crate::scenarios::{ClusterKind, ServiceAxis, ServiceShape, StormAxis};
+    use themis_cluster::time::Time;
+    use themis_protocol::fault::FaultConfig;
 
-    fn sample_report() -> SweepReport {
-        let scenario = Scenario::new(ClusterKind::Rack16, 3, 42).with_contention(2.0);
-        let metrics = CellMetrics {
+    /// A one-cell report of `policy` on `scenario`.
+    fn one_cell(scenario: Scenario, policy: Policy, metrics: CellMetrics) -> SweepReport {
+        let cell = CellReport::new(&scenario, policy, metrics);
+        SweepReport {
+            matrix: "unit".into(),
+            cells: vec![CellReport {
+                wall_clock_ms: 12.0,
+                ..cell
+            }],
+            total_wall_clock_ms: 12.0,
+        }
+    }
+
+    fn base() -> Scenario {
+        Scenario::new(ClusterKind::Rack16, 3, 42).with_contention(2.0)
+    }
+
+    fn sample_metrics() -> CellMetrics {
+        CellMetrics {
             max_rho: Some(2.5),
             jain: Some(0.9),
             makespan_minutes: 120.0,
@@ -909,18 +677,11 @@ mod tests {
             scheduling_rounds: 17,
             service: None,
             control: None,
-        };
-        SweepReport {
-            matrix: "unit".into(),
-            cells: vec![CellReport {
-                id: format!("{}/themis", scenario.id()),
-                policy: "themis".into(),
-                scenario,
-                metrics,
-                wall_clock_ms: 12.0,
-            }],
-            total_wall_clock_ms: 12.0,
         }
+    }
+
+    fn sample_report() -> SweepReport {
+        one_cell(base(), Policy::themis_default(), sample_metrics())
     }
 
     #[test]
@@ -931,9 +692,13 @@ mod tests {
         // Wall clock is not canonical, so compare everything else.
         assert_eq!(back.matrix, report.matrix);
         assert_eq!(back.cells.len(), 1);
+        assert_eq!(back.cells[0].policy, "themis");
         assert_eq!(back.cells[0].scenario, report.cells[0].scenario);
         assert_eq!(back.cells[0].metrics, report.cells[0].metrics);
         assert_eq!(back.to_canonical_string(), text);
+        // A cell is its id and its metrics; the id carries the scenario.
+        assert!(text.contains("\"id\": \"rack16-a3-x2-s42-i0/themis\""));
+        assert!(!text.contains("\"scenario\"") && !text.contains("\"policy\""));
         // Canonical form has no timing fields.
         assert!(!text.contains("wall_clock"));
         // The timing form does.
@@ -943,39 +708,9 @@ mod tests {
             .contains("total_wall_clock_ms"));
     }
 
-    #[test]
-    fn hetero_cells_carry_speed_metadata_and_round_trip() {
-        use crate::scenarios::GenMix;
-        let mut report = sample_report();
-        report.cells[0].scenario = report.cells[0]
-            .scenario
-            .clone()
-            .with_gen_mix(GenMix::TwoGen);
-        report.cells[0].id = format!("{}/themis", report.cells[0].scenario.id());
-        let text = report.to_canonical_string();
-        assert!(text.contains("\"gen_mix\": \"2gen\""));
-        // Rack16 under TwoGen: machines 0/2 Volta (2.0), 1/3 Pascal (1.0).
-        assert!(text.contains("\"speed_total\": 24"));
-        assert!(text.contains("\"speed_min\": 1"));
-        assert!(text.contains("\"speed_max\": 2"));
-        let back = SweepReport::parse_str(&text).expect("hetero cell parses");
-        assert_eq!(back.cells[0].scenario, report.cells[0].scenario);
-        assert_eq!(back.to_canonical_string(), text, "canonical fixed point");
-        // A baseline with an unknown mix fails loudly.
-        let bad = text.replace("\"gen_mix\": \"2gen\"", "\"gen_mix\": \"9gen\"");
-        assert!(SweepReport::parse_str(&bad)
-            .expect_err("unknown mix rejected")
-            .contains("generation mix"));
-    }
-
     fn service_report() -> SweepReport {
-        let mut report = sample_report();
-        report.cells[0].scenario = report.cells[0]
-            .scenario
-            .clone()
-            .with_service(ServiceAxis::new(ServiceShape::Diurnal, 1.5, 2000.0));
-        report.cells[0].id = format!("{}/themis", report.cells[0].scenario.id());
-        report.cells[0].metrics.service = Some(ServiceMetrics {
+        let mut metrics = sample_metrics();
+        metrics.service = Some(ServiceMetrics {
             p50_rho: Some(1.1),
             p99_rho: Some(2.2),
             p50_queueing_minutes: Some(3.0),
@@ -988,14 +723,15 @@ mod tests {
             auctions_run: 100,
             auctions_skipped: 200,
         });
-        report
+        let scenario = base().with_service(ServiceAxis::new(ServiceShape::Diurnal, 1.5, 2000.0));
+        one_cell(scenario, Policy::themis_default(), metrics)
     }
 
     #[test]
     fn service_cells_round_trip_and_gate_their_windowed_metrics() {
         let report = service_report();
         let text = report.to_canonical_string();
-        assert!(text.contains("\"service_shape\": \"diurnal\""));
+        assert!(text.contains("-vdiurnal-r1.5-z2000/themis\""));
         assert!(text.contains("\"auctions_skipped\": 200"));
         let back = SweepReport::parse_str(&text).expect("service cell parses");
         assert_eq!(back.cells[0].scenario, report.cells[0].scenario);
@@ -1017,49 +753,32 @@ mod tests {
         // Dropping the block entirely is a divergence, not a silent pass.
         current.cells[0].metrics.service = None;
         assert!(!compare_reports(&current, &report, 1e-9).is_empty());
-
-        // A malformed shape in a baseline fails loudly.
-        let bad = text.replace(
-            "\"service_shape\": \"diurnal\"",
-            "\"service_shape\": \"wavy\"",
-        );
-        assert!(SweepReport::parse_str(&bad)
-            .expect_err("unknown shape rejected")
-            .contains("service shape"));
     }
 
     fn storm_report() -> SweepReport {
-        let mut report = sample_report();
-        report.cells[0].scenario = report.cells[0]
-            .scenario
-            .clone()
-            .with_fault(
-                FaultConfig::reliable()
-                    .with_arbiter_service_time(Time::seconds(1.0))
-                    .with_arbiter_batch(8),
-            )
-            .with_storm(StormAxis::new(2.0));
-        report.cells[0].id = format!("{}/themis-dist", report.cells[0].scenario.id());
-        report.cells[0].policy = "themis-dist".into();
-        report.cells[0].metrics.control = Some(ControlMetrics {
+        let fault = FaultConfig::reliable()
+            .with_arbiter_service_time(Time::seconds(1.0))
+            .with_arbiter_batch(8);
+        let scenario = base().with_fault(fault).with_storm(StormAxis::new(2.0));
+        let mut metrics = sample_metrics();
+        metrics.control = Some(ControlMetrics {
             rounds: 20,
             completed_rounds: 15,
             missed_rho_reports: 9,
             missed_bids: 2,
             voided_wins: 0,
         });
-        report
+        one_cell(scenario, Policy::themis_dist_default(), metrics)
     }
 
     #[test]
     fn storm_cells_round_trip_and_gate_their_control_metrics() {
         let report = storm_report();
         let text = report.to_canonical_string();
-        assert!(text.contains("\"fault_arbiter_service_minutes\""));
-        assert!(text.contains("\"fault_arbiter_batch\": 8"));
-        assert!(text.contains("\"storm_bid_deadline_minutes\": 2"));
+        assert!(text.contains("-u0.016666666666666666-k8-t2/themis-dist\""));
         assert!(text.contains("\"missed_round_rate\": 0.25"));
         let back = SweepReport::parse_str(&text).expect("storm cell parses");
+        assert_eq!(back.cells[0].policy, "themis-dist");
         assert_eq!(back.cells[0].scenario, report.cells[0].scenario);
         assert_eq!(back.cells[0].metrics, report.cells[0].metrics);
         assert_eq!(back.to_canonical_string(), text, "canonical fixed point");
@@ -1081,10 +800,92 @@ mod tests {
         current.cells[0].metrics.control = None;
         assert!(!compare_reports(&current, &report, 1e-9).is_empty());
 
-        // A cell without the knobs has none of the new scenario fields.
-        let plain = sample_report().to_canonical_string();
-        assert!(!plain.contains("fault_arbiter"));
-        assert!(!plain.contains("storm_bid_deadline"));
+        // A cell without the knobs names none of them.
+        let plain = &sample_report().cells[0].id;
+        assert!(!plain.contains("-u") && !plain.contains("-k") && !plain.contains("-t"));
+    }
+
+    /// Every hostile document or id is an `Err` naming where it went
+    /// wrong, never a panic, a silent cast or a clamp. One document case
+    /// per line: `fixture text | its replacement | expected error`.
+    #[test]
+    fn hostile_documents_fail_with_a_location() {
+        let mut fixture = service_report();
+        fixture.cells[0].metrics.control = storm_report().cells[0].metrics.control.clone();
+        let text = fixture.to_canonical_string();
+        let documents = r#"
+            "finished_apps": 3 | "finished_apps": -3 | cells[0].metrics: 'finished_apps' -3 is not a non-negative integer
+            "finished_apps": 3 | "finished_apps": 2.5 | cells[0].metrics: 'finished_apps' 2.5 is not
+            "gpu_hours": 14.5, |  | cells[0].metrics: missing numeric field 'gpu_hours'
+            "max_rho": 2.5 | "max_rho": "low" | cells[0].metrics: 'max_rho' must be a number or null
+            "admitted": 90 | "admitted": -90 | cells[0].metrics.service: 'admitted' -90 is not
+            "rounds": 20 | "rounds": 20.5 | cells[0].metrics.control: 'rounds' 20.5 is not
+            /themis" | " | cells[0].id: "rack16-a3-x2-s42-i0-vdiurnal-r1.5-z2000" has no '/<policy>' suffix
+            /themis" | /fifo" | cells[0].id: unknown policy "fifo"
+            -x2- | -yabc-x2- | cells[0].id: tag 'y': "abc" is not a number
+            -x2- | -xNaN- | cells[0].id: tag 'x': "NaN" is not finite
+            -x2- | -x1- | cells[0].id: "rack16-a3-x1-s42-i0-vdiurnal-r1.5-z2000" is not canonical
+            -vdiurnal- | -vwavy- | cells[0].id: tag 'v': unknown service shape "wavy"
+            -vdiurnal- | -g9gen-vdiurnal- | cells[0].id: tag 'g': unknown generation mix "9gen"
+            "schema_version": 7 | "schema_version": 6 | report is v6, this binary expects v7 (regenerate the baseline)
+        "#;
+        for case in documents.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            let (from, rest) = case.split_once(" | ").expect("three fields");
+            let (to, expected) = rest.split_once(" | ").expect("three fields");
+            assert!(text.contains(from), "fixture lacks {from:?}");
+            let err = SweepReport::parse_str(&text.replacen(from, to, 1)).expect_err(case);
+            assert!(err.contains(expected), "{case}: {err}");
+        }
+        for (id, expected) in [
+            ("a6-s42", "must start with a cluster name"),
+            ("rack16-s42", "missing tag 'a'"),
+            ("rack16-a6", "missing tag 's'"),
+            ("rack16-a-3-s42", "tag 'a'"),
+            ("rack16-a6-m3-s42", "unknown tag 'm'"),
+            ("rack16-a6-a7-s42", "tag 'a' repeated"),
+            ("rack16-a6-xinf-s42", "tag 'x'"),
+            ("rack16-a6-d1.5-s42", "tag 'd'"),
+            ("rack16-a6-y-1-s42", "tag 'y'"),
+            ("rack16-a6-jNaN-s42", "tag 'j'"),
+            ("rack16-a6-c5-s42", "tag 'c'"),
+            ("rack16-a6-s42-u-0.5", "tag 'u'"),
+            ("rack16-a6-s42-r1", "'v', 'r' and 'z'"),
+            ("rack16-a6-s42-vpoisson-r0-z100", "tag 'r'"),
+            ("rack16-a6-s42-t0", "tag 't'"),
+            ("rack16-a6-s42-i42", "not canonical"),
+        ] {
+            let err = Scenario::from_id(id).expect_err(id);
+            assert!(err.contains(expected), "{id}: {err}");
+        }
+    }
+
+    #[test]
+    fn baseline_gate_names_the_file_it_checks() {
+        let path = std::env::temp_dir().join(format!("BENCH_UNIT_{}.json", std::process::id()));
+        let shown = path.display().to_string();
+        let report = sample_report();
+        std::fs::write(&path, report.to_canonical_string()).expect("write baseline");
+        let baseline = check_baseline(&path, Some(&report), 1e-9).expect("identical run passes");
+        assert_eq!(baseline.to_canonical_string(), report.to_canonical_string());
+        let mut moved = sample_report();
+        moved.cells[0].metrics.gpu_hours += 1.0;
+        let Err(BaselineError::Diverged(message)) = check_baseline(&path, Some(&moved), 1e-9)
+        else {
+            panic!("a moved metric must diverge");
+        };
+        assert!(
+            message.contains(&format!("--matrix unit --jobs 4 --out {shown}")),
+            "{message}"
+        );
+        assert!(!message.contains("BENCH_BASELINE.json"), "{message}");
+        std::fs::write(&path, report.to_json(true).to_pretty_string()).expect("write timed");
+        let not_canonical = check_baseline(&path, None, 1e-9);
+        assert!(
+            matches!(not_canonical, Err(BaselineError::Unusable(m)) if m.contains("canonical"))
+        );
+        std::fs::remove_file(&path).expect("remove baseline");
+        let missing = check_baseline(&path, None, 1e-9);
+        assert!(matches!(missing, Err(BaselineError::Unusable(m)) if m.contains("cannot read")));
     }
 
     #[test]
@@ -1140,7 +941,7 @@ mod tests {
     fn schema_version_mismatch_is_rejected() {
         let text = sample_report()
             .to_canonical_string()
-            .replace("\"schema_version\": 6", "\"schema_version\": 99");
+            .replace("\"schema_version\": 7", "\"schema_version\": 99");
         let err = SweepReport::parse_str(&text).expect_err("must reject");
         assert!(err.contains("schema version"), "{err}");
     }

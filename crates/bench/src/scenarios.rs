@@ -7,7 +7,9 @@
 //!
 //! * [`Scenario`] pins down one simulation cell — cluster shape, trace
 //!   configuration, fairness/lease/error knobs and the seeds — and can
-//!   [`run`](Scenario::run) any [`Policy`] on it deterministically,
+//!   [`run`](Scenario::run) any [`Policy`] on it deterministically; its
+//!   [`id`](Scenario::id) is its only serialization, parsed back by
+//!   [`Scenario::from_id`],
 //! * [`Matrix`] is a declarative set of axis values whose
 //!   [`expand`](Matrix::expand) takes the cartesian product,
 //! * the named matrices ([`Matrix::smoke`], [`Matrix::full`],
@@ -465,68 +467,188 @@ impl Scenario {
         }
     }
 
-    /// A compact, stable identifier encoding every axis value, e.g.
-    /// `testbed50-guni-a8-x2-n0.4-f0.8-l20-e0-b0-h0-d0-y0-c0x0-j0-w0-p0x0-o0-q0-s42`
-    /// (`g` is the generation mix, `d` the drop probability, `y` the
-    /// delivery delay in minutes, `c` the crash period × duration, `j` the
-    /// delivery jitter in minutes, `w` the link bandwidth, `p` the
-    /// partition period × duration, `o` the Arbiter-failover period, `q`
-    /// the fault RNG seed). Arbiter-backpressure knobs append only when
-    /// engaged: `u` the per-message service time in minutes, `k` the batch
-    /// size; a storm axis appends `t` (the round deadline in minutes).
+    /// The scenario's one serialization, parsed back by
+    /// [`Scenario::from_id`]: the cluster name, then a `-<tag><value>`
+    /// component for every axis whose value differs from
+    /// [`Scenario::new`]'s, in a fixed order (`docs/ARCHITECTURE.md` lists
+    /// the tags). `a` (apps) and `s` (seed) are always written; `i`, the
+    /// scheduler seed, defaults to `s`. A default never appears, so a new
+    /// axis changes no existing id.
+    ///
+    /// ```
+    /// use themis_bench::scenarios::{ClusterKind, Scenario};
+    ///
+    /// let s = Scenario::new(ClusterKind::Testbed50, 8, 42)
+    ///     .with_contention(2.0)
+    ///     .with_scheduler_seed(42);
+    /// assert_eq!(s.id(), "testbed50-a8-x2-s42");
+    /// assert_eq!(Scenario::from_id(&s.id()), Ok(s));
+    /// ```
     pub fn id(&self) -> String {
-        let mut id = format!(
-            "{}-g{}-a{}-x{}-n{}-f{}-l{}-e{}-b{}-h{}-d{}-y{}-c{}x{}-j{}-w{}-p{}x{}-o{}-q{}-s{}",
-            self.cluster.name(),
-            self.gen_mix.name(),
-            self.apps,
-            self.contention,
-            self.network_fraction,
-            self.fairness_knob,
-            self.lease_minutes,
-            self.rho_error,
-            self.burst_fraction,
-            self.heavy_job_fraction,
-            self.fault.drop_probability,
-            self.fault.delay.as_minutes(),
-            self.fault.crash_period,
-            self.fault.crash_rounds,
-            self.fault.jitter.as_minutes(),
-            self.fault.bandwidth,
-            self.fault.partition_period,
-            self.fault.partition_rounds,
-            self.fault.failover_period,
-            self.fault.seed,
-            self.seed
-        );
-        // Arbiter-backpressure suffixes only when the knobs are engaged, so
-        // every pre-backpressure id (and with it every committed baseline)
-        // is unchanged by the knobs existing.
-        if self.fault.arbiter_service_time > Time::ZERO {
-            id.push_str(&format!(
-                "-u{}",
-                self.fault.arbiter_service_time.as_minutes()
-            ));
-        }
-        if self.fault.arbiter_batch > 0 {
-            id.push_str(&format!("-k{}", self.fault.arbiter_batch));
-        }
-        // Service-mode suffix only when the axis is present, so every
-        // closed-system id (and with it every committed baseline) is
-        // unchanged by the axis existing.
-        if let Some(axis) = &self.service {
-            id.push_str(&format!(
-                "-v{}-r{}-z{}",
-                axis.shape.name(),
-                axis.rate,
-                axis.horizon_minutes
-            ));
-        }
-        // Storm suffix, same contract as the service suffix.
-        if let Some(axis) = &self.storm {
-            id.push_str(&format!("-t{}", axis.bid_deadline_minutes));
+        let default = Scenario::new(self.cluster, self.apps, self.seed)
+            .with_scheduler_seed(self.seed)
+            .components();
+        let mut id = self.cluster.name().to_string();
+        for ((tag, value), (_, default)) in self.components().into_iter().zip(default) {
+            if value != default || tag == 'a' || tag == 's' {
+                id.push('-');
+                id.push(tag);
+                id.push_str(&value);
+            }
         }
         id
+    }
+
+    /// Every id component as `(tag, value)`, in id order; an absent
+    /// service or storm axis reads as empty.
+    fn components(&self) -> [(char, String); 25] {
+        let (f, service, storm) = (&self.fault, self.service, self.storm);
+        let axis = |value: Option<String>| value.unwrap_or_default();
+        [
+            ('g', self.gen_mix.to_string()),
+            ('a', self.apps.to_string()),
+            ('x', self.contention.to_string()),
+            ('n', self.network_fraction.to_string()),
+            ('f', self.fairness_knob.to_string()),
+            ('l', self.lease_minutes.to_string()),
+            ('e', self.rho_error.to_string()),
+            ('b', self.burst_fraction.to_string()),
+            ('h', self.heavy_job_fraction.to_string()),
+            ('d', f.drop_probability.to_string()),
+            ('y', f.delay.as_minutes().to_string()),
+            ('c', format!("{}x{}", f.crash_period, f.crash_rounds)),
+            ('j', f.jitter.as_minutes().to_string()),
+            ('w', f.bandwidth.to_string()),
+            (
+                'p',
+                format!("{}x{}", f.partition_period, f.partition_rounds),
+            ),
+            ('o', f.failover_period.to_string()),
+            ('q', f.seed.to_string()),
+            ('s', self.seed.to_string()),
+            ('i', self.scheduler_seed.to_string()),
+            ('u', f.arbiter_service_time.as_minutes().to_string()),
+            ('k', f.arbiter_batch.to_string()),
+            ('v', axis(service.map(|a| a.shape.to_string()))),
+            ('r', axis(service.map(|a| a.rate.to_string()))),
+            ('z', axis(service.map(|a| a.horizon_minutes.to_string()))),
+            ('t', axis(storm.map(|a| a.bid_deadline_minutes.to_string()))),
+        ]
+    }
+
+    /// Parses an id written by [`Scenario::id`]. Hostile input is an `Err`
+    /// naming the offending tag, never a panic: an unknown, repeated or
+    /// missing tag, a non-finite number, a drop probability outside
+    /// `[0, 1]`, a negative time or bandwidth, a non-positive service rate,
+    /// horizon or storm deadline, or a non-canonical spelling.
+    pub fn from_id(id: &str) -> Result<Scenario, String> {
+        const ANY: (fn(f64) -> bool, &str) = (|_| true, "");
+        const UNIT: (fn(f64) -> bool, &str) = (|x| (0.0..=1.0).contains(&x), "in [0, 1]");
+        const NON_NEGATIVE: (fn(f64) -> bool, &str) = (|x| x >= 0.0, "non-negative");
+        const POSITIVE: (fn(f64) -> bool, &str) = (|x| x > 0.0, "positive");
+        fn num(tag: char, v: &str, (ok, rule): (fn(f64) -> bool, &str)) -> Result<f64, String> {
+            match v.parse::<f64>() {
+                Err(_) => Err(format!("tag '{tag}': {v:?} is not a number")),
+                Ok(x) if !x.is_finite() => Err(format!("tag '{tag}': {v:?} is not finite")),
+                Ok(x) if !ok(x) => Err(format!("tag '{tag}': {v} must be {rule}")),
+                Ok(x) => Ok(x),
+            }
+        }
+        fn int(tag: char, v: &str) -> Result<u64, String> {
+            v.parse()
+                .map_err(|_| format!("tag '{tag}': {v:?} is not a non-negative integer"))
+        }
+        fn pair(tag: char, v: &str) -> Result<(u64, u64), String> {
+            let (period, rounds) = v.split_once('x').unwrap_or((v, ""));
+            Ok((int(tag, period)?, int(tag, rounds)?))
+        }
+        fn minutes(tag: char, v: &str) -> Result<Time, String> {
+            Ok(Time::minutes(num(tag, v, NON_NEGATIVE)?))
+        }
+
+        let mut pieces = id.split('-').peekable();
+        let name = pieces.next().unwrap_or_default();
+        let cluster = ClusterKind::parse(name)
+            .ok_or_else(|| format!("id must start with a cluster name, got {name:?}"))?;
+        let mut s = Scenario::new(cluster, 0, 0);
+        let (mut apps, mut seed, mut scheduler_seed) = (None, None, None);
+        let (mut shape, mut rate, mut horizon) = (None, None, None);
+        let (f, mut seen) = (&mut s.fault, String::new());
+        while let Some(piece) = pieces.next() {
+            let tag = piece.chars().next().ok_or("empty component")?;
+            if seen.contains(tag) {
+                return Err(format!("tag '{tag}' repeated"));
+            }
+            seen.push(tag);
+            let mut value = piece[tag.len_utf8()..].to_string();
+            // A piece starting with a digit is the rest of a negative
+            // number ("x-1").
+            while let Some(rest) = pieces.next_if(|p| p.starts_with(|c: char| c.is_ascii_digit())) {
+                value = format!("{value}-{rest}");
+            }
+            let v = value.as_str();
+            match tag {
+                'g' => {
+                    s.gen_mix = GenMix::parse(v)
+                        .ok_or_else(|| format!("tag 'g': unknown generation mix {v:?}"))?;
+                }
+                'a' => apps = Some(int(tag, v)?),
+                'x' => s.contention = num(tag, v, ANY)?,
+                'n' => s.network_fraction = num(tag, v, ANY)?,
+                'f' => s.fairness_knob = num(tag, v, ANY)?,
+                'l' => s.lease_minutes = num(tag, v, ANY)?,
+                'e' => s.rho_error = num(tag, v, ANY)?,
+                'b' => s.burst_fraction = num(tag, v, ANY)?,
+                'h' => s.heavy_job_fraction = num(tag, v, ANY)?,
+                'd' => f.drop_probability = num(tag, v, UNIT)?,
+                'y' => f.delay = minutes(tag, v)?,
+                'c' => (f.crash_period, f.crash_rounds) = pair(tag, v)?,
+                'j' => f.jitter = minutes(tag, v)?,
+                'w' => f.bandwidth = num(tag, v, NON_NEGATIVE)?,
+                'p' => (f.partition_period, f.partition_rounds) = pair(tag, v)?,
+                'o' => f.failover_period = int(tag, v)?,
+                'q' => f.seed = int(tag, v)?,
+                's' => seed = Some(int(tag, v)?),
+                'i' => scheduler_seed = Some(int(tag, v)?),
+                'u' => f.arbiter_service_time = minutes(tag, v)?,
+                'k' => f.arbiter_batch = int(tag, v)?,
+                'v' => {
+                    shape = Some(
+                        ServiceShape::parse(v)
+                            .ok_or_else(|| format!("tag 'v': unknown service shape {v:?}"))?,
+                    );
+                }
+                'r' => rate = Some(num(tag, v, POSITIVE)?),
+                'z' => horizon = Some(num(tag, v, POSITIVE)?),
+                // Built as a literal, not via the asserting constructor.
+                't' => {
+                    s.storm = Some(StormAxis {
+                        bid_deadline_minutes: num(tag, v, POSITIVE)?,
+                    });
+                }
+                _ => return Err(format!("unknown tag '{tag}'")),
+            }
+        }
+        let apps = apps.ok_or("missing tag 'a' (apps)")?;
+        s.apps = usize::try_from(apps).map_err(|_| format!("tag 'a': {apps} apps do not fit"))?;
+        s.seed = seed.ok_or("missing tag 's' (seed)")?;
+        s.scheduler_seed = scheduler_seed.unwrap_or(s.seed);
+        s.service = match (shape, rate, horizon) {
+            (None, None, None) => None,
+            (Some(shape), Some(rate), Some(horizon_minutes)) => Some(ServiceAxis {
+                shape,
+                rate,
+                horizon_minutes,
+            }),
+            _ => return Err("tags 'v', 'r' and 'z' (the service axis) come together".into()),
+        };
+        let canonical = s.id();
+        if canonical != id {
+            return Err(format!(
+                "{id:?} is not canonical: the scenario it names is written {canonical:?}"
+            ));
+        }
+        Ok(s)
     }
 
     /// The trace configuration this scenario generates apps from.
@@ -1064,53 +1186,46 @@ impl Matrix {
     /// in a fixed lexicographic axis order. Every scenario's scheduler seed
     /// is its trace seed, so a cell is a pure function of its axis values.
     pub fn expand(&self) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for &cluster in &self.clusters {
-            for &gen_mix in &self.gen_mix {
-                for &apps in &self.apps {
-                    for &contention in &self.contention {
-                        for &network_fraction in &self.network_fraction {
-                            for &fairness_knob in &self.fairness_knob {
-                                for &lease_minutes in &self.lease_minutes {
-                                    for &rho_error in &self.rho_error {
-                                        for &burst_fraction in &self.burst_fraction {
-                                            for &heavy_job_fraction in &self.heavy_job_fraction {
-                                                for &fault in &self.faults {
-                                                    for &service in &self.service {
-                                                        for &storm in &self.storm {
-                                                            for &seed in &self.seeds {
-                                                                out.push(Scenario {
-                                                                    cluster,
-                                                                    gen_mix,
-                                                                    apps,
-                                                                    contention,
-                                                                    network_fraction,
-                                                                    fairness_knob,
-                                                                    lease_minutes,
-                                                                    rho_error,
-                                                                    burst_fraction,
-                                                                    heavy_job_fraction,
-                                                                    fault,
-                                                                    seed,
-                                                                    scheduler_seed: seed,
-                                                                    service,
-                                                                    storm,
-                                                                });
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        // One fold step per axis: every scenario so far × every value of
+        // the next axis, later axes varying fastest.
+        fn axis<T: Copy>(
+            scenarios: Vec<Scenario>,
+            values: &[T],
+            set: impl Fn(&mut Scenario, T),
+        ) -> Vec<Scenario> {
+            let mut out = Vec::with_capacity(scenarios.len() * values.len());
+            for scenario in scenarios {
+                out.extend(values.iter().map(|&value| {
+                    let mut next = scenario.clone();
+                    set(&mut next, value);
+                    next
+                }));
             }
+            out
         }
-        out
+        let out = self
+            .clusters
+            .iter()
+            .map(|&c| Scenario::new(c, 0, 0))
+            .collect();
+        let out = axis(out, &self.gen_mix, |s, v| s.gen_mix = v);
+        let out = axis(out, &self.apps, |s, v| s.apps = v);
+        let out = axis(out, &self.contention, |s, v| s.contention = v);
+        let out = axis(out, &self.network_fraction, |s, v| s.network_fraction = v);
+        let out = axis(out, &self.fairness_knob, |s, v| s.fairness_knob = v);
+        let out = axis(out, &self.lease_minutes, |s, v| s.lease_minutes = v);
+        let out = axis(out, &self.rho_error, |s, v| s.rho_error = v);
+        let out = axis(out, &self.burst_fraction, |s, v| s.burst_fraction = v);
+        let out = axis(out, &self.heavy_job_fraction, |s, v| {
+            s.heavy_job_fraction = v
+        });
+        let out = axis(out, &self.faults, |s, v| s.fault = v);
+        let out = axis(out, &self.service, |s, v| s.service = v);
+        let out = axis(out, &self.storm, |s, v| s.storm = v);
+        axis(out, &self.seeds, |s, v| {
+            s.seed = v;
+            s.scheduler_seed = v;
+        })
     }
 
     /// The concrete `(scenario, policy)` cells of the sweep, with
@@ -1145,6 +1260,9 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn expansion_is_the_cartesian_product() {
@@ -1188,6 +1306,14 @@ mod tests {
             let matrix = Matrix::by_name(name).expect("named matrix exists");
             assert_eq!(matrix.name, name);
             assert!(!matrix.cells().is_empty());
+            // Every scenario's id is unique and parses back to it.
+            let scenarios = matrix.expand();
+            let ids: std::collections::BTreeSet<String> =
+                scenarios.iter().map(Scenario::id).collect();
+            assert_eq!(ids.len(), scenarios.len(), "{name}: duplicate ids");
+            for scenario in scenarios {
+                assert_eq!(Scenario::from_id(&scenario.id()).as_ref(), Ok(&scenario));
+            }
         }
         assert!(Matrix::by_name("nope").is_none());
     }
@@ -1204,29 +1330,97 @@ mod tests {
 
     #[test]
     fn scenario_id_encodes_axes() {
+        // An id elides every default; the scheduler seed's is the trace
+        // seed, so `new`'s 0 shows as `i0`.
+        let base = Scenario::new(ClusterKind::Rack16, 6, 42);
+        assert_eq!(base.clone().with_scheduler_seed(42).id(), "rack16-a6-s42");
+        assert_eq!(base.id(), "rack16-a6-s42-i0");
         let s = Scenario::new(ClusterKind::Testbed50, 8, 7)
             .with_contention(2.0)
-            .with_fairness_knob(0.4);
-        assert_eq!(
-            s.id(),
-            "testbed50-guni-a8-x2-n0.4-f0.4-l20-e0-b0-h0-d0-y0-c0x0-j0-w0-p0x0-o0-q0-s7"
+            .with_fairness_knob(0.4)
+            .with_scheduler_seed(7);
+        let faults = FaultConfig::reliable()
+            .with_drop_probability(0.25)
+            .with_crash(5, 2)
+            .with_partition(4, 2)
+            .with_failover(6);
+        for (scenario, id) in [
+            (s.clone(), "testbed50-a8-x2-f0.4-s7"),
+            (
+                s.clone().with_fault(faults),
+                "testbed50-a8-x2-f0.4-d0.25-c5x2-p4x2-o6-s7",
+            ),
+            // A crash schedule with one half zero is not the default.
+            (
+                s.clone()
+                    .with_fault(FaultConfig::reliable().with_crash(0, 3)),
+                "testbed50-a8-x2-f0.4-c0x3-s7",
+            ),
+            (
+                s.with_gen_mix(GenMix::TwoGen),
+                "testbed50-g2gen-a8-x2-f0.4-s7",
+            ),
+        ] {
+            assert_eq!(scenario.id(), id);
+            assert_eq!(Scenario::from_id(id), Ok(scenario));
+        }
+    }
+
+    /// A scenario with every axis at a random value or, a third of the
+    /// time each, its default.
+    fn random_scenario(seed: u64) -> Scenario {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut r = |hi: f64| rng.gen_range(0..3) as f64 * rng.gen_range(0.0..hi) / 2.0;
+        let mut s = Scenario::new(
+            ClusterKind::ALL[r(5.0) as usize],
+            r(1e3) as usize,
+            r(1e18) as u64,
         );
-        let faulty = s.clone().with_fault(
-            FaultConfig::reliable()
-                .with_drop_probability(0.25)
-                .with_crash(5, 2)
-                .with_partition(4, 2)
-                .with_failover(6),
-        );
-        assert_eq!(
-            faulty.id(),
-            "testbed50-guni-a8-x2-n0.4-f0.4-l20-e0-b0-h0-d0.25-y0-c5x2-j0-w0-p4x2-o6-q0-s7"
-        );
-        let mixed = s.with_gen_mix(GenMix::TwoGen);
-        assert_eq!(
-            mixed.id(),
-            "testbed50-g2gen-a8-x2-n0.4-f0.4-l20-e0-b0-h0-d0-y0-c0x0-j0-w0-p0x0-o0-q0-s7"
-        );
+        s.gen_mix = GenMix::ALL[r(3.0) as usize];
+        for x in [
+            &mut s.contention,
+            &mut s.network_fraction,
+            &mut s.fairness_knob,
+            &mut s.lease_minutes,
+            &mut s.rho_error,
+            &mut s.burst_fraction,
+            &mut s.heavy_job_fraction,
+        ] {
+            if r(1.0) > 0.0 {
+                *x = r(12.0) - 2.0;
+            }
+        }
+        s.fault = FaultConfig::reliable()
+            .with_drop_probability(r(1.0))
+            .with_delay(Time::seconds(r(100.0)))
+            .with_jitter(Time::seconds(r(100.0)))
+            .with_bandwidth(r(500.0))
+            .with_crash(r(3.0) as u64, r(3.0) as u64)
+            .with_partition(r(3.0) as u64, r(3.0) as u64)
+            .with_failover(r(3.0) as u64)
+            .with_seed(r(1e18) as u64)
+            .with_arbiter_service_time(Time::seconds(r(2.0)))
+            .with_arbiter_batch(r(16.0) as u64);
+        s.scheduler_seed = [s.seed, 0, 7][r(3.0) as usize];
+        s.service = (r(1.0) > 0.0).then(|| {
+            let shape = ServiceShape::ALL[r(3.0) as usize];
+            ServiceAxis::new(shape, 0.01 + r(4.0), 1.0 + r(2e4))
+        });
+        s.storm = (r(1.0) > 0.0).then(|| StormAxis::new(0.01 + r(4.0)));
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1024 }))]
+
+        /// `from_id` inverts `id` on every axis. Verified to fail under a
+        /// seeded mutation: with the writer skipping the `j` (jitter) tag,
+        /// a jittered scenario parses back jitter-free.
+        #[test]
+        fn from_id_inverts_id(seed in 0u64..u64::MAX) {
+            let scenario = random_scenario(seed);
+            prop_assert_eq!(Scenario::from_id(&scenario.id()), Ok(scenario.clone()), "{}", scenario.id());
+        }
     }
 
     #[test]
@@ -1371,9 +1565,12 @@ mod tests {
                 .service
                 .expect("service matrix cells carry the axis");
             assert_eq!(axis.horizon_minutes, Matrix::SERVICE_HORIZON_MINUTES);
-            assert!(scenario
-                .id()
-                .contains(&format!("-v{}-r{}", axis.shape, axis.rate)));
+            assert!(scenario.id().ends_with(&format!(
+                "-v{}-r{}-z{}",
+                axis.shape,
+                axis.rate,
+                Matrix::SERVICE_HORIZON_MINUTES
+            )));
         }
     }
 
@@ -1393,14 +1590,24 @@ mod tests {
 
     #[test]
     fn service_axis_round_trips_through_the_id_suffix() {
-        let s = Scenario::new(ClusterKind::Rack16, 6, 42);
+        let s = Scenario::new(ClusterKind::Rack16, 6, 42).with_scheduler_seed(42);
         let base_id = s.id();
+        assert_eq!(base_id, "rack16-a6-s42");
         let with_axis = s.with_service(ServiceAxis::new(ServiceShape::Diurnal, 1.5, 2_000.0));
         assert_eq!(
             with_axis.id(),
             format!("{base_id}-vdiurnal-r1.5-z2000"),
             "the suffix appends; closed-system ids are untouched"
         );
+        assert_eq!(Scenario::from_id(&with_axis.id()), Ok(with_axis));
+        // The benchmark's open-system cells: no apps, scheduler seed 0.
+        let open = Scenario::new(ClusterKind::Testbed50, 0, 42).with_service(ServiceAxis::new(
+            ServiceShape::Poisson,
+            1.0,
+            500.0,
+        ));
+        assert_eq!(open.id(), "testbed50-a0-s42-i0-vpoisson-r1-z500");
+        assert_eq!(Scenario::from_id(&open.id()), Ok(open));
         for shape in ServiceShape::ALL {
             assert_eq!(ServiceShape::parse(shape.name()), Some(shape));
             assert_eq!(shape.to_string(), shape.name());
@@ -1442,11 +1649,11 @@ mod tests {
 
     #[test]
     fn storm_axis_round_trips_through_the_id_suffix() {
-        let s = Scenario::new(ClusterKind::Rack16, 6, 42);
+        let s = Scenario::new(ClusterKind::Rack16, 6, 42).with_scheduler_seed(42);
         let base_id = s.id();
-        assert!(
-            !base_id.contains("-u") && !base_id.contains("-t"),
-            "arbiter and storm suffixes are conditional; pre-backpressure ids are untouched"
+        assert_eq!(
+            base_id, "rack16-a6-s42",
+            "arbiter and storm suffixes are conditional"
         );
         let stormed = s.clone().with_storm(StormAxis::new(0.5));
         assert_eq!(stormed.id(), format!("{base_id}-t0.5"));
@@ -1456,6 +1663,7 @@ mod tests {
                 .with_arbiter_batch(8),
         );
         assert_eq!(congested.id(), format!("{base_id}-u0.005-k8-t0.5"));
+        assert_eq!(Scenario::from_id(&congested.id()), Ok(congested));
     }
 
     #[test]

@@ -55,11 +55,8 @@ pub fn run_cell(scenario: &Scenario, policy: Policy) -> CellReport {
         CellMetrics::from_report(&scenario.run(policy))
     };
     CellReport {
-        id: format!("{}/{}", scenario.id(), policy.name()),
-        policy: policy.name().to_string(),
-        scenario: scenario.clone(),
-        metrics,
         wall_clock_ms: started.elapsed().as_secs_f64() * 1e3,
+        ..CellReport::new(scenario, policy, metrics)
     }
 }
 
@@ -79,16 +76,16 @@ pub struct ReplayGateOutcome {
 
 /// Renders one cell's run as a canonical single-cell sweep document —
 /// the byte string the replay gate compares.
-fn canonical_cell(matrix: &str, scenario: &Scenario, policy: Policy, report: &SimReport) -> String {
+pub fn canonical_cell(
+    matrix: &str,
+    scenario: &Scenario,
+    policy: Policy,
+    report: &SimReport,
+) -> String {
+    let cell = CellReport::new(scenario, policy, CellMetrics::from_report(report));
     SweepReport {
         matrix: matrix.to_string(),
-        cells: vec![CellReport {
-            id: format!("{}/{}", scenario.id(), policy.name()),
-            policy: policy.name().to_string(),
-            scenario: scenario.clone(),
-            metrics: CellMetrics::from_report(report),
-            wall_clock_ms: 0.0,
-        }],
+        cells: vec![cell],
         total_wall_clock_ms: 0.0,
     }
     .to_canonical_string()

@@ -15,7 +15,7 @@
 //!   CI job enforces for control-plane regressions.
 
 use themis_bench::policies::Policy;
-use themis_bench::report::{compare_reports, SweepReport};
+use themis_bench::report::check_baseline;
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario};
 use themis_bench::sweep::run_sweep;
 use themis_cluster::cluster::Cluster;
@@ -122,24 +122,15 @@ fn delay_beyond_deadline_never_wedges_the_engine() {
 #[test]
 fn faults_sweep_matches_committed_baseline() {
     let report = run_sweep(&Matrix::faults(), 2);
-    let baseline_text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_FAULTS_BASELINE.json"
-    ))
-    .expect("BENCH_FAULTS_BASELINE.json is committed at the repo root");
-    let baseline = SweepReport::parse_str(&baseline_text).expect("baseline parses");
-    let diffs = compare_reports(&report, &baseline, 1e-9);
-    assert!(
-        diffs.is_empty(),
-        "faults sweep diverged from BENCH_FAULTS_BASELINE.json — if intentional, regenerate it \
-         (see README 'Running scenario sweeps'):\n{}",
-        diffs.join("\n")
-    );
-    assert_eq!(
-        baseline.to_canonical_string(),
-        baseline_text,
-        "BENCH_FAULTS_BASELINE.json is not in canonical form"
-    );
+    check_baseline(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_FAULTS_BASELINE.json"
+        ),
+        Some(&report),
+        1e-9,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     // The reliable-fault cells of the two Themis modes must agree on every
     // metric — the equivalence, visible in the committed baseline itself.
     let reliable: Vec<_> = report

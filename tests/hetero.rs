@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use themis_bench::policies::Policy;
-use themis_bench::report::{compare_reports, SweepReport};
+use themis_bench::report::check_baseline;
 use themis_bench::scenarios::{ClusterKind, GenMix, Matrix, Scenario};
 use themis_bench::sweep::run_sweep;
 use themis_cluster::cluster::Cluster;
@@ -150,22 +150,18 @@ fn faster_gpu_preference_conserves_gpus() {
 fn hetero_sweep_matches_committed_baseline() {
     let matrix = Matrix::hetero();
     let report = run_sweep(&matrix, 2);
-    let baseline_text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_HETERO_BASELINE.json"
-    ))
-    .expect("BENCH_HETERO_BASELINE.json is committed at the repo root");
-    let baseline = SweepReport::parse_str(&baseline_text).expect("baseline parses");
-    let diffs = compare_reports(&report, &baseline, 1e-9);
-    assert!(
-        diffs.is_empty(),
-        "hetero sweep diverged from BENCH_HETERO_BASELINE.json — if intentional, regenerate it \
-         (see README 'Running scenario sweeps'):\n{}",
-        diffs.join("\n")
-    );
+    let baseline = check_baseline(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_HETERO_BASELINE.json"
+        ),
+        Some(&report),
+        1e-9,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         report.to_canonical_string(),
-        baseline_text,
+        baseline.to_canonical_string(),
         "hetero sweep canonical JSON is not byte-identical to BENCH_HETERO_BASELINE.json"
     );
     // Mixed-generation cells genuinely differ from their uniform siblings —

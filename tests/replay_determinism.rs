@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use themis_bench::policies::Policy;
-use themis_bench::report::{CellMetrics, CellReport, SweepReport};
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario};
+use themis_bench::sweep;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::time::Time;
 use themis_protocol::fault::FaultConfig;
@@ -28,18 +28,7 @@ use themis_sim::metrics::SimReport;
 /// Renders one distributed-mode run as the canonical single-cell sweep
 /// document — the same bytes the CI replay gate diffs.
 fn canonical_cell(scenario: &Scenario, report: &SimReport) -> String {
-    SweepReport {
-        matrix: "replay".into(),
-        cells: vec![CellReport {
-            id: format!("{}/themis-dist", scenario.id()),
-            policy: "themis-dist".into(),
-            scenario: scenario.clone(),
-            metrics: CellMetrics::from_report(report),
-            wall_clock_ms: 0.0,
-        }],
-        total_wall_clock_ms: 0.0,
-    }
-    .to_canonical_string()
+    sweep::canonical_cell("replay", scenario, Policy::themis_dist_default(), report)
 }
 
 /// Runs distributed-mode Themis on `scenario` with an explicit log mode

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use themis_bench::policies::Policy;
-use themis_bench::report::{compare_reports, SweepReport};
+use themis_bench::report::{check_baseline, SweepReport};
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario, ServiceAxis, ServiceShape};
 use themis_bench::sweep::run_sweep;
 use themis_cluster::cluster::Cluster;
@@ -197,26 +197,18 @@ fn parallel_service_sweep_is_byte_identical_to_serial() {
         );
     }
 
-    let baseline_text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_SERVICE_BASELINE.json"
-    ))
-    .expect("BENCH_SERVICE_BASELINE.json is committed at the repo root");
-    let baseline = SweepReport::parse_str(&baseline_text).expect("baseline parses");
-    let diffs = compare_reports(&serial, &baseline, 1e-9);
-    assert!(
-        diffs.is_empty(),
-        "service sweep diverged from BENCH_SERVICE_BASELINE.json — if the behavior change is \
-         intentional, regenerate it (see README 'Running scenario sweeps'):\n{}",
-        diffs.join("\n")
-    );
+    let baseline = check_baseline(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_SERVICE_BASELINE.json"
+        ),
+        Some(&serial),
+        1e-9,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
-        serial_text, baseline_text,
-        "service sweep canonical JSON is not byte-identical to BENCH_SERVICE_BASELINE.json"
-    );
-    assert_eq!(
+        serial_text,
         baseline.to_canonical_string(),
-        baseline_text,
-        "BENCH_SERVICE_BASELINE.json is not in canonical form"
+        "service sweep canonical JSON is not byte-identical to BENCH_SERVICE_BASELINE.json"
     );
 }

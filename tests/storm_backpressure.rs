@@ -14,6 +14,7 @@
 //!   `themis-msglog v1` transcript byte-identically.
 
 use themis_bench::policies::Policy;
+use themis_bench::report::check_baseline;
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario, StormAxis};
 use themis_bench::sweep::{run_replay_gate, run_sweep};
 use themis_cluster::cluster::Cluster;
@@ -158,17 +159,15 @@ fn coalesced_congested_storms_record_and_replay_exactly() {
 /// release-mode re-run is affordable.
 #[test]
 fn committed_storm_baseline_is_canonical_and_contains_the_collapse() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_STORM_BASELINE.json"
-    ))
-    .expect("BENCH_STORM_BASELINE.json is committed at the repo root");
-    let baseline = themis_bench::report::SweepReport::parse_str(&text).expect("baseline parses");
-    assert_eq!(
-        baseline.to_canonical_string(),
-        text,
-        "BENCH_STORM_BASELINE.json is not in canonical form"
-    );
+    let baseline = check_baseline(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_STORM_BASELINE.json"
+        ),
+        None,
+        1e-9,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(baseline.cells.len(), Matrix::storm().cells().len());
     for cell in &baseline.cells {
         let control = cell
@@ -193,12 +192,21 @@ fn committed_storm_baseline_is_canonical_and_contains_the_collapse() {
         1,
         "exactly one cell collapses: Scale1024 x 32 apps, congested, unbatched, 30 s deadline"
     );
-    let id = &collapsed[0].id;
+    // The collapsed cell, read from the scenario its id parses back to.
+    let (cell, scenario) = (collapsed[0], &collapsed[0].scenario);
     assert!(
-        id.starts_with("scale1024") && id.contains("-a32-") && id.ends_with("-t0.5/themis-dist"),
-        "unexpected collapsed cell {id}"
+        scenario.cluster == ClusterKind::Scale1024
+            && scenario.apps == 32
+            && scenario.fault.arbiter_service_time > Time::ZERO
+            && scenario.storm == Some(StormAxis::new(0.5))
+            && cell.policy == "themis-dist",
+        "unexpected collapsed cell {}",
+        cell.id
     );
-    assert!(!id.contains("-k"), "the collapsed cell is unbatched");
+    assert_eq!(
+        scenario.fault.arbiter_batch, 0,
+        "the collapsed cell is unbatched"
+    );
 }
 
 /// Free, congested and congested-but-coalesced Arbiter regimes over one

@@ -7,7 +7,7 @@
 //!   same gate the `scenario-matrix` CI job enforces, so a behavior change
 //!   that forgets to regenerate the baseline fails here first.
 
-use themis_bench::report::{compare_reports, SweepReport};
+use themis_bench::report::{check_baseline, SweepReport};
 use themis_bench::scenarios::Matrix;
 use themis_bench::sweep::run_sweep;
 
@@ -30,33 +30,21 @@ fn parallel_smoke_sweep_is_byte_identical_to_serial() {
     assert_eq!(back.to_canonical_string(), serial_text);
     assert_eq!(back.cells.len(), matrix.cells().len());
 
-    // And the run matches the committed baseline — the CI regression gate.
-    let baseline_text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_BASELINE.json"
-    ))
-    .expect("BENCH_BASELINE.json is committed at the repo root");
-    let baseline = SweepReport::parse_str(&baseline_text).expect("baseline parses");
-    let diffs = compare_reports(&serial, &baseline, 1e-9);
-    assert!(
-        diffs.is_empty(),
-        "smoke sweep diverged from BENCH_BASELINE.json — if the behavior change is intentional, \
-         regenerate it (see README 'Running scenario sweeps'):\n{}",
-        diffs.join("\n")
-    );
+    // And the run matches the committed (canonical) baseline — the CI
+    // regression gate.
+    let baseline = check_baseline(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json"),
+        Some(&serial),
+        1e-9,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     // Stronger than the metric diff: the canonical rendering must be
     // *byte-identical* to the committed file. The dense-core refactor is
     // observationally pure — every iteration order stays ascending-by-id —
     // and this pin is what holds that contract for future refactors.
     assert_eq!(
-        serial_text, baseline_text,
-        "smoke sweep canonical JSON is not byte-identical to BENCH_BASELINE.json"
-    );
-    // The committed baseline must itself be canonical (regenerated via
-    // `sweep --out`, not hand-edited).
-    assert_eq!(
+        serial_text,
         baseline.to_canonical_string(),
-        baseline_text,
-        "BENCH_BASELINE.json is not in canonical form"
+        "smoke sweep canonical JSON is not byte-identical to BENCH_BASELINE.json"
     );
 }
