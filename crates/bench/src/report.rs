@@ -844,6 +844,15 @@ mod tests {
             ("rack16-a6-m3-s42", "unknown tag 'm'"),
             ("rack16-a6-a7-s42", "tag 'a' repeated"),
             ("rack16-a6-xinf-s42", "tag 'x'"),
+            ("rack16-a6-x0-s42", "tag 'x': 0 must be positive"),
+            ("rack16-a6-n2-s42", "tag 'n': 2 must be in [0, 1]"),
+            ("rack16-a6-f2-s42", "tag 'f': 2 must be in [0, 1]"),
+            ("rack16-a6-f-0.5-s42", "tag 'f'"),
+            ("rack16-a6-l0-s42", "tag 'l': 0 must be positive"),
+            ("rack16-a6-l-5-s42", "tag 'l': -5 must be positive"),
+            ("rack16-a6-e1-s42", "tag 'e': 1 must be in [0, 1)"),
+            ("rack16-a6-b1.5-s42", "tag 'b'"),
+            ("rack16-a6-h-0.1-s42", "tag 'h'"),
             ("rack16-a6-d1.5-s42", "tag 'd'"),
             ("rack16-a6-y-1-s42", "tag 'y'"),
             ("rack16-a6-jNaN-s42", "tag 'j'"),

@@ -538,12 +538,16 @@ impl Scenario {
 
     /// Parses an id written by [`Scenario::id`]. Hostile input is an `Err`
     /// naming the offending tag, never a panic: an unknown, repeated or
-    /// missing tag, a non-finite number, a drop probability outside
-    /// `[0, 1]`, a negative time or bandwidth, a non-positive service rate,
-    /// horizon or storm deadline, or a non-canonical spelling.
+    /// missing tag, a non-finite number, a fraction (network, fairness knob,
+    /// burst, heavy job, drop) outside `[0, 1]`, a ρ error outside `[0, 1)`,
+    /// a negative time or bandwidth, a non-positive contention, lease,
+    /// service rate, horizon or storm deadline, or a non-canonical spelling.
+    /// The numeric domains are the ones the trace generator, the Themis
+    /// config and the engine assert on, so a parsed id does not panic there
+    /// either.
     pub fn from_id(id: &str) -> Result<Scenario, String> {
-        const ANY: (fn(f64) -> bool, &str) = (|_| true, "");
         const UNIT: (fn(f64) -> bool, &str) = (|x| (0.0..=1.0).contains(&x), "in [0, 1]");
+        const BELOW_ONE: (fn(f64) -> bool, &str) = (|x| (0.0..1.0).contains(&x), "in [0, 1)");
         const NON_NEGATIVE: (fn(f64) -> bool, &str) = (|x| x >= 0.0, "non-negative");
         const POSITIVE: (fn(f64) -> bool, &str) = (|x| x > 0.0, "positive");
         fn num(tag: char, v: &str, (ok, rule): (fn(f64) -> bool, &str)) -> Result<f64, String> {
@@ -593,13 +597,13 @@ impl Scenario {
                         .ok_or_else(|| format!("tag 'g': unknown generation mix {v:?}"))?;
                 }
                 'a' => apps = Some(int(tag, v)?),
-                'x' => s.contention = num(tag, v, ANY)?,
-                'n' => s.network_fraction = num(tag, v, ANY)?,
-                'f' => s.fairness_knob = num(tag, v, ANY)?,
-                'l' => s.lease_minutes = num(tag, v, ANY)?,
-                'e' => s.rho_error = num(tag, v, ANY)?,
-                'b' => s.burst_fraction = num(tag, v, ANY)?,
-                'h' => s.heavy_job_fraction = num(tag, v, ANY)?,
+                'x' => s.contention = num(tag, v, POSITIVE)?,
+                'n' => s.network_fraction = num(tag, v, UNIT)?,
+                'f' => s.fairness_knob = num(tag, v, UNIT)?,
+                'l' => s.lease_minutes = num(tag, v, POSITIVE)?,
+                'e' => s.rho_error = num(tag, v, BELOW_ONE)?,
+                'b' => s.burst_fraction = num(tag, v, UNIT)?,
+                'h' => s.heavy_job_fraction = num(tag, v, UNIT)?,
                 'd' => f.drop_probability = num(tag, v, UNIT)?,
                 'y' => f.delay = minutes(tag, v)?,
                 'c' => (f.crash_period, f.crash_rounds) = pair(tag, v)?,
@@ -1377,17 +1381,21 @@ mod tests {
             r(1e18) as u64,
         );
         s.gen_mix = GenMix::ALL[r(3.0) as usize];
+        for x in [&mut s.contention, &mut s.lease_minutes] {
+            if r(1.0) > 0.0 {
+                *x = 0.01 + r(60.0);
+            }
+        }
+        // Fractions, and ρ error: r(1.0) lies in [0, 1).
         for x in [
-            &mut s.contention,
             &mut s.network_fraction,
             &mut s.fairness_knob,
-            &mut s.lease_minutes,
             &mut s.rho_error,
             &mut s.burst_fraction,
             &mut s.heavy_job_fraction,
         ] {
             if r(1.0) > 0.0 {
-                *x = r(12.0) - 2.0;
+                *x = r(1.0);
             }
         }
         s.fault = FaultConfig::reliable()

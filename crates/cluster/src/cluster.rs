@@ -36,6 +36,15 @@ pub struct JobHoldings {
     alloc: GpuAlloc,
 }
 
+/// One app's entry in the per-app index.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct AppGpus {
+    /// The app's GPUs, ascending.
+    gpus: Vec<GpuId>,
+    /// Bumped by every change to `gpus` (see [`Cluster::allocation_epoch`]).
+    epoch: u64,
+}
+
 /// Mutable cluster state built on top of an immutable [`ClusterSpec`].
 ///
 /// Tracks per-GPU assignment and leases, and answers the queries the
@@ -53,8 +62,8 @@ pub struct Cluster {
     free_mask: DenseBitSet,
     /// Number of allocated GPUs.
     allocated: usize,
-    /// Sorted GPU list per app (app-id indexed; empty for idle/unknown apps).
-    per_app: Vec<Vec<GpuId>>,
+    /// Per-app GPU index (app-id indexed; empty for idle/unknown apps).
+    per_app: Vec<AppGpus>,
     leases: LeaseTable,
     scorer: PlacementScorer,
 }
@@ -185,8 +194,18 @@ impl Cluster {
     fn app_gpus(&self, app: AppId) -> &[GpuId] {
         self.per_app
             .get(app.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |entry| entry.gpus.as_slice())
+    }
+
+    /// A counter that moves whenever an app's GPU set changes: every
+    /// allocate, release and lease reclaim that touches the app bumps it. On
+    /// one cluster, an unchanged epoch means unchanged holdings, so a caller
+    /// may cache anything derived from them (job grouping, locality, speed)
+    /// against it. Epochs of different clusters are unrelated: a cache must
+    /// not be carried from one cluster to another. Zero for an app that never
+    /// held a GPU.
+    pub fn allocation_epoch(&self, app: AppId) -> u64 {
+        self.per_app.get(app.index()).map_or(0, |entry| entry.epoch)
     }
 
     /// All GPUs currently held by an app.
@@ -271,8 +290,8 @@ impl Cluster {
         self.per_app
             .iter()
             .enumerate()
-            .filter(|(_, gpus)| !gpus.is_empty())
-            .map(|(app, gpus)| (AppId(app as u32), gpus.len()))
+            .filter(|(_, entry)| !entry.gpus.is_empty())
+            .map(|(app, entry)| (AppId(app as u32), entry.gpus.len()))
             .collect()
     }
 
@@ -285,12 +304,13 @@ impl Cluster {
         self.free_per_machine[machine] -= 1;
         let app_idx = assignment.app.index();
         if app_idx >= self.per_app.len() {
-            self.per_app.resize_with(app_idx + 1, Vec::new);
+            self.per_app.resize_with(app_idx + 1, AppGpus::default);
         }
-        let list = &mut self.per_app[app_idx];
-        match list.binary_search(&gpu) {
+        let entry = &mut self.per_app[app_idx];
+        entry.epoch += 1;
+        match entry.gpus.binary_search(&gpu) {
             Ok(_) => unreachable!("gpu was free, cannot already be indexed"),
-            Err(pos) => list.insert(pos, gpu),
+            Err(pos) => entry.gpus.insert(pos, gpu),
         }
     }
 
@@ -303,9 +323,13 @@ impl Cluster {
         self.allocated -= 1;
         let machine = self.spec.machine_of(gpu).expect("gpu exists").index();
         self.free_per_machine[machine] += 1;
-        let list = &mut self.per_app[assignment.app.index()];
-        let pos = list.binary_search(&gpu).expect("assigned gpu is indexed");
-        list.remove(pos);
+        let entry = &mut self.per_app[assignment.app.index()];
+        entry.epoch += 1;
+        let pos = entry
+            .gpus
+            .binary_search(&gpu)
+            .expect("assigned gpu is indexed");
+        entry.gpus.remove(pos);
         Some(assignment)
     }
 
@@ -415,7 +439,7 @@ impl Cluster {
         let mut i = self.app_gpus(app).len();
         while i > 0 {
             i -= 1;
-            let gpu = self.per_app[app.index()][i];
+            let gpu = self.per_app[app.index()].gpus[i];
             let job = self.assignments[gpu.index()]
                 .expect("indexed gpu is assigned")
                 .job;
@@ -685,6 +709,44 @@ mod tests {
         assert!(c.leases().lease(GpuId(3)).is_none());
         assert_eq!(c.free_gpu_count(), 6);
         assert_eq!(c.release_jobs_where(AppId(9), |_| true), 0);
+    }
+
+    #[test]
+    fn allocation_epoch_moves_with_every_change_to_the_app() {
+        let mut c = cluster();
+        let lease = |c: &mut Cluster, gpu: u32, app: u32, until: f64| {
+            c.allocate(
+                GpuId(gpu),
+                AppId(app),
+                JobId(0),
+                Time::ZERO,
+                Time::minutes(until),
+            )
+            .unwrap();
+        };
+        assert_eq!(c.allocation_epoch(AppId(1)), 0);
+        assert_eq!(c.allocation_epoch(AppId(99)), 0, "unknown app");
+        let mut seen = vec![0];
+        let moved = |c: &Cluster, seen: &mut Vec<u64>| {
+            let epoch = c.allocation_epoch(AppId(1));
+            assert!(!seen.contains(&epoch), "epoch {epoch} repeated");
+            seen.push(epoch);
+        };
+        lease(&mut c, 0, 1, 20.0);
+        moved(&c, &mut seen);
+        lease(&mut c, 1, 1, 40.0);
+        moved(&c, &mut seen);
+        // Another app's changes and lease extensions leave it alone.
+        lease(&mut c, 2, 2, 20.0);
+        c.release(GpuId(2)).unwrap();
+        assert_eq!(c.allocation_epoch(AppId(1)), *seen.last().unwrap());
+        c.reclaim_expired_leases(Time::minutes(25.0));
+        moved(&c, &mut seen);
+        c.extend_app_leases(AppId(1), Time::minutes(60.0));
+        assert_eq!(c.allocation_epoch(AppId(1)), *seen.last().unwrap());
+        c.release_jobs_where(AppId(1), |_| true);
+        moved(&c, &mut seen);
+        assert_eq!(c.gpus_held_by(AppId(1)), 0);
     }
 
     #[test]

@@ -58,6 +58,16 @@ impl<'a> JobViews<'a> {
         JobViews { specs, progress }
     }
 
+    /// Number of jobs.
+    pub fn len(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// Whether the app has no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.specs.is_empty()
+    }
+
     /// Iterates over the jobs in order.
     pub fn iter(&self) -> impl Iterator<Item = JobView<'a>> + 'a {
         self.specs
@@ -128,8 +138,19 @@ pub trait AppScheduler: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Observes the current state of every job in the app and returns which
-    /// jobs to kill / re-prioritize. Called by the simulator at every
-    /// scheduling event (lease expiry / auction round).
+    /// jobs to kill / re-prioritize.
+    ///
+    /// The simulator calls this once per scheduling event (arrival, lease
+    /// expiry, projected finish, …) for every arrived, unfinished app, with
+    /// the same job list in the same order every time — even when no job
+    /// progressed since the last call. That matters because `update` is
+    /// **not idempotent**: it is a step of the app scheduler's own state
+    /// machine, and a call without progress may still decide something new
+    /// (HyperBand, whose survivors already passed the next rung, halves
+    /// again). Skipping "no-progress" calls would therefore change
+    /// schedules; an implementation that wants to save work on them skips it
+    /// inside, as [`WorkEstimator`](crate::estimator::WorkEstimator) does
+    /// for repeated observations.
     fn update(&mut self, now: Time, jobs: JobViews<'_>) -> SchedulerUpdate;
 
     /// The Agent API: per-job estimates used to prepare bids. The default

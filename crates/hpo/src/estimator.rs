@@ -41,14 +41,20 @@ impl WorkEstimator {
     /// make each curve fit progressively more expensive.
     const MAX_SAMPLES: usize = 256;
 
-    /// Records a loss observation at the given iteration.
+    /// Whether an observation at `iteration` would repeat the last one (a
+    /// job that made no progress since the last scheduling round adds no
+    /// information).
+    fn is_duplicate(&self, iteration: f64) -> bool {
+        self.samples
+            .last()
+            .is_some_and(|(last_it, _)| (iteration - last_it).abs() < 1e-9)
+    }
+
+    /// Records a loss observation at the given iteration. A repeat of the
+    /// last observed iteration is dropped.
     pub fn observe(&mut self, iteration: f64, loss: f64) {
-        // Skip duplicate observations at the same iteration (a job that made
-        // no progress since the last scheduling round adds no information).
-        if let Some((last_it, _)) = self.samples.last() {
-            if (iteration - last_it).abs() < 1e-9 {
-                return;
-            }
+        if self.is_duplicate(iteration) {
+            return;
         }
         self.samples.push((iteration, loss));
         if self.samples.len() > Self::MAX_SAMPLES {
@@ -63,9 +69,13 @@ impl WorkEstimator {
 
     /// Convenience helper: samples the job's true loss curve at its current
     /// progress (what the paper's profiler would read from the training
-    /// logs) and records it.
+    /// logs) and records it. The duplicate rule is checked first, so a job
+    /// that did not move since its last observation costs no curve
+    /// evaluation.
     pub fn observe_progress(&mut self, spec: &JobSpec, progress: &JobProgress) {
-        self.observe(progress.iterations_done, progress.current_loss(spec));
+        if !self.is_duplicate(progress.iterations_done) {
+            self.observe(progress.iterations_done, progress.current_loss(spec));
+        }
     }
 
     /// The fitted curve, if enough samples have been observed.

@@ -8,7 +8,6 @@
 
 use crate::api::{AppScheduler, JobViews, SchedulerUpdate};
 use crate::estimator::WorkEstimator;
-use std::collections::BTreeMap;
 use themis_cluster::ids::JobId;
 use themis_cluster::time::Time;
 
@@ -38,7 +37,9 @@ pub struct HyperBand {
     config: HyperBandConfig,
     /// Iteration threshold at which the next halving decision happens.
     next_rung: f64,
-    estimators: BTreeMap<JobId, WorkEstimator>,
+    /// One estimator per job, by position in the job list `update` is
+    /// given (the same list every call).
+    estimators: Vec<WorkEstimator>,
     rungs_completed: usize,
 }
 
@@ -48,7 +49,7 @@ impl HyperBand {
         HyperBand {
             next_rung: config.rung_iterations,
             config,
-            estimators: BTreeMap::new(),
+            estimators: Vec::new(),
             rungs_completed: 0,
         }
     }
@@ -74,12 +75,11 @@ impl HyperBand {
     fn rank_jobs(&self, jobs: JobViews<'_>) -> Vec<(JobId, f64)> {
         let mut ranked: Vec<(JobId, f64)> = jobs
             .iter()
-            .filter(|j| j.is_active())
-            .map(|j| {
-                let projected = self
-                    .estimators
-                    .get(&j.id())
-                    .and_then(|e| e.projected_total_iterations(j.spec))
+            .zip(&self.estimators)
+            .filter(|(j, _)| j.is_active())
+            .map(|(j, estimator)| {
+                let projected = estimator
+                    .projected_total_iterations(j.spec)
                     .unwrap_or(f64::INFINITY);
                 (j.id(), projected)
             })
@@ -102,13 +102,17 @@ impl AppScheduler for HyperBand {
         // Record fresh loss observations for every active job. A rung
         // completes when every surviving job has reached the rung's
         // iteration threshold (or finished).
+        if self.estimators.len() < jobs.len() {
+            self.estimators
+                .resize_with(jobs.len(), WorkEstimator::default);
+        }
         let mut active = 0usize;
         let mut all_reached = true;
-        for job in jobs.iter().filter(|j| j.is_active()) {
-            self.estimators
-                .entry(job.id())
-                .or_default()
-                .observe_progress(job.spec, job.progress);
+        for (job, estimator) in jobs.iter().zip(&mut self.estimators) {
+            if !job.is_active() {
+                continue;
+            }
+            estimator.observe_progress(job.spec, job.progress);
             active += 1;
             all_reached &= job.progress.iterations_done >= self.next_rung;
         }
@@ -230,6 +234,48 @@ mod tests {
             }
         }
         panic!("never reduced to a single job");
+    }
+
+    /// The `AppScheduler::update` contract: a call is a step, not a query.
+    /// Jobs that trained past two rungs between calls are halved once per
+    /// call, so a second call with no progress in between halves again —
+    /// which is why the simulator calls `update` every round, moved or not.
+    #[test]
+    fn update_is_not_idempotent_without_progress() {
+        let specs = vec![job(0, 0.9), job(1, 0.6), job(2, 0.45), job(3, 0.3)];
+        let mut progress = fresh(&specs);
+        let mut hb = HyperBand::new(HyperBandConfig {
+            rung_iterations: 50.0,
+            eta: 2.0,
+        });
+        // Four observations below the first rung, then one jump to 120
+        // iterations: past rungs 50 and 100 at once.
+        for done in [10.0, 20.0, 30.0, 40.0, 120.0] {
+            for (spec, progress) in specs.iter().zip(&mut progress) {
+                progress.iterations_done = done;
+                assert!(!progress.is_finished(spec));
+            }
+            let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+            if done < 120.0 {
+                assert!(update.is_empty());
+                continue;
+            }
+            assert_eq!(update.kill, vec![JobId(2), JobId(3)]);
+            for id in &update.kill {
+                progress[id.index()].kill(Time::ZERO);
+            }
+        }
+        assert_eq!(hb.rungs_completed(), 1);
+        let frozen = progress.clone();
+        let again = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+        assert_eq!(progress, frozen, "no progress between the two calls");
+        assert_eq!(again.kill, vec![JobId(1)], "the survivors halve again");
+        assert_eq!(hb.rungs_completed(), 2);
+        // Now one job is left, and further calls change nothing.
+        progress[1].kill(Time::ZERO);
+        let idle = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+        assert!(idle.is_empty());
+        assert_eq!(hb.rungs_completed(), 2);
     }
 
     #[test]

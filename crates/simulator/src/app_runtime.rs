@@ -9,12 +9,18 @@
 //!
 //! Per-job state is position-indexed (see [`JobTable`]): entry `i` of every
 //! table belongs to `spec.jobs[i]`.
+//!
+//! The jobs that hold GPUs, with what advance and finish projection read off
+//! their GPU sets, are cached per app ([`HeldJob`]) and re-derived only when
+//! the cluster's [allocation epoch](Cluster::allocation_epoch) for the app
+//! moves, so a round in which an app's GPUs did not change does not regroup
+//! them.
 
 use crate::job_table::JobTable;
 use std::sync::Arc;
 use themis_cluster::cluster::{Cluster, JobHoldings};
 use themis_cluster::ids::{AppId, JobId};
-use themis_cluster::placement::spread;
+use themis_cluster::placement::{spread, Locality};
 use themis_cluster::time::Time;
 use themis_cluster::view::ClusterState;
 use themis_hpo::api::{AppScheduler, JobEstimate, JobViews, SchedulerUpdate};
@@ -48,6 +54,68 @@ pub struct AppRuntime {
     /// The engine's last queued finish projection per GPU-holding job, in
     /// ascending job-id order.
     pub(crate) scheduled_finish: Vec<(JobId, Time)>,
+    /// The jobs holding GPUs, as of the cluster epoch it was derived at.
+    pub(crate) held: HeldJobs,
+    /// A job may have finished while holding GPUs: set when advance
+    /// converges a held job (kills and app completion release on the spot),
+    /// cleared by the engine's release pass.
+    pub(crate) may_hold_finished: bool,
+}
+
+/// One job that holds GPUs, with the facts about its GPU set that advance
+/// and finish projection read. They are a function of the GPU set alone, so
+/// they stay valid until the app's allocation changes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeldJob {
+    /// The job's position in `spec.jobs`.
+    pub pos: usize,
+    /// GPUs held.
+    pub gpus: usize,
+    /// How widely they are spread.
+    pub locality: Locality,
+    /// Aggregate speed of the fastest `max_parallelism` of them
+    /// (`ClusterSpec::capped_speed`).
+    pub usable_speed: f64,
+}
+
+/// An app's [`HeldJob`]s in ascending job-id order, cached against the
+/// cluster's allocation epoch for the app.
+#[derive(Default)]
+pub(crate) struct HeldJobs {
+    /// The epoch `jobs` was derived at; `None` until the first fill.
+    epoch: Option<u64>,
+    jobs: Vec<HeldJob>,
+}
+
+impl HeldJobs {
+    /// Re-derives the app's held jobs from `cluster` through `scratch`, if
+    /// the app's allocation changed since they were last derived.
+    pub(crate) fn refresh(&mut self, cluster: &Cluster, spec: &AppSpec, scratch: &mut JobHoldings) {
+        let epoch = cluster.allocation_epoch(spec.id);
+        if self.epoch == Some(epoch) {
+            return;
+        }
+        self.epoch = Some(epoch);
+        self.jobs.clear();
+        if self.jobs.capacity() == 0 && cluster.gpus_held_by(spec.id) > 0 {
+            // Sized once: no more jobs than the app has can hold GPUs.
+            self.jobs.reserve_exact(spec.num_jobs());
+        }
+        let jobs = &mut self.jobs;
+        cluster.for_each_job_of_app(spec.id, scratch, |job, alloc| {
+            let Some(pos) = spec.job_position(job) else {
+                return;
+            };
+            jobs.push(HeldJob {
+                pos,
+                gpus: alloc.len(),
+                locality: spread(alloc, cluster.spec()),
+                usable_speed: cluster
+                    .spec()
+                    .capped_speed(alloc, spec.jobs[pos].max_parallelism),
+            });
+        });
+    }
 }
 
 impl std::fmt::Debug for AppRuntime {
@@ -75,6 +143,8 @@ impl AppRuntime {
             placement_acc: (0.0, 0.0),
             gpu_timeline: Vec::new(),
             scheduled_finish: Vec::new(),
+            held: HeldJobs::default(),
+            may_hold_finished: false,
         }
     }
 
@@ -216,6 +286,12 @@ impl AppRuntime {
 
     /// Advances every running job by `dt` according to the GPUs it holds in
     /// `cluster`, honouring restart penalties, and accumulates metrics.
+    ///
+    /// The runtime caches its held jobs against `cluster`'s allocation epoch
+    /// (see [`AppRuntime::held_jobs`]); an engine resets that cache when the
+    /// runtime enters it. Advancing one runtime against two different
+    /// clusters by hand needs the same reset, which
+    /// [`AppRuntime::forget_holdings`] performs.
     pub fn advance(&mut self, cluster: &Cluster, from: Time, dt: Time) {
         self.advance_with(cluster, from, dt, &mut JobHoldings::default());
     }
@@ -228,52 +304,72 @@ impl AppRuntime {
         cluster: &Cluster,
         from: Time,
         dt: Time,
-        holdings: &mut JobHoldings,
+        scratch: &mut JobHoldings,
     ) {
         if dt <= Time::ZERO || !self.has_arrived(from + dt) {
             return;
         }
         let to = from + dt;
+        self.held.refresh(cluster, &self.spec, scratch);
         let Self {
             spec,
             progress,
             restart_until,
             attained_service,
             placement_acc,
+            held,
+            may_hold_finished,
             ..
         } = self;
-        cluster.for_each_job_of_app(spec.id, holdings, |job, alloc| {
-            let Some(pos) = spec.job_position(job) else {
-                return;
-            };
-            let job_spec = &spec.jobs[pos];
-            let progress = &mut progress.as_mut_slice()[pos];
+        for job in &held.jobs {
+            let job_spec = &spec.jobs[job.pos];
+            let progress = &mut progress.as_mut_slice()[job.pos];
             if progress.is_finished(job_spec) {
-                return;
+                continue;
             }
-            let gpus = alloc.len();
-            let locality = spread(alloc, cluster.spec());
             // Attained service and placement score accrue for the full
             // interval the GPUs are held — physical GPU-minutes, never
             // speed-weighted (a slow GPU occupies the cluster just as long).
-            let gpu_minutes = dt.as_minutes() * gpus as f64;
+            let gpu_minutes = dt.as_minutes() * job.gpus as f64;
             *attained_service += Time::minutes(gpu_minutes);
-            let score = cluster.scorer().score_for(locality);
+            let score = cluster.scorer().score_for(job.locality);
             placement_acc.0 += score * gpu_minutes;
             placement_acc.1 += gpu_minutes;
             // Training progress only accrues after any restart penalty, at
             // the generation-weighted effective rate G_eff = Σ speed_i × S.
-            let start = restart_until.as_slice()[pos]
+            let start = restart_until.as_slice()[job.pos]
                 .unwrap_or(Time::ZERO)
                 .max(from);
             if start < to {
-                let usable_speed = cluster.spec().capped_speed(alloc, job_spec.max_parallelism);
-                progress.advance_weighted(job_spec, to - start, gpus, usable_speed, locality);
+                progress.advance_weighted(
+                    job_spec,
+                    to - start,
+                    job.gpus,
+                    job.usable_speed,
+                    job.locality,
+                );
             }
             if progress.is_converged(job_spec) {
                 progress.mark_finished(to);
+                *may_hold_finished = true;
             }
-        });
+        }
+    }
+
+    /// The jobs holding GPUs, in ascending job-id order, as of the last
+    /// advance or finish projection — in an engine, as of the end of the
+    /// last round.
+    pub fn held_jobs(&self) -> &[HeldJob] {
+        &self.held.jobs
+    }
+
+    /// Drops everything the runtime derived from a cluster, so the next
+    /// advance or projection re-derives it from whichever cluster it is
+    /// given. Also assumes a finished job may hold GPUs there, so the
+    /// engine's first release pass over the app runs.
+    pub fn forget_holdings(&mut self) {
+        self.held = HeldJobs::default();
+        self.may_hold_finished = true;
     }
 
     /// Records a change in the app's total GPU count for the timeline.

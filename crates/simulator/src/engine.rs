@@ -5,7 +5,7 @@
 //!
 //! 1. pop the next event (app arrival, lease expiry, projected job finish),
 //! 2. advance every running job's training progress to the event time,
-//! 3. reclaim expired leases and release GPUs of finished / killed jobs,
+//! 3. reclaim expired leases and release GPUs of converged / killed jobs,
 //! 4. let each app's hyper-parameter scheduler kill or re-prioritize jobs,
 //! 5. run a scheduling round: the policy assigns free GPUs to jobs, leases
 //!    are granted, checkpoint/restore penalties are applied to jobs whose
@@ -21,7 +21,6 @@ use crate::scheduler::Scheduler;
 use std::collections::BTreeSet;
 use themis_cluster::cluster::{Cluster, JobHoldings};
 use themis_cluster::ids::{AppId, GpuId, JobId};
-use themis_cluster::placement::spread;
 use themis_cluster::time::Time;
 use themis_protocol::fault::FaultConfig;
 use themis_workload::app::AppSpec;
@@ -86,7 +85,13 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Overrides the lease duration.
+    ///
+    /// # Panics
+    /// Panics unless `lease` is positive: every grant's expiry event would
+    /// land at or before the round that granted it, and the clock would
+    /// never move past it.
     pub fn with_lease(mut self, lease: Time) -> Self {
+        assert!(lease > Time::ZERO, "lease duration must be positive");
         self.lease_duration = lease;
         self
     }
@@ -157,10 +162,11 @@ pub struct Engine<S: Scheduler> {
     auctions_run: u64,
     /// Rounds in which the incremental hot path skipped the policy call.
     auctions_skipped: u64,
-    /// Per-round scratch, kept for its capacity: the per-job grouping of an
-    /// app's GPUs, this round's successful grants and reclaimed leases keyed
-    /// `(app, job, gpu)`, and one app's finish projections.
-    holdings: JobHoldings,
+    /// Per-round scratch, kept for its capacity: the buffers an app's held
+    /// jobs are regrouped through when its allocation moved, this round's
+    /// successful grants and reclaimed leases keyed `(app, job, gpu)`, and
+    /// one app's finish projections.
+    scratch: JobHoldings,
     granted: Vec<(AppId, JobId, GpuId)>,
     reclaimed: Vec<(AppId, JobId, GpuId)>,
     projections: Vec<(JobId, Time)>,
@@ -178,14 +184,15 @@ impl<S: Scheduler> Engine<S> {
     }
 
     /// Creates an engine from pre-built app runtimes (e.g. with custom HPO
-    /// schedulers attached).
+    /// schedulers attached). Whatever a runtime derived from another cluster
+    /// is dropped ([`AppRuntime::forget_holdings`]).
     pub fn with_runtimes(
         cluster: Cluster,
         runtimes: Vec<AppRuntime>,
         scheduler: S,
         config: SimConfig,
     ) -> Self {
-        let apps = AppArena::from_runtimes(runtimes);
+        let apps = AppArena::from_runtimes(runtimes.into_iter().map(entering));
         Engine {
             cluster,
             apps,
@@ -201,7 +208,7 @@ impl<S: Scheduler> Engine<S> {
             offer_dirty: true,
             auctions_run: 0,
             auctions_skipped: 0,
-            holdings: JobHoldings::default(),
+            scratch: JobHoldings::default(),
             granted: Vec::new(),
             reclaimed: Vec::new(),
             projections: Vec::new(),
@@ -326,7 +333,7 @@ impl<S: Scheduler> Engine<S> {
         let rounds = runtimes.len();
         self.advance_to(arrival);
         for rt in runtimes {
-            let replaced = self.apps.insert(rt);
+            let replaced = self.apps.insert(entering(rt));
             assert!(replaced.is_none(), "admitted app id already in the arena");
         }
         for _ in 0..rounds {
@@ -399,20 +406,20 @@ impl<S: Scheduler> Engine<S> {
 
     /// Advances training progress of every running job to time `t`: a walk
     /// over the active apps that hold GPUs (an app that arrived since the
-    /// last round holds none yet).
+    /// last round holds none yet), each over its cached held jobs.
     fn advance_to(&mut self, t: Time) {
         let dt = t - self.now;
         if dt > Time::ZERO {
             let Engine {
                 cluster,
                 apps,
-                holdings,
+                scratch,
                 ..
             } = self;
             for i in 0..apps.active_ids().len() {
                 let app_id = apps.active_ids()[i];
                 if cluster.gpus_held_by(app_id) > 0 {
-                    apps[app_id].advance_with(cluster, self.now, dt, holdings);
+                    apps[app_id].advance_with(cluster, self.now, dt, scratch);
                 }
             }
         }
@@ -448,19 +455,23 @@ impl<S: Scheduler> Engine<S> {
                 .map(|lease| (lease.app, lease.job, lease.gpu)),
         );
 
-        // 2. Release GPUs of finished jobs, run each app's HPO scheduler,
+        // 2. Release GPUs of converged jobs, run each app's HPO scheduler,
         //    release GPUs of killed jobs, and detect app completion.
         let mut app_finished = false;
         for i in 0..self.apps.active_ids().len() {
             let app_id = self.apps.active_ids()[i];
             let rt = &mut self.apps[app_id];
-            // Finished (converged) jobs give up their GPUs.
-            if self.cluster.gpus_held_by(app_id) > 0 {
+            // Converged jobs give up their GPUs. Only advance finishes a job
+            // that holds GPUs — kills and app completion release on the spot
+            // below — so only an app whose advance converged one is scanned.
+            if std::mem::take(&mut rt.may_hold_finished) {
                 self.cluster.release_jobs_where(app_id, |job| {
                     rt.job(job).is_some_and(|(spec, p)| p.is_finished(spec))
                 });
             }
-            // HPO decisions (kills, priority changes).
+            // HPO decisions (kills, priority changes). Called every round
+            // even without progress: `AppScheduler::update` is not
+            // idempotent.
             if !rt.is_finished() {
                 for job in rt.run_hpo(now) {
                     self.cluster.release_job(app_id, job);
@@ -575,16 +586,17 @@ impl<S: Scheduler> Engine<S> {
             }
         }
         // Projected completion events for every job that currently holds
-        // GPUs, walking each app's holdings rather than its job specs. The
-        // projections are deduplicated: a new event is only pushed when the
-        // projection differs from the last one we enqueued, so the queue
-        // stays linear in the number of real state changes. A job that
-        // holds nothing (or finished) drops out of `scheduled_finish`.
+        // GPUs, walking each app's cached held jobs rather than its job
+        // specs. The projections are deduplicated: a new event is only
+        // pushed when the projection differs from the last one we enqueued,
+        // so the queue stays linear in the number of real state changes. A
+        // job that holds nothing (or finished) drops out of
+        // `scheduled_finish`.
         let Engine {
             cluster,
             apps,
             events,
-            holdings,
+            scratch,
             projections,
             ..
         } = self;
@@ -592,30 +604,28 @@ impl<S: Scheduler> Engine<S> {
             let app_id = apps.active_ids()[i];
             let rt = &mut apps[app_id];
             rt.record_gpu_count(now, cluster.gpus_held_by(app_id));
+            rt.held.refresh(cluster, &rt.spec, scratch);
             projections.clear();
             let mut queued = rt.scheduled_finish.iter().copied().peekable();
-            cluster.for_each_job_of_app(app_id, holdings, |job, alloc| {
-                let Some(pos) = rt.spec.job_position(job) else {
-                    return;
-                };
-                let job_spec = &rt.spec.jobs[pos];
-                let progress = &rt.progress.as_slice()[pos];
+            for held in rt.held_jobs() {
+                let job_spec = &rt.spec.jobs[held.pos];
+                let progress = &rt.progress.as_slice()[held.pos];
                 if progress.is_finished(job_spec) {
-                    return;
+                    continue;
                 }
+                let job = job_spec.id;
                 while queued.next_if(|(j, _)| *j < job).is_some() {}
                 let already = queued.next_if(|(j, _)| *j == job).map(|(_, at)| at);
-                let locality = spread(alloc, cluster.spec());
                 // Projections must stay symmetric with AppRuntime::advance,
-                // so they use the same generation-weighted effective rate.
-                let usable_speed = cluster.spec().capped_speed(alloc, job_spec.max_parallelism);
+                // so they use the same held-job facts and the same
+                // generation-weighted effective rate.
                 let mut eta = progress.time_to_complete_weighted(
                     job_spec,
-                    alloc.len(),
-                    usable_speed,
-                    locality,
+                    held.gpus,
+                    held.usable_speed,
+                    held.locality,
                 );
-                if let Some(restart) = rt.restart_until.as_slice()[pos] {
+                if let Some(restart) = rt.restart_until.as_slice()[held.pos] {
                     if restart > now {
                         eta += restart - now;
                     }
@@ -633,7 +643,7 @@ impl<S: Scheduler> Engine<S> {
                     }
                 };
                 projections.extend(keep.map(|at| (job, at)));
-            });
+            }
             std::mem::swap(&mut rt.scheduled_finish, projections);
         }
 
@@ -647,6 +657,13 @@ impl<S: Scheduler> Engine<S> {
             }
         }
     }
+}
+
+/// A runtime entering an engine keeps nothing it derived from another
+/// cluster.
+fn entering(mut rt: AppRuntime) -> AppRuntime {
+    rt.forget_holdings();
+    rt
 }
 
 #[cfg(test)]
@@ -914,6 +931,14 @@ mod tests {
         // queue drains instead of looping forever.
         assert_eq!(report.scheduling_rounds, 11);
         assert_eq!(report.end_time, Time::minutes(10.0));
+    }
+
+    /// A lease ending at or before its grant would queue its expiry at the
+    /// current time (or in the past) forever; `with_lease` refuses it.
+    #[test]
+    #[should_panic(expected = "lease duration must be positive")]
+    fn a_non_positive_lease_is_refused() {
+        let _ = SimConfig::default().with_lease(Time::ZERO);
     }
 
     #[test]

@@ -17,18 +17,37 @@
 //! detection, the full-table lease scan, the eager curve fit, and the
 //! `BTreeMap`-keyed per-job state. A last test pins that none of the dense
 //! tables depends on ids being dense.
+//!
+//! The round that re-derives only what changed deleted three more pieces,
+//! kept in the last section as reference models: the regroup-every-round
+//! advance and projection, the every-round scan for finished jobs that
+//! hold GPUs, and the `BTreeMap`-keyed, loss-first HyperBand. Each of its
+//! four properties was checked to fail under a seeded mutation:
+//!
+//! * (a) cached holdings ≡ a fresh regroup — fails when
+//!   `Cluster::clear_assignment` does not bump the app's allocation epoch;
+//! * (b) no finished job holds a GPU after step 2 — fails when advance
+//!   converges a held job without raising `may_hold_finished`;
+//! * (c) dense HyperBand ≡ the map model — fails when `HyperBand::update`
+//!   zips its estimators with the active jobs only;
+//! * (d) a runtime entering an engine re-derives its holdings — fails
+//!   when `with_runtimes`/`admit` skip `AppRuntime::forget_holdings`.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use themis_bench::policies::Policy;
+use themis_bench::scenarios::{ClusterKind, GenMix, Scenario};
 use themis_cluster::alloc::{FreeVector, GpuAlloc};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId, MachineId};
 use themis_cluster::lease::{Lease, LeaseTable};
+use themis_cluster::placement::{spread, Locality};
 use themis_cluster::time::Time;
-use themis_cluster::topology::ClusterSpec;
+use themis_cluster::topology::{ClusterSpec, GpuGeneration};
 use themis_cluster::view::ClusterState;
+use themis_hpo::api::{AppScheduler, JobViews, SchedulerUpdate};
 use themis_hpo::estimator::WorkEstimator;
+use themis_hpo::hyperband::{HyperBand, HyperBandConfig};
 use themis_sim::app_runtime::AppRuntime;
 use themis_sim::arena::AppArena;
 use themis_sim::engine::{Engine, SimConfig};
@@ -322,12 +341,40 @@ fn restart_penalties<S: Scheduler>(engine: &Engine<S>) -> BTreeMap<(AppId, JobId
         .collect()
 }
 
+/// What an app's cached [`HeldJob`](themis_sim::app_runtime::HeldJob)s
+/// say, one `(job, gpus, locality, usable speed)` per GPU-holding job.
+type HeldFacts = Vec<(JobId, usize, Locality, f64)>;
+
+fn cached_holdings(rt: &AppRuntime) -> HeldFacts {
+    rt.held_jobs()
+        .iter()
+        .map(|h| (rt.spec.jobs[h.pos].id, h.gpus, h.locality, h.usable_speed))
+        .collect()
+}
+
+/// The deleted regroup-every-round derivation: the same facts computed
+/// from scratch off the cluster's per-job grouping.
+fn regrouped_holdings(cluster: &Cluster, rt: &AppRuntime) -> HeldFacts {
+    cluster
+        .jobs_of_app(rt.id())
+        .into_iter()
+        .map(|(job, alloc)| {
+            let cap = rt.job_spec(job).expect("held job exists").max_parallelism;
+            let speed = cluster.spec().capped_speed(&alloc, cap);
+            (job, alloc.len(), spread(&alloc, cluster.spec()), speed)
+        })
+        .collect()
+}
+
 /// Drives an engine under a [`Scripted`] policy one round at a time —
-/// admitting apps as service mode does, stepping events in between — and
-/// checks every job's `restart_until` after each round against the old
-/// rule: a job that was granted GPUs this round pays the checkpoint
-/// overhead unless the set it holds now equals the set it held before the
-/// round (and it had made progress at all).
+/// admitting apps and retiring finished ones as service mode does,
+/// stepping events in between — and checks two rules after each round:
+///
+/// * every job's `restart_until` against the old renewal rule: a job that
+///   was granted GPUs this round pays the checkpoint overhead unless the
+///   set it holds now equals the set it held before the round (and it had
+///   made progress at all);
+/// * every active app's cached held jobs against a fresh regroup.
 struct RenewalChecker {
     engine: Engine<Scripted>,
     /// Apps not admitted yet, earliest arrival first.
@@ -338,12 +385,12 @@ struct RenewalChecker {
 }
 
 impl RenewalChecker {
-    fn new(mut specs: Vec<AppSpec>, gpus: usize, script: Vec<u8>) -> Self {
+    fn new(mut specs: Vec<AppSpec>, topology: ClusterSpec, script: Vec<u8>) -> Self {
         let overhead = Time::minutes(1.0);
         let config = SimConfig::default()
             .with_lease(Time::minutes(20.0))
             .with_checkpoint_overhead(overhead);
-        let cluster = Cluster::new(ClusterSpec::homogeneous(1, 1, gpus));
+        let cluster = Cluster::new(topology);
         specs.sort_by_key(|spec| (spec.arrival, spec.id));
         RenewalChecker {
             engine: Engine::with_runtimes(
@@ -375,8 +422,17 @@ impl RenewalChecker {
                 _ if self.engine.step_due(horizon) => {}
                 _ => return,
             }
+            self.engine.retire_finished();
             let engine = &self.engine;
             let now = engine.now();
+            for rt in engine.apps().active() {
+                assert_eq!(
+                    cached_holdings(rt),
+                    regrouped_holdings(engine.cluster(), rt),
+                    "app {} after the round at {now}",
+                    rt.id()
+                );
+            }
             for ((app, job), new_set) in snapshot_holdings(engine) {
                 let granted_now = new_set.iter().any(|gpu| {
                     let lease = engine.cluster().leases().lease(*gpu);
@@ -390,7 +446,9 @@ impl RenewalChecker {
                 }
             }
             let actual = restart_penalties(engine);
-            // A just-admitted app's jobs start without a penalty.
+            // A retired app is gone; a just-admitted app's jobs start
+            // without a penalty.
+            expected.retain(|(app, _), _| engine.apps().contains(*app));
             for key in actual.keys() {
                 expected.entry(*key).or_insert(None);
             }
@@ -427,7 +485,7 @@ fn partial_expiry_regrant_is_free_and_a_move_pays() {
         // free (5) is GPU 7.
         let mut script = vec![1, 8, 0, regrant, 0];
         script.extend([0; 8]);
-        let mut checker = RenewalChecker::new(specs, 8, script);
+        let mut checker = RenewalChecker::new(specs, ClusterSpec::homogeneous(1, 1, 8), script);
         checker.run(Time::minutes(19.0));
         let job_gpus = |c: &RenewalChecker| c.engine.cluster().gpus_of_job(AppId(0), JobId(0));
         assert_eq!(
@@ -621,17 +679,8 @@ proptest! {
         arrivals in prop::collection::vec(0u32..40, 2..5),
         gpus in 5usize..12,
     ) {
-        let specs: Vec<AppSpec> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, arrival)| {
-                let jobs = (0..1 + i as u32 % 3)
-                    .map(|j| long_job(j, 300.0 + 900.0 * f64::from(j), 2 + i % 2))
-                    .collect();
-                AppSpec::new(AppId(i as u32), Time::minutes(f64::from(*arrival)), jobs)
-            })
-            .collect();
-        let mut checker = RenewalChecker::new(specs, gpus, script);
+        let topology = ClusterSpec::homogeneous(1, 1, gpus);
+        let mut checker = RenewalChecker::new(scripted_specs(&arrivals), topology, script);
         checker.run(Time::minutes(400.0));
         prop_assert!(checker.pending.is_empty());
     }
@@ -774,4 +823,295 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Reference models for the round that re-derives only what changed.
+// ---------------------------------------------------------------------
+
+/// Proptest cases for the properties below: 64 in debug tier-1, 1,024 in
+/// the release CI job.
+fn cases() -> ProptestConfig {
+    ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1024 })
+}
+
+/// A policy wrapper that asserts, every time the engine asks for
+/// decisions — right after step 2 of the round — that no finished job
+/// holds a GPU. The deleted every-round release scan made that true by
+/// brute force; release on convergence must keep it true.
+struct FinishedJobsHoldNothing {
+    inner: Box<dyn Scheduler>,
+}
+
+impl Scheduler for FinishedJobsHoldNothing {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn schedule(
+        &mut self,
+        now: Time,
+        cluster: &Cluster,
+        apps: &AppArena,
+    ) -> Vec<AllocationDecision> {
+        for rt in apps.iter() {
+            for (job, alloc) in cluster.jobs_of_app(rt.id()) {
+                let (spec, progress) = rt.job(job).expect("held job exists");
+                assert!(
+                    !progress.is_finished(spec),
+                    "{}: app {} job {job} is finished but holds {} GPUs at {now}",
+                    self.inner.name(),
+                    rt.id(),
+                    alloc.len()
+                );
+            }
+        }
+        self.inner.schedule(now, cluster, apps)
+    }
+
+    fn next_wakeup(&self) -> Option<Time> {
+        self.inner.next_wakeup()
+    }
+}
+
+/// The old `HyperBand`: estimators in a `BTreeMap` keyed by job id, and
+/// every observation evaluating the loss curve before the estimator drops
+/// it as a repeat.
+struct MapHyperBandModel {
+    config: HyperBandConfig,
+    next_rung: f64,
+    estimators: BTreeMap<JobId, WorkEstimator>,
+}
+
+impl MapHyperBandModel {
+    fn new(config: HyperBandConfig) -> Self {
+        MapHyperBandModel {
+            config,
+            next_rung: config.rung_iterations,
+            estimators: BTreeMap::new(),
+        }
+    }
+
+    fn update(&mut self, jobs: JobViews<'_>) -> SchedulerUpdate {
+        let mut active = 0usize;
+        let mut all_reached = true;
+        for job in jobs.iter().filter(|j| j.is_active()) {
+            let loss = job.progress.current_loss(job.spec);
+            self.estimators
+                .entry(job.id())
+                .or_default()
+                .observe(job.progress.iterations_done, loss);
+            active += 1;
+            all_reached &= job.progress.iterations_done >= self.next_rung;
+        }
+        if active <= 1 || !all_reached {
+            return SchedulerUpdate::none();
+        }
+        let mut ranked: Vec<(JobId, f64)> = jobs
+            .iter()
+            .filter(|j| j.is_active())
+            .map(|j| {
+                let projected = self
+                    .estimators
+                    .get(&j.id())
+                    .and_then(|e| e.projected_total_iterations(j.spec))
+                    .unwrap_or(f64::INFINITY);
+                (j.id(), projected)
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        let survivors = ((ranked.len() as f64 / self.config.eta).ceil() as usize).max(1);
+        self.next_rung += self.config.rung_iterations;
+        SchedulerUpdate {
+            kill: ranked.iter().skip(survivors).map(|(id, _)| *id).collect(),
+            max_parallelism: Vec::new(),
+        }
+    }
+}
+
+/// A small, contended trace whose apps have several jobs each, so the
+/// scripted runs see HyperBand kills as well as convergence.
+fn scripted_specs(arrivals: &[u32]) -> Vec<AppSpec> {
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, arrival)| {
+            let jobs = (0..1 + i as u32 % 3)
+                .map(|j| long_job(j, 300.0 + 900.0 * f64::from(j), 2 + i % 2))
+                .collect();
+            AppSpec::new(AppId(i as u32), Time::minutes(f64::from(*arrival)), jobs)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// (a) After every round of a scripted run, each active app's cached
+    /// held jobs equal a fresh regroup of the cluster: job, GPU count,
+    /// locality and usable speed. Two racks of mixed-generation machines
+    /// make locality and speed vary; staggered arrivals give partial lease
+    /// expiries and same-round renewals; multi-job apps converge, are
+    /// killed by HyperBand and finish; apps are admitted and retired as in
+    /// service mode.
+    #[test]
+    fn cached_holdings_agree_with_a_fresh_regroup(
+        script in prop::collection::vec(0u8..=255, 8..48),
+        arrivals in prop::collection::vec(0u32..40, 2..6),
+        machines in 1usize..4,
+    ) {
+        let topology = ClusterSpec::homogeneous(2, machines, 3)
+            .with_generation_cycle(&GpuGeneration::ALL);
+        let mut checker = RenewalChecker::new(scripted_specs(&arrivals), topology, script);
+        checker.run(Time::minutes(400.0));
+        prop_assert!(checker.pending.is_empty());
+    }
+
+    /// (b) Once step 2 of a round has run, no finished job holds a GPU —
+    /// for Themis, the four baselines and reliable `themis-dist`, on random
+    /// small traces over uniform and mixed-generation clusters.
+    #[test]
+    fn finished_jobs_hold_no_gpus_after_step_two(
+        policy in 0usize..6,
+        mix in 0usize..3,
+        apps in 2usize..6,
+        contention in 1u8..4,
+        short_lease in 0u8..2,
+        seed in 0u64..1_000,
+    ) {
+        let scenario = Scenario::new(ClusterKind::Rack16, apps, seed)
+            .with_gen_mix(GenMix::ALL[mix])
+            .with_contention(f64::from(contention))
+            .with_lease_minutes(if short_lease == 1 { 5.0 } else { 20.0 });
+        let policy = Policy::all()[policy];
+        let config = scenario.sim_config().with_max_sim_time(Time::minutes(30_000.0));
+        let guard = FinishedJobsHoldNothing {
+            inner: scenario.instantiate(policy).build_with(&config),
+        };
+        let cluster = Cluster::new(scenario.cluster_spec());
+        let report = Engine::new(cluster, scenario.trace(), guard, config).run();
+        prop_assert!(report.scheduling_rounds > 0);
+    }
+
+    /// (c) The dense, dedupe-first `HyperBand` returns the updates the
+    /// `BTreeMap`-keyed, loss-first one did, call for call, on random
+    /// progress scripts: jobs that stall (repeated observations), converge
+    /// or are killed, steps large enough to pass two rungs at once, and
+    /// dense, sparse or unordered job ids.
+    #[test]
+    fn dense_hyperband_agrees_with_map_model(
+        numbering in 0u8..3,
+        exponents in prop::collection::vec(0.15f64..0.95, 2..9),
+        rung in 10u8..60,
+        steps in prop::collection::vec(prop::collection::vec(0u8..8, 9), 1..40),
+    ) {
+        let id_of = |pos: usize| match numbering {
+            0 => JobId(pos as u32),
+            1 => JobId(5 + 4 * pos as u32),
+            _ => JobId(40 - 3 * pos as u32),
+        };
+        let specs: Vec<JobSpec> = exponents
+            .iter()
+            .enumerate()
+            .map(|(pos, exponent)| {
+                let mut spec = long_job(id_of(pos).0, 400.0 + 100.0 * pos as f64, 4);
+                spec.loss_curve = LossCurve::PowerLaw { floor: 0.0, scale: 2.0, exponent: *exponent };
+                spec
+            })
+            .collect();
+        let config = HyperBandConfig { rung_iterations: f64::from(rung), eta: 2.0 };
+        let mut dense = HyperBand::new(config);
+        let mut model = MapHyperBandModel::new(config);
+        let mut progress = vec![JobProgress::new(); specs.len()];
+        for (round, moves) in steps.iter().enumerate() {
+            // 0-2: stall; 3-6: a few iterations; 7: a jump past two rungs.
+            for ((spec, p), step) in specs.iter().zip(&mut progress).zip(moves) {
+                if !p.is_finished(spec) {
+                    p.iterations_done = match step {
+                        0..=2 => p.iterations_done,
+                        3..=6 => p.iterations_done + f64::from(*step) * 3.5,
+                        _ => p.iterations_done + 2.5 * f64::from(rung),
+                    }
+                    .min(spec.total_iterations);
+                }
+            }
+            let now = Time::minutes(round as f64);
+            let views = JobViews::new(&specs, &progress);
+            let update = dense.update(now, views);
+            prop_assert_eq!(&update, &model.update(views), "round {}", round);
+            for job in &update.kill {
+                progress[specs.iter().position(|s| s.id == *job).unwrap()].kill(now);
+            }
+        }
+    }
+}
+
+/// (d) A runtime handed to an engine re-derives its held jobs from the
+/// engine's cluster. The runtime below was advanced by hand on a cluster
+/// where its job holds two GPUs of one machine; the engine's cluster gives
+/// it two GPUs on different racks, after the same number of allocations —
+/// so the app's allocation epoch is equal on both and only the reset on
+/// entry tells the caches apart. Both entry doors are checked:
+/// `with_runtimes` and service-mode `admit`.
+#[test]
+fn a_runtime_entering_an_engine_rederives_its_holdings() {
+    let topology = ClusterSpec::homogeneous(2, 1, 2);
+    let holding = |gpus: [u32; 2]| {
+        let mut cluster = Cluster::new(topology.clone());
+        for gpu in gpus {
+            cluster
+                .allocate(
+                    GpuId(gpu),
+                    AppId(0),
+                    JobId(0),
+                    Time::ZERO,
+                    Time::minutes(20.0),
+                )
+                .unwrap();
+        }
+        cluster
+    };
+    let (by_hand, engine_cluster) = (holding([0, 1]), holding([0, 2]));
+    assert_eq!(
+        by_hand.allocation_epoch(AppId(0)),
+        engine_cluster.allocation_epoch(AppId(0))
+    );
+    let advanced = || {
+        let spec = AppSpec::single_job(AppId(0), Time::ZERO, long_job(0, 1e6, 2));
+        let mut rt = AppRuntime::with_default_hpo(spec);
+        rt.advance(&by_hand, Time::ZERO, Time::minutes(1.0));
+        assert_eq!(cached_holdings(&rt), regrouped_holdings(&by_hand, &rt));
+        rt
+    };
+    let hand_locality = cached_holdings(&advanced())[0].2;
+    // A second app whose admission drives one round at t = 1 with a policy
+    // that grants nothing.
+    let newcomer = || {
+        let spec = AppSpec::single_job(AppId(1), Time::minutes(1.0), long_job(0, 1e6, 2));
+        AppRuntime::with_default_hpo(spec)
+    };
+    let idle = || Scripted {
+        script: vec![0],
+        cursor: 0,
+    };
+    let check = |engine: &Engine<Scripted>| {
+        let rt = &engine.apps()[AppId(0)];
+        let fresh = regrouped_holdings(engine.cluster(), rt);
+        assert_ne!(fresh[0].2, hand_locality);
+        assert_eq!(cached_holdings(rt), fresh);
+    };
+
+    let mut engine = Engine::with_runtimes(
+        engine_cluster.clone(),
+        vec![advanced()],
+        idle(),
+        SimConfig::default(),
+    );
+    engine.admit(vec![newcomer()]);
+    check(&engine);
+
+    let mut engine =
+        Engine::with_runtimes(engine_cluster, Vec::new(), idle(), SimConfig::default());
+    engine.admit(vec![advanced()]);
+    check(&engine);
 }
