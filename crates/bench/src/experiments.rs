@@ -1,30 +1,32 @@
 //! Regeneration of every table and figure in the paper's evaluation (§8).
 //!
-//! Each `figN` function reproduces the data series behind the corresponding
-//! figure and returns it as a [`Table`] (plain text, one row per data
-//! point). The experiments run on the event-driven simulator with the
-//! synthetic enterprise trace; absolute numbers therefore differ from the
-//! paper's testbed, but the *shape* — which scheduler wins, by roughly what
-//! factor, and where the crossovers fall — is what the assertions in
-//! `tests/end_to_end.rs` check.
+//! Each experiment id (`fig1` … `fig11`) names one [`Table`] of the data
+//! series behind that figure, one row per data point. The experiments run
+//! on the event-driven simulator with the synthetic enterprise trace;
+//! absolute numbers therefore differ from the paper's testbed, but the
+//! *shape* — which scheduler wins, by roughly what factor, and where the
+//! crossovers fall — is what the assertions in `tests/end_to_end.rs` check.
 //!
-//! Every simulation-backed figure is a *thin view* over the scenario
-//! subsystem ([`crate::scenarios`]): a figure builds the [`Scenario`] list
-//! for one axis of the paper's evaluation matrix and formats the resulting
-//! [`SimReport`]s. The scenarios here are constructed to generate exactly
-//! the traces and scheduler configurations the figures always used, so the
-//! numbers are unchanged — the `sweep` binary runs the same cells through
-//! the same code path, just many at a time.
+//! A simulated figure is a declaration, not a loop: each of its rows names
+//! the `(Scenario, Policy)` cells it reads, and one projection turns a
+//! row's reports into its columns. [`run_experiments`] collects the
+//! distinct cells of every requested figure, keyed `"<scenario id>/<policy>"`
+//! like a sweep cell, simulates each once through
+//! [`themis_sim::batch::run_batch`], and renders every table from the
+//! shared reports: Figures 4a and 4b read the same six runs, Figures 5a–7
+//! the same four. `fig1`, `fig2` and `fig8` are not scenario cells and stay
+//! plain functions.
 
 use crate::policies::Policy;
 use crate::scenarios::{ClusterKind, Scenario};
+use std::collections::{BTreeMap, BTreeSet};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
+use themis_sim::batch::run_batch;
 use themis_sim::engine::{Engine, SimConfig};
 use themis_sim::metrics::SimReport;
-use themis_workload::app::AppSpec;
 use themis_workload::models::ModelArch;
 use themis_workload::trace::{duration_cdf, two_app_micro_trace, TraceConfig, TraceGenerator};
 
@@ -86,7 +88,7 @@ impl std::fmt::Display for Table {
 }
 
 /// How large the simulated experiments are. The defaults keep the full
-/// `figures all` run to a few minutes; scale `apps` up for tighter
+/// `figures all` run to under a minute; scale `apps` up for tighter
 /// confidence at the cost of runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
@@ -119,38 +121,25 @@ impl Scale {
     }
 }
 
+/// All experiment ids, in paper order.
+pub const ALL_EXPERIMENTS: [&str; 14] = [
+    "fig1", "fig2", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9a",
+    "fig9b", "fig10", "fig11",
+];
+
 fn fmt(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Runs one policy over an explicit trace on one cluster (used by the
-/// figures whose trace is hand-built, e.g. Figure 8's micro-trace; the
-/// generated-trace figures go through [`Scenario::run`] instead).
-pub fn run_policy(
-    policy: Policy,
-    trace: Vec<AppSpec>,
-    cluster_spec: &ClusterSpec,
-    sim: SimConfig,
-) -> SimReport {
-    let cluster = Cluster::new(cluster_spec.clone());
-    Engine::new(cluster, trace, policy.build_with(&sim), sim).run()
+/// Formats a metric that is absent when no app finished as `NaN`: an
+/// empty run is not a perfectly fair one.
+fn fmt_or_nan(v: Option<f64>) -> String {
+    fmt(v.unwrap_or(f64::NAN))
 }
 
-/// The base scenario of the 256-GPU simulated experiments (§8.2): the
-/// scheduler seed follows the trace seed, as the original figure code did.
-fn sim_256_scenario(scale: Scale) -> Scenario {
-    Scenario::new(ClusterKind::Sim256, scale.sim_apps, scale.seed).with_scheduler_seed(scale.seed)
+fn percent(v: f64) -> String {
+    fmt(v * 100.0)
 }
-
-/// The base scenario of the 50-GPU testbed macro-benchmarks (§8.3): the
-/// scheduler keeps its default seed (0), matching `Policy::themis_default`.
-fn testbed_scenario(scale: Scale) -> Scenario {
-    Scenario::new(ClusterKind::Testbed50, scale.testbed_apps, scale.seed)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 1 & 2: workload characterization
-// ---------------------------------------------------------------------------
 
 /// Figure 1: CDF of task (job) durations in the trace.
 pub fn fig1(scale: Scale) -> Table {
@@ -160,13 +149,12 @@ pub fn fig1(scale: Scale) -> Table {
             .with_seed(scale.seed),
     )
     .generate();
-    let cdf = duration_cdf(&trace, 20);
     let mut table = Table::new(
         "fig1",
         "Distribution of task durations for ML training jobs",
         &["duration_minutes", "fraction_of_tasks"],
     );
-    for (duration, fraction) in cdf {
+    for (duration, fraction) in duration_cdf(&trace, 20) {
         table.push_row(vec![fmt(duration), fmt(fraction)]);
     }
     table
@@ -193,199 +181,15 @@ pub fn fig2() -> Table {
     table
 }
 
-// ---------------------------------------------------------------------------
-// Figure 4: sensitivity to the fairness knob f and the lease time
-// ---------------------------------------------------------------------------
-
-fn fairness_stats(report: &SimReport) -> (f64, f64, f64) {
-    let mut rhos = report.rhos();
-    rhos.sort_by(|a, b| a.partial_cmp(b).expect("finite rho"));
-    if rhos.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let min = rhos[0];
-    let median = rhos[rhos.len() / 2];
-    let max = rhos[rhos.len() - 1];
-    (min, median, max)
-}
-
-/// The shared sweep behind Figures 4a and 4b: Themis on the 256-GPU cluster
-/// with `f` ranging over `[0, 1]`.
-pub fn fairness_knob_sweep(scale: Scale) -> Vec<(f64, SimReport)> {
-    [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-        .into_iter()
-        .map(|f| {
-            let scenario = sim_256_scenario(scale).with_fairness_knob(f);
-            (f, scenario.run(Policy::themis_default()))
-        })
-        .collect()
-}
-
-/// Figure 4a: finish-time fairness (min / median / max) vs the fairness
-/// knob f.
-pub fn fig4a(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig4a",
-        "Finish-time fairness vs fairness knob f",
-        &["f", "min_rho", "median_rho", "max_rho"],
-    );
-    for (f, report) in fairness_knob_sweep(scale) {
-        let (min, median, max) = fairness_stats(&report);
-        table.push_row(vec![fmt(f), fmt(min), fmt(median), fmt(max)]);
-    }
-    table
-}
-
-/// Figure 4b: total GPU time vs the fairness knob f.
-pub fn fig4b(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig4b",
-        "GPU time (minutes) vs fairness knob f",
-        &["f", "gpu_time_minutes"],
-    );
-    for (f, report) in fairness_knob_sweep(scale) {
-        table.push_row(vec![fmt(f), fmt(report.total_gpu_time.as_minutes())]);
-    }
-    table
-}
-
-/// Figure 4c: maximum finish-time fairness vs the lease duration.
-pub fn fig4c(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig4c",
-        "Finish-time fairness vs lease time",
-        &["lease_minutes", "max_rho"],
-    );
-    for lease in [5.0, 10.0, 20.0, 30.0, 40.0] {
-        let scenario = sim_256_scenario(scale).with_lease_minutes(lease);
-        let report = scenario.run(Policy::themis_default());
-        let max = report.max_fairness().unwrap_or(0.0);
-        table.push_row(vec![fmt(lease), fmt(max)]);
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Figures 5–7: macro-benchmarks against Gandiva / SLAQ / Tiresias
-// ---------------------------------------------------------------------------
-
-/// Runs the 50-GPU macro-benchmark (durations scaled by 1/5, §8.3) for every
-/// policy in the comparison set.
-pub fn macrobenchmark(scale: Scale) -> Vec<(Policy, SimReport)> {
-    let scenario = testbed_scenario(scale);
-    let trace = scenario.trace();
-    Policy::macrobenchmark_set()
-        .into_iter()
-        .map(|policy| {
-            let report = scenario.run_on_trace(policy, trace.clone());
-            (policy, report)
-        })
-        .collect()
-}
-
-/// Figure 5a: maximum finish-time fairness across schedulers.
-pub fn fig5a(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig5a",
-        "Max finish-time fairness across schedulers (lower is better)",
-        &["scheduler", "max_rho", "peak_contention"],
-    );
-    for (policy, report) in macrobenchmark(scale) {
-        table.push_row(vec![
-            policy.name().to_string(),
-            fmt(report.max_fairness().unwrap_or(f64::NAN)),
-            fmt(report.peak_contention),
-        ]);
-    }
-    table
-}
-
-/// Figure 5b: Jain's fairness index across schedulers.
-pub fn fig5b(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig5b",
-        "Jain's fairness index across schedulers (closer to 1 is better)",
-        &["scheduler", "jains_index"],
-    );
-    for (policy, report) in macrobenchmark(scale) {
-        table.push_row(vec![
-            policy.name().to_string(),
-            fmt(report.jains_index().unwrap_or(f64::NAN)),
-        ]);
-    }
-    table
-}
-
-/// Figure 6: app completion times across schedulers (mean and percentiles
-/// of the CDF).
-pub fn fig6(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig6",
-        "App completion times across schedulers (minutes)",
-        &["scheduler", "mean", "p50", "p90", "max"],
-    );
-    for (policy, report) in macrobenchmark(scale) {
-        let cdf = report.completion_time_cdf();
-        let pick = |q: f64| -> f64 {
-            if cdf.is_empty() {
-                return f64::NAN;
-            }
-            let idx = ((cdf.len() as f64 * q).ceil() as usize).clamp(1, cdf.len()) - 1;
-            cdf[idx].0
-        };
-        table.push_row(vec![
-            policy.name().to_string(),
-            fmt(report
-                .mean_completion_time()
-                .map(|t| t.as_minutes())
-                .unwrap_or(f64::NAN)),
-            fmt(pick(0.5)),
-            fmt(pick(0.9)),
-            fmt(pick(1.0)),
-        ]);
-    }
-    table
-}
-
-/// Figure 7: CDF of placement scores across schedulers (mean and p10).
-pub fn fig7(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig7",
-        "Placement score across schedulers (1.0 = tightly packed)",
-        &["scheduler", "mean_score", "p10_score"],
-    );
-    for (policy, report) in macrobenchmark(scale) {
-        let cdf = report.placement_score_cdf();
-        let p10 = if cdf.is_empty() {
-            f64::NAN
-        } else {
-            cdf[((cdf.len() as f64 * 0.1).floor() as usize).min(cdf.len() - 1)].0
-        };
-        table.push_row(vec![
-            policy.name().to_string(),
-            fmt(report.mean_placement_score().unwrap_or(f64::NAN)),
-            fmt(p10),
-        ]);
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Figure 8: allocation timeline for a short and a long app
-// ---------------------------------------------------------------------------
-
 /// Figure 8: GPU allocation timeline of two apps (3× running-time ratio)
-/// under Themis on a 4-GPU cluster.
+/// under Themis on a 4-GPU cluster, over the hand-built micro-trace.
 pub fn fig8() -> Table {
-    let cluster = ClusterSpec::homogeneous(1, 1, 4);
-    let report = run_policy(
-        Policy::themis_default(),
-        two_app_micro_trace(),
-        &cluster,
-        SimConfig::default()
-            .with_lease(Time::minutes(20.0))
-            .with_checkpoint_overhead(Time::ZERO),
-    );
+    let sim = SimConfig::default()
+        .with_lease(Time::minutes(20.0))
+        .with_checkpoint_overhead(Time::ZERO);
+    let cluster = Cluster::new(ClusterSpec::homogeneous(1, 1, 4));
+    let scheduler = Policy::themis_default().build_with(&sim);
+    let report = Engine::new(cluster, two_app_micro_trace(), scheduler, sim).run();
     let mut table = Table::new(
         "fig8",
         "Timeline of GPU allocations (short vs long app)",
@@ -393,190 +197,283 @@ pub fn fig8() -> Table {
     );
     for outcome in &report.apps {
         let label = if outcome.app.0 == 0 { "short" } else { "long" };
-        for (time, gpus) in &outcome.gpu_timeline {
+        let finish = outcome.finished_at.map(|at| (at, 0));
+        for (time, gpus) in outcome.gpu_timeline.iter().copied().chain(finish) {
             table.push_row(vec![
                 label.to_string(),
                 fmt(time.as_minutes()),
                 gpus.to_string(),
             ]);
         }
-        if let Some(finish) = outcome.finished_at {
-            table.push_row(vec![
-                label.to_string(),
-                fmt(finish.as_minutes()),
-                "0".to_string(),
-            ]);
+    }
+    table
+}
+
+/// A simulated figure: its rows, the policies a row reads, and the
+/// projection from a row's reports (in policy order) to its columns after
+/// the first.
+struct Figure {
+    title: &'static str,
+    /// The column headers, space-separated.
+    headers: &'static str,
+    /// `None`: one row per policy on the testbed, labelled by name.
+    axis: Option<Axis>,
+    policies: fn() -> Vec<Policy>,
+    project: fn(&[&SimReport]) -> Vec<String>,
+}
+
+/// A row axis: the scenario of each value at a scale, the values, and how
+/// a value prints in the first column.
+type Axis = (
+    fn(Scale, f64) -> Scenario,
+    &'static [f64],
+    fn(f64) -> String,
+);
+
+const KNOB: Axis = (
+    |s, f| sim_256(s).with_fairness_knob(f),
+    &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+    fmt,
+);
+const NETWORK: Axis = (
+    |s, n| testbed(s).with_network_fraction(n),
+    &[0.0, 0.25, 0.5, 0.75, 1.0],
+    percent,
+);
+
+impl Figure {
+    /// Each row's first column, its scenario, and the policies it reads.
+    fn rows(&self, scale: Scale) -> Vec<(String, Scenario, Vec<Policy>)> {
+        match self.axis {
+            Some((scenario, values, label)) => values
+                .iter()
+                .map(|&v| (label(v), scenario(scale, v), (self.policies)()))
+                .collect(),
+            None => (self.policies)()
+                .into_iter()
+                .map(|p| (p.name().to_string(), testbed(scale), vec![p]))
+                .collect(),
         }
     }
-    table
 }
 
-// ---------------------------------------------------------------------------
-// Figure 9: sensitivity to the fraction of network-intensive apps
-// ---------------------------------------------------------------------------
+/// The 256-GPU simulated cluster of §8.2; the scheduler seed follows the
+/// trace seed.
+fn sim_256(scale: Scale) -> Scenario {
+    Scenario::new(ClusterKind::Sim256, scale.sim_apps, scale.seed).with_scheduler_seed(scale.seed)
+}
 
-/// The sweep behind Figures 9a and 9b: vary the fraction of
-/// network-intensive apps and run each policy on a 50-GPU cluster.
-pub fn network_intensity_sweep(scale: Scale, policies: &[Policy]) -> Vec<(f64, Policy, SimReport)> {
-    let mut out = Vec::new();
-    for pct in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let scenario = testbed_scenario(scale).with_network_fraction(pct);
-        let trace = scenario.trace();
-        for policy in policies {
-            out.push((pct, *policy, scenario.run_on_trace(*policy, trace.clone())));
-        }
+/// The 50-GPU testbed of §8.3; the scheduler keeps its default seed (0).
+fn testbed(scale: Scale) -> Scenario {
+    Scenario::new(ClusterKind::Testbed50, scale.testbed_apps, scale.seed)
+}
+
+fn themis() -> Vec<Policy> {
+    vec![Policy::themis_default()]
+}
+
+fn themis_and_tiresias() -> Vec<Policy> {
+    vec![Policy::themis_default(), Policy::Tiresias]
+}
+
+/// Min, median and max ρ over the finished apps; all NaN when none did.
+fn fairness_stats(report: &SimReport) -> [f64; 3] {
+    let mut rhos = report.rhos();
+    rhos.sort_by(f64::total_cmp);
+    match rhos.len() {
+        0 => [f64::NAN; 3],
+        n => [rhos[0], rhos[n / 2], rhos[n - 1]],
     }
-    out
 }
 
-/// Figure 9a: factor of improvement in max fairness of Themis over Tiresias
-/// as the fraction of network-intensive apps grows.
-pub fn fig9a(scale: Scale) -> Table {
-    let runs = network_intensity_sweep(scale, &[Policy::themis_default(), Policy::Tiresias]);
-    let mut table = Table::new(
-        "fig9a",
-        "Max-fairness improvement of Themis over Tiresias vs % network-intensive apps",
-        &[
-            "pct_network_intensive",
-            "themis_max_rho",
-            "tiresias_max_rho",
-            "improvement_factor",
-        ],
-    );
-    for pct in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let find = |name: &str| {
-            runs.iter()
-                .find(|(p, policy, _)| *p == pct && policy.name() == name)
-                .and_then(|(_, _, r)| r.max_fairness())
-                .unwrap_or(f64::NAN)
-        };
-        let themis = find("themis");
-        let tiresias = find("tiresias");
-        table.push_row(vec![
-            fmt(pct * 100.0),
-            fmt(themis),
-            fmt(tiresias),
-            fmt(tiresias / themis),
-        ]);
-    }
-    table
+/// The simulated figure behind `id`, if it is one.
+fn figure(id: &str) -> Option<Figure> {
+    Some(match id {
+        "fig4a" => Figure {
+            title: "Finish-time fairness vs fairness knob f",
+            headers: "f min_rho median_rho max_rho",
+            axis: Some(KNOB),
+            policies: themis,
+            project: |r| fairness_stats(r[0]).map(fmt).to_vec(),
+        },
+        "fig4b" => Figure {
+            title: "GPU time (minutes) vs fairness knob f",
+            headers: "f gpu_time_minutes",
+            axis: Some(KNOB),
+            policies: themis,
+            project: |r| vec![fmt(r[0].total_gpu_time.as_minutes())],
+        },
+        "fig4c" => Figure {
+            title: "Finish-time fairness vs lease time",
+            headers: "lease_minutes max_rho",
+            axis: Some((
+                |s, lease| sim_256(s).with_lease_minutes(lease),
+                &[5.0, 10.0, 20.0, 30.0, 40.0],
+                fmt,
+            )),
+            policies: themis,
+            project: |r| vec![fmt_or_nan(r[0].max_fairness())],
+        },
+        "fig5a" => Figure {
+            title: "Max finish-time fairness across schedulers (lower is better)",
+            headers: "scheduler max_rho peak_contention",
+            axis: None,
+            policies: Policy::macrobenchmark_set,
+            project: |r| vec![fmt_or_nan(r[0].max_fairness()), fmt(r[0].peak_contention)],
+        },
+        "fig5b" => Figure {
+            title: "Jain's fairness index across schedulers (closer to 1 is better)",
+            headers: "scheduler jains_index",
+            axis: None,
+            policies: Policy::macrobenchmark_set,
+            project: |r| vec![fmt_or_nan(r[0].jains_index())],
+        },
+        "fig6" => Figure {
+            title: "App completion times across schedulers (minutes)",
+            headers: "scheduler mean p50 p90 max",
+            axis: None,
+            policies: Policy::macrobenchmark_set,
+            project: |r| {
+                let cdf = r[0].completion_time_cdf();
+                let at = |q: f64| cdf.get((cdf.len() as f64 * q).ceil().max(1.0) as usize - 1);
+                let quantile = |q| fmt_or_nan(at(q).map(|c| c.0));
+                let mean = r[0].mean_completion_time().map(|t| t.as_minutes());
+                vec![
+                    fmt_or_nan(mean),
+                    quantile(0.5),
+                    quantile(0.9),
+                    quantile(1.0),
+                ]
+            },
+        },
+        "fig7" => Figure {
+            title: "Placement score across schedulers (1.0 = tightly packed)",
+            headers: "scheduler mean_score p10_score",
+            axis: None,
+            policies: Policy::macrobenchmark_set,
+            project: |r| {
+                let cdf = r[0].placement_score_cdf();
+                let p10 = cdf.get((cdf.len() as f64 * 0.1) as usize).map(|c| c.0);
+                vec![fmt_or_nan(r[0].mean_placement_score()), fmt_or_nan(p10)]
+            },
+        },
+        "fig9a" => Figure {
+            title: "Max-fairness improvement of Themis over Tiresias vs % network-intensive apps",
+            headers: "pct_network_intensive themis_max_rho tiresias_max_rho improvement_factor",
+            axis: Some(NETWORK),
+            policies: themis_and_tiresias,
+            project: |r| {
+                let [themis, tiresias] = [r[0], r[1]].map(|r| r.max_fairness().unwrap_or(f64::NAN));
+                vec![fmt(themis), fmt(tiresias), fmt(tiresias / themis)]
+            },
+        },
+        "fig9b" => Figure {
+            title: "GPU time (minutes) vs % network-intensive apps",
+            headers: "pct_network_intensive themis gandiva slaq tiresias",
+            axis: Some(NETWORK),
+            policies: Policy::macrobenchmark_set,
+            project: |r| {
+                r.iter()
+                    .map(|r| fmt(r.total_gpu_time.as_minutes()))
+                    .collect()
+            },
+        },
+        "fig10" => Figure {
+            title: "Jain's index vs contention factor",
+            headers: "contention themis_jain tiresias_jain",
+            axis: Some((
+                |s, x| testbed(s).with_contention(x),
+                &[1.0, 2.0, 4.0],
+                |x| format!("{x}x"),
+            )),
+            policies: themis_and_tiresias,
+            project: |r| r.iter().map(|r| fmt_or_nan(r.jains_index())).collect(),
+        },
+        "fig11" => Figure {
+            title: "Max finish-time fairness vs % error in bid valuations",
+            headers: "pct_error max_rho",
+            axis: Some((
+                |s, e| testbed(s).with_rho_error(e).with_scheduler_seed(s.seed),
+                &[0.0, 0.05, 0.10, 0.20],
+                percent,
+            )),
+            policies: themis,
+            project: |r| vec![fmt_or_nan(r[0].max_fairness())],
+        },
+        _ => return None,
+    })
 }
 
-/// Figure 9b: total GPU time per scheduler as the fraction of
-/// network-intensive apps grows.
-pub fn fig9b(scale: Scale) -> Table {
-    let policies = Policy::macrobenchmark_set();
-    let runs = network_intensity_sweep(scale, &policies);
-    let mut table = Table::new(
-        "fig9b",
-        "GPU time (minutes) vs % network-intensive apps",
-        &[
-            "pct_network_intensive",
-            "themis",
-            "gandiva",
-            "slaq",
-            "tiresias",
-        ],
-    );
-    for pct in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let find = |name: &str| {
-            runs.iter()
-                .find(|(p, policy, _)| *p == pct && policy.name() == name)
-                .map(|(_, _, r)| r.total_gpu_time.as_minutes())
-                .unwrap_or(f64::NAN)
-        };
-        table.push_row(vec![
-            fmt(pct * 100.0),
-            fmt(find("themis")),
-            fmt(find("gandiva")),
-            fmt(find("slaq")),
-            fmt(find("tiresias")),
-        ]);
-    }
-    table
+fn cell_key(scenario: &Scenario, policy: Policy) -> String {
+    format!("{}/{}", scenario.id(), policy.name())
 }
 
-// ---------------------------------------------------------------------------
-// Figure 10: sensitivity to cluster contention
-// ---------------------------------------------------------------------------
-
-/// Figure 10: Jain's fairness index of Themis vs Tiresias as contention
-/// grows (1×, 2×, 4× of the baseline arrival rate).
-pub fn fig10(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig10",
-        "Jain's index vs contention factor",
-        &["contention", "themis_jain", "tiresias_jain"],
-    );
-    for factor in [1.0, 2.0, 4.0] {
-        let scenario = testbed_scenario(scale).with_contention(factor);
-        let trace = scenario.trace();
-        let themis = scenario.run_on_trace(Policy::themis_default(), trace.clone());
-        let tiresias = scenario.run_on_trace(Policy::Tiresias, trace);
-        table.push_row(vec![
-            format!("{factor}x"),
-            fmt(themis.jains_index().unwrap_or(f64::NAN)),
-            fmt(tiresias.jains_index().unwrap_or(f64::NAN)),
-        ]);
-    }
-    table
+/// The distinct `(scenario, policy)` cells the experiments `ids` read, in
+/// first-use order: what [`run_experiments`] simulates, once each.
+pub fn cells(ids: &[&str], scale: Scale) -> Vec<(Scenario, Policy)> {
+    let mut seen = BTreeSet::new();
+    ids.iter()
+        .filter_map(|id| figure(id))
+        .flat_map(|figure| figure.rows(scale))
+        .flat_map(|(_, scenario, policies)| {
+            policies.into_iter().map(move |p| (scenario.clone(), p))
+        })
+        .filter(|(scenario, policy)| seen.insert(cell_key(scenario, *policy)))
+        .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Figure 11: robustness to errors in bid valuations
-// ---------------------------------------------------------------------------
-
-/// Figure 11: max finish-time fairness as the relative error θ injected into
-/// bid valuations grows.
-pub fn fig11(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "fig11",
-        "Max finish-time fairness vs % error in bid valuations",
-        &["pct_error", "max_rho"],
-    );
-    for theta in [0.0, 0.05, 0.10, 0.20] {
-        let scenario = testbed_scenario(scale)
-            .with_rho_error(theta)
-            .with_scheduler_seed(scale.seed);
-        let report = scenario.run(Policy::themis_default());
-        table.push_row(vec![
-            fmt(theta * 100.0),
-            fmt(report.max_fairness().unwrap_or(f64::NAN)),
-        ]);
-    }
-    table
+/// Runs the experiments `ids` (each one of [`ALL_EXPERIMENTS`]; `None` if
+/// any is not) and returns their tables in order. Every distinct cell is
+/// simulated once, `jobs` at a time; the tables do not depend on `jobs`.
+pub fn run_experiments(ids: &[&str], scale: Scale, jobs: usize) -> Option<Vec<Table>> {
+    render(ids, scale, |cells| {
+        run_batch(cells.len(), jobs, |i| cells[i].0.run(cells[i].1))
+    })
 }
-
-/// All experiment ids, in paper order.
-pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "fig1", "fig2", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9a",
-    "fig9b", "fig10", "fig11",
-];
 
 /// Runs one experiment by id.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<Table> {
-    match id {
-        "fig1" => Some(fig1(scale)),
-        "fig2" => Some(fig2()),
-        "fig4a" => Some(fig4a(scale)),
-        "fig4b" => Some(fig4b(scale)),
-        "fig4c" => Some(fig4c(scale)),
-        "fig5a" => Some(fig5a(scale)),
-        "fig5b" => Some(fig5b(scale)),
-        "fig6" => Some(fig6(scale)),
-        "fig7" => Some(fig7(scale)),
-        "fig8" => Some(fig8()),
-        "fig9a" => Some(fig9a(scale)),
-        "fig9b" => Some(fig9b(scale)),
-        "fig10" => Some(fig10(scale)),
-        "fig11" => Some(fig11(scale)),
-        _ => None,
+    run_experiments(&[id], scale, 1).map(|mut tables| tables.remove(0))
+}
+
+/// Renders the tables of `ids` from the reports `simulate` returns for
+/// [`cells`] (one per cell, in order).
+fn render(
+    ids: &[&str],
+    scale: Scale,
+    simulate: impl FnOnce(&[(Scenario, Policy)]) -> Vec<SimReport>,
+) -> Option<Vec<Table>> {
+    if !ids.iter().all(|id| ALL_EXPERIMENTS.contains(id)) {
+        return None;
     }
+    let cells = cells(ids, scale);
+    let keys = cells.iter().map(|(s, p)| cell_key(s, *p));
+    let reports: BTreeMap<String, SimReport> = keys.zip(simulate(&cells)).collect();
+    let table = |&id: &&str| match id {
+        "fig1" => fig1(scale),
+        "fig2" => fig2(),
+        "fig8" => fig8(),
+        _ => {
+            let figure = figure(id).expect("every other id is a simulated figure");
+            let headers: Vec<&str> = figure.headers.split(' ').collect();
+            let mut table = Table::new(id, figure.title, &headers);
+            for (label, scenario, policies) in figure.rows(scale) {
+                let read: Vec<&SimReport> = policies
+                    .iter()
+                    .map(|p| &reports[&cell_key(&scenario, *p)])
+                    .collect();
+                table.push_row([vec![label], (figure.project)(&read)].concat());
+            }
+            table
+        }
+    };
+    Some(ids.iter().map(table).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fig1_is_a_cdf() {
@@ -602,15 +499,54 @@ mod tests {
     #[test]
     fn fig8_produces_timelines_for_both_apps() {
         let table = fig8();
-        let apps: std::collections::BTreeSet<&str> =
-            table.rows.iter().map(|r| r[0].as_str()).collect();
+        let apps: BTreeSet<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
         assert!(apps.contains("short") && apps.contains("long"));
     }
 
     #[test]
     fn unknown_experiment_returns_none() {
         assert!(run_experiment("fig99", Scale::tiny()).is_none());
+        assert!(run_experiments(&["fig2", "fig99"], Scale::tiny(), 1).is_none());
         assert_eq!(ALL_EXPERIMENTS.len(), 14);
+    }
+
+    #[test]
+    fn figures_share_cells_and_simulate_each_once() {
+        // `figures all`: 42 distinct cells, where one loop per figure ran
+        // 73, plus fig8's own engine run.
+        assert_eq!(cells(&ALL_EXPERIMENTS, Scale::default()).len(), 42);
+        let ids = ["fig4a", "fig4b"];
+        let mut rendered = Vec::new();
+        for jobs in [1, 3] {
+            let runs = AtomicUsize::new(0);
+            let tables = render(&ids, Scale::tiny(), |cells| {
+                run_batch(cells.len(), jobs, |i| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    cells[i].0.run(cells[i].1)
+                })
+            });
+            assert_eq!(runs.into_inner(), 6, "fig4a + fig4b read six cells");
+            let text: String = tables.unwrap().iter().map(Table::to_string).collect();
+            rendered.push(text);
+        }
+        // 1 and 3 workers print the same bytes.
+        assert_eq!(rendered[0], rendered[1]);
+    }
+
+    #[test]
+    fn an_empty_run_prints_nan_not_a_perfect_rho() {
+        let empty = Scenario::new(ClusterKind::Rack16, 0, 42).run(Policy::Tiresias);
+        assert_eq!(empty.finished_apps(), 0);
+        let simulated = ALL_EXPERIMENTS.map(|id| figure(id).map(|_| id));
+        let simulated: Vec<&str> = simulated.into_iter().flatten().collect();
+        let tables = render(&simulated, Scale::tiny(), |cells| vec![empty; cells.len()]);
+        for table in tables.unwrap() {
+            for (col, header) in table.headers.iter().enumerate() {
+                if header.contains("rho") || header.contains("jain") {
+                    assert!(table.rows.iter().all(|row| row[col] == "NaN"), "{table}");
+                }
+            }
+        }
     }
 
     #[test]

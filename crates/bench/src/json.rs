@@ -1,8 +1,8 @@
 //! Minimal deterministic JSON tree: writer and parser.
 //!
-//! The vendored `serde` is an offline stub whose derives expand to nothing
-//! (see `vendor/README.md`), so the sweep reports serialize through this
-//! self-contained module instead. Two properties matter more here than
+//! No workspace type derives `serde` traits (the vendored `serde` is an
+//! inert offline stub, see `vendor/README.md`), so the sweep reports
+//! serialize through this self-contained module. Two properties matter more here than
 //! generality:
 //!
 //! * **Canonical output** — object keys keep insertion order, floats print

@@ -5,10 +5,11 @@
 //! This crate turns the building blocks of the workspace (cluster model,
 //! trace generator, simulator, Themis and the baselines) into the concrete
 //! experiments of the paper's evaluation section. Every table and figure
-//! has a function in [`experiments`] that regenerates its rows, and the
-//! `figures` binary prints them (`cargo run -p themis-bench --bin figures --
-//! all`). Host time — the §8.3.2 system overheads included — is measured
-//! in one place, the stand-alone `benchmark/` package (`BENCHMARK.json`).
+//! has an entry in [`experiments`] that regenerates its rows, and
+//! `themis figures` prints them (`cargo run -p themis-bench --bin themis --
+//! figures all`). Host time — the §8.3.2 system overheads included — is
+//! measured in one place, the stand-alone `benchmark/` package
+//! (`BENCHMARK.json`).
 //!
 //! The paper's evaluation is a *matrix* of such experiments, and the
 //! scenario subsystem makes that matrix first-class:
@@ -23,9 +24,11 @@
 //! * [`json`] — the deterministic JSON writer/parser backing it (the
 //!   vendored `serde` is an inert stub, see `vendor/README.md`).
 //!
-//! The `sweep` binary drives it all:
-//! `cargo run --release -p themis-bench --bin sweep -- --matrix smoke
-//! --jobs 4 --out sweep.json --check BENCH_BASELINE.json`.
+//! One binary, `themis`, drives it all through one argument parser:
+//! `themis sweep` runs a matrix (`cargo run --release -p themis-bench --bin
+//! themis -- sweep --matrix smoke --jobs 4 --out sweep.json --check
+//! BENCH_BASELINE.json`), `themis figures` prints the paper's figures, and
+//! `themis apps <scenario id>` shows one scenario app by app.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

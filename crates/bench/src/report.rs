@@ -9,10 +9,10 @@
 //! ([`SweepReport::to_canonical_string`]) deliberately excludes wall-clock
 //! timings: metrics are a pure function of the scenario, so serial and
 //! parallel runs of the same matrix emit byte-identical documents, and
-//! [`check_baseline`] — the one gate behind `sweep --check` and every
+//! [`check_baseline`] — the one gate behind `themis sweep --check` and every
 //! baseline test — can diff a run against a committed `BENCH_*.json`
 //! exactly. Timings are advisory — ask for them with
-//! [`SweepReport::to_json`]`(true)` or the `sweep --timings` flag.
+//! [`SweepReport::to_json`]`(true)` or the `themis sweep --timings` flag.
 //!
 //! Parse errors carry their location in the document, e.g.
 //! `cells[7].metrics: missing numeric field 'gpu_hours'`.
@@ -600,9 +600,10 @@ impl fmt::Display for BaselineError {
     }
 }
 
-/// The baseline regression gate — `sweep --check` and every baseline test
+/// The baseline regression gate — `themis sweep --check` and every baseline test
 /// go through it. Reads the committed report at `path`, which must parse
-/// and be in canonical form (written by `sweep --out`, never hand-edited),
+/// and be in canonical form (written by `themis sweep --out`, never
+/// hand-edited),
 /// and, when `current` is given, diffs the run against it with
 /// [`compare_reports`] at tolerance `tol`. Every error names `path`; a
 /// divergence also says how to regenerate it. Returns the parsed baseline.
@@ -620,7 +621,7 @@ pub fn check_baseline(
         .map_err(|e| unusable(format!("cannot parse baseline {shown}: {e}")))?;
     if baseline.to_canonical_string() != text {
         return Err(unusable(format!(
-            "baseline {shown} is not in canonical form (regenerate it with `sweep --out`; \
+            "baseline {shown} is not in canonical form (regenerate it with `themis sweep --out`; \
              never hand-edit it)"
         )));
     }
@@ -629,7 +630,7 @@ pub fn check_baseline(
         if !diffs.is_empty() {
             return Err(BaselineError::Diverged(format!(
                 "{} divergence(s) from {shown}; if the behavior change is intentional, \
-                 regenerate it with `sweep --matrix {} --jobs 4 --out {shown}`:\n  {}",
+                 regenerate it with `themis sweep --matrix {} --jobs 4 --out {shown}`:\n  {}",
                 diffs.len(),
                 baseline.matrix,
                 diffs.join("\n  ")

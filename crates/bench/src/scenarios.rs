@@ -14,11 +14,11 @@
 //!   [`expand`](Matrix::expand) takes the cartesian product,
 //! * the named matrices ([`Matrix::smoke`], [`Matrix::full`],
 //!   [`Matrix::lease`], [`Matrix::stress`], [`Matrix::faults`]) are the
-//!   sweeps the `sweep` binary and CI run.
+//!   sweeps `themis sweep` and CI run.
 //!
-//! The `figN` experiment functions in [`crate::experiments`] are thin views
-//! over scenarios: each figure builds the scenario list for one axis and
-//! reads the reports back.
+//! The simulated figures in [`crate::experiments`] are cell tables over
+//! scenarios: each figure lists the `(scenario, policy)` cells its rows
+//! read, and the figure runner simulates every distinct cell once.
 
 use crate::policies::Policy;
 use parking_lot::Mutex;

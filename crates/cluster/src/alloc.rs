@@ -23,7 +23,6 @@
 
 use crate::ids::{GpuId, MachineId};
 use crate::topology::ClusterSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A fixed-universe bitset over dense ids (one bit per GPU).
@@ -32,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// its constant-time-membership companion for hot loops that test "is this
 /// GPU in the set?" many times against the same allocation (placement
 /// scoring, shadow free-tracking in `ClusterView`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DenseBitSet {
     words: Vec<u64>,
 }
@@ -123,7 +122,7 @@ impl DenseBitSet {
 /// (and therefore every simulation that consumes it) is deterministic and
 /// ascending — identical to the previous `BTreeSet` representation, minus
 /// the per-node allocations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GpuAlloc {
     gpus: Vec<GpuId>,
 }
@@ -344,7 +343,7 @@ impl IntoIterator for GpuAlloc {
 /// Trailing zero counts are trimmed after every mutation, which keeps the
 /// derived equality identical to the sparse representation's ("machines
 /// with zero free GPUs are omitted").
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FreeVector {
     counts: Vec<u32>,
     total: usize,

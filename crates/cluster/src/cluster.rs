@@ -16,11 +16,10 @@ use crate::lease::{Lease, LeaseTable};
 use crate::placement::{spread, Locality, PlacementScorer};
 use crate::time::Time;
 use crate::topology::ClusterSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The owner of an allocated GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// App holding the GPU.
     pub app: AppId,
@@ -37,7 +36,7 @@ pub struct JobHoldings {
 }
 
 /// One app's entry in the per-app index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct AppGpus {
     /// The app's GPUs, ascending.
     gpus: Vec<GpuId>,
@@ -50,7 +49,7 @@ struct AppGpus {
 /// Tracks per-GPU assignment and leases, and answers the queries the
 /// schedulers need: the free-resource vector, an app's current allocation,
 /// and placement scores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
     /// Dense assignment arena, indexed by GPU id.

@@ -6,14 +6,13 @@
 //! used as keys in `BTreeMap`s (the simulator relies on deterministic
 //! iteration order, so `BTreeMap`/`BTreeSet` are preferred over hash maps).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 

@@ -8,11 +8,10 @@
 
 use crate::ids::{AppId, GpuId, JobId};
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An active lease: one GPU held by one job of one app until `expires_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lease {
     /// GPU being leased.
     pub gpu: GpuId,
@@ -43,10 +42,9 @@ impl Lease {
 /// Beside the per-GPU map the table keeps an expiry-ordered index of the
 /// same leases, so "what has expired by `now`" and "when does the next
 /// lease run out" cost O(expired) and O(1) instead of a walk over every
-/// lease. The index is derived state: equality and the serialized form are
-/// those of the per-GPU map alone.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(from = "BTreeMap<GpuId, Lease>", into = "BTreeMap<GpuId, Lease>")]
+/// lease. The index is derived state: equality is that of the per-GPU map
+/// alone.
+#[derive(Debug, Clone, Default)]
 pub struct LeaseTable {
     leases: BTreeMap<GpuId, Lease>,
     /// `(expires_at, gpu)` for every entry of `leases`.

@@ -13,13 +13,12 @@
 
 use crate::alloc::GpuAlloc;
 use crate::topology::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// The tightest network boundary an allocation fits inside.
 ///
 /// Ordered from tightest (best) to loosest (worst): `Slot < Machine < Rack <
 /// CrossRack`. An empty or single-GPU allocation is always `Slot`-local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Locality {
     /// All GPUs in one NVLink slot.
     Slot,
@@ -102,7 +101,7 @@ pub fn spread(alloc: &GpuAlloc, spec: &ClusterSpec) -> Locality {
 /// A score of `1.0` indicates GPUs are tightly packed; lower scores imply
 /// GPUs that are spread out (paper §8.1, "Placement Score" metric). The
 /// default scores mirror the decreasing bandwidth across levels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementScorer {
     /// Score when all GPUs share an NVLink slot.
     pub slot: f64,

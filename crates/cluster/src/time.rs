@@ -6,7 +6,6 @@
 //! that provides total ordering (NaN is rejected at construction) so that
 //! times can be used as keys in the simulator's event queue.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// `Time` is totally ordered; constructing a `Time` from NaN panics, which
 /// keeps the ordering well defined everywhere else.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Time(f64);
 
 impl Time {

@@ -13,7 +13,6 @@
 
 use crate::alloc::GpuAlloc;
 use crate::ids::{GpuId, MachineId, RackId};
-use serde::{Deserialize, Serialize};
 
 /// The *generation* (speed class) of a machine's GPUs.
 ///
@@ -40,9 +39,7 @@ use serde::{Deserialize, Serialize};
 /// // Generations order by speed.
 /// assert!(GpuGeneration::Kepler.speed() < GpuGeneration::Ampere.speed());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum GpuGeneration {
     /// Legacy Kepler-class hardware: half the reference speed.
     Kepler,
@@ -100,7 +97,7 @@ impl std::fmt::Display for GpuGeneration {
 /// The hardware model of a GPU. Only used for reporting and for modelling
 /// heterogeneous clusters; the scheduler treats all GPUs of a machine as
 /// interchangeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GpuModel {
     /// NVIDIA Tesla K80 (used in the paper's NC-series testbed instances).
     TeslaK80,
@@ -117,7 +114,7 @@ pub enum GpuModel {
 
 /// Description of a single machine: how many GPUs it has, how they are
 /// grouped into NVLink slots, and which rack it belongs to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSpec {
     /// Machine identifier (dense, assigned by the builder).
     pub id: MachineId,
@@ -171,7 +168,7 @@ impl MachineSpec {
 /// generation (speed class). Built once by the [`ClusterSpecBuilder`], so
 /// placement scoring and speed lookups never have to scan a machine's GPU
 /// list at auction time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuLocation {
     /// Machine holding the GPU.
     pub machine: MachineId,
@@ -191,7 +188,7 @@ impl GpuLocation {
 }
 
 /// Description of a rack: a set of machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RackSpec {
     /// Rack identifier.
     pub id: RackId,
@@ -200,7 +197,7 @@ pub struct RackSpec {
 }
 
 /// Immutable description of an entire cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     machines: Vec<MachineSpec>,
     racks: Vec<RackSpec>,

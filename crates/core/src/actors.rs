@@ -829,14 +829,12 @@ impl DistributedThemisScheduler {
             decisions.extend(materialize_grant(agent, &mut shadow, runtime, &grant));
         }
         // Notify winners; each grant stays reserved until its Win lands.
-        let lease_expires_at = at + self.config.lease_duration;
         let any = !decisions.is_empty();
         let win_of = |d: &AllocationDecision| WinNotification {
             round,
             app: d.app,
             job: d.job,
             gpus: d.gpus.clone(),
-            lease_expires_at,
         };
         let batch = self.fault.arbiter_batch as usize;
         if batch > 0 {

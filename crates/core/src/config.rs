@@ -1,10 +1,7 @@
 //! Themis configuration.
 
-use serde::{Deserialize, Serialize};
-use themis_cluster::time::Time;
-
 /// Tunables of the Themis scheduler studied in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThemisConfig {
     /// The fairness knob `f ∈ [0, 1]` (§3.1 step 2, §8.2): available
     /// resources are offered to the `1 − f` fraction of apps with the worst
@@ -22,10 +19,6 @@ pub struct ThemisConfig {
     /// Seed for the scheduler's internal randomness (leftover-allocation
     /// tie-breaking and error injection).
     pub seed: u64,
-    /// Lease duration assumed when estimating how long a candidate
-    /// allocation will be held. Informational only — the engine enforces
-    /// the actual lease; this mirrors the paper's 20-minute default.
-    pub lease_duration: Time,
 }
 
 impl Default for ThemisConfig {
@@ -35,7 +28,6 @@ impl Default for ThemisConfig {
             max_bid_entries: 16,
             rho_error_theta: 0.0,
             seed: 0,
-            lease_duration: Time::minutes(20.0),
         }
     }
 }
@@ -84,7 +76,6 @@ mod tests {
     fn defaults_match_paper_recommendations() {
         let c = ThemisConfig::default();
         assert_eq!(c.fairness_knob, 0.8);
-        assert_eq!(c.lease_duration, Time::minutes(20.0));
         assert_eq!(c.rho_error_theta, 0.0);
     }
 

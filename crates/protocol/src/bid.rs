@@ -8,14 +8,13 @@
 //! candidate subset; one row always covers the empty allocation with the
 //! app's *current* ρ.
 
-use serde::{Deserialize, Serialize};
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::ids::AppId;
 
 /// One row of a bid table: a candidate resource subset and the ρ the app
 /// estimates it would achieve if granted that subset (in addition to the
 /// GPUs it already holds) until completion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BidEntry {
     /// The requested subset of the offer, as per-machine GPU counts.
     pub resources: FreeVector,
@@ -39,7 +38,7 @@ impl BidEntry {
 
 /// A complete bid from one app: its current ρ plus a valuation table over
 /// candidate subsets of the offered resources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BidTable {
     /// The app submitting the bid.
     pub app: AppId,

@@ -13,7 +13,9 @@
 //! This crate reproduces that interface as plain Rust types:
 //!
 //! * [`messages`] — the typed protocol messages (ρ query/report, offer, bid
-//!   table, allocation, lease notifications), all serializable with serde,
+//!   table, allocation, lease notifications) as plain in-process values;
+//!   nothing serializes them, and the [`log`] transcript records only a
+//!   tag per message,
 //! * [`bid`] — the bid-table representation shared with the auction in
 //!   `themis-core`,
 //! * [`fault`] — [`fault::FaultConfig`], the one description of what can go

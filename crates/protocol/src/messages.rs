@@ -26,14 +26,13 @@
 //! [`FaultConfig::arbiter_service_time`]: crate::fault::FaultConfig::arbiter_service_time
 
 use crate::bid::BidTable;
-use serde::{Deserialize, Serialize};
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
 
 /// A resource offer from the Arbiter: the per-machine free-GPU vector that
 /// is being auctioned, together with the auction round it belongs to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfferMsg {
     /// Monotonically increasing auction round number.
     pub round: u64,
@@ -46,7 +45,7 @@ pub struct OfferMsg {
 }
 
 /// An Agent's report of its app's current finish-time fairness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RhoReport {
     /// The auction round whose [`ArbiterToAgent::QueryRho`] this answers.
     /// Lets the Arbiter discard reports that arrive after their round's bid
@@ -59,8 +58,8 @@ pub struct RhoReport {
 }
 
 /// A winning-allocation notification: concrete GPUs granted to one job of
-/// the winning app, valid until the lease expires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the winning app. The lease on them is the engine's.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WinNotification {
     /// Auction round this allocation was decided in.
     pub round: u64,
@@ -71,12 +70,10 @@ pub struct WinNotification {
     pub job: JobId,
     /// The concrete GPUs granted.
     pub gpus: Vec<GpuId>,
-    /// Expiry time of the lease on these GPUs.
-    pub lease_expires_at: Time,
 }
 
 /// Messages flowing from the Arbiter to an Agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArbiterToAgent {
     /// Step 1: ask the Agent for its app's current ρ estimate.
     QueryRho {
@@ -115,7 +112,7 @@ pub enum ArbiterToAgent {
 }
 
 /// Messages flowing from an Agent to the Arbiter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AgentToArbiter {
     /// Step 2: report the app's current ρ.
     Rho(RhoReport),
@@ -280,7 +277,6 @@ mod tests {
             app: AppId(1),
             job: JobId(2),
             gpus: vec![GpuId(3), GpuId(4)],
-            lease_expires_at: Time::minutes(60.0),
         };
         let msg = ArbiterToAgent::Win(win.clone());
         match msg {

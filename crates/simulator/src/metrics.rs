@@ -14,12 +14,11 @@
 use crate::app_runtime::AppRuntime;
 use crate::arena::AppArena;
 use crate::scheduler::ControlPlaneStats;
-use serde::{Deserialize, Serialize};
 use themis_cluster::ids::AppId;
 use themis_cluster::time::Time;
 
 /// Per-app outcome extracted at the end of a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppOutcome {
     /// The app.
     pub app: AppId,
@@ -66,7 +65,7 @@ impl AppOutcome {
 }
 
 /// The result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Name of the scheduling policy that produced this report.
     pub scheduler: String,
@@ -84,7 +83,6 @@ pub struct SimReport {
     /// Control-plane round counters, present only for message-driven
     /// schedulers (the distributed Themis modes). See
     /// [`ControlPlaneStats`].
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub control: Option<ControlPlaneStats>,
 }
 

@@ -13,7 +13,6 @@
 
 use crate::app_runtime::AppRuntime;
 use crate::arena::AppArena;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId, MachineId};
@@ -40,7 +39,7 @@ pub struct AllocationDecision {
 /// fared — how many rounds ran, how many collected every queried ρ report
 /// in time, and how much traffic missed its phase. In-process policies have
 /// no control plane and report nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ControlPlaneStats {
     /// Auction rounds started.
     pub rounds: u64,

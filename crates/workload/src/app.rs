@@ -9,13 +9,12 @@
 
 use crate::job::JobSpec;
 use crate::models::ModelArch;
-use serde::{Deserialize, Serialize};
 use themis_cluster::ids::{AppId, JobId};
 use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
 
 /// Static description of one ML application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// App identifier (unique across the trace).
     pub id: AppId,

@@ -16,13 +16,12 @@
 use crate::loss::LossCurve;
 use crate::models::ModelArch;
 use crate::sensitivity::PlacementSensitivity;
-use serde::{Deserialize, Serialize};
 use themis_cluster::ids::JobId;
 use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
 
 /// Static description of one ML training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job identifier (unique within the app).
     pub id: JobId,
@@ -150,7 +149,7 @@ impl JobSpec {
 }
 
 /// Mutable training state of a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobProgress {
     /// Iterations completed so far (fractional: the simulator advances
     /// continuously).

@@ -8,8 +8,6 @@
 //! tuning frameworks observe point-by-point — exercising exactly the same
 //! curve-fitting code path the paper describes.
 
-use serde::{Deserialize, Serialize};
-
 /// An analytic loss curve `loss(iteration)`.
 ///
 /// Two families are supported, mirroring the "best-fit sub-linear or
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Jobs with a higher `floor` than the target accuracy will never converge;
 /// the tuning framework is expected to classify them as poor and kill them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossCurve {
     /// `loss(k) = floor + scale * (k+1)^(-exponent)`
     PowerLaw {

@@ -13,11 +13,10 @@
 //!   are network-bound under synchronous SGD).
 
 use crate::sensitivity::PlacementSensitivity;
-use serde::{Deserialize, Serialize};
 use themis_cluster::placement::Locality;
 
 /// A deep-learning model architecture with its performance profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelArch {
     /// VGG16 — large dense layers, strongly placement sensitive.
     Vgg16,

@@ -13,11 +13,10 @@
 //! placement-insensitive (e.g. ResNet50); a small cross-machine `S` means
 //! the model is network-intensive (e.g. VGG16).
 
-use serde::{Deserialize, Serialize};
 use themis_cluster::placement::Locality;
 
 /// Per-locality slowdown factors, each in `(0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementSensitivity {
     /// Factor when all GPUs share an NVLink slot (usually 1.0).
     pub slot: f64,

@@ -13,8 +13,8 @@
 //! * the workload is a 60:40 mixture of placement-insensitive (ResNet-like)
 //!   and placement-sensitive (VGG-like) apps.
 //!
-//! The generator is fully deterministic given a seed, so every figure the
-//! `figures` binary prints can be regenerated exactly.
+//! The generator is fully deterministic given a seed, so every figure
+//! `themis figures` prints can be regenerated exactly.
 
 use crate::app::AppSpec;
 use crate::distributions::{quantile, sample_exponential, sample_lognormal_median, Discrete};
@@ -23,12 +23,11 @@ use crate::loss::LossCurve;
 use crate::models::ModelArch;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use themis_cluster::ids::{AppId, JobId};
 use themis_cluster::time::Time;
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of apps to generate.
     pub num_apps: usize,
@@ -318,7 +317,7 @@ pub fn two_app_micro_trace() -> Vec<AppSpec> {
 
 /// Summary statistics of a trace, used to regenerate Figure 1 and to verify
 /// the generator matches the paper's reported numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Number of apps in the trace.
     pub num_apps: usize,

@@ -2,8 +2,13 @@
 //! results must hold on the simulator (who wins, by roughly what factor),
 //! even though absolute numbers differ from the authors' testbed.
 
-use themis_bench::experiments::{fig10, fig11, fig2, fig5a, fig5b, fig9a, macrobenchmark, Scale};
+use themis_bench::experiments::{cells, fig2, run_experiment, Scale, Table};
 use themis_bench::policies::Policy;
+
+/// One simulated figure's table.
+fn figure(id: &str, scale: Scale) -> Table {
+    run_experiment(id, scale).expect("known experiment")
+}
 
 /// A moderate scale that keeps each test to a few seconds while leaving
 /// enough contention for the comparisons to be meaningful.
@@ -19,7 +24,7 @@ fn scale() -> Scale {
 fn themis_wins_on_max_fairness() {
     // Figure 5a's headline: Themis has the lowest worst-case finish-time
     // fairness of all schedulers.
-    let table = fig5a(scale());
+    let table = figure("fig5a", scale());
     let mut by_name = std::collections::BTreeMap::new();
     for (i, row) in table.rows.iter().enumerate() {
         by_name.insert(row[0].clone(), table.cell_f64(i, "max_rho").unwrap());
@@ -49,7 +54,7 @@ fn themis_wins_on_max_fairness() {
 fn themis_jains_index_is_competitive() {
     // Figure 5b: Themis has the best (or tied-best) Jain's index; Tiresias
     // comes closest.
-    let table = fig5b(scale());
+    let table = figure("fig5b", scale());
     let mut by_name = std::collections::BTreeMap::new();
     for (i, row) in table.rows.iter().enumerate() {
         by_name.insert(row[0].clone(), table.cell_f64(i, "jains_index").unwrap());
@@ -77,11 +82,14 @@ fn placement_sensitivity_figure2_shape() {
 fn network_intensive_apps_grow_the_gap_over_tiresias() {
     // Figure 9a: the improvement factor of Themis over Tiresias grows as
     // the workload becomes more network intensive.
-    let table = fig9a(Scale {
-        sim_apps: 6,
-        testbed_apps: 6,
-        seed: 7,
-    });
+    let table = figure(
+        "fig9a",
+        Scale {
+            sim_apps: 6,
+            testbed_apps: 6,
+            seed: 7,
+        },
+    );
     let first = table.cell_f64(0, "improvement_factor").unwrap();
     let last = table
         .cell_f64(table.rows.len() - 1, "improvement_factor")
@@ -100,11 +108,14 @@ fn network_intensive_apps_grow_the_gap_over_tiresias() {
 fn contention_hurts_tiresias_fairness_more() {
     // Figure 10: Jain's index degrades faster for Tiresias than Themis as
     // contention increases.
-    let table = fig10(Scale {
-        sim_apps: 6,
-        testbed_apps: 6,
-        seed: 13,
-    });
+    let table = figure(
+        "fig10",
+        Scale {
+            sim_apps: 6,
+            testbed_apps: 6,
+            seed: 13,
+        },
+    );
     let themis_high = table.cell_f64(table.rows.len() - 1, "themis_jain").unwrap();
     let tiresias_high = table
         .cell_f64(table.rows.len() - 1, "tiresias_jain")
@@ -119,11 +130,14 @@ fn contention_hurts_tiresias_fairness_more() {
 fn rho_errors_do_not_blow_up_fairness() {
     // Figure 11: even 20% error in bid valuations leaves max fairness in
     // the same ballpark as the error-free run.
-    let table = fig11(Scale {
-        sim_apps: 6,
-        testbed_apps: 6,
-        seed: 21,
-    });
+    let table = figure(
+        "fig11",
+        Scale {
+            sim_apps: 6,
+            testbed_apps: 6,
+            seed: 21,
+        },
+    );
     let clean = table.cell_f64(0, "max_rho").unwrap();
     let noisy = table.cell_f64(table.rows.len() - 1, "max_rho").unwrap();
     assert!(
@@ -134,7 +148,10 @@ fn rho_errors_do_not_blow_up_fairness() {
 
 #[test]
 fn macrobenchmark_reports_are_complete() {
-    for (policy, report) in macrobenchmark(Scale::tiny()) {
+    // The macro-benchmark cells: the testbed under each of the four
+    // policies Figures 5–7 compare.
+    for (scenario, policy) in cells(&["fig5a"], Scale::tiny()) {
+        let report = scenario.run(policy);
         assert_eq!(
             report.unfinished_apps(),
             0,

@@ -182,7 +182,6 @@ fn arbiter_and_agent_talk_over_the_in_memory_transport() {
         app: AppId(0),
         job: JobId(0),
         gpus: vec![GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
-        lease_expires_at: now + Time::minutes(20.0),
     });
     assert!(matches!(
         hop(arbiter_id, agent_id, Wire::ToAgent(win)),

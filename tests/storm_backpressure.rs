@@ -152,7 +152,7 @@ fn coalesced_congested_storms_record_and_replay_exactly() {
 }
 
 /// The committed storm baseline must be the canonical rendering of a
-/// 36-cell storm sweep (regenerated via `sweep --out`, never
+/// 36-cell storm sweep (regenerated via `themis sweep --out`, never
 /// hand-edited), and it must contain the matrix's centerpiece: the
 /// collapsed cell whose Arbiter never completes a single round. The
 /// metric values themselves are gated in CI (`--check`), where the
