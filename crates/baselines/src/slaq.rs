@@ -23,27 +23,14 @@ use themis_sim::scheduler::{pick_gpus_packed, AllocationDecision, Scheduler};
 /// The quality-driven SLAQ emulation.
 #[derive(Debug, Clone, Copy)]
 pub struct Slaq {
-    /// The horizon over which loss improvement is evaluated; the lease
-    /// duration is the natural choice and is what the evaluation uses.
+    /// The horizon over which loss improvement is evaluated: the lease a
+    /// grant runs for.
     pub horizon: Time,
 }
 
-impl Default for Slaq {
-    fn default() -> Self {
-        Slaq {
-            horizon: Time::minutes(20.0),
-        }
-    }
-}
-
 impl Slaq {
-    /// Creates the scheduler with the default (20-minute) horizon.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the scheduler with an explicit evaluation horizon.
-    pub fn with_horizon(horizon: Time) -> Self {
+    /// Creates the scheduler valuing GPUs over `horizon`, the run's lease.
+    pub fn new(horizon: Time) -> Self {
         Slaq { horizon }
     }
 
@@ -153,12 +140,18 @@ mod tests {
     use themis_workload::loss::LossCurve;
     use themis_workload::models::ModelArch;
 
-    fn app_with_curve(id: u32, exponent: f64, iterations_done: f64) -> AppRuntime {
-        let mut job = JobSpec::new(JobId(0), ModelArch::ResNet50, 5000.0, Time::minutes(0.1), 4);
+    fn app_with_curve(id: u32, total_iterations: f64, iterations_done: f64) -> AppRuntime {
+        let mut job = JobSpec::new(
+            JobId(0),
+            ModelArch::ResNet50,
+            total_iterations,
+            Time::minutes(0.1),
+            4,
+        );
         job.loss_curve = LossCurve::PowerLaw {
             floor: 0.0,
             scale: 2.0,
-            exponent,
+            exponent: 0.5,
         };
         let mut rt = AppRuntime::with_default_hpo(AppSpec::single_job(AppId(id), Time::ZERO, job));
         rt.progress.get_mut(&JobId(0)).unwrap().iterations_done = iterations_done;
@@ -170,9 +163,11 @@ mod tests {
         let cluster = Cluster::new(ClusterSpec::homogeneous(1, 1, 4));
         // App 0 is brand new (steep part of the curve); app 1 is far along
         // (flat part of the curve) — SLAQ should strongly favour app 0.
-        let apps =
-            AppArena::from_runtimes([app_with_curve(0, 0.5, 0.0), app_with_curve(1, 0.5, 4000.0)]);
-        let decisions = Slaq::new().schedule(Time::ZERO, &cluster, &apps);
+        let apps = AppArena::from_runtimes([
+            app_with_curve(0, 5000.0, 0.0),
+            app_with_curve(1, 5000.0, 4000.0),
+        ]);
+        let decisions = Slaq::new(Time::minutes(20.0)).schedule(Time::ZERO, &cluster, &apps);
         let to_app0: usize = decisions
             .iter()
             .filter(|d| d.app == AppId(0))
@@ -189,11 +184,31 @@ mod tests {
         );
     }
 
+    /// One GPU, two apps. App 0 has 50 iterations left on the steep start
+    /// of its curve; app 1 is at iteration 150 of 5,000, where the curve is
+    /// flatter but goes on. Over a 20-minute lease app 0's finish is worth
+    /// more loss; over a 200-minute one, app 1's longer run is.
+    #[test]
+    fn the_horizon_decides_the_winner() {
+        let cluster = Cluster::new(ClusterSpec::homogeneous(1, 1, 1));
+        let apps = AppArena::from_runtimes([
+            app_with_curve(0, 100.0, 50.0),
+            app_with_curve(1, 5000.0, 150.0),
+        ]);
+        let winner = |minutes: f64| {
+            let decisions = Slaq::new(Time::minutes(minutes)).schedule(Time::ZERO, &cluster, &apps);
+            assert_eq!(decisions.len(), 1);
+            decisions[0].app
+        };
+        assert_eq!(winner(20.0), AppId(0));
+        assert_eq!(winner(200.0), AppId(1));
+    }
+
     #[test]
     fn respects_max_parallelism() {
         let cluster = Cluster::new(ClusterSpec::homogeneous(1, 2, 4));
-        let apps = AppArena::from_runtimes([app_with_curve(0, 0.5, 0.0)]);
-        let decisions = Slaq::new().schedule(Time::ZERO, &cluster, &apps);
+        let apps = AppArena::from_runtimes([app_with_curve(0, 5000.0, 0.0)]);
+        let decisions = Slaq::new(Time::minutes(20.0)).schedule(Time::ZERO, &cluster, &apps);
         let total: usize = decisions.iter().map(|d| d.gpus.len()).sum();
         assert!(total <= 4, "cannot exceed the app's max parallelism");
     }
@@ -201,9 +216,11 @@ mod tests {
     #[test]
     fn finished_jobs_get_nothing() {
         let cluster = Cluster::new(ClusterSpec::homogeneous(1, 1, 4));
-        let mut rt = app_with_curve(0, 0.5, 0.0);
+        let mut rt = app_with_curve(0, 5000.0, 0.0);
         rt.progress.get_mut(&JobId(0)).unwrap().kill(Time::ZERO);
         let apps = AppArena::from_runtimes([rt]);
-        assert!(Slaq::new().schedule(Time::ZERO, &cluster, &apps).is_empty());
+        assert!(Slaq::new(Time::minutes(20.0))
+            .schedule(Time::ZERO, &cluster, &apps)
+            .is_empty());
     }
 }

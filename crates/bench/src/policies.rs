@@ -104,8 +104,9 @@ impl Policy {
 
     /// Instantiates the scheduler for a concrete engine configuration.
     /// Distributed-mode Themis picks up `sim.fault` — this is how a
-    /// scenario's fault axis reaches the transport layer; every other
-    /// policy ignores the engine config.
+    /// scenario's fault axis reaches the transport layer — and SLAQ values
+    /// GPUs over `sim.lease_duration`; every other policy ignores the
+    /// engine config.
     pub fn build_with(&self, sim: &SimConfig) -> Box<dyn Scheduler> {
         self.build_with_log(sim, LogMode::Off)
     }
@@ -128,7 +129,7 @@ impl Policy {
             }
             Policy::Gandiva => Box::new(Gandiva::new()),
             Policy::Tiresias => Box::new(Tiresias::new()),
-            Policy::Slaq => Box::new(Slaq::new()),
+            Policy::Slaq => Box::new(Slaq::new(sim.lease_duration)),
             Policy::Drf => Box::new(Drf::new()),
         }
     }

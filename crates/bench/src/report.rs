@@ -198,7 +198,8 @@ pub struct ControlMetrics {
     pub missed_rho_reports: u64,
     /// Bids/Passes that missed the round deadline across all rounds.
     pub missed_bids: u64,
-    /// Win notifications voided by Arbiter failover.
+    /// Win notifications voided: lost in transit past the win deadline,
+    /// or wiped by an Arbiter failover.
     pub voided_wins: u64,
 }
 

@@ -414,18 +414,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the bursty-arrival fraction.
-    pub fn with_burst_fraction(mut self, fraction: f64) -> Scenario {
-        self.burst_fraction = fraction;
-        self
-    }
-
-    /// Sets the heavy-job fraction.
-    pub fn with_heavy_job_fraction(mut self, fraction: f64) -> Scenario {
-        self.heavy_job_fraction = fraction;
-        self
-    }
-
     /// Sets the scheduler-internal seed.
     pub fn with_scheduler_seed(mut self, seed: u64) -> Scenario {
         self.scheduler_seed = seed;

@@ -89,16 +89,6 @@ impl DenseBitSet {
             .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
     }
 
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `true` if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
-
     /// Iterates over set bits in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, word)| {
@@ -230,61 +220,6 @@ impl GpuAlloc {
         GpuAlloc { gpus: out }
     }
 
-    /// GPUs in `self` but not in `other` (sorted merge).
-    pub fn difference(&self, other: &GpuAlloc) -> GpuAlloc {
-        let mut out = Vec::with_capacity(self.gpus.len());
-        let mut b = 0;
-        for &gpu in &self.gpus {
-            while b < other.gpus.len() && other.gpus[b] < gpu {
-                b += 1;
-            }
-            if b >= other.gpus.len() || other.gpus[b] != gpu {
-                out.push(gpu);
-            }
-        }
-        GpuAlloc { gpus: out }
-    }
-
-    /// GPUs present in both allocations (sorted merge).
-    pub fn intersection(&self, other: &GpuAlloc) -> GpuAlloc {
-        let mut out = Vec::new();
-        let (mut a, mut b) = (0, 0);
-        while a < self.gpus.len() && b < other.gpus.len() {
-            match self.gpus[a].cmp(&other.gpus[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.gpus[a]);
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        GpuAlloc { gpus: out }
-    }
-
-    /// `true` if the two allocations share no GPU.
-    pub fn is_disjoint(&self, other: &GpuAlloc) -> bool {
-        let (mut a, mut b) = (0, 0);
-        while a < self.gpus.len() && b < other.gpus.len() {
-            match self.gpus[a].cmp(&other.gpus[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
-    }
-
-    /// The allocation as a [`DenseBitSet`] over the cluster's GPU universe.
-    pub fn to_bitset(&self, universe: usize) -> DenseBitSet {
-        let mut set = DenseBitSet::with_universe(universe);
-        for gpu in &self.gpus {
-            set.insert(gpu.index());
-        }
-        set
-    }
-
     /// Per-machine GPU counts for this allocation.
     ///
     /// GPU ids are machine-contiguous (builder-assigned), so the sorted
@@ -363,21 +298,6 @@ impl FreeVector {
             if count > 0 {
                 let current = out.on_machine(machine);
                 out.set(machine, current + count);
-            }
-        }
-        out
-    }
-
-    /// Builds a free vector describing a concrete *set* of free GPUs:
-    /// duplicate ids count once, exactly as with the previous
-    /// `GpuAlloc`-backed implementation.
-    pub fn from_gpus(gpus: impl IntoIterator<Item = GpuId>, spec: &ClusterSpec) -> Self {
-        let alloc = GpuAlloc::from_gpus(gpus);
-        let mut out = FreeVector::empty();
-        for gpu in alloc.iter() {
-            if let Some(machine) = spec.machine_of(gpu) {
-                let current = out.on_machine(machine);
-                out.set(machine, current + 1);
             }
         }
         out
@@ -485,19 +405,6 @@ impl FreeVector {
             .enumerate()
             .all(|(idx, count)| *count == 0 || self.counts.get(idx).is_some_and(|c| c >= count))
     }
-
-    /// Scales every machine count by `factor`, rounding down.
-    /// Used by the partial-allocation mechanism's hidden payment (§5.1).
-    pub fn scale_floor(&self, factor: f64) -> FreeVector {
-        assert!(
-            (0.0..=1.0).contains(&factor),
-            "scale factor must be in [0,1]"
-        );
-        FreeVector::from_counts(
-            self.iter()
-                .map(|(m, c)| (m, ((c as f64) * factor).floor() as usize)),
-        )
-    }
 }
 
 impl FromIterator<(MachineId, usize)> for FreeVector {
@@ -522,11 +429,10 @@ mod tests {
     fn gpu_alloc_set_operations() {
         let a = GpuAlloc::from_gpus([GpuId(0), GpuId(1), GpuId(2)]);
         let b = GpuAlloc::from_gpus([GpuId(2), GpuId(3)]);
-        assert_eq!(a.union(&b).len(), 4);
-        assert_eq!(a.intersection(&b).len(), 1);
-        assert_eq!(a.difference(&b).len(), 2);
-        assert!(!a.is_disjoint(&b));
-        assert!(a.difference(&b).is_disjoint(&b));
+        assert_eq!(
+            a.union(&b).as_slice(),
+            &[GpuId(0), GpuId(1), GpuId(2), GpuId(3)]
+        );
     }
 
     #[test]
@@ -570,14 +476,10 @@ mod tests {
         assert!(set.contains(69));
         assert!(!set.contains(1));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 69, 130]);
-        assert_eq!(set.len(), 3);
         assert!(set.remove(69));
         assert!(!set.remove(69));
         assert!(!set.remove(4096), "out of universe is a no-op");
-        assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
-        let from_alloc = GpuAlloc::from_gpus([GpuId(2), GpuId(64)]).to_bitset(66);
-        assert!(from_alloc.contains(2) && from_alloc.contains(64));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 130]);
     }
 
     #[test]
@@ -622,14 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn free_vector_from_gpus() {
-        let spec = spec();
-        let fv = FreeVector::from_gpus([GpuId(0), GpuId(1), GpuId(9)], &spec);
-        assert_eq!(fv.on_machine(MachineId(0)), 2);
-        assert_eq!(fv.on_machine(MachineId(2)), 1);
-    }
-
-    #[test]
     fn free_vector_arithmetic() {
         let a = FreeVector::from_counts([(MachineId(0), 3), (MachineId(1), 2)]);
         let b = FreeVector::from_counts([(MachineId(0), 1), (MachineId(1), 5)]);
@@ -647,22 +541,5 @@ mod tests {
         assert_eq!(acc, sum);
         acc.clear();
         assert!(acc.is_empty());
-    }
-
-    #[test]
-    fn free_vector_scale_floor() {
-        let a = FreeVector::from_counts([(MachineId(0), 4), (MachineId(1), 3)]);
-        let half = a.scale_floor(0.5);
-        assert_eq!(half.on_machine(MachineId(0)), 2);
-        assert_eq!(half.on_machine(MachineId(1)), 1);
-        assert_eq!(a.scale_floor(1.0), a);
-        assert!(a.scale_floor(0.0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn scale_floor_rejects_out_of_range() {
-        let a = FreeVector::from_counts([(MachineId(0), 4)]);
-        let _ = a.scale_floor(1.5);
     }
 }

@@ -13,7 +13,7 @@ use crate::alloc::{DenseBitSet, FreeVector, GpuAlloc};
 use crate::error::ClusterError;
 use crate::ids::{AppId, GpuId, JobId, MachineId};
 use crate::lease::{Lease, LeaseTable};
-use crate::placement::{spread, Locality, PlacementScorer};
+use crate::placement::PlacementScorer;
 use crate::time::Time;
 use crate::topology::ClusterSpec;
 use std::collections::BTreeMap;
@@ -138,15 +138,6 @@ impl Cluster {
     /// seeds its shadow mask with a single clone.
     pub(crate) fn free_mask(&self) -> &DenseBitSet {
         &self.free_mask
-    }
-
-    /// Fraction of GPUs currently allocated, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.total_gpus() == 0 {
-            0.0
-        } else {
-            self.allocated_gpus() as f64 / self.total_gpus() as f64
-        }
     }
 
     /// The assignment holding a GPU, if it is allocated.
@@ -284,16 +275,6 @@ impl Cluster {
         )
     }
 
-    /// Apps that currently hold at least one GPU, with their GPU counts.
-    pub fn apps_with_gpus(&self) -> BTreeMap<AppId, usize> {
-        self.per_app
-            .iter()
-            .enumerate()
-            .filter(|(_, entry)| !entry.gpus.is_empty())
-            .map(|(app, entry)| (AppId(app as u32), entry.gpus.len()))
-            .collect()
-    }
-
     /// Records an assignment in the arena and every derived index.
     fn index_assignment(&mut self, gpu: GpuId, assignment: Assignment) {
         self.assignments[gpu.index()] = Some(assignment);
@@ -363,36 +344,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// Allocates `count` free GPUs on a specific machine to `(app, job)`.
-    /// GPUs are chosen in id order (slot-contiguous), which packs them as
-    /// tightly as the machine allows.
-    pub fn allocate_on_machine(
-        &mut self,
-        machine: MachineId,
-        count: usize,
-        app: AppId,
-        job: JobId,
-        now: Time,
-        expires_at: Time,
-    ) -> Result<Vec<GpuId>, ClusterError> {
-        if self.spec.machine(machine).is_none() {
-            return Err(ClusterError::UnknownMachine { machine });
-        }
-        let free = self.free_gpus_on(machine);
-        if free.len() < count {
-            return Err(ClusterError::InsufficientCapacity {
-                machine,
-                requested: count,
-                available: free.len(),
-            });
-        }
-        let chosen: Vec<GpuId> = free.into_iter().take(count).collect();
-        for gpu in &chosen {
-            self.allocate(*gpu, app, job, now, expires_at)?;
-        }
-        Ok(chosen)
-    }
-
     /// Releases a GPU (revoking its lease). Errors if the GPU is not
     /// allocated.
     pub fn release(&mut self, gpu: GpuId) -> Result<Assignment, ClusterError> {
@@ -459,31 +410,6 @@ impl Cluster {
         }
         expired
     }
-
-    /// Extends the lease of every GPU held by an app to `new_expiry`.
-    /// Returns the number of leases extended.
-    pub fn extend_app_leases(&mut self, app: AppId, new_expiry: Time) -> usize {
-        let gpus: Vec<GpuId> = self.app_gpus(app).to_vec();
-        gpus.into_iter()
-            .filter(|g| self.leases.extend(*g, new_expiry))
-            .count()
-    }
-
-    /// The earliest lease expiry across the cluster, if any GPU is leased.
-    pub fn next_lease_expiry(&self) -> Option<Time> {
-        self.leases.next_expiry()
-    }
-
-    /// The placement locality of a job's current allocation.
-    pub fn job_locality(&self, app: AppId, job: JobId) -> Locality {
-        spread(&self.gpus_of_job(app, job), &self.spec)
-    }
-
-    /// The placement score of a job's current allocation (1.0 = tightly
-    /// packed).
-    pub fn job_placement_score(&self, app: AppId, job: JobId) -> f64 {
-        self.scorer.score(&self.gpus_of_job(app, job), &self.spec)
-    }
 }
 
 #[cfg(test)]
@@ -500,7 +426,6 @@ mod tests {
         assert_eq!(c.total_gpus(), 8);
         assert_eq!(c.allocated_gpus(), 0);
         assert_eq!(c.free_gpu_count(), 8);
-        assert_eq!(c.utilization(), 0.0);
         assert_eq!(c.free_vector().total(), 8);
     }
 
@@ -578,38 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn allocate_on_machine_packs_in_order() {
-        let mut c = cluster();
-        let gpus = c
-            .allocate_on_machine(
-                MachineId(1),
-                3,
-                AppId(7),
-                JobId(2),
-                Time::ZERO,
-                Time::minutes(20.0),
-            )
-            .unwrap();
-        assert_eq!(gpus, vec![GpuId(4), GpuId(5), GpuId(6)]);
-        assert_eq!(c.gpus_of_job(AppId(7), JobId(2)).len(), 3);
-        // Requesting more than available fails.
-        let err = c
-            .allocate_on_machine(
-                MachineId(1),
-                2,
-                AppId(7),
-                JobId(2),
-                Time::ZERO,
-                Time::minutes(20.0),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ClusterError::InsufficientCapacity { available: 1, .. }
-        ));
-    }
-
-    #[test]
     fn lease_expiry_reclaims_gpus() {
         let mut c = cluster();
         c.allocate(
@@ -628,7 +521,7 @@ mod tests {
             Time::minutes(40.0),
         )
         .unwrap();
-        assert_eq!(c.next_lease_expiry(), Some(Time::minutes(20.0)));
+        assert_eq!(c.leases().next_expiry(), Some(Time::minutes(20.0)));
         let reclaimed = c.reclaim_expired_leases(Time::minutes(25.0));
         assert_eq!(reclaimed.len(), 1);
         assert_eq!(reclaimed[0].gpu, GpuId(0));
@@ -735,96 +628,15 @@ mod tests {
         moved(&c, &mut seen);
         lease(&mut c, 1, 1, 40.0);
         moved(&c, &mut seen);
-        // Another app's changes and lease extensions leave it alone.
+        // Another app's changes leave it alone.
         lease(&mut c, 2, 2, 20.0);
         c.release(GpuId(2)).unwrap();
         assert_eq!(c.allocation_epoch(AppId(1)), *seen.last().unwrap());
         c.reclaim_expired_leases(Time::minutes(25.0));
         moved(&c, &mut seen);
-        c.extend_app_leases(AppId(1), Time::minutes(60.0));
-        assert_eq!(c.allocation_epoch(AppId(1)), *seen.last().unwrap());
         c.release_jobs_where(AppId(1), |_| true);
         moved(&c, &mut seen);
         assert_eq!(c.gpus_held_by(AppId(1)), 0);
-    }
-
-    #[test]
-    fn extend_app_leases() {
-        let mut c = cluster();
-        c.allocate(
-            GpuId(0),
-            AppId(1),
-            JobId(0),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        c.allocate(
-            GpuId(1),
-            AppId(1),
-            JobId(0),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        assert_eq!(c.extend_app_leases(AppId(1), Time::minutes(60.0)), 2);
-        assert_eq!(c.next_lease_expiry(), Some(Time::minutes(60.0)));
-    }
-
-    #[test]
-    fn placement_queries() {
-        let mut c = cluster();
-        c.allocate(
-            GpuId(0),
-            AppId(1),
-            JobId(0),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        c.allocate(
-            GpuId(4),
-            AppId(1),
-            JobId(0),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        assert_eq!(c.job_locality(AppId(1), JobId(0)), Locality::Rack);
-        assert!(c.job_placement_score(AppId(1), JobId(0)) < 1.0);
-    }
-
-    #[test]
-    fn apps_with_gpus_counts() {
-        let mut c = cluster();
-        c.allocate(
-            GpuId(0),
-            AppId(1),
-            JobId(0),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        c.allocate(
-            GpuId(1),
-            AppId(2),
-            JobId(0),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        c.allocate(
-            GpuId(2),
-            AppId(2),
-            JobId(1),
-            Time::ZERO,
-            Time::minutes(20.0),
-        )
-        .unwrap();
-        let counts = c.apps_with_gpus();
-        assert_eq!(counts[&AppId(1)], 1);
-        assert_eq!(counts[&AppId(2)], 2);
-        assert_eq!(counts.len(), 2);
     }
 
     #[test]

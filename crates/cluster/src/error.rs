@@ -1,6 +1,6 @@
 //! Error types for cluster-state operations.
 
-use crate::ids::{AppId, GpuId, MachineId};
+use crate::ids::{AppId, GpuId};
 use std::fmt;
 
 /// Errors that can occur when manipulating [`crate::cluster::Cluster`] state.
@@ -23,21 +23,6 @@ pub enum ClusterError {
         /// The offending id.
         gpu: GpuId,
     },
-    /// Referenced a machine that does not exist in the cluster.
-    UnknownMachine {
-        /// The offending id.
-        machine: MachineId,
-    },
-    /// A free-vector or allocation request asked for more GPUs than a
-    /// machine has available.
-    InsufficientCapacity {
-        /// The machine in question.
-        machine: MachineId,
-        /// GPUs requested.
-        requested: usize,
-        /// GPUs actually free on the machine.
-        available: usize,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -50,17 +35,6 @@ impl fmt::Display for ClusterError {
                 write!(f, "{gpu} is not currently allocated")
             }
             ClusterError::UnknownGpu { gpu } => write!(f, "{gpu} does not exist in this cluster"),
-            ClusterError::UnknownMachine { machine } => {
-                write!(f, "{machine} does not exist in this cluster")
-            }
-            ClusterError::InsufficientCapacity {
-                machine,
-                requested,
-                available,
-            } => write!(
-                f,
-                "{machine} has only {available} free GPUs but {requested} were requested"
-            ),
         }
     }
 }
@@ -79,15 +53,6 @@ mod tests {
         };
         assert!(e.to_string().contains("gpu1"));
         assert!(e.to_string().contains("app2"));
-
-        let e = ClusterError::InsufficientCapacity {
-            machine: MachineId(3),
-            requested: 4,
-            available: 2,
-        };
-        assert!(e.to_string().contains("m3"));
-        assert!(e.to_string().contains('4'));
-        assert!(e.to_string().contains('2'));
     }
 
     #[test]

@@ -25,18 +25,6 @@ pub struct Lease {
     pub expires_at: Time,
 }
 
-impl Lease {
-    /// Duration of the lease.
-    pub fn duration(&self) -> Time {
-        self.expires_at - self.granted_at
-    }
-
-    /// Whether the lease has expired at (or before) `now`.
-    pub fn is_expired(&self, now: Time) -> bool {
-        self.expires_at <= now
-    }
-}
-
 /// Tracks the active lease (if any) for every GPU.
 ///
 /// Beside the per-GPU map the table keeps an expiry-ordered index of the
@@ -113,20 +101,6 @@ impl LeaseTable {
         Some(lease)
     }
 
-    /// Extends the lease on a GPU to a new expiry time. Returns `false` if
-    /// no lease is active on the GPU.
-    pub fn extend(&mut self, gpu: GpuId, new_expiry: Time) -> bool {
-        match self.leases.get_mut(&gpu) {
-            Some(lease) => {
-                self.by_expiry.remove(&(lease.expires_at, gpu));
-                lease.expires_at = new_expiry;
-                self.by_expiry.insert((new_expiry, gpu));
-                true
-            }
-            None => false,
-        }
-    }
-
     /// All leases that have expired at or before `now`, in GPU order.
     pub fn expired(&self, now: Time) -> Vec<Lease> {
         let mut expired: Vec<Lease> = self
@@ -154,15 +128,6 @@ impl LeaseTable {
         self.by_expiry.first().map(|(expires_at, _)| *expires_at)
     }
 
-    /// All leases held by one app.
-    pub fn leases_of_app(&self, app: AppId) -> Vec<Lease> {
-        self.leases
-            .values()
-            .filter(|l| l.app == app)
-            .copied()
-            .collect()
-    }
-
     /// Iterates over all active leases in GPU order.
     pub fn iter(&self) -> impl Iterator<Item = &Lease> {
         self.leases.values()
@@ -181,14 +146,6 @@ mod tests {
             granted_at: Time::minutes(granted),
             expires_at: Time::minutes(expires),
         }
-    }
-
-    #[test]
-    fn lease_duration_and_expiry() {
-        let l = lease(0, 1, 10.0, 30.0);
-        assert_eq!(l.duration(), Time::minutes(20.0));
-        assert!(!l.is_expired(Time::minutes(29.9)));
-        assert!(l.is_expired(Time::minutes(30.0)));
     }
 
     #[test]
@@ -219,37 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn extend_lease() {
-        let mut table = LeaseTable::new();
-        table.grant(lease(0, 1, 0.0, 20.0));
-        assert!(table.extend(GpuId(0), Time::minutes(50.0)));
-        assert!(!table.extend(GpuId(9), Time::minutes(50.0)));
-        assert_eq!(
-            table.lease(GpuId(0)).unwrap().expires_at,
-            Time::minutes(50.0)
-        );
-    }
-
-    #[test]
-    fn leases_of_app() {
-        let mut table = LeaseTable::new();
-        table.grant(lease(0, 1, 0.0, 20.0));
-        table.grant(lease(1, 2, 0.0, 20.0));
-        table.grant(lease(2, 1, 0.0, 20.0));
-        let leases = table.leases_of_app(AppId(1));
-        assert_eq!(leases.len(), 2);
-        assert!(leases.iter().all(|l| l.app == AppId(1)));
-    }
-
-    #[test]
     fn expiry_index_follows_replace_extend_and_revoke() {
         let mut table = LeaseTable::new();
         table.grant(lease(0, 1, 0.0, 20.0));
         table.grant(lease(1, 1, 0.0, 30.0));
-        // Replacing and extending move a GPU's place in the expiry order.
+        // Replacing a lease, or extending it by a later grant, moves the
+        // GPU's place in the expiry order.
         table.grant(lease(0, 2, 5.0, 50.0));
         assert_eq!(table.next_expiry(), Some(Time::minutes(30.0)));
-        table.extend(GpuId(1), Time::minutes(60.0));
+        table.grant(lease(1, 1, 0.0, 60.0));
         assert_eq!(table.next_expiry(), Some(Time::minutes(50.0)));
         assert!(table.expired(Time::minutes(49.0)).is_empty());
         table.revoke(GpuId(0));

@@ -125,27 +125,6 @@ impl Default for PlacementScorer {
 }
 
 impl PlacementScorer {
-    /// Creates a scorer with explicit per-level scores.
-    ///
-    /// # Panics
-    /// Panics unless `1 >= slot >= machine >= rack >= cross_rack > 0`.
-    pub fn new(slot: f64, machine: f64, rack: f64, cross_rack: f64) -> Self {
-        assert!(
-            slot <= 1.0
-                && slot >= machine
-                && machine >= rack
-                && rack >= cross_rack
-                && cross_rack > 0.0,
-            "placement scores must be monotonically non-increasing in (0, 1]"
-        );
-        PlacementScorer {
-            slot,
-            machine,
-            rack,
-            cross_rack,
-        }
-    }
-
     /// The score for a locality level.
     pub fn score_for(&self, locality: Locality) -> f64 {
         match locality {
@@ -223,12 +202,6 @@ mod tests {
         let tight = GpuAlloc::from_gpus([GpuId(0), GpuId(1)]);
         let spread_alloc = GpuAlloc::from_gpus([GpuId(0), GpuId(8)]);
         assert!(scorer.score(&tight, &spec) > scorer.score(&spread_alloc, &spec));
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonically")]
-    fn scorer_rejects_non_monotone() {
-        let _ = PlacementScorer::new(1.0, 0.5, 0.8, 0.4);
     }
 
     #[test]

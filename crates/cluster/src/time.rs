@@ -33,11 +33,6 @@ impl Time {
         Time(minutes)
     }
 
-    /// Creates a time value from hours.
-    pub fn hours(hours: f64) -> Self {
-        Self::minutes(hours * 60.0)
-    }
-
     /// Creates a time value from seconds.
     pub fn seconds(seconds: f64) -> Self {
         Self::minutes(seconds / 60.0)
@@ -51,11 +46,6 @@ impl Time {
     /// The value in hours.
     pub fn as_hours(self) -> f64 {
         self.0 / 60.0
-    }
-
-    /// The value in GPU-seconds when interpreted as a duration.
-    pub fn as_seconds(self) -> f64 {
-        self.0 * 60.0
     }
 
     /// Returns `true` if this time is finite.
@@ -171,10 +161,8 @@ mod tests {
 
     #[test]
     fn construction_and_units() {
-        assert_eq!(Time::hours(2.0).as_minutes(), 120.0);
         assert_eq!(Time::seconds(90.0).as_minutes(), 1.5);
         assert_eq!(Time::minutes(30.0).as_hours(), 0.5);
-        assert_eq!(Time::minutes(1.0).as_seconds(), 60.0);
     }
 
     #[test]

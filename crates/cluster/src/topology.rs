@@ -35,7 +35,6 @@ use crate::ids::{GpuId, MachineId, RackId};
 ///
 /// assert_eq!(GpuGeneration::default().speed(), 1.0);
 /// assert_eq!(GpuGeneration::Volta.speed(), 2.0);
-/// assert_eq!(GpuGeneration::parse("ampere"), Some(GpuGeneration::Ampere));
 /// // Generations order by speed.
 /// assert!(GpuGeneration::Kepler.speed() < GpuGeneration::Ampere.speed());
 /// ```
@@ -80,11 +79,6 @@ impl GpuGeneration {
             GpuGeneration::Volta => "volta",
             GpuGeneration::Ampere => "ampere",
         }
-    }
-
-    /// Parses the identifier produced by [`GpuGeneration::name`].
-    pub fn parse(name: &str) -> Option<GpuGeneration> {
-        GpuGeneration::ALL.into_iter().find(|g| g.name() == name)
     }
 }
 
@@ -144,24 +138,6 @@ impl MachineSpec {
     pub fn speed(&self) -> f64 {
         self.generation.speed()
     }
-
-    /// The slot index (within this machine) of a GPU, or `None` if the GPU
-    /// is not on this machine.
-    ///
-    /// O(1) for builder-assigned specs: the builder hands out consecutive
-    /// GPU ids per machine, so the position is an offset from the first id.
-    /// A hand-built spec with non-contiguous ids falls back to a scan.
-    pub fn slot_of(&self, gpu: GpuId) -> Option<usize> {
-        let first = self.gpus.first()?;
-        let offset_hit = (gpu.0 as usize)
-            .checked_sub(first.0 as usize)
-            .filter(|offset| self.gpus.get(*offset) == Some(&gpu));
-        let idx = match offset_hit {
-            Some(offset) => offset,
-            None => self.gpus.iter().position(|g| *g == gpu)?,
-        };
-        Some(idx / self.slot_size.max(1))
-    }
 }
 
 /// Precomputed location of one GPU: its machine, rack, NVLink slot and
@@ -220,11 +196,6 @@ impl ClusterSpec {
         &self.machines
     }
 
-    /// All racks in the cluster, ordered by id.
-    pub fn racks(&self) -> &[RackSpec] {
-        &self.racks
-    }
-
     /// Looks up a machine by id.
     pub fn machine(&self, id: MachineId) -> Option<&MachineSpec> {
         self.machines.get(id.index())
@@ -253,12 +224,6 @@ impl ClusterSpec {
     /// The rack a GPU belongs to, or `None` for an unknown GPU.
     pub fn rack_of(&self, gpu: GpuId) -> Option<RackId> {
         self.gpu_locations.get(gpu.index()).map(|l| l.rack)
-    }
-
-    /// The NVLink slot index (within its machine) of a GPU, or `None` for
-    /// an unknown GPU. O(1) via the precomputed location table.
-    pub fn slot_of(&self, gpu: GpuId) -> Option<usize> {
-        self.gpu_locations.get(gpu.index()).map(|l| l.slot as usize)
     }
 
     /// The full precomputed location of a GPU, or `None` for an unknown GPU.
@@ -372,18 +337,6 @@ impl ClusterSpec {
         }
         self.uniform_generation = uniform_generation_of(&self.machines);
         self
-    }
-
-    /// Per-generation machine counts, oldest generation first — the speed
-    /// metadata the sweep reports record per cell.
-    pub fn generation_counts(&self) -> Vec<(GpuGeneration, usize)> {
-        GpuGeneration::ALL
-            .into_iter()
-            .filter_map(|g| {
-                let count = self.machines.iter().filter(|m| m.generation == g).count();
-                (count > 0).then_some((g, count))
-            })
-            .collect()
     }
 
     /// Iterates over every GPU id in the cluster.
@@ -687,19 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_of_groups_gpus() {
-        let spec = ClusterSpec::builder()
-            .rack(|r| r.machines_with(1, 4, 2, GpuModel::Generic))
-            .build();
-        let m = spec.machine(MachineId(0)).unwrap();
-        assert_eq!(m.slot_of(GpuId(0)), Some(0));
-        assert_eq!(m.slot_of(GpuId(1)), Some(0));
-        assert_eq!(m.slot_of(GpuId(2)), Some(1));
-        assert_eq!(m.slot_of(GpuId(3)), Some(1));
-        assert_eq!(m.slot_of(GpuId(4)), None);
-    }
-
-    #[test]
     fn homogeneous_builder() {
         let spec = ClusterSpec::homogeneous(2, 3, 4);
         assert_eq!(spec.total_gpus(), 24);
@@ -725,40 +665,13 @@ mod tests {
             let machine = spec.machine(loc.machine).expect("machine exists");
             assert!(machine.gpus.contains(&gpu));
             assert_eq!(machine.rack, loc.rack);
-            assert_eq!(machine.slot_of(gpu), Some(loc.slot as usize));
-            assert_eq!(spec.slot_of(gpu), Some(loc.slot as usize));
+            let position = machine.gpus.iter().position(|g| *g == gpu);
+            assert_eq!(
+                position.map(|i| i / machine.slot_size),
+                Some(loc.slot as usize)
+            );
         }
         assert_eq!(spec.location_of(GpuId(256)), None);
-        assert_eq!(spec.slot_of(GpuId(256)), None);
-    }
-
-    #[test]
-    fn slot_of_handles_non_contiguous_specs() {
-        // A hand-built machine whose GPU ids are not consecutive: the O(1)
-        // offset fast path misses and the fallback scan must still answer.
-        let machine = MachineSpec {
-            id: MachineId(0),
-            rack: RackId(0),
-            gpus: vec![GpuId(3), GpuId(7), GpuId(9), GpuId(12)],
-            slot_size: 2,
-            gpu_model: GpuModel::Generic,
-            generation: GpuGeneration::default(),
-        };
-        assert_eq!(machine.slot_of(GpuId(3)), Some(0));
-        assert_eq!(machine.slot_of(GpuId(7)), Some(0));
-        assert_eq!(machine.slot_of(GpuId(9)), Some(1));
-        assert_eq!(machine.slot_of(GpuId(12)), Some(1));
-        assert_eq!(machine.slot_of(GpuId(8)), None);
-        assert_eq!(machine.slot_of(GpuId(0)), None);
-        // An *unsorted* hand-built list: ids smaller than gpus[0] make the
-        // offset subtraction underflow, and the scan must still find them.
-        let unsorted = MachineSpec {
-            gpus: vec![GpuId(5), GpuId(3)],
-            ..machine
-        };
-        assert_eq!(unsorted.slot_of(GpuId(5)), Some(0));
-        assert_eq!(unsorted.slot_of(GpuId(3)), Some(0));
-        assert_eq!(unsorted.slot_of(GpuId(4)), None);
     }
 
     #[test]
@@ -787,7 +700,6 @@ mod tests {
             for gpu in spec.all_gpus() {
                 assert_eq!(spec.speed_of(gpu), Some(1.0));
             }
-            assert_eq!(spec.generation_counts().len(), 1);
         }
     }
 
@@ -813,11 +725,6 @@ mod tests {
         assert_eq!(
             spec.total_speed(),
             2.0 * 2.0 + 1.0 * 2.0 + 2.0 * 2.0 + 1.0 * 2.0
-        );
-        let counts = spec.generation_counts();
-        assert_eq!(
-            counts,
-            vec![(GpuGeneration::Pascal, 2), (GpuGeneration::Volta, 2)]
         );
         // Locations stay consistent with machines after the rewrite.
         for gpu in spec.all_gpus() {
@@ -849,12 +756,13 @@ mod tests {
 
     #[test]
     fn generation_names_round_trip() {
+        let names: std::collections::BTreeSet<&str> =
+            GpuGeneration::ALL.iter().map(|g| g.name()).collect();
+        assert_eq!(names.len(), GpuGeneration::ALL.len(), "names are distinct");
         for generation in GpuGeneration::ALL {
-            assert_eq!(GpuGeneration::parse(generation.name()), Some(generation));
             assert!(generation.speed() > 0.0);
             assert_eq!(generation.to_string(), generation.name());
         }
-        assert_eq!(GpuGeneration::parse("hopper"), None);
         assert_eq!(GpuGeneration::default(), GpuGeneration::Pascal);
     }
 

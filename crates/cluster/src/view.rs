@@ -154,16 +154,6 @@ impl Cluster {
 }
 
 impl ClusterView<'_> {
-    /// The committed cluster underneath this view.
-    pub fn base(&self) -> &Cluster {
-        self.base
-    }
-
-    /// The grants tentatively made through this view, in grant order.
-    pub fn granted(&self) -> &[(GpuId, Assignment)] {
-        &self.granted
-    }
-
     /// Tentatively grants a free GPU to `(app, job)` within this round.
     /// Mirrors [`Cluster::allocate`]'s error behavior, minus leases (the
     /// engine grants the real lease when it applies the decisions).
@@ -299,7 +289,6 @@ mod tests {
         assert_eq!(view.assignment(GpuId(0)).unwrap().app, AppId(1));
         assert!(view.is_free(GpuId(1)));
         assert_eq!(view.total_gpus(), 8);
-        assert!(view.granted().is_empty());
     }
 
     #[test]

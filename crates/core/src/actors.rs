@@ -337,16 +337,6 @@ impl DistributedThemisScheduler {
         self
     }
 
-    /// The Themis configuration in use.
-    pub fn config(&self) -> &ThemisConfig {
-        &self.config
-    }
-
-    /// The network fault model in use.
-    pub fn fault(&self) -> &FaultConfig {
-        &self.fault
-    }
-
     /// Message-flow counters accumulated so far.
     pub fn stats(&self) -> &DistStats {
         &self.stats
@@ -355,11 +345,6 @@ impl DistributedThemisScheduler {
     /// Delivery/drop counters of the underlying network.
     pub fn net_stats(&self) -> themis_protocol::network::NetStats {
         self.net.stats()
-    }
-
-    /// Rounds started so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
     }
 
     /// GPUs currently reserved for in-flight Win notifications.
@@ -1210,7 +1195,7 @@ mod tests {
             assert!(dist.schedule(now, &cluster, &apps).is_empty());
             now = dist.next_wakeup().expect("replies or deadlines pending");
         }
-        assert!(dist.rounds() >= 2);
+        assert!(dist.stats().rounds >= 2);
         assert!(dist.stats().missed_rho_reports > 0);
         assert!(dist.stats().stale_messages > 0, "late replies are stale");
     }
@@ -1230,8 +1215,8 @@ mod tests {
                 .unwrap_or(now + Time::minutes(1.0))
                 .max(now + Time::seconds(1.0));
         }
-        assert!(dist.rounds() >= 2);
-        assert!(dist.stats().missed_rho_reports >= 2 * dist.rounds() - 2);
+        assert!(dist.stats().rounds >= 2);
+        assert!(dist.stats().missed_rho_reports >= 2 * dist.stats().rounds - 2);
     }
 
     #[test]
@@ -1296,7 +1281,7 @@ mod tests {
                 .with_seed(3),
         );
         drive_then_drain(&mut dist, &cluster, &apps, 200);
-        assert!(dist.rounds() > 10);
+        assert!(dist.stats().rounds > 10);
         assert_eq!(
             dist.reserved_gpus(),
             0,

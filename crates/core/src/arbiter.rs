@@ -16,10 +16,8 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::ids::{AppId, MachineId};
-use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
 use themis_protocol::bid::BidTable;
-use themis_protocol::messages::OfferMsg;
 
 /// A snapshot of one app's scheduling status, as seen by the Arbiter before
 /// an auction round.
@@ -90,17 +88,6 @@ impl AuctionOutcome {
             }
         }
         grants
-    }
-
-    /// Total GPUs granted this round. Computed directly from the award and
-    /// leftover maps — merging them per app cannot change the sum.
-    pub fn total_granted(&self) -> usize {
-        self.winners.values().map(|g| g.total()).sum::<usize>()
-            + self
-                .leftover_grants
-                .values()
-                .map(|g| g.total())
-                .sum::<usize>()
     }
 }
 
@@ -251,26 +238,6 @@ impl Arbiter {
         }
     }
 
-    /// The number of auction rounds run so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ThemisConfig {
-        &self.config
-    }
-
-    /// Builds the offer message for the current round.
-    pub fn make_offer(&self, now: Time, resources: FreeVector) -> OfferMsg {
-        OfferMsg {
-            round: self.round,
-            now,
-            resources,
-            reply_by: now + Time::seconds(30.0),
-        }
-    }
-
     /// Selects the auction participants: the `1 − f` fraction of apps with
     /// the worst (highest) ρ among those that can actually use more GPUs.
     /// At least one app participates whenever any app has unmet demand.
@@ -395,6 +362,11 @@ mod tests {
         FreeVector::from_counts(pairs.iter().map(|(m, c)| (MachineId(*m), *c)))
     }
 
+    /// GPUs granted by a round: auction awards plus leftover grants.
+    fn total_granted(outcome: &AuctionOutcome) -> usize {
+        outcome.all_grants().values().map(FreeVector::total).sum()
+    }
+
     fn scaling_bid(app: u32, current_rho: f64, machine: u32, max_gpus: usize) -> BidTable {
         let mut table = BidTable::empty(AppId(app), current_rho);
         for g in 1..=max_gpus {
@@ -454,7 +426,7 @@ mod tests {
         // leftovers remain for app 2.
         assert_eq!(outcome.winners[&AppId(0)].total(), 4);
         assert_eq!(outcome.winners[&AppId(1)].total(), 4);
-        assert_eq!(outcome.total_granted(), 8);
+        assert_eq!(total_granted(&outcome), 8);
     }
 
     #[test]
@@ -490,7 +462,7 @@ mod tests {
         let bids = vec![scaling_bid(0, 50.0, 0, 2)];
         let outcome = arbiter.run_auction(&offer, &statuses, &participants, &bids, &spec());
         // Machine 1's GPUs still end up with app 0 (work conservation).
-        let total = outcome.total_granted();
+        let total = total_granted(&outcome);
         assert_eq!(total, 4);
     }
 
@@ -506,7 +478,7 @@ mod tests {
         let participants = vec![AppId(0), AppId(1)];
         let bids = vec![scaling_bid(0, 50.0, 0, 3), scaling_bid(1, 40.0, 0, 3)];
         let outcome = arbiter.run_auction(&offer, &statuses, &participants, &bids, &spec());
-        assert_eq!(outcome.total_granted(), offer.total(), "work conserving");
+        assert_eq!(total_granted(&outcome), offer.total(), "work conserving");
         let mut total = FreeVector::empty();
         for grant in outcome.into_all_grants().values() {
             total.add_assign(grant);
@@ -537,14 +509,5 @@ mod tests {
             8,
             "the Volta machine's GPUs are placed before the Pascal ones"
         );
-    }
-
-    #[test]
-    fn offer_message_carries_round_and_deadline() {
-        let arbiter = Arbiter::new(ThemisConfig::default());
-        let offer = arbiter.make_offer(Time::minutes(10.0), fv(&[(0, 1)]));
-        assert_eq!(offer.round, 0);
-        assert!(offer.reply_by > offer.now);
-        assert_eq!(offer.resources.total(), 1);
     }
 }

@@ -69,11 +69,6 @@ pub struct AuctionResult {
 }
 
 impl AuctionResult {
-    /// Total number of GPUs awarded across apps.
-    pub fn total_awarded(&self) -> usize {
-        self.awards.iter().map(|a| a.awarded.total()).sum()
-    }
-
     /// The award for a specific app, if it won anything.
     pub fn award_for(&self, app: AppId) -> Option<&Award> {
         self.awards.iter().find(|a| a.app == app)
@@ -375,6 +370,10 @@ mod tests {
 
     /// A bid table whose entries follow the homogeneous `rho/k` scaling the
     /// paper assumes: current_rho / gpus.
+    fn total_awarded(result: &AuctionResult) -> usize {
+        result.awards.iter().map(|a| a.awarded.total()).sum()
+    }
+
     fn scaling_bid(app: u32, current_rho: f64, machine: u32, max_gpus: usize) -> BidTable {
         let mut table = BidTable::empty(AppId(app), current_rho);
         for g in 1..=max_gpus {
@@ -421,7 +420,7 @@ mod tests {
             );
             assert_eq!(award.awarded.total(), 4);
         }
-        assert_eq!(result.total_awarded(), 8);
+        assert_eq!(total_awarded(&result), 8);
     }
 
     #[test]
@@ -445,7 +444,7 @@ mod tests {
             assert!(award.payment_factor > 0.0);
         }
         assert_eq!(
-            result.total_awarded() + result.leftover.total(),
+            total_awarded(&result) + result.leftover.total(),
             4,
             "awarded + leftover covers the whole offer"
         );
@@ -518,7 +517,7 @@ mod tests {
             .awards
             .iter()
             .all(|a| (a.payment_factor - 1.0).abs() < 1e-12));
-        assert!(without.total_awarded() >= with.total_awarded());
+        assert!(total_awarded(&without) >= total_awarded(&with));
     }
 
     #[test]
@@ -531,7 +530,7 @@ mod tests {
         // entries = 4 → space = 5^40, greedy required.
         let result = partial_allocation(&bids, &offer);
         assert_eq!(result.solver, SolverKind::Greedy);
-        assert!(result.total_awarded() > 0);
+        assert!(total_awarded(&result) > 0);
         // Per-machine feasibility.
         let mut used = FreeVector::empty();
         for a in &result.awards {

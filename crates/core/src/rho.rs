@@ -101,13 +101,6 @@ fn picks_of(share: &JobShare, spec: &ClusterSpec) -> Vec<Supply> {
         .collect()
 }
 
-/// The locality of a job share, approximated from machine placement (the
-/// slot structure of machines is credited when the whole share fits within
-/// one slot of one machine).
-pub fn share_locality(share: &JobShare, spec: &ClusterSpec) -> Locality {
-    locality_of(&picks_of(share, spec))
-}
-
 fn locality_of(picks: &[Supply]) -> Locality {
     match picks {
         [] => Locality::Slot,
@@ -611,6 +604,7 @@ mod tests {
     #[test]
     fn share_locality_levels() {
         let spec = spec();
+        let share_locality = |share: &JobShare, spec| locality_of(&picks_of(share, spec));
         assert_eq!(
             share_locality(&vec![(MachineId(0), 2)], &spec),
             Locality::Slot

@@ -48,20 +48,10 @@ impl ThemisScheduler {
         }
     }
 
-    /// Creates a Themis scheduler with the paper's recommended defaults
-    /// (`f = 0.8`, 20-minute leases).
+    /// Creates a Themis scheduler with the paper's recommended default,
+    /// `f = 0.8`.
     pub fn with_defaults() -> Self {
         Self::new(ThemisConfig::default())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ThemisConfig {
-        &self.config
-    }
-
-    /// Number of auction rounds run so far.
-    pub fn auction_rounds(&self) -> u64 {
-        self.arbiter.rounds()
     }
 }
 

@@ -121,11 +121,6 @@ impl SchedulerUpdate {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// Whether this update requires any action.
-    pub fn is_empty(&self) -> bool {
-        self.kill.is_empty() && self.max_parallelism.is_empty()
-    }
 }
 
 /// The top-level (per-app) scheduler interface.
@@ -214,16 +209,6 @@ mod tests {
         let views = JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress));
         assert!(Noop.estimates(views).is_empty());
         assert!(!views.iter().next().unwrap().is_active());
-    }
-
-    #[test]
-    fn scheduler_update_none_is_empty() {
-        assert!(SchedulerUpdate::none().is_empty());
-        let update = SchedulerUpdate {
-            kill: vec![JobId(1)],
-            max_parallelism: vec![],
-        };
-        assert!(!update.is_empty());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! Agent uses it as the work-left `W'` input to bid preparation.
 
 use std::cell::OnceCell;
-use themis_cluster::time::Time;
 use themis_workload::job::{JobProgress, JobSpec};
 use themis_workload::loss::{fit_power_law, LossCurve};
 
@@ -102,19 +101,6 @@ impl WorkEstimator {
             None => Some(spec.total_iterations),
         }
     }
-
-    /// Projected iterations *left* for a job given its progress.
-    pub fn projected_iterations_left(&self, spec: &JobSpec, progress: &JobProgress) -> Option<f64> {
-        self.projected_total_iterations(spec)
-            .map(|total| (total - progress.iterations_done).max(0.0))
-    }
-
-    /// Projected work left in GPU-minutes of serial computation
-    /// (`iterations_left * serial_iter_time`).
-    pub fn projected_work_left(&self, spec: &JobSpec, progress: &JobProgress) -> Option<Time> {
-        self.projected_iterations_left(spec, progress)
-            .map(|iters| spec.serial_iter_time * iters)
-    }
 }
 
 #[cfg(test)]
@@ -122,6 +108,7 @@ mod tests {
     use super::*;
     use themis_cluster::ids::JobId;
     use themis_cluster::placement::Locality;
+    use themis_cluster::time::Time;
     use themis_workload::models::ModelArch;
 
     fn spec() -> JobSpec {
@@ -141,11 +128,6 @@ mod tests {
         let spec = spec();
         let est = WorkEstimator::new();
         assert_eq!(est.projected_total_iterations(&spec), Some(1000.0));
-        let progress = JobProgress::new();
-        assert_eq!(
-            est.projected_work_left(&spec, &progress),
-            Some(spec.total_work())
-        );
     }
 
     #[test]
@@ -166,18 +148,6 @@ mod tests {
             rel_err < 0.1,
             "projected {projected} vs 1000, rel err {rel_err}"
         );
-    }
-
-    #[test]
-    fn iterations_left_decreases_with_progress() {
-        let spec = spec();
-        let mut est = WorkEstimator::new();
-        let mut progress = JobProgress::new();
-        let left0 = est.projected_iterations_left(&spec, &progress).unwrap();
-        progress.advance(&spec, Time::minutes(10.0), 4, Locality::Slot);
-        est.observe_progress(&spec, &progress);
-        let left1 = est.projected_iterations_left(&spec, &progress).unwrap();
-        assert!(left1 < left0);
     }
 
     #[test]

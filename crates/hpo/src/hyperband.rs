@@ -40,7 +40,6 @@ pub struct HyperBand {
     /// One estimator per job, by position in the job list `update` is
     /// given (the same list every call).
     estimators: Vec<WorkEstimator>,
-    rungs_completed: usize,
 }
 
 impl HyperBand {
@@ -50,7 +49,6 @@ impl HyperBand {
             next_rung: config.rung_iterations,
             config,
             estimators: Vec::new(),
-            rungs_completed: 0,
         }
     }
 
@@ -63,11 +61,6 @@ impl HyperBand {
             rung_iterations: rung,
             eta: 2.0,
         })
-    }
-
-    /// Number of halving rungs performed so far.
-    pub fn rungs_completed(&self) -> usize {
-        self.rungs_completed
     }
 
     /// Ranks active jobs by projected total iterations to convergence
@@ -123,7 +116,6 @@ impl AppScheduler for HyperBand {
         let ranked = self.rank_jobs(jobs);
         let survivors = ((ranked.len() as f64 / self.config.eta).ceil() as usize).max(1);
         let kill: Vec<JobId> = ranked.iter().skip(survivors).map(|(id, _)| *id).collect();
-        self.rungs_completed += 1;
         self.next_rung += self.config.rung_iterations;
         SchedulerUpdate {
             kill,
@@ -175,7 +167,7 @@ mod tests {
         });
         let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
         assert!(update.kill.is_empty());
-        assert_eq!(hb.rungs_completed(), 0);
+        assert_eq!(hb.next_rung, 100.0, "no rung completed");
     }
 
     #[test]
@@ -257,7 +249,7 @@ mod tests {
             }
             let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
             if done < 120.0 {
-                assert!(update.is_empty());
+                assert_eq!(update, SchedulerUpdate::none());
                 continue;
             }
             assert_eq!(update.kill, vec![JobId(2), JobId(3)]);
@@ -265,17 +257,17 @@ mod tests {
                 progress[id.index()].kill(Time::ZERO);
             }
         }
-        assert_eq!(hb.rungs_completed(), 1);
+        assert_eq!(hb.next_rung, 100.0, "one rung completed");
         let frozen = progress.clone();
         let again = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
         assert_eq!(progress, frozen, "no progress between the two calls");
         assert_eq!(again.kill, vec![JobId(1)], "the survivors halve again");
-        assert_eq!(hb.rungs_completed(), 2);
+        assert_eq!(hb.next_rung, 150.0, "two rungs completed");
         // Now one job is left, and further calls change nothing.
         progress[1].kill(Time::ZERO);
         let idle = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
-        assert!(idle.is_empty());
-        assert_eq!(hb.rungs_completed(), 2);
+        assert_eq!(idle, SchedulerUpdate::none());
+        assert_eq!(hb.next_rung, 150.0);
     }
 
     #[test]

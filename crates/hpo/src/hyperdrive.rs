@@ -250,6 +250,6 @@ mod tests {
         let mut jobs = vec![job(0, 0.5)];
         let mut hd = HyperDrive::with_defaults();
         let updates = run_scheduler(&mut hd, &mut jobs, 20);
-        assert!(updates.iter().all(|u| u.is_empty()));
+        assert!(updates.iter().all(|u| *u == SchedulerUpdate::none()));
     }
 }

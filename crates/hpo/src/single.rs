@@ -46,7 +46,7 @@ mod tests {
             Time::ZERO,
             JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress)),
         );
-        assert!(update.is_empty());
+        assert_eq!(update, SchedulerUpdate::none());
         assert_eq!(s.name(), "single-job");
     }
 

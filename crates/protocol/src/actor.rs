@@ -108,16 +108,6 @@ impl<T> TimerWheel<T> {
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         self.timers.retain(|_, item| keep(item));
     }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.timers.len()
-    }
-
-    /// `true` when no timer is pending.
-    pub fn is_empty(&self) -> bool {
-        self.timers.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +147,7 @@ mod tests {
             wheel.pop_due(Time::minutes(5.0)),
             Some((Time::minutes(2.0), "c"))
         );
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.next_time(), None);
     }
 
     #[test]
@@ -167,7 +157,7 @@ mod tests {
         wheel.schedule(Time::minutes(2.0), 2u32);
         wheel.schedule(Time::minutes(3.0), 1u32);
         wheel.retain(|t| *t != 1);
-        assert_eq!(wheel.len(), 1);
         assert_eq!(wheel.pop_due(Time::INFINITY), Some((Time::minutes(2.0), 2)));
+        assert_eq!(wheel.next_time(), None);
     }
 }

@@ -105,17 +105,6 @@ impl BidTable {
         }
         self
     }
-
-    /// Checks the paper's homogeneity assumption on one pair of entries:
-    /// scaling an allocation by `k` should scale its value by `k` (i.e.
-    /// divide ρ by `k`). Returns the relative deviation.
-    pub fn homogeneity_deviation(small: &BidEntry, large: &BidEntry, k: f64) -> f64 {
-        let expected = small.rho / k;
-        if expected == 0.0 {
-            return 0.0;
-        }
-        ((large.rho - expected) / expected).abs()
-    }
 }
 
 #[cfg(test)]
@@ -169,24 +158,5 @@ mod tests {
         assert!((noisy.entries[0].rho - 2.2).abs() < 1e-12);
         // Zero error is the identity.
         assert_eq!(table.clone().with_rho_error(0.0), table);
-    }
-
-    #[test]
-    fn homogeneity_check() {
-        // Doubling the allocation should halve rho.
-        let small = BidEntry {
-            resources: fv(&[(0, 1)]),
-            rho: 6.0,
-        };
-        let large = BidEntry {
-            resources: fv(&[(0, 2)]),
-            rho: 3.0,
-        };
-        assert!(BidTable::homogeneity_deviation(&small, &large, 2.0) < 1e-12);
-        let bad = BidEntry {
-            resources: fv(&[(0, 2)]),
-            rho: 5.0,
-        };
-        assert!(BidTable::homogeneity_deviation(&small, &bad, 2.0) > 0.5);
     }
 }

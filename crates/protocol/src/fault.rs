@@ -93,24 +93,6 @@ impl FaultConfig {
         Self::default()
     }
 
-    /// A lossy link dropping messages with the given probability.
-    pub fn lossy(drop_probability: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&drop_probability));
-        FaultConfig {
-            drop_probability,
-            seed,
-            ..Self::default()
-        }
-    }
-
-    /// A link with a fixed delivery delay.
-    pub fn delayed(delay: Time) -> Self {
-        FaultConfig {
-            delay,
-            ..Self::default()
-        }
-    }
-
     /// `true` when this configuration injects no fault of any kind. A
     /// crash or partition schedule needs both a period and a duration;
     /// either being zero disables it. Finite bandwidth counts as a fault:

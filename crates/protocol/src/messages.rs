@@ -141,20 +141,6 @@ pub enum AgentToArbiter {
     },
 }
 
-impl ArbiterToAgent {
-    /// The auction round this message belongs to, if any.
-    pub fn round(&self) -> Option<u64> {
-        match self {
-            ArbiterToAgent::QueryRho { round } => Some(*round),
-            ArbiterToAgent::Offer(o) => Some(o.round),
-            ArbiterToAgent::Win(w) => Some(w.round),
-            ArbiterToAgent::LeaseExpired { .. } => None,
-            ArbiterToAgent::OfferBatch { offer, .. } => Some(offer.round),
-            ArbiterToAgent::WinBatch { round, .. } => Some(*round),
-        }
-    }
-}
-
 impl AgentToArbiter {
     /// The app that sent this message. For a [`RhoBatch`](Self::RhoBatch)
     /// (which carries several apps' reports) this is the first coalesced
@@ -169,42 +155,12 @@ impl AgentToArbiter {
             }
         }
     }
-
-    /// The auction round this message belongs to.
-    pub fn round(&self) -> Option<u64> {
-        match self {
-            AgentToArbiter::Rho(r) => Some(r.round),
-            AgentToArbiter::Bid { round, .. } => Some(*round),
-            AgentToArbiter::Pass { round, .. } => Some(*round),
-            AgentToArbiter::RhoBatch { round, .. } => Some(*round),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use themis_cluster::ids::MachineId;
-
-    #[test]
-    fn rounds_are_extracted() {
-        let offer = ArbiterToAgent::Offer(OfferMsg {
-            round: 3,
-            now: Time::minutes(10.0),
-            resources: FreeVector::from_counts([(MachineId(0), 2)]),
-            reply_by: Time::minutes(10.5),
-        });
-        assert_eq!(offer.round(), Some(3));
-        assert_eq!(ArbiterToAgent::QueryRho { round: 9 }.round(), Some(9));
-        assert_eq!(
-            ArbiterToAgent::LeaseExpired {
-                gpus: vec![GpuId(0)],
-                at: Time::ZERO
-            }
-            .round(),
-            None
-        );
-    }
 
     #[test]
     fn agent_messages_know_their_app() {
@@ -214,43 +170,40 @@ mod tests {
             rho: 2.5,
         });
         assert_eq!(rho.app(), AppId(4));
-        assert_eq!(rho.round(), Some(6));
 
         let bid = AgentToArbiter::Bid {
             round: 1,
             table: BidTable::empty(AppId(7), 3.0),
         };
         assert_eq!(bid.app(), AppId(7));
-        assert_eq!(bid.round(), Some(1));
 
         let pass = AgentToArbiter::Pass {
             round: 2,
             app: AppId(9),
         };
         assert_eq!(pass.app(), AppId(9));
-        assert_eq!(pass.round(), Some(2));
     }
 
     #[test]
     fn batch_messages_know_their_round_and_app() {
-        let offer = OfferMsg {
-            round: 11,
-            now: Time::minutes(1.0),
-            resources: FreeVector::from_counts([(MachineId(0), 2)]),
-            reply_by: Time::minutes(1.5),
-        };
         let batch = ArbiterToAgent::OfferBatch {
-            offer,
+            offer: OfferMsg {
+                round: 11,
+                now: Time::minutes(1.0),
+                resources: FreeVector::from_counts([(MachineId(0), 2)]),
+                reply_by: Time::minutes(1.5),
+            },
             apps: vec![AppId(0), AppId(3)],
         };
-        assert_eq!(batch.round(), Some(11));
+        match batch {
+            ArbiterToAgent::OfferBatch { offer, apps } => {
+                assert_eq!(offer.round, 11);
+                assert_eq!(apps, vec![AppId(0), AppId(3)]);
+            }
+            _ => panic!("wrong variant"),
+        }
 
-        let wins = ArbiterToAgent::WinBatch {
-            round: 12,
-            wins: Vec::new(),
-        };
-        assert_eq!(wins.round(), Some(12));
-
+        // A batch speaks for the first app it coalesces.
         let rhos = AgentToArbiter::RhoBatch {
             round: 13,
             reports: vec![
@@ -266,8 +219,14 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(rhos.round(), Some(13));
         assert_eq!(rhos.app(), AppId(2));
+        match rhos {
+            AgentToArbiter::RhoBatch { round, reports } => {
+                assert_eq!(round, 13);
+                assert!(reports.iter().all(|r| r.round == round));
+            }
+            _ => panic!("wrong variant"),
+        }
     }
 
     #[test]

@@ -389,11 +389,6 @@ impl<M: NetMsg> Network<M> {
         &self.isolated
     }
 
-    /// Number of in-flight messages.
-    pub fn pending(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Delivery/drop counters.
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -440,7 +435,7 @@ mod tests {
         // A delayed message is invisible strictly before `send + delay`
         // and visible exactly at it.
         let (sent_at, delay) = (Time::minutes(7.0), Time::minutes(3.0));
-        let mut net = Network::new(FaultConfig::delayed(delay), LogMode::Off);
+        let mut net = Network::new(FaultConfig::reliable().with_delay(delay), LogMode::Off);
         net.send(sent_at, ActorId::ARBITER, ActorId(0), Msg("m", 42));
         assert!(net.pop_due(sent_at + delay - Time::seconds(1.0)).is_none());
         let due = net.pop_due(sent_at + delay).map(|(at, .., m)| (at, m.1));
@@ -449,7 +444,10 @@ mod tests {
         // 200 numbered messages, one per minute, through a lossy link.
         const N: u64 = 200;
         let survivors = |drop_probability: f64, seed: u64| {
-            let mut net = Network::new(FaultConfig::lossy(drop_probability, seed), LogMode::Off);
+            let fault = FaultConfig::reliable()
+                .with_drop_probability(drop_probability)
+                .with_seed(seed);
+            let mut net = Network::new(fault, LogMode::Off);
             for i in 0..N {
                 let at = Time::minutes(i as f64);
                 net.send(at, ActorId(0), ActorId::ARBITER, Msg("m", i));
@@ -465,7 +463,7 @@ mod tests {
             let stats = net.stats();
             assert_eq!(stats.sent, got.len() as u64);
             assert_eq!(stats.sent + stats.dropped_fault, N);
-            assert_eq!(net.pending(), 0);
+            assert!(net.in_flight.is_empty());
             got
         };
         for (drop_probability, delivered) in [(0.0, N..=N), (1.0, 0..=0), (0.4, 90..=150)] {

@@ -184,11 +184,6 @@ impl AppArena {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut AppRuntime> {
         self.slots.iter_mut().filter_map(Option::as_mut)
     }
-
-    /// Iterates over every app id in ascending order.
-    pub fn ids(&self) -> impl Iterator<Item = AppId> + '_ {
-        self.iter().map(|rt| rt.id())
-    }
 }
 
 impl Index<AppId> for AppArena {
@@ -243,7 +238,7 @@ mod tests {
         assert!(!arena.contains(AppId(1)));
         assert_eq!(arena.get(AppId(5)).unwrap().id(), AppId(5));
         assert!(arena.get(AppId(99)).is_none());
-        let ids: Vec<AppId> = arena.ids().collect();
+        let ids: Vec<AppId> = arena.iter().map(|rt| rt.id()).collect();
         assert_eq!(ids, vec![AppId(0), AppId(3), AppId(5)]);
         assert_eq!(arena[AppId(0)].id(), AppId(0));
     }
@@ -257,7 +252,7 @@ mod tests {
         assert!(!arena.contains(AppId(1)));
         assert!(arena.remove(AppId(1)).is_none());
         assert!(arena.remove(AppId(99)).is_none());
-        let ids: Vec<AppId> = arena.ids().collect();
+        let ids: Vec<AppId> = arena.iter().map(|rt| rt.id()).collect();
         assert_eq!(ids, vec![AppId(0), AppId(2)]);
         // The slot is still addressable: a later insert at the same id works.
         assert!(arena.insert(rt(1)).is_none());

@@ -70,16 +70,6 @@ impl ArrivalShape {
             }
         }
     }
-
-    /// Short stable name used in scenario ids ("poisson", "diurnal",
-    /// "flash").
-    pub fn name(&self) -> &'static str {
-        match self {
-            ArrivalShape::Poisson => "poisson",
-            ArrivalShape::Diurnal { .. } => "diurnal",
-            ArrivalShape::FlashCrowd { .. } => "flash",
-        }
-    }
 }
 
 /// A deterministic, unbounded stream of arrival times.
@@ -107,16 +97,6 @@ impl ArrivalProcess {
             rng: SmallRng::seed_from_u64(seed ^ 0xA55A_1234_5678_9ABC),
             clock: Time::ZERO,
         }
-    }
-
-    /// A stationary Poisson process.
-    pub fn poisson(mean_interarrival: Time, seed: u64) -> Self {
-        Self::new(ArrivalShape::Poisson, mean_interarrival, seed)
-    }
-
-    /// The process's shape.
-    pub fn shape(&self) -> ArrivalShape {
-        self.shape
     }
 
     /// Draws the next absolute arrival time (strictly non-decreasing). The
@@ -152,8 +132,9 @@ mod tests {
     fn poisson_is_deterministic_and_roughly_calibrated() {
         let horizon = Time::minutes(100_000.0);
         let mean = Time::minutes(20.0);
-        let a = collect_until(&mut ArrivalProcess::poisson(mean, 7), horizon);
-        let b = collect_until(&mut ArrivalProcess::poisson(mean, 7), horizon);
+        let poisson = |seed| ArrivalProcess::new(ArrivalShape::Poisson, mean, seed);
+        let a = collect_until(&mut poisson(7), horizon);
+        let b = collect_until(&mut poisson(7), horizon);
         assert_eq!(a, b, "pinned seed must reproduce the arrival sequence");
         assert!(
             a.windows(2).all(|w| w[0] <= w[1]),
@@ -165,7 +146,7 @@ mod tests {
             (4500.0..5500.0).contains(&n),
             "poisson arrival count {n} far from expectation"
         );
-        let other_seed = collect_until(&mut ArrivalProcess::poisson(mean, 8), horizon);
+        let other_seed = collect_until(&mut poisson(8), horizon);
         assert_ne!(a, other_seed, "different seeds give different sequences");
     }
 
@@ -230,6 +211,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_mean_interarrival_is_rejected() {
-        let _ = ArrivalProcess::poisson(Time::ZERO, 1);
+        let _ = ArrivalProcess::new(ArrivalShape::Poisson, Time::ZERO, 1);
     }
 }

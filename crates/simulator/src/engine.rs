@@ -230,15 +230,9 @@ impl<S: Scheduler> Engine<S> {
         &self.apps
     }
 
-    /// Number of scheduling rounds processed so far (including rounds the
-    /// incremental hot path skipped the policy call on).
-    pub fn scheduling_rounds(&self) -> u64 {
-        self.scheduling_rounds
-    }
-
     /// `(auctions run, auctions skipped)`: how many rounds actually invoked
     /// the policy versus how many the incremental hot path short-circuited.
-    /// The two always sum to [`scheduling_rounds`](Engine::scheduling_rounds).
+    /// The two always sum to the report's `scheduling_rounds`.
     pub fn auction_counts(&self) -> (u64, u64) {
         (self.auctions_run, self.auctions_skipped)
     }
@@ -355,14 +349,6 @@ impl<S: Scheduler> Engine<S> {
         self.advance_to(event.time);
         self.process_round();
         true
-    }
-
-    /// Processes every pending event due at or before `horizon`. The clock
-    /// is left at the last processed event (it does *not* jump to `horizon`:
-    /// an event-free tail would advance training progress in an extra slice
-    /// and perturb float accumulation relative to a batch run).
-    pub fn run_until(&mut self, horizon: Time) {
-        while self.step_due(horizon) {}
     }
 
     /// Schedules a heartbeat [`Tick`](EventKind::Tick) round at `at`.

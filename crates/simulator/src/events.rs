@@ -78,16 +78,6 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules an event.
     pub fn push(&mut self, time: Time, kind: EventKind) {
         let seq = self.next_seq;
@@ -119,7 +109,6 @@ mod tests {
             Time::minutes(20.0),
             EventKind::JobFinish(AppId(0), JobId(1)),
         );
-        assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(Time::minutes(10.0)));
         assert_eq!(q.pop().unwrap().kind, EventKind::AppArrival(AppId(0)));
         assert_eq!(
@@ -128,7 +117,7 @@ mod tests {
         );
         assert_eq!(q.pop().unwrap().kind, EventKind::LeaseExpiry);
         assert!(q.pop().is_none());
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -55,18 +55,6 @@ pub struct ControlPlaneStats {
     pub voided_wins: u64,
 }
 
-impl ControlPlaneStats {
-    /// Fraction of started rounds that missed at least one queried ρ
-    /// report — the storm matrix's headline degradation metric. `NaN`
-    /// before any round has started.
-    pub fn missed_round_rate(&self) -> f64 {
-        if self.rounds == 0 {
-            return f64::NAN;
-        }
-        1.0 - self.completed_rounds as f64 / self.rounds as f64
-    }
-}
-
 /// A cross-app scheduling policy.
 pub trait Scheduler {
     /// Short name used in reports ("themis", "gandiva", "tiresias", ...).

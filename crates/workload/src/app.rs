@@ -95,23 +95,6 @@ impl AppSpec {
             .max()
             .unwrap_or(Time::ZERO)
     }
-
-    /// The fastest single job's ideal running time — the paper's §5.2
-    /// formula `min_j (W_j / G_ideal_j)`, useful when reasoning about the
-    /// best configuration in isolation.
-    pub fn fastest_job_ideal_time(&self) -> Time {
-        self.jobs
-            .iter()
-            .map(|j| j.time_for_work(j.total_work(), j.max_parallelism, Locality::Slot))
-            .min()
-            .unwrap_or(Time::ZERO)
-    }
-
-    /// A lower bound on the app's finish time if it started now and ran
-    /// alone: `arrival + ideal_running_time`.
-    pub fn ideal_finish_time(&self) -> Time {
-        self.arrival + self.ideal_running_time()
-    }
 }
 
 #[cfg(test)]
@@ -167,11 +150,8 @@ mod tests {
             vec![job(0, 1000.0, 4), job(1, 2000.0, 2)],
         );
         // job0: 100 serial min / 4 = 25; job1: 200 / 2 = 100. All jobs run
-        // concurrently in a dedicated cluster → T_ID = 100 (the slowest);
-        // the fastest configuration alone would take 25.
+        // concurrently in a dedicated cluster → T_ID = 100 (the slowest).
         assert_eq!(app.ideal_running_time(), Time::minutes(100.0));
-        assert_eq!(app.fastest_job_ideal_time(), Time::minutes(25.0));
-        assert_eq!(app.ideal_finish_time(), Time::minutes(100.0));
     }
 
     #[test]
@@ -179,8 +159,6 @@ mod tests {
         let app = AppSpec::single_job(AppId(3), Time::minutes(1.0), job(0, 100.0, 1));
         assert_eq!(app.num_jobs(), 1);
         assert_eq!(app.ideal_running_time(), Time::minutes(10.0));
-        assert_eq!(app.fastest_job_ideal_time(), Time::minutes(10.0));
-        assert_eq!(app.ideal_finish_time(), Time::minutes(11.0));
     }
 
     #[test]

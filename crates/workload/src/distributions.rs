@@ -78,16 +78,6 @@ impl<T: Clone> Discrete<T> {
         };
         self.items[idx.min(self.items.len() - 1)].clone()
     }
-
-    /// Number of distinct items with positive weight.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` if the distribution has no items (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 /// Computes the empirical quantile `q` (in `[0,1]`) of a data set.
@@ -139,7 +129,7 @@ mod tests {
     fn discrete_respects_weights() {
         let mut rng = SmallRng::seed_from_u64(3);
         let dist = Discrete::new([("a", 0.75), ("b", 0.25), ("c", 0.0)]);
-        assert_eq!(dist.len(), 2);
+        assert_eq!(dist.items.len(), 2, "zero-weight items are dropped");
         let n = 10_000;
         let a_count = (0..n).filter(|_| dist.sample(&mut rng) == "a").count();
         let frac = a_count as f64 / n as f64;

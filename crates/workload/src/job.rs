@@ -76,11 +76,6 @@ impl JobSpec {
         self.serial_iter_time * self.total_iterations
     }
 
-    /// Serial running time with a single ideally-placed GPU.
-    pub fn serial_time(&self) -> Time {
-        self.total_work()
-    }
-
     /// Ideal (dedicated-cluster) running time: max parallelism and perfect
     /// placement.
     pub fn ideal_time(&self) -> Time {
@@ -195,15 +190,6 @@ impl JobProgress {
         spec.serial_iter_time * self.iterations_left(spec)
     }
 
-    /// Fraction of the job completed, in `[0, 1]`.
-    pub fn fraction_done(&self, spec: &JobSpec) -> f64 {
-        if spec.total_iterations <= 0.0 {
-            1.0
-        } else {
-            (self.iterations_done / spec.total_iterations).min(1.0)
-        }
-    }
-
     /// Current loss value according to the job's loss curve.
     pub fn current_loss(&self, spec: &JobSpec) -> f64 {
         spec.loss_curve.loss_at(self.iterations_done)
@@ -254,14 +240,6 @@ impl JobProgress {
         };
         self.gpu_time += Time::minutes(dt.as_minutes() * gpus as f64 * active_fraction);
         done
-    }
-
-    /// Remaining running time with `gpus` GPUs placed at `locality`.
-    /// Uniform-speed view of
-    /// [`time_to_complete_weighted`](Self::time_to_complete_weighted).
-    pub fn time_to_complete(&self, spec: &JobSpec, gpus: usize, locality: Locality) -> Time {
-        let usable = gpus.min(spec.max_parallelism);
-        self.time_to_complete_weighted(spec, gpus, usable as f64, locality)
     }
 
     /// Remaining running time with a mixed-generation allocation
@@ -364,7 +342,6 @@ mod tests {
         p.advance(&s, Time::minutes(100.0), 4, Locality::Slot);
         assert!(p.is_converged(&s));
         assert_eq!(p.iterations_left(&s), 0.0);
-        assert!((p.fraction_done(&s) - 1.0).abs() < 1e-12);
         // GPU time only accrues while there was work to do (15 min total at 4 GPUs = 60).
         assert!((p.gpu_time.as_minutes() - 100.0).abs() < 1e-6);
     }
@@ -374,7 +351,7 @@ mod tests {
         let s = spec();
         let mut p = JobProgress::new();
         p.advance(&s, Time::minutes(5.0), 2, Locality::Machine);
-        let t = p.time_to_complete(&s, 4, Locality::Slot);
+        let t = p.time_to_complete_weighted(&s, 4, 4.0, Locality::Slot);
         let mut q = p.clone();
         q.advance(&s, t, 4, Locality::Slot);
         assert!(q.is_converged(&s));
@@ -406,10 +383,6 @@ mod tests {
         a.advance(&s, Time::minutes(3.0), 4, Locality::Machine);
         b.advance_weighted(&s, Time::minutes(3.0), 4, 4.0, Locality::Machine);
         assert_eq!(a, b);
-        assert_eq!(
-            a.time_to_complete(&s, 4, Locality::Machine),
-            b.time_to_complete_weighted(&s, 4, 4.0, Locality::Machine)
-        );
     }
 
     #[test]

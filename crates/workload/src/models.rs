@@ -87,21 +87,6 @@ impl ModelArch {
         }
     }
 
-    /// Model parameter size in megabytes (FP32), which drives the
-    /// synchronous-SGD communication volume per iteration.
-    pub fn param_size_mb(self) -> f64 {
-        match self {
-            ModelArch::Vgg16 => 528.0,
-            ModelArch::Vgg19 => 549.0,
-            ModelArch::AlexNet => 233.0,
-            ModelArch::InceptionV3 => 92.0,
-            ModelArch::ResNet50 => 98.0,
-            ModelArch::ResNet152 => 230.0,
-            ModelArch::Gnmt => 520.0,
-            ModelArch::BertBase => 420.0,
-        }
-    }
-
     /// The placement-sensitivity profile for this architecture.
     ///
     /// Calibrated so the ratio between machine-local and rack-level

@@ -103,12 +103,6 @@ impl PlacementSensitivity {
     pub fn is_network_intensive(&self) -> bool {
         self.rack < 0.7
     }
-
-    /// How much slower a cross-machine placement is relative to a
-    /// machine-local placement (>= 1).
-    pub fn cross_machine_penalty(&self) -> f64 {
-        self.machine / self.rack
-    }
 }
 
 impl Default for PlacementSensitivity {
@@ -167,7 +161,6 @@ mod tests {
         let resnet_like = PlacementSensitivity::new(1.0, 0.98, 0.95, 0.9);
         assert!(vgg_like.is_network_intensive());
         assert!(!resnet_like.is_network_intensive());
-        assert!(vgg_like.cross_machine_penalty() > resnet_like.cross_machine_penalty());
     }
 
     #[test]

@@ -3,17 +3,10 @@
 //! A batch trace fixes `num_apps` up front; a long-running open system
 //! instead pulls apps one at a time for as long as its horizon lasts.
 //! [`TraceStream`] wraps a [`TraceGenerator`] with a cursor:
-//!
-//! * [`next_app`](TraceStream::next_app) is *self-paced* — it draws the
-//!   inter-arrival gap with the exact per-app RNG draws the batch
-//!   generator makes, so the first `N` streamed apps are identical to a
-//!   batch trace generated with `num_apps = N` from the same config;
-//! * [`next_app_at`](TraceStream::next_app_at) is *externally paced* — the
-//!   arrival time comes from the caller (service mode's arrival process),
-//!   and only the app-attribute draws consume the generator's RNG.
-//!
-//! Both paths assign dense sequential app ids starting at zero, which the
-//! simulator's arena indexing relies on.
+//! [`next_app_at`](TraceStream::next_app_at) takes the arrival time from
+//! the caller (service mode's arrival process), so only the app-attribute
+//! draws consume the generator's RNG. Apps get dense sequential ids
+//! starting at zero, which the simulator's arena indexing relies on.
 
 use crate::app::AppSpec;
 use crate::trace::{TraceConfig, TraceGenerator};
@@ -39,26 +32,6 @@ impl TraceStream {
         }
     }
 
-    /// Number of apps generated so far.
-    pub fn generated(&self) -> usize {
-        self.next_id as usize
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TraceConfig {
-        self.generator.config()
-    }
-
-    /// Generates the next app, self-paced: the arrival gap is drawn exactly
-    /// like the batch generator's, so streamed prefixes match batch traces
-    /// draw for draw.
-    pub fn next_app(&mut self) -> AppSpec {
-        let gap = self.generator.sample_interarrival();
-        self.clock += gap;
-        let arrival = self.clock;
-        self.next_spec(arrival)
-    }
-
     /// Generates the next app with a caller-supplied arrival time (service
     /// mode pairs this with an
     /// `ArrivalProcess`). Arrival times must be non-decreasing.
@@ -81,25 +54,6 @@ impl TraceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn self_paced_stream_prefix_equals_batch_trace() {
-        for config in [
-            TraceConfig::default().with_seed(9),
-            TraceConfig::default()
-                .with_seed(9)
-                .with_burstiness(0.5, 8.0),
-        ] {
-            let batch = TraceGenerator::new(config.clone().with_num_apps(25)).generate();
-            let mut stream = TraceStream::new(config);
-            let streamed: Vec<AppSpec> = (0..25).map(|_| stream.next_app()).collect();
-            assert_eq!(
-                batch, streamed,
-                "streamed prefix must match the batch trace app for app"
-            );
-            assert_eq!(stream.generated(), 25);
-        }
-    }
 
     #[test]
     fn externally_paced_stream_uses_the_given_arrivals() {

@@ -170,11 +170,6 @@ impl TraceGenerator {
         TraceGenerator { config, rng }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
     /// Generates the whole trace: a list of apps sorted by arrival time.
     pub fn generate(&mut self) -> Vec<AppSpec> {
         let mut apps = Vec::with_capacity(self.config.num_apps);

@@ -47,7 +47,8 @@ fn main() {
 
     let themis = run("themis", Box::new(ThemisScheduler::with_defaults()), &trace);
     run("gandiva", Box::new(Gandiva::new()), &trace);
-    run("slaq", Box::new(Slaq::new()), &trace);
+    let lease = SimConfig::default().lease_duration;
+    run("slaq", Box::new(Slaq::new(lease)), &trace);
     let tiresias = run("tiresias", Box::new(Tiresias::new()), &trace);
     run("drf", Box::new(Drf::new()), &trace);
 

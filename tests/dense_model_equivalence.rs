@@ -123,8 +123,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Randomized insert/remove sequences keep the dense `GpuAlloc` in
-    /// lock-step with a `BTreeSet` model, and the set algebra (union,
-    /// difference, intersection, disjointness) agrees on every prefix.
+    /// lock-step with a `BTreeSet` model, and union agrees with the
+    /// model's.
     #[test]
     fn gpu_alloc_agrees_with_btree_set_model(
         ops in prop::collection::vec((0u8..2, 0u32..64), 0..120),
@@ -141,7 +141,7 @@ proptest! {
             assert_alloc_matches(&alloc, &model, &spec);
         }
 
-        // Set algebra against a second randomized set.
+        // Union with a second randomized set.
         let other_alloc = GpuAlloc::from_gpus(other.iter().map(|g| GpuId(*g)));
         let other_model: BTreeSet<u32> = other.into_iter().collect();
         assert_alloc_matches(
@@ -149,30 +149,16 @@ proptest! {
             &model.union(&other_model).copied().collect(),
             &spec,
         );
-        assert_alloc_matches(
-            &alloc.difference(&other_alloc),
-            &model.difference(&other_model).copied().collect(),
-            &spec,
-        );
-        assert_alloc_matches(
-            &alloc.intersection(&other_alloc),
-            &model.intersection(&other_model).copied().collect(),
-            &spec,
-        );
-        prop_assert_eq!(
-            alloc.is_disjoint(&other_alloc),
-            model.is_disjoint(&other_model)
-        );
         // Round-trip through the constructor preserves equality.
         prop_assert_eq!(&GpuAlloc::from_gpus(alloc.iter()), &alloc);
     }
 
-    /// Randomized set/add/saturating-sub/scale sequences keep the dense
+    /// Randomized set/add/saturating-sub sequences keep the dense
     /// `FreeVector` in lock-step with a `BTreeMap` model, including the
     /// "machines with zero count are omitted" equality semantics.
     #[test]
     fn free_vector_agrees_with_btree_map_model(
-        ops in prop::collection::vec((0u8..4, 0u32..24, 0usize..6), 0..80),
+        ops in prop::collection::vec((0u8..3, 0u32..24, 0usize..6), 0..80),
     ) {
         let mut vector = FreeVector::empty();
         let mut model: BTreeMap<u32, usize> = BTreeMap::new();
@@ -194,7 +180,7 @@ proptest! {
                         *model.entry(machine).or_insert(0) += count;
                     }
                 }
-                2 => {
+                _ => {
                     let delta = FreeVector::from_counts([(m, count)]);
                     vector = vector.saturating_sub(&delta);
                     if count > 0 {
@@ -206,14 +192,6 @@ proptest! {
                         }
                     }
                 }
-                _ => {
-                    vector = vector.scale_floor(0.5);
-                    model = model
-                        .iter()
-                        .map(|(m, c)| (*m, c / 2))
-                        .filter(|(_, c)| *c > 0)
-                        .collect();
-                }
             }
             assert_vector_matches(&vector, &model);
         }
@@ -224,27 +202,15 @@ proptest! {
         prop_assert_eq!(&rebuilt, &vector);
         // contains_vector agrees with a per-machine comparison.
         prop_assert!(vector.contains_vector(&rebuilt));
-        prop_assert!(vector.contains_vector(&vector.scale_floor(0.5)));
     }
 
-    /// `FreeVector::from_gpus` matches the per-machine counts of the
-    /// deduplicated GPU set (duplicates count once), and `add_assign`
-    /// matches `add`.
+    /// `add_assign` matches `add`.
     #[test]
-    fn free_vector_from_gpus_and_add_assign(
-        gpus in prop::collection::vec(0u32..48, 0..48),
+    fn free_vector_add_assign_agrees_with_add(
+        counts in prop::collection::vec((0u32..24, 0usize..5), 0..12),
         extra in prop::collection::vec((0u32..24, 1usize..5), 0..12),
     ) {
-        let spec = spec();
-        let vector = FreeVector::from_gpus(gpus.iter().map(|g| GpuId(*g)), &spec);
-        let dedup: BTreeSet<u32> = gpus.into_iter().collect();
-        let alloc = GpuAlloc::from_gpus(dedup.iter().map(|g| GpuId(*g)));
-        let per_machine = alloc.per_machine(&spec);
-        prop_assert_eq!(vector.total(), per_machine.values().sum::<usize>());
-        for (machine, count) in per_machine {
-            prop_assert_eq!(vector.on_machine(machine), count);
-        }
-
+        let vector = FreeVector::from_counts(counts.iter().map(|(m, c)| (MachineId(*m), *c)));
         let delta = FreeVector::from_counts(extra.iter().map(|(m, c)| (MachineId(*m), *c)));
         let mut in_place = vector.clone();
         in_place.add_assign(&delta);
@@ -514,7 +480,7 @@ impl ScanLeaseModel {
     fn expired(&self, now: Time) -> Vec<Lease> {
         self.leases
             .values()
-            .filter(|l| l.is_expired(now))
+            .filter(|l| l.expires_at <= now)
             .copied()
             .collect()
     }
@@ -686,10 +652,10 @@ proptest! {
     }
 
     /// The expiry-ordered lease index agrees with a full scan of the
-    /// per-GPU map under random grant / revoke / extend / reclaim.
+    /// per-GPU map under random grant / revoke / reclaim.
     #[test]
     fn lease_expiry_index_agrees_with_full_scan_model(
-        ops in prop::collection::vec((0u8..5, 0u32..24, 0u32..60), 0..160),
+        ops in prop::collection::vec((0u8..4, 0u32..24, 0u32..60), 0..160),
     ) {
         let mut table = LeaseTable::new();
         let mut model = ScanLeaseModel::default();
@@ -708,13 +674,6 @@ proptest! {
                     prop_assert_eq!(table.grant(lease), model.leases.insert(gpu, lease));
                 }
                 2 => prop_assert_eq!(table.revoke(gpu), model.leases.remove(&gpu)),
-                3 => {
-                    let known = model.leases.get_mut(&gpu);
-                    prop_assert_eq!(table.extend(gpu, at), known.is_some());
-                    if let Some(lease) = known {
-                        lease.expires_at = at;
-                    }
-                }
                 _ => {
                     prop_assert_eq!(table.expired(at), model.expired(at));
                     prop_assert_eq!(table.reclaim_expired(at), model.reclaim_expired(at));

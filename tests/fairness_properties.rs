@@ -273,8 +273,5 @@ proptest! {
         let back = sum.saturating_sub(&b);
         prop_assert_eq!(back, a.clone());
         prop_assert!(sum.contains_vector(&a));
-        // Scaling by 1.0 is the identity, by 0.0 empties the vector.
-        prop_assert_eq!(a.scale_floor(1.0), a.clone());
-        prop_assert!(a.scale_floor(0.0).is_empty());
     }
 }

@@ -141,7 +141,12 @@ fn arbiter_and_agent_talk_over_the_in_memory_transport() {
     }
 
     // Step 3-4: offer and bid.
-    let offer = arbiter.make_offer(now, cluster.free_vector());
+    let offer = OfferMsg {
+        round: 0,
+        now,
+        resources: cluster.free_vector(),
+        reply_by: now + Time::seconds(30.0),
+    };
     let offer_msg = Wire::ToAgent(ArbiterToAgent::Offer(offer.clone()));
     let offer_msg = match hop(arbiter_id, agent_id, offer_msg) {
         Wire::ToAgent(ArbiterToAgent::Offer(o)) => o,

@@ -14,7 +14,7 @@
 //!   `themis-msglog v1` transcript byte-identically.
 
 use themis_bench::policies::Policy;
-use themis_bench::report::check_baseline;
+use themis_bench::report::{check_baseline, ControlMetrics};
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario, StormAxis};
 use themis_bench::sweep::{run_replay_gate, run_sweep};
 use themis_cluster::cluster::Cluster;
@@ -82,8 +82,12 @@ fn congestion_misses_rounds_and_coalescing_recovers_them() {
 
     let choked_control = choked.control.expect("dist reports control stats");
     let coalesced_control = coalesced.control.expect("dist reports control stats");
-    let choked_rate = choked_control.missed_round_rate();
-    let coalesced_rate = coalesced_control.missed_round_rate();
+    let rate = |control| {
+        ControlMetrics::from_stats(control)
+            .missed_round_rate()
+            .expect("rounds ran")
+    };
+    let (choked_rate, coalesced_rate) = (rate(&choked_control), rate(&coalesced_control));
     assert!(
         choked_control.missed_rho_reports > 0 && choked_rate > 0.5,
         "8 apps x 1 s of service must overrun the 15 s rho deadline, got rate {choked_rate}"

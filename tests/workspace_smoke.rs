@@ -5,7 +5,8 @@
 //! runs are identical. This pins down both that the crate graph is wired
 //! correctly (every layer of the workspace participates) and that the
 //! simulator is deterministic: same seed, identical `SimReport`. Also
-//! checks that the documentation names only repository paths that exist.
+//! checks that the documentation names only repository paths that exist,
+//! and that the benchmark's lockfile matches the crate manifests.
 
 use std::path::{Path, PathBuf};
 use themis_cluster::prelude::*;
@@ -108,4 +109,23 @@ fn docs_name_only_paths_that_exist() {
         }
     }
     assert!(dangling.is_empty(), "missing paths: {dangling:#?}");
+}
+
+/// `benchmark/` is a package of its own, and its lockfile lists what the
+/// crates it measures depend on. A crate manifest edit that would rewrite
+/// `benchmark/Cargo.lock` fails here instead of in the next measurement.
+#[test]
+fn benchmark_lockfile_matches_the_crate_manifests() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/Cargo.toml");
+    let output = std::process::Command::new(env!("CARGO"))
+        .args(["metadata", "--locked", "--offline", "--format-version", "1"])
+        .arg("--manifest-path")
+        .arg(&manifest)
+        .output()
+        .expect("cargo runs");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
