@@ -144,9 +144,7 @@ mod tests {
                 .allocate(gpu, AppId(0), JobId(0), Time::ZERO, Time::minutes(20.0))
                 .unwrap();
         }
-        let mut a0 = app(0, 8);
-        a0.max_par_override.insert(JobId(0), 8);
-        let apps = AppArena::from_runtimes([a0, app(1, 4)]);
+        let apps = AppArena::from_runtimes([app(0, 8), app(1, 4)]);
         let decisions = Drf::new().schedule(Time::ZERO, &cluster, &apps);
         let to_app1: usize = decisions
             .iter()

@@ -148,7 +148,7 @@ mod tests {
             Time::minutes(0.1),
             4,
         );
-        job.loss_curve = LossCurve::PowerLaw {
+        job.loss_curve = LossCurve {
             floor: 0.0,
             scale: 2.0,
             exponent: 0.5,

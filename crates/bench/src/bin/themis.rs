@@ -191,7 +191,10 @@ fn sweep(args: &[Arg]) -> Result<Job, Usage> {
             "--matrix" => (matrices, matrix_arg) = (a.names("matrix", Matrix::by_name)?, Some(a)),
             "--policy" => policies = Some(a.names("policy", Policy::parse)?),
             "--jobs" => jobs = a.parse("a positive integer", |&n: &usize| n > 0)?,
-            "--tolerance" => tolerance = a.parse("a number", |_: &f64| true)?,
+            "--tolerance" => {
+                let ok = |t: &f64| t.is_finite() && *t >= 0.0;
+                tolerance = a.parse("a finite non-negative number", ok)?;
+            }
             "--out" => out = Some(a.value.clone()),
             "--check" => check = Some(a.value.clone()),
             "--log-out" => log_out = Some(a.value.clone()),

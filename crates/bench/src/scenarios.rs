@@ -13,8 +13,10 @@
 //! * [`Matrix`] is a declarative set of axis values whose
 //!   [`expand`](Matrix::expand) takes the cartesian product,
 //! * the named matrices ([`Matrix::smoke`], [`Matrix::full`],
-//!   [`Matrix::lease`], [`Matrix::stress`], [`Matrix::faults`]) are the
-//!   sweeps `themis sweep` and CI run.
+//!   [`Matrix::stress`], [`Matrix::faults`], [`Matrix::scale`],
+//!   [`Matrix::hetero`], [`Matrix::service`], [`Matrix::soak`],
+//!   [`Matrix::storm`]; [`Matrix::NAMED`]) are the sweeps `themis sweep`
+//!   and CI run.
 //!
 //! The simulated figures in [`crate::experiments`] are cell tables over
 //! scenarios: each figure lists the `(scenario, policy)` cells its rows
@@ -878,7 +880,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A single-point matrix (one value per axis) that scenarios can be
-    /// grown from. Uses the paper's default knobs and all five policies.
+    /// grown from. Uses the paper's default knobs and all six policies.
     pub fn point(name: &str, cluster: ClusterKind, apps: usize, seed: u64) -> Matrix {
         Matrix {
             name: name.to_string(),
@@ -925,18 +927,6 @@ impl Matrix {
             rho_error: vec![0.0, 0.1],
             seeds: vec![42, 43],
             ..Matrix::point("full", ClusterKind::Testbed50, 20, 42)
-        }
-    }
-
-    /// The lease-sensitivity matrix behind Figure 4c, extended with both
-    /// cluster scales.
-    pub fn lease() -> Matrix {
-        Matrix {
-            clusters: vec![ClusterKind::Rack16, ClusterKind::Testbed50],
-            apps: vec![8],
-            lease_minutes: vec![5.0, 10.0, 20.0, 40.0],
-            policies: vec![Policy::themis_default(), Policy::Tiresias],
-            ..Matrix::point("lease", ClusterKind::Testbed50, 8, 42)
         }
     }
 
@@ -1153,8 +1143,8 @@ impl Matrix {
     }
 
     /// Names accepted by [`Matrix::by_name`].
-    pub const NAMED: [&'static str; 10] = [
-        "smoke", "full", "lease", "stress", "faults", "scale", "hetero", "service", "soak", "storm",
+    pub const NAMED: [&'static str; 9] = [
+        "smoke", "full", "stress", "faults", "scale", "hetero", "service", "soak", "storm",
     ];
 
     /// Looks up a named matrix.
@@ -1162,7 +1152,6 @@ impl Matrix {
         match name {
             "smoke" => Some(Matrix::smoke()),
             "full" => Some(Matrix::full()),
-            "lease" => Some(Matrix::lease()),
             "stress" => Some(Matrix::stress()),
             "faults" => Some(Matrix::faults()),
             "scale" => Some(Matrix::scale()),

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::lease::{Lease, LeaseTable};
     pub use crate::placement::{Locality, PlacementScorer};
     pub use crate::time::Time;
-    pub use crate::topology::{ClusterSpec, GpuModel, MachineSpec, RackSpec};
+    pub use crate::topology::{ClusterSpec, MachineSpec, RackSpec};
     pub use crate::view::{ClusterState, ClusterView};
 }
 

@@ -23,12 +23,10 @@ use crate::ids::{GpuId, MachineId, RackId};
 /// generation, so an allocation's effective throughput is
 /// `G_eff = Σ speed_i × S(placement)` instead of `G × S(placement)`.
 ///
-/// Generation is deliberately orthogonal to [`GpuModel`]: the model is a
-/// hardware *label* used for reporting, while the generation is the
-/// *performance class* the schedulers act on. Every constructor defaults to
-/// [`GpuGeneration::Pascal`] (speed 1.0), which reproduces the paper's
-/// uniform-speed assumption exactly — speed 1.0 everywhere is
-/// observationally pure by construction.
+/// Every constructor defaults to [`GpuGeneration::Pascal`] (speed 1.0),
+/// which reproduces the paper's uniform-speed assumption exactly — speed
+/// 1.0 everywhere is observationally pure by construction; only
+/// [`ClusterSpec::with_generation_cycle`] assigns other generations.
 ///
 /// ```
 /// use themis_cluster::topology::GpuGeneration;
@@ -88,24 +86,6 @@ impl std::fmt::Display for GpuGeneration {
     }
 }
 
-/// The hardware model of a GPU. Only used for reporting and for modelling
-/// heterogeneous clusters; the scheduler treats all GPUs of a machine as
-/// interchangeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GpuModel {
-    /// NVIDIA Tesla K80 (used in the paper's NC-series testbed instances).
-    TeslaK80,
-    /// NVIDIA Tesla M60 (used in the paper's NV-series testbed instances).
-    TeslaM60,
-    /// NVIDIA Tesla P100 (used in the paper's Figure 2 profiling).
-    TeslaP100,
-    /// NVIDIA Tesla V100.
-    TeslaV100,
-    /// A generic GPU when the model does not matter.
-    #[default]
-    Generic,
-}
-
 /// Description of a single machine: how many GPUs it has, how they are
 /// grouped into NVLink slots, and which rack it belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,8 +101,6 @@ pub struct MachineSpec {
     /// PCIe. A `slot_size` >= `gpus.len()` means the whole machine is one
     /// slot.
     pub slot_size: usize,
-    /// The GPU hardware model installed in this machine.
-    pub gpu_model: GpuModel,
     /// The GPU generation (speed class) of this machine. All GPUs of one
     /// machine share a generation — clusters are bought machine-at-a-time.
     pub generation: GpuGeneration,
@@ -354,9 +332,9 @@ impl ClusterSpec {
         let mut b = ClusterSpec::builder();
         for _ in 0..4 {
             b = b.rack(|r| {
-                r.machines_with(12, 4, 2, GpuModel::TeslaP100)
-                    .machines_with(6, 2, 2, GpuModel::TeslaP100)
-                    .machines_with(4, 1, 1, GpuModel::TeslaP100)
+                r.machines_with(12, 4, 2)
+                    .machines_with(6, 2, 2)
+                    .machines_with(4, 1, 1)
             });
         }
         b.build()
@@ -365,16 +343,16 @@ impl ClusterSpec {
     /// The paper's testbed: 50 GPUs spread across 20 Azure NC/NV instances
     /// with 1, 2 or 4 GPUs each (§8.1).
     ///
-    /// Layout: 2 racks; 10 machines per rack; per rack: 4 × 4-GPU (K80),
-    /// 3 × 2-GPU (M60), 3 × 1-GPU (M60) = 25 GPUs per rack, 50 total across
-    /// 20 instances.
+    /// Layout: 2 racks; 10 machines per rack; per rack: 4 × 4-GPU (the
+    /// NC-series K80 instances), 3 × 2-GPU and 3 × 1-GPU (the NV-series M60
+    /// instances) = 25 GPUs per rack, 50 total across 20 instances.
     pub fn testbed_50() -> ClusterSpec {
         let mut b = ClusterSpec::builder();
         for _ in 0..2 {
             b = b.rack(|r| {
-                r.machines_with(4, 4, 2, GpuModel::TeslaK80)
-                    .machines_with(3, 2, 2, GpuModel::TeslaM60)
-                    .machines_with(3, 1, 1, GpuModel::TeslaM60)
+                r.machines_with(4, 4, 2)
+                    .machines_with(3, 2, 2)
+                    .machines_with(3, 1, 1)
             });
         }
         b.build()
@@ -393,9 +371,9 @@ impl ClusterSpec {
 
     /// A synthetic homogeneous cluster for scale studies beyond the paper's
     /// 256 GPUs: `racks` racks × `machines_per_rack` machines ×
-    /// `gpus_per_machine` GPUs (generic GPU model, one NVLink slot per GPU
-    /// pair). The `scale` scenario matrix builds its 1024- and 4096-GPU
-    /// clusters with this constructor.
+    /// `gpus_per_machine` GPUs (one NVLink slot per GPU pair). The `scale`
+    /// scenario matrix builds its 1024- and 4096-GPU clusters with this
+    /// constructor.
     ///
     /// ```
     /// use themis_cluster::topology::ClusterSpec;
@@ -500,7 +478,7 @@ impl ClusterSpecBuilder {
                                 machine: machine_id,
                                 rack: rack_id,
                                 slot: (slot_idx / slot_size) as u32,
-                                generation: group.generation,
+                                generation: GpuGeneration::default(),
                             });
                             id
                         })
@@ -510,8 +488,7 @@ impl ClusterSpecBuilder {
                         rack: rack_id,
                         gpus,
                         slot_size: group.slot_size,
-                        gpu_model: group.gpu_model,
-                        generation: group.generation,
+                        generation: GpuGeneration::default(),
                     });
                     rack_machines.push(machine_id);
                 }
@@ -543,44 +520,22 @@ struct MachineGroup {
     count: usize,
     gpus_per_machine: usize,
     slot_size: usize,
-    gpu_model: GpuModel,
-    generation: GpuGeneration,
 }
 
 impl RackBuilder {
     /// Adds `count` machines with `gpus_per_machine` GPUs each (one NVLink
-    /// slot per pair of GPUs, generic GPU model, reference generation).
+    /// slot per pair of GPUs, reference generation).
     pub fn machines(self, count: usize, gpus_per_machine: usize) -> Self {
-        self.machines_with(count, gpus_per_machine, 2, GpuModel::Generic)
+        self.machines_with(count, gpus_per_machine, 2)
     }
 
-    /// Adds `count` machines with full control over slot size and GPU
-    /// model, at the reference generation (speed 1.0).
+    /// Adds `count` machines with `slot_size` GPUs per NVLink slot, at the
+    /// reference generation (speed 1.0).
     pub fn machines_with(
-        self,
-        count: usize,
-        gpus_per_machine: usize,
-        slot_size: usize,
-        gpu_model: GpuModel,
-    ) -> Self {
-        self.machines_of_generation(
-            count,
-            gpus_per_machine,
-            slot_size,
-            gpu_model,
-            GpuGeneration::default(),
-        )
-    }
-
-    /// Adds `count` machines with full control over slot size, GPU model
-    /// and generation (speed class).
-    pub fn machines_of_generation(
         mut self,
         count: usize,
         gpus_per_machine: usize,
         slot_size: usize,
-        gpu_model: GpuModel,
-        generation: GpuGeneration,
     ) -> Self {
         assert!(gpus_per_machine > 0, "machines must have at least one GPU");
         assert!(slot_size > 0, "slot size must be at least one GPU");
@@ -588,8 +543,6 @@ impl RackBuilder {
             count,
             gpus_per_machine,
             slot_size,
-            gpu_model,
-            generation,
         });
         self
     }
@@ -631,12 +584,8 @@ mod tests {
         let spec = ClusterSpec::testbed_50();
         assert_eq!(spec.total_gpus(), 50);
         assert_eq!(spec.total_machines(), 20);
-        let k80s = spec
-            .machines()
-            .iter()
-            .filter(|m| m.gpu_model == GpuModel::TeslaK80)
-            .count();
-        assert_eq!(k80s, 8);
+        let four_gpu = spec.machines().iter().filter(|m| m.num_gpus() == 4);
+        assert_eq!(four_gpu.count(), 8, "the eight K80 instances");
     }
 
     #[test]

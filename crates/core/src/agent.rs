@@ -28,6 +28,10 @@ use themis_hpo::api::JobEstimate;
 use themis_protocol::bid::BidTable;
 use themis_sim::app_runtime::AppRuntime;
 
+/// Maximum number of candidate subsets an Agent enumerates per bid table.
+/// Bounds the §8.3.2 bid-preparation cost.
+pub const MAX_BID_ENTRIES: usize = 16;
+
 /// What an app's probe and its bid both read, computed once: the HPO
 /// framework's per-job estimates, the time since arrival and the app's
 /// holdings per machine (ascending machine id).
@@ -144,7 +148,6 @@ fn packing_prefix(
 pub struct Agent {
     /// The app this Agent represents.
     pub app: AppId,
-    max_bid_entries: usize,
     rho_error_theta: f64,
     rng: SmallRng,
 }
@@ -154,7 +157,6 @@ impl Agent {
     pub fn new(app: AppId, config: &ThemisConfig) -> Self {
         Agent {
             app,
-            max_bid_entries: config.max_bid_entries,
             rho_error_theta: config.rho_error_theta,
             rng: SmallRng::seed_from_u64(config.seed ^ (u64::from(app.0) << 17)),
         }
@@ -206,7 +208,7 @@ impl Agent {
         let demand: usize = estimates.iter().map(|e| e.max_parallelism).sum();
         let held: usize = holdings.iter().map(|(_, count)| count).sum();
         let unmet = demand.saturating_sub(held);
-        let rows = unmet.min(offer.total()).min(self.max_bid_entries);
+        let rows = unmet.min(offer.total()).min(MAX_BID_ENTRIES);
         if rows > 0 {
             table.entries.reserve_exact(rows);
             packing_prefix(&mut scratch.packing, offer, holdings, rows, spec);
@@ -392,10 +394,14 @@ mod tests {
     fn max_bid_entries_caps_table_size() {
         let cluster = Cluster::new(ClusterSpec::homogeneous(4, 4, 4));
         let rt = runtime(0, ModelArch::ResNet50, 16, 4);
-        let mut agent = Agent::new(AppId(0), &ThemisConfig::default().with_max_bid_entries(5));
         let offer = cluster.free_vector();
+        // Unmet demand (16 jobs × 4) and the offer (64 GPUs) both exceed
+        // the cap, so the cap alone sets the table size.
+        assert!(rt.unmet_demand(&cluster) > MAX_BID_ENTRIES);
+        assert!(offer.total() > MAX_BID_ENTRIES);
+        let mut agent = Agent::new(AppId(0), &ThemisConfig::default());
         let table = agent.prepare_bid(Time::ZERO, &rt, &cluster, &offer);
-        assert!(table.len() <= 5);
+        assert_eq!(table.len(), MAX_BID_ENTRIES);
     }
 
     #[test]

@@ -9,9 +9,6 @@ pub struct ThemisConfig {
     /// lower `f` gives the Arbiter more placement choices. The paper
     /// recommends `f = 0.8`.
     pub fairness_knob: f64,
-    /// Maximum number of candidate subsets an Agent enumerates per bid
-    /// table. Bounds the §8.3.2 bid-preparation cost.
-    pub max_bid_entries: usize,
     /// Relative error injected into every reported ρ, drawn uniformly from
     /// `[-θ, +θ]` per app per auction (the paper's §8.4.3 robustness
     /// experiment). Zero disables injection.
@@ -25,7 +22,6 @@ impl Default for ThemisConfig {
     fn default() -> Self {
         ThemisConfig {
             fairness_knob: 0.8,
-            max_bid_entries: 16,
             rho_error_theta: 0.0,
             seed: 0,
         }
@@ -59,13 +55,6 @@ impl ThemisConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the maximum number of bid-table entries.
-    pub fn with_max_bid_entries(mut self, entries: usize) -> Self {
-        assert!(entries > 0, "at least one bid entry is required");
-        self.max_bid_entries = entries;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +73,10 @@ mod tests {
         let c = ThemisConfig::default()
             .with_fairness_knob(0.5)
             .with_rho_error(0.2)
-            .with_seed(9)
-            .with_max_bid_entries(8);
+            .with_seed(9);
         assert_eq!(c.fairness_knob, 0.5);
         assert_eq!(c.rho_error_theta, 0.2);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.max_bid_entries, 8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! API"): at bid-preparation time the Agent pulls, for every constituent
 //! job, the total work, the work left, the placement sensitivity and the
 //! maximum parallelism. In the other direction, the app scheduler is told
-//! about training progress and decides which jobs to keep, boost or kill.
+//! about training progress and decides which jobs to kill.
 
 use themis_cluster::ids::JobId;
 use themis_cluster::time::Time;
@@ -77,17 +77,6 @@ impl<'a> JobViews<'a> {
     }
 }
 
-/// The classification HyperDrive-style schedulers assign to a job (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum JobClass {
-    /// Converging quickly; gets the highest execution priority.
-    Good,
-    /// Converging acceptably; kept at normal priority.
-    Promising,
-    /// Converging too slowly (or not at all); terminated.
-    Poor,
-}
-
 /// What the Agent needs to know about a job to prepare a bid (§5.2):
 /// total work, work left, max parallelism and placement sensitivity.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,42 +87,20 @@ pub struct JobEstimate {
     pub total_work: Time,
     /// Estimated work left `W'` (GPU-minutes of serial computation).
     pub work_left: Time,
-    /// Maximum useful parallelism `G_ideal` currently assigned to the job
-    /// by its app scheduler.
+    /// Maximum useful parallelism `G_ideal` of the job.
     pub max_parallelism: usize,
     /// Placement-sensitivity profile `S`.
     pub sensitivity: PlacementSensitivity,
 }
 
-/// The decision an app scheduler returns after observing progress.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerUpdate {
-    /// Jobs to terminate immediately (their GPUs return to the app and are
-    /// redistributed among the surviving jobs).
-    pub kill: Vec<JobId>,
-    /// Optional per-job max-parallelism overrides (HyperDrive boosts good
-    /// jobs and throttles promising ones).
-    pub max_parallelism: Vec<(JobId, usize)>,
-}
-
-impl SchedulerUpdate {
-    /// An update that changes nothing.
-    pub fn none() -> Self {
-        Self::default()
-    }
-}
-
 /// The top-level (per-app) scheduler interface.
 ///
-/// Implementations decide which of the app's jobs stay alive and how much
-/// parallelism each should receive; the Agent combines this with placement
-/// sensitivity to prepare bids.
+/// Implementations decide which of the app's jobs stay alive; the Agent
+/// combines their estimates with placement sensitivity to prepare bids.
 pub trait AppScheduler: std::fmt::Debug + Send {
-    /// Short name for reporting ("hyperband", "hyperdrive", ...).
-    fn name(&self) -> &'static str;
-
-    /// Observes the current state of every job in the app and returns which
-    /// jobs to kill / re-prioritize.
+    /// Observes the current state of every job in the app and returns the
+    /// jobs to terminate immediately (their GPUs return to the app and are
+    /// redistributed among the surviving jobs).
     ///
     /// The simulator calls this once per scheduling event (arrival, lease
     /// expiry, projected finish, …) for every arrived, unfinished app, with
@@ -146,7 +113,7 @@ pub trait AppScheduler: std::fmt::Debug + Send {
     /// schedules; an implementation that wants to save work on them skips it
     /// inside, as [`WorkEstimator`](crate::estimator::WorkEstimator) does
     /// for repeated observations.
-    fn update(&mut self, now: Time, jobs: JobViews<'_>) -> SchedulerUpdate;
+    fn update(&mut self, now: Time, jobs: JobViews<'_>) -> Vec<JobId>;
 
     /// The Agent API: per-job estimates used to prepare bids. The default
     /// implementation reports clairvoyant work-left (matching the paper's
@@ -176,11 +143,8 @@ mod tests {
     #[derive(Debug)]
     struct Noop;
     impl AppScheduler for Noop {
-        fn name(&self) -> &'static str {
-            "noop"
-        }
-        fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> SchedulerUpdate {
-            SchedulerUpdate::none()
+        fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> Vec<JobId> {
+            Vec::new()
         }
     }
 
@@ -209,11 +173,5 @@ mod tests {
         let views = JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress));
         assert!(Noop.estimates(views).is_empty());
         assert!(!views.iter().next().unwrap().is_active());
-    }
-
-    #[test]
-    fn job_class_ordering() {
-        assert!(JobClass::Good < JobClass::Promising);
-        assert!(JobClass::Promising < JobClass::Poor);
     }
 }

@@ -114,7 +114,7 @@ mod tests {
     fn spec() -> JobSpec {
         let mut s = JobSpec::new(JobId(0), ModelArch::ResNet50, 1000.0, Time::minutes(0.1), 4);
         // A zero-floor power law so the fitting model matches exactly.
-        s.loss_curve = LossCurve::PowerLaw {
+        s.loss_curve = LossCurve {
             floor: 0.0,
             scale: 2.0,
             exponent: 0.45,

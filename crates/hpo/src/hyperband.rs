@@ -6,35 +6,17 @@
 //! remains (§5.2, "App scheduler background"). The paper's prototype
 //! implements this scheduler inside the Submarine Application Master (§7).
 
-use crate::api::{AppScheduler, JobViews, SchedulerUpdate};
+use crate::api::{AppScheduler, JobViews};
 use crate::estimator::WorkEstimator;
 use themis_cluster::ids::JobId;
 use themis_cluster::time::Time;
 
-/// Configuration of the successive-halving schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyperBandConfig {
-    /// Number of iterations each surviving job must complete before the
-    /// next halving decision is taken.
-    pub rung_iterations: f64,
-    /// Elimination factor: at each rung, `1/eta` of the jobs survive
-    /// (classic HyperBand uses 2, i.e. "kill the bottom half").
-    pub eta: f64,
-}
-
-impl Default for HyperBandConfig {
-    fn default() -> Self {
-        HyperBandConfig {
-            rung_iterations: 50.0,
-            eta: 2.0,
-        }
-    }
-}
-
 /// The HyperBand successive-halving scheduler.
 #[derive(Debug)]
 pub struct HyperBand {
-    config: HyperBandConfig,
+    /// Iterations each surviving job must complete before the next halving
+    /// decision is taken.
+    rung_iterations: f64,
     /// Iteration threshold at which the next halving decision happens.
     next_rung: f64,
     /// One estimator per job, by position in the job list `update` is
@@ -43,11 +25,13 @@ pub struct HyperBand {
 }
 
 impl HyperBand {
-    /// Creates a HyperBand scheduler with an explicit configuration.
-    pub fn new(config: HyperBandConfig) -> Self {
+    /// Creates a HyperBand scheduler that halves the surviving jobs every
+    /// `rung_iterations` iterations (classic HyperBand's elimination factor
+    /// of 2: "kill the bottom half").
+    pub fn new(rung_iterations: f64) -> Self {
         HyperBand {
-            next_rung: config.rung_iterations,
-            config,
+            rung_iterations,
+            next_rung: rung_iterations,
             estimators: Vec::new(),
         }
     }
@@ -56,11 +40,7 @@ impl HyperBand {
     /// of jobs (more configurations → shorter rungs, as in the original
     /// algorithm's bracket construction).
     pub fn with_defaults(num_jobs: usize) -> Self {
-        let rung = if num_jobs >= 32 { 25.0 } else { 50.0 };
-        HyperBand::new(HyperBandConfig {
-            rung_iterations: rung,
-            eta: 2.0,
-        })
+        HyperBand::new(if num_jobs >= 32 { 25.0 } else { 50.0 })
     }
 
     /// Ranks active jobs by projected total iterations to convergence
@@ -87,11 +67,7 @@ impl HyperBand {
 }
 
 impl AppScheduler for HyperBand {
-    fn name(&self) -> &'static str {
-        "hyperband"
-    }
-
-    fn update(&mut self, _now: Time, jobs: JobViews<'_>) -> SchedulerUpdate {
+    fn update(&mut self, _now: Time, jobs: JobViews<'_>) -> Vec<JobId> {
         // Record fresh loss observations for every active job. A rung
         // completes when every surviving job has reached the rung's
         // iteration threshold (or finished).
@@ -110,17 +86,13 @@ impl AppScheduler for HyperBand {
             all_reached &= job.progress.iterations_done >= self.next_rung;
         }
         if active <= 1 || !all_reached {
-            return SchedulerUpdate::none();
+            return Vec::new();
         }
 
         let ranked = self.rank_jobs(jobs);
-        let survivors = ((ranked.len() as f64 / self.config.eta).ceil() as usize).max(1);
-        let kill: Vec<JobId> = ranked.iter().skip(survivors).map(|(id, _)| *id).collect();
-        self.next_rung += self.config.rung_iterations;
-        SchedulerUpdate {
-            kill,
-            max_parallelism: Vec::new(),
-        }
+        let survivors = ranked.len().div_ceil(2);
+        self.next_rung += self.rung_iterations;
+        ranked.iter().skip(survivors).map(|(id, _)| *id).collect()
     }
 }
 
@@ -144,7 +116,7 @@ mod tests {
             Time::minutes(0.1),
             4,
         );
-        spec.loss_curve = LossCurve::PowerLaw {
+        spec.loss_curve = LossCurve {
             floor: 0.0,
             scale: 2.0,
             exponent,
@@ -161,12 +133,9 @@ mod tests {
     fn no_kills_before_rung_completes() {
         let specs = vec![job(0, 0.6), job(1, 0.3)];
         let progress = fresh(&specs);
-        let mut hb = HyperBand::new(HyperBandConfig {
-            rung_iterations: 100.0,
-            eta: 2.0,
-        });
-        let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
-        assert!(update.kill.is_empty());
+        let mut hb = HyperBand::new(100.0);
+        let kill = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+        assert!(kill.is_empty());
         assert_eq!(hb.next_rung, 100.0, "no rung completed");
     }
 
@@ -174,23 +143,20 @@ mod tests {
     fn kills_bottom_half_at_rung() {
         let specs = vec![job(0, 0.8), job(1, 0.7), job(2, 0.3), job(3, 0.25)];
         let mut progress = fresh(&specs);
-        let mut hb = HyperBand::new(HyperBandConfig {
-            rung_iterations: 50.0,
-            eta: 2.0,
-        });
+        let mut hb = HyperBand::new(50.0);
         // Feed several observations as training progresses so the curve fit
         // has data, then cross the rung.
         for _ in 0..6 {
             for (spec, progress) in specs.iter().zip(&mut progress) {
                 progress.advance(spec, Time::minutes(2.5), 4, Locality::Slot);
             }
-            let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
-            if !update.kill.is_empty() {
+            let kill = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+            if !kill.is_empty() {
                 // The slowly-converging jobs (small exponents => ids 2, 3)
                 // must be the ones killed.
-                assert_eq!(update.kill.len(), 2);
-                assert!(update.kill.contains(&JobId(2)));
-                assert!(update.kill.contains(&JobId(3)));
+                assert_eq!(kill.len(), 2);
+                assert!(kill.contains(&JobId(2)));
+                assert!(kill.contains(&JobId(3)));
                 return;
             }
         }
@@ -201,18 +167,15 @@ mod tests {
     fn successive_rungs_reduce_to_one_job() {
         let specs = vec![job(0, 0.9), job(1, 0.6), job(2, 0.45), job(3, 0.3)];
         let mut progress = fresh(&specs);
-        let mut hb = HyperBand::new(HyperBandConfig {
-            rung_iterations: 40.0,
-            eta: 2.0,
-        });
+        let mut hb = HyperBand::new(40.0);
         for step in 0..200 {
             for (spec, progress) in specs.iter().zip(&mut progress) {
                 if !progress.killed {
                     progress.advance(spec, Time::minutes(1.0), 4, Locality::Slot);
                 }
             }
-            let update = hb.update(Time::minutes(step as f64), JobViews::new(&specs, &progress));
-            for id in update.kill {
+            let kill = hb.update(Time::minutes(step as f64), JobViews::new(&specs, &progress));
+            for id in kill {
                 progress[id.index()].kill(Time::minutes(step as f64));
             }
             let mut survivors = specs
@@ -236,10 +199,7 @@ mod tests {
     fn update_is_not_idempotent_without_progress() {
         let specs = vec![job(0, 0.9), job(1, 0.6), job(2, 0.45), job(3, 0.3)];
         let mut progress = fresh(&specs);
-        let mut hb = HyperBand::new(HyperBandConfig {
-            rung_iterations: 50.0,
-            eta: 2.0,
-        });
+        let mut hb = HyperBand::new(50.0);
         // Four observations below the first rung, then one jump to 120
         // iterations: past rungs 50 and 100 at once.
         for done in [10.0, 20.0, 30.0, 40.0, 120.0] {
@@ -247,13 +207,13 @@ mod tests {
                 progress.iterations_done = done;
                 assert!(!progress.is_finished(spec));
             }
-            let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+            let kill = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
             if done < 120.0 {
-                assert_eq!(update, SchedulerUpdate::none());
+                assert!(kill.is_empty());
                 continue;
             }
-            assert_eq!(update.kill, vec![JobId(2), JobId(3)]);
-            for id in &update.kill {
+            assert_eq!(kill, vec![JobId(2), JobId(3)]);
+            for id in &kill {
                 progress[id.index()].kill(Time::ZERO);
             }
         }
@@ -261,12 +221,12 @@ mod tests {
         let frozen = progress.clone();
         let again = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
         assert_eq!(progress, frozen, "no progress between the two calls");
-        assert_eq!(again.kill, vec![JobId(1)], "the survivors halve again");
+        assert_eq!(again, vec![JobId(1)], "the survivors halve again");
         assert_eq!(hb.next_rung, 150.0, "two rungs completed");
         // Now one job is left, and further calls change nothing.
         progress[1].kill(Time::ZERO);
         let idle = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
-        assert_eq!(idle, SchedulerUpdate::none());
+        assert!(idle.is_empty());
         assert_eq!(hb.next_rung, 150.0);
     }
 
@@ -276,8 +236,8 @@ mod tests {
         let progress = fresh(&specs);
         let mut hb = HyperBand::with_defaults(1);
         for _ in 0..10 {
-            let update = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
-            assert!(update.kill.is_empty());
+            let kill = hb.update(Time::ZERO, JobViews::new(&specs, &progress));
+            assert!(kill.is_empty());
         }
     }
 }

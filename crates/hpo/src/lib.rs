@@ -7,15 +7,12 @@
 //! implemented in `themis-core`) allocates GPUs *across* apps, while the top
 //! level — an app's own hyper-parameter tuning framework — decides how to
 //! split the app's GPUs among its constituent jobs and which jobs to
-//! terminate early (§2.3, §5.2). This crate implements the two frameworks
-//! the paper integrates with:
+//! terminate early (§2.3, §5.2). This crate implements the framework the
+//! paper's prototype integrates (§7):
 //!
 //! * [`hyperband::HyperBand`] — launches all jobs at equal priority and
 //!   periodically kills the bottom half by projected convergence until a
 //!   single job remains,
-//! * [`hyperdrive::HyperDrive`] — continuously classifies jobs as good /
-//!   promising / poor from their loss-curve fits, boosts good jobs and
-//!   kills poor ones,
 //!
 //! plus [`single::SingleJob`] for apps that train one configuration, the
 //! [`api::AppScheduler`] trait they all implement, and the
@@ -28,15 +25,13 @@
 pub mod api;
 pub mod estimator;
 pub mod hyperband;
-pub mod hyperdrive;
 pub mod single;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::api::{AppScheduler, JobClass, JobEstimate, JobView, JobViews, SchedulerUpdate};
+    pub use crate::api::{AppScheduler, JobEstimate, JobView, JobViews};
     pub use crate::estimator::WorkEstimator;
     pub use crate::hyperband::HyperBand;
-    pub use crate::hyperdrive::HyperDrive;
     pub use crate::single::SingleJob;
 }
 
@@ -68,7 +63,7 @@ mod tests {
         let job = |id| JobSpec::new(JobId(id), ModelArch::ResNet50, 100.0, Time::minutes(0.1), 2);
         let single = AppSpec::new(AppId(0), Time::ZERO, vec![job(0)]);
         let multi = AppSpec::new(AppId(1), Time::ZERO, vec![job(0), job(1), job(2)]);
-        assert_eq!(default_scheduler_for(&single).name(), "single-job");
-        assert_eq!(default_scheduler_for(&multi).name(), "hyperband");
+        assert_eq!(format!("{:?}", default_scheduler_for(&single)), "SingleJob");
+        assert!(format!("{:?}", default_scheduler_for(&multi)).starts_with("HyperBand {"));
     }
 }

@@ -1,13 +1,14 @@
 //! The trivial app scheduler for single-job apps.
 //!
 //! Apps whose user already knows the right hyper-parameters contain a single
-//! job (§2.1); there is nothing to kill or re-prioritize, so the scheduler
-//! is a no-op that simply exposes the Agent API defaults.
+//! job (§2.1); there is nothing to kill, so the scheduler is a no-op that
+//! simply exposes the Agent API defaults.
 
-use crate::api::{AppScheduler, JobViews, SchedulerUpdate};
+use crate::api::{AppScheduler, JobViews};
+use themis_cluster::ids::JobId;
 use themis_cluster::time::Time;
 
-/// App scheduler for single-job apps: never kills, never re-prioritizes.
+/// App scheduler for single-job apps: never kills.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleJob;
 
@@ -19,12 +20,8 @@ impl SingleJob {
 }
 
 impl AppScheduler for SingleJob {
-    fn name(&self) -> &'static str {
-        "single-job"
-    }
-
-    fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> SchedulerUpdate {
-        SchedulerUpdate::none()
+    fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> Vec<JobId> {
+        Vec::new()
     }
 }
 
@@ -32,7 +29,6 @@ impl AppScheduler for SingleJob {
 mod tests {
     use super::*;
     use crate::api::AppScheduler;
-    use themis_cluster::ids::JobId;
     use themis_cluster::time::Time;
     use themis_workload::job::{JobProgress, JobSpec};
     use themis_workload::models::ModelArch;
@@ -42,12 +38,11 @@ mod tests {
         let spec = JobSpec::new(JobId(0), ModelArch::ResNet50, 100.0, Time::minutes(0.1), 2);
         let progress = JobProgress::new();
         let mut s = SingleJob::new();
-        let update = s.update(
+        let kill = s.update(
             Time::ZERO,
             JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress)),
         );
-        assert_eq!(update, SchedulerUpdate::none());
-        assert_eq!(s.name(), "single-job");
+        assert!(kill.is_empty());
     }
 
     #[test]

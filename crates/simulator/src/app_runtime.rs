@@ -3,9 +3,8 @@
 //! [`AppRuntime`] bundles everything the simulator (and the schedulers it
 //! drives) needs to know about one app while it is in the system: its static
 //! spec, the training progress of every job, the app's own hyper-parameter
-//! scheduler, per-job parallelism overrides, attained GPU service (the
-//! Tiresias metric), restart penalties from checkpoint/restore, and the
-//! samples used for the evaluation metrics.
+//! scheduler, attained GPU service (the Tiresias metric), restart penalties
+//! from checkpoint/restore, and the samples used for the evaluation metrics.
 //!
 //! Per-job state is position-indexed (see [`JobTable`]): entry `i` of every
 //! table belongs to `spec.jobs[i]`.
@@ -23,7 +22,7 @@ use themis_cluster::ids::{AppId, JobId};
 use themis_cluster::placement::{spread, Locality};
 use themis_cluster::time::Time;
 use themis_cluster::view::ClusterState;
-use themis_hpo::api::{AppScheduler, JobEstimate, JobViews, SchedulerUpdate};
+use themis_hpo::api::{AppScheduler, JobEstimate, JobViews};
 use themis_workload::app::AppSpec;
 use themis_workload::job::{JobProgress, JobSpec};
 
@@ -36,8 +35,6 @@ pub struct AppRuntime {
     /// The app's own hyper-parameter tuning scheduler (top level of the
     /// two-level architecture).
     pub hpo: Box<dyn AppScheduler>,
-    /// Per-job max-parallelism overrides set by the HPO scheduler.
-    pub max_par_override: JobTable<Option<usize>>,
     /// Total GPU service attained so far (GPU-minutes held), the metric the
     /// Tiresias baseline equalizes.
     pub attained_service: Time,
@@ -134,7 +131,6 @@ impl AppRuntime {
         let ids: Arc<[JobId]> = spec.jobs.iter().map(|j| j.id).collect();
         AppRuntime {
             progress: JobTable::filled(ids.clone(), JobProgress::new),
-            max_par_override: JobTable::filled(ids.clone(), || None),
             restart_until: JobTable::filled(ids, || None),
             spec,
             hpo,
@@ -204,26 +200,18 @@ impl AppRuntime {
             .collect()
     }
 
-    /// The effective max parallelism of a job: the HPO override if present,
-    /// otherwise the spec value.
+    /// The max parallelism of a job (its spec's), or 0 for a job the app
+    /// does not have.
     pub fn effective_max_parallelism(&self, job: JobId) -> usize {
-        match self.spec.job_position(job) {
-            Some(pos) => self.max_parallelism_at(pos),
-            None => 0,
-        }
+        self.spec.job(job).map_or(0, |j| j.max_parallelism)
     }
 
-    fn max_parallelism_at(&self, pos: usize) -> usize {
-        self.max_par_override.as_slice()[pos].unwrap_or(self.spec.jobs[pos].max_parallelism)
-    }
-
-    /// Total GPU demand of the app right now: the sum of active jobs'
-    /// effective max parallelism.
+    /// Total GPU demand of the app right now: the sum of active jobs' max
+    /// parallelism.
     pub fn total_demand(&self) -> usize {
         self.jobs()
-            .enumerate()
-            .filter(|(_, (j, p))| !p.is_finished(j))
-            .map(|(pos, _)| self.max_parallelism_at(pos))
+            .filter(|(j, p)| !p.is_finished(j))
+            .map(|(j, _)| j.max_parallelism)
             .sum()
     }
 
@@ -241,27 +229,19 @@ impl AppRuntime {
     }
 
     /// Per-job estimates for bid preparation (work left, max parallelism,
-    /// placement sensitivity), honouring HPO parallelism overrides.
+    /// placement sensitivity), as the app's HPO scheduler reports them.
     pub fn estimates(&self) -> Vec<JobEstimate> {
-        let mut estimates = self.hpo.estimates(self.job_views());
-        for est in &mut estimates {
-            est.max_parallelism = self.effective_max_parallelism(est.job);
-        }
-        estimates
+        self.hpo.estimates(self.job_views())
     }
 
-    /// Runs the app's HPO scheduler and applies its decisions (kills and
-    /// parallelism overrides). Returns the jobs that were killed.
+    /// Runs the app's HPO scheduler and applies its kills. Returns the jobs
+    /// that were killed.
     pub fn run_hpo(&mut self, now: Time) -> Vec<JobId> {
         // Built from the fields directly so the borrow of `self.hpo` stays
         // disjoint.
         let views = JobViews::new(&self.spec.jobs, self.progress.as_slice());
-        let update: SchedulerUpdate = self.hpo.update(now, views);
-        for (job, par) in update.max_parallelism {
-            self.max_par_override.insert(job, par);
-        }
         let mut killed = Vec::new();
-        for job in update.kill {
+        for job in self.hpo.update(now, views) {
             if let Some(progress) = self.progress.get_mut(&job) {
                 if !progress.killed {
                     progress.kill(now);
@@ -443,14 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn demand_respects_overrides() {
+    fn demand_is_the_active_jobs_max_parallelism() {
         let mut rt = AppRuntime::with_default_hpo(app(2));
         assert_eq!(rt.total_demand(), 4);
-        rt.max_par_override.insert(JobId(0), 6);
-        assert_eq!(rt.effective_max_parallelism(JobId(0)), 6);
-        assert_eq!(rt.total_demand(), 8);
-        let cluster = cluster();
-        assert_eq!(rt.unmet_demand(&cluster), 8);
+        assert_eq!(rt.effective_max_parallelism(JobId(0)), 2);
+        assert_eq!(rt.effective_max_parallelism(JobId(7)), 0);
+        let mut cluster = cluster();
+        let now = Time::minutes(10.0);
+        cluster
+            .allocate(GpuId(0), AppId(0), JobId(0), now, now + now)
+            .unwrap();
+        assert_eq!(rt.unmet_demand(&cluster), 3);
+        rt.progress.get_mut(&JobId(1)).unwrap().kill(now);
+        assert_eq!(rt.total_demand(), 2);
+        assert_eq!(rt.unmet_demand(&cluster), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! 1. pop the next event (app arrival, lease expiry, projected job finish),
 //! 2. advance every running job's training progress to the event time,
 //! 3. reclaim expired leases and release GPUs of converged / killed jobs,
-//! 4. let each app's hyper-parameter scheduler kill or re-prioritize jobs,
+//! 4. let each app's hyper-parameter scheduler kill jobs,
 //! 5. run a scheduling round: the policy assigns free GPUs to jobs, leases
 //!    are granted, checkpoint/restore penalties are applied to jobs whose
 //!    placement changed, and follow-up events are enqueued.

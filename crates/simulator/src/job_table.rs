@@ -1,12 +1,12 @@
 //! Position-indexed per-job tables.
 //!
-//! An app's per-job runtime state (progress, restart penalties, parallelism
-//! overrides) lives in vectors parallel to `AppSpec::jobs` rather than in
-//! `BTreeMap<JobId, _>`s: the engine walks jobs by position every round, and
-//! a lookup by id is O(1) whenever job `k` sits at position `k` (every trace
-//! generator numbers jobs that way). [`JobTable`] keeps the map-style
-//! surface (`table[&job]`, `get`, `get_mut`, `insert`) so policies address
-//! jobs by id as before, with a search fallback for any other numbering.
+//! An app's per-job runtime state (progress, restart penalties) lives in
+//! vectors parallel to `AppSpec::jobs` rather than in `BTreeMap<JobId, _>`s:
+//! the engine walks jobs by position every round, and a lookup by id is O(1)
+//! whenever job `k` sits at position `k` (every trace generator numbers jobs
+//! that way). [`JobTable`] keeps the map-style surface (`table[&job]`,
+//! `get`, `get_mut`, `insert`) so policies address jobs by id as before,
+//! with a search fallback for any other numbering.
 
 use std::ops::Index;
 use std::sync::Arc;

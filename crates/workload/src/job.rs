@@ -152,8 +152,8 @@ pub struct JobProgress {
     /// Accumulated GPU time (GPU-minutes actually consumed, i.e. the
     /// paper's "GPU Time" efficiency metric contribution).
     pub gpu_time: Time,
-    /// Whether the job was killed early by its app scheduler (HyperBand /
-    /// HyperDrive classified it as poor).
+    /// Whether the job was killed early by its app scheduler (HyperBand
+    /// ranked it in the bottom half at a rung).
     pub killed: bool,
     /// Time at which the job finished (converged or was killed).
     pub finished_at: Option<Time>,

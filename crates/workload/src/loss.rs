@@ -1,51 +1,35 @@
 //! Training-loss convergence curves.
 //!
-//! Hyper-parameter tuning frameworks (HyperBand, HyperDrive) decide which
-//! jobs to keep or kill by inspecting each job's loss curve and projecting
-//! the number of iterations still needed to reach the target accuracy
-//! (§5.2, "Work estimation"). Real convergence depends on gradients we do
-//! not compute; instead each job carries an analytic [`LossCurve`] that the
+//! Hyper-parameter tuning frameworks such as HyperBand decide which jobs to
+//! keep or kill by inspecting each job's loss curve and projecting the
+//! number of iterations still needed to reach the target accuracy (§5.2,
+//! "Work estimation"). Real convergence depends on gradients we do not
+//! compute; instead each job carries an analytic [`LossCurve`] that the
 //! tuning frameworks observe point-by-point — exercising exactly the same
 //! curve-fitting code path the paper describes.
 
-/// An analytic loss curve `loss(iteration)`.
-///
-/// Two families are supported, mirroring the "best-fit sub-linear or
-/// super-linear curve" fitting in the paper's HyperBand implementation (§7):
-///
-/// * **Power law**: `loss(k) = floor + scale · (k+1)^(-exponent)` — the
-///   classic sub-linear training curve.
-/// * **Exponential**: `loss(k) = floor + scale · exp(-rate · k)` — faster
-///   (super-linear in log space) convergence.
+/// An analytic power-law loss curve
+/// `loss(k) = floor + scale · (k+1)^(-exponent)`: the classic sub-linear
+/// training curve. The paper's HyperBand implementation fits "best-fit
+/// sub-linear or super-linear" curves (§7); this reproduction generates and
+/// fits power laws only.
 ///
 /// Jobs with a higher `floor` than the target accuracy will never converge;
 /// the tuning framework is expected to classify them as poor and kill them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LossCurve {
-    /// `loss(k) = floor + scale * (k+1)^(-exponent)`
-    PowerLaw {
-        /// Asymptotic loss the curve converges to.
-        floor: f64,
-        /// Initial amplitude above the floor.
-        scale: f64,
-        /// Decay exponent (> 0); larger means faster convergence.
-        exponent: f64,
-    },
-    /// `loss(k) = floor + scale * exp(-rate * k)`
-    Exponential {
-        /// Asymptotic loss the curve converges to.
-        floor: f64,
-        /// Initial amplitude above the floor.
-        scale: f64,
-        /// Decay rate (> 0); larger means faster convergence.
-        rate: f64,
-    },
+pub struct LossCurve {
+    /// Asymptotic loss the curve converges to.
+    pub floor: f64,
+    /// Initial amplitude above the floor.
+    pub scale: f64,
+    /// Decay exponent (> 0); larger means faster convergence.
+    pub exponent: f64,
 }
 
 impl LossCurve {
     /// A typical well-behaved power-law curve reaching ~0.1 loss.
     pub fn typical() -> Self {
-        LossCurve::PowerLaw {
+        LossCurve {
             floor: 0.05,
             scale: 2.0,
             exponent: 0.5,
@@ -55,7 +39,7 @@ impl LossCurve {
     /// A curve for a poor hyper-parameter choice: converges to a loss floor
     /// above the usual target, so it should be killed by the tuner.
     pub fn poor() -> Self {
-        LossCurve::PowerLaw {
+        LossCurve {
             floor: 0.8,
             scale: 1.5,
             exponent: 0.3,
@@ -65,27 +49,12 @@ impl LossCurve {
     /// The loss after `iteration` iterations (0-based).
     pub fn loss_at(&self, iteration: f64) -> f64 {
         let it = iteration.max(0.0);
-        match *self {
-            LossCurve::PowerLaw {
-                floor,
-                scale,
-                exponent,
-            } => floor + scale * (it + 1.0).powf(-exponent),
-            LossCurve::Exponential { floor, scale, rate } => floor + scale * (-rate * it).exp(),
-        }
-    }
-
-    /// The asymptotic floor of the curve.
-    pub fn floor(&self) -> f64 {
-        match *self {
-            LossCurve::PowerLaw { floor, .. } => floor,
-            LossCurve::Exponential { floor, .. } => floor,
-        }
+        self.floor + self.scale * (it + 1.0).powf(-self.exponent)
     }
 
     /// Whether the curve can ever reach `target` loss.
     pub fn can_reach(&self, target: f64) -> bool {
-        self.floor() < target
+        self.floor < target
     }
 
     /// The (fractional) iteration at which the curve first reaches `target`
@@ -94,22 +63,9 @@ impl LossCurve {
         if !self.can_reach(target) {
             return None;
         }
-        match *self {
-            LossCurve::PowerLaw {
-                floor,
-                scale,
-                exponent,
-            } => {
-                // target = floor + scale*(k+1)^-e  =>  k = (scale/(target-floor))^(1/e) - 1
-                let k = (scale / (target - floor)).powf(1.0 / exponent) - 1.0;
-                Some(k.max(0.0))
-            }
-            LossCurve::Exponential { floor, scale, rate } => {
-                // target = floor + scale*exp(-r k)  =>  k = ln(scale/(target-floor))/r
-                let k = ((scale / (target - floor)).ln() / rate).max(0.0);
-                Some(k)
-            }
-        }
+        // target = floor + scale*(k+1)^-e  =>  k = (scale/(target-floor))^(1/e) - 1
+        let k = (self.scale / (target - self.floor)).powf(1.0 / self.exponent) - 1.0;
+        Some(k.max(0.0))
     }
 
     /// Loss improvement (decrease) obtained by advancing from iteration
@@ -153,7 +109,7 @@ pub fn fit_power_law(samples: &[(f64, f64)]) -> Option<LossCurve> {
     if !(exponent.is_finite() && scale.is_finite()) || exponent <= 0.0 || scale <= 0.0 {
         return None;
     }
-    Some(LossCurve::PowerLaw {
+    Some(LossCurve {
         floor: 0.0,
         scale,
         exponent,
@@ -171,7 +127,7 @@ mod tests {
             for k in 0..100 {
                 let l = curve.loss_at(k as f64 * 10.0);
                 assert!(l <= prev, "loss must not increase");
-                assert!(l >= curve.floor());
+                assert!(l >= curve.floor);
                 prev = l;
             }
         }
@@ -199,18 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_curve_behaves() {
-        let curve = LossCurve::Exponential {
-            floor: 0.1,
-            scale: 3.0,
-            rate: 0.01,
-        };
-        assert!((curve.loss_at(0.0) - 3.1).abs() < 1e-12);
-        let k = curve.iterations_to_target(0.5).unwrap();
-        assert!((curve.loss_at(k) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn loss_reduction_is_non_negative() {
         let curve = LossCurve::typical();
         assert!(curve.loss_reduction(0.0, 100.0) > 0.0);
@@ -221,7 +165,7 @@ mod tests {
 
     #[test]
     fn fit_power_law_recovers_parameters() {
-        let truth = LossCurve::PowerLaw {
+        let truth = LossCurve {
             floor: 0.0,
             scale: 2.5,
             exponent: 0.6,
@@ -232,16 +176,14 @@ mod tests {
                 (k, truth.loss_at(k))
             })
             .collect();
-        let fitted = fit_power_law(&samples).unwrap();
-        match fitted {
-            LossCurve::PowerLaw {
-                scale, exponent, ..
-            } => {
-                assert!((scale - 2.5).abs() < 0.05, "scale {scale}");
-                assert!((exponent - 0.6).abs() < 0.02, "exponent {exponent}");
-            }
-            _ => panic!("expected power law"),
-        }
+        let LossCurve {
+            floor,
+            scale,
+            exponent,
+        } = fit_power_law(&samples).unwrap();
+        assert_eq!(floor, 0.0);
+        assert!((scale - 2.5).abs() < 0.05, "scale {scale}");
+        assert!((exponent - 0.6).abs() < 0.02, "exponent {exponent}");
     }
 
     #[test]

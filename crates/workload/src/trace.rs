@@ -275,7 +275,7 @@ impl TraceGenerator {
             serial_iter_time,
             max_parallelism: gpus,
             gpus_per_task: gpus,
-            loss_curve: LossCurve::PowerLaw {
+            loss_curve: LossCurve {
                 floor,
                 scale,
                 exponent,

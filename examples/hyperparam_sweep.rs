@@ -29,7 +29,7 @@ fn main() {
                 Time::minutes(0.05),
                 4,
             );
-            job.loss_curve = LossCurve::PowerLaw {
+            job.loss_curve = LossCurve {
                 floor: 0.0,
                 scale: 2.0,
                 exponent,

@@ -34,7 +34,7 @@ use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
 use themis_cluster::topology::{ClusterSpec, GpuGeneration};
 use themis_cluster::view::{ClusterState, ClusterView};
-use themis_core::agent::Agent;
+use themis_core::agent::{Agent, MAX_BID_ENTRIES};
 use themis_core::arbiter::{AppStatus, Arbiter, LeftoverRecipients};
 use themis_core::auction::partial_allocation;
 use themis_core::config::ThemisConfig;
@@ -42,7 +42,7 @@ use themis_core::rho::{
     estimate_rho_for_aggregate, greedy_job_distribution, JobShare, RhoEstimate,
 };
 use themis_core::scheduler::ThemisScheduler;
-use themis_hpo::api::{AppScheduler, JobEstimate, JobViews, SchedulerUpdate};
+use themis_hpo::api::{AppScheduler, JobEstimate, JobViews};
 use themis_protocol::bid::BidTable;
 use themis_sim::app_runtime::AppRuntime;
 use themis_sim::arena::AppArena;
@@ -235,10 +235,16 @@ fn ref_pick_packed_subset(
     FreeVector::from_counts(chosen)
 }
 
+/// The rows a bid table would have without the cap: the app's unmet
+/// demand, at most the offer.
+fn ref_uncapped_rows(estimates: &[JobEstimate], held: usize, offer: &FreeVector) -> usize {
+    let demand: usize = estimates.iter().map(|e| e.max_parallelism).sum();
+    demand.saturating_sub(held).min(offer.total())
+}
+
 /// The parent commit's Agent: same seed derivation, same draw.
 struct RefAgent {
     app: AppId,
-    max_bid_entries: usize,
     rho_error_theta: f64,
     rng: SmallRng,
 }
@@ -247,7 +253,6 @@ impl RefAgent {
     fn new(app: AppId, config: &ThemisConfig) -> Self {
         RefAgent {
             app,
-            max_bid_entries: config.max_bid_entries,
             rho_error_theta: config.rho_error_theta,
             rng: SmallRng::seed_from_u64(config.seed ^ (u64::from(app.0) << 17)),
         }
@@ -289,10 +294,8 @@ impl RefAgent {
         .rho;
 
         let mut table = BidTable::empty(self.app, current_rho);
-        let demand: usize = estimates.iter().map(|e| e.max_parallelism).sum();
         let held: usize = current.values().sum();
-        let unmet = demand.saturating_sub(held);
-        let max_k = unmet.min(offer.total()).min(self.max_bid_entries);
+        let max_k = ref_uncapped_rows(&estimates, held, offer).min(MAX_BID_ENTRIES);
         for k in 1..=max_k {
             let subset = ref_pick_packed_subset(offer, k, &current, spec);
             if subset.total() < k {
@@ -632,12 +635,8 @@ fn random_spec(rng: &mut SmallRng) -> ClusterSpec {
 struct Scripted(Vec<JobEstimate>);
 
 impl AppScheduler for Scripted {
-    fn name(&self) -> &'static str {
-        "scripted"
-    }
-
-    fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> SchedulerUpdate {
-        SchedulerUpdate::none()
+    fn update(&mut self, _now: Time, _jobs: JobViews<'_>) -> Vec<JobId> {
+        Vec::new()
     }
 
     fn estimates(&self, _jobs: JobViews<'_>) -> Vec<JobEstimate> {
@@ -646,7 +645,7 @@ impl AppScheduler for Scripted {
 }
 
 /// A multi-job app in a random mid-run state: partial progress, converged
-/// and killed jobs, parallelism overrides, equal-work ties. Up to 40 jobs,
+/// and killed jobs, equal-work ties. Up to 40 jobs,
 /// so the visiting order is sorted on both sides of the 20-element cut-over
 /// of `slice::sort_by`.
 fn random_app(rng: &mut SmallRng, id: u32) -> AppRuntime {
@@ -732,10 +731,6 @@ fn random_app(rng: &mut SmallRng, id: u32) -> AppRuntime {
             }
             _ => {}
         }
-        if rng.gen_range(0..6u8) == 0 {
-            rt.max_par_override
-                .insert(spec.id, rng.gen_range(0..9usize));
-        }
     }
     rt
 }
@@ -793,7 +788,6 @@ fn random_offer(rng: &mut SmallRng, cluster: &Cluster) -> FreeVector {
 fn random_config(rng: &mut SmallRng) -> ThemisConfig {
     let config = ThemisConfig::default()
         .with_seed(rng.gen_range(0..u64::MAX))
-        .with_max_bid_entries([1, 5, 16][rng.gen_range(0..3usize)])
         .with_fairness_knob([0.0, 0.5, 0.8][rng.gen_range(0..3usize)]);
     if rng.gen_range(0..2u8) == 0 {
         config.with_rho_error(0.1)
@@ -816,6 +810,26 @@ fn apply(cluster: &mut Cluster, decisions: &[AllocationDecision], now: Time) {
                 .expect("decisions name free GPUs");
         }
     }
+}
+
+/// The generator reaches the bid cap: some app's unmet demand and some
+/// offer both exceed [`MAX_BID_ENTRIES`], so property (a) compares
+/// truncated tables, not only short ones.
+#[test]
+fn the_generator_reaches_the_bid_cap() {
+    let mut capped = 0;
+    for case in 0..64 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let state = random_state(&mut rng);
+        for runtime in state.apps.iter() {
+            let offer = random_offer(&mut rng, &state.cluster);
+            let held = state.cluster.gpus_held_by(runtime.id());
+            capped += usize::from(
+                ref_uncapped_rows(&runtime.estimates(), held, &offer) > MAX_BID_ENTRIES,
+            );
+        }
+    }
+    assert!(capped > 0, "no generated bid reaches the cap");
 }
 
 proptest! {

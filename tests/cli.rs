@@ -48,6 +48,26 @@ fn help_unknown_flags_and_no_arguments() {
             "",
             "error: argument 2 (--jobs): \"x\" is not a positive integer",
         ),
+        // NaN or a negative tolerance fails every cell, an infinite one
+        // passes any run: both would make `--check` meaningless.
+        (
+            &["sweep", "--tolerance", "nan"],
+            2,
+            "",
+            "error: argument 2 (--tolerance): \"nan\" is not a finite non-negative number",
+        ),
+        (
+            &["sweep", "--tolerance", "-1"],
+            2,
+            "",
+            "error: argument 2 (--tolerance): \"-1\" is not a finite non-negative number",
+        ),
+        (
+            &["sweep", "--tolerance", "inf"],
+            2,
+            "",
+            "error: argument 2 (--tolerance): \"inf\" is not a finite non-negative number",
+        ),
         (
             &["figures", "--seed", "x", "fig2"],
             2,
@@ -79,6 +99,12 @@ fn help_unknown_flags_and_no_arguments() {
             2,
             "",
             "error: argument 3 (--matrix): unknown matrix 'nope'",
+        ),
+        (
+            &["sweep", "--matrix", "lease"],
+            2,
+            "",
+            "error: argument 2 (--matrix): unknown matrix 'lease'",
         ),
         (
             &["sweep", "--matrix", "smoke,faults"],

@@ -45,9 +45,9 @@ use themis_cluster::placement::{spread, Locality};
 use themis_cluster::time::Time;
 use themis_cluster::topology::{ClusterSpec, GpuGeneration};
 use themis_cluster::view::ClusterState;
-use themis_hpo::api::{AppScheduler, JobViews, SchedulerUpdate};
+use themis_hpo::api::{AppScheduler, JobViews};
 use themis_hpo::estimator::WorkEstimator;
-use themis_hpo::hyperband::{HyperBand, HyperBandConfig};
+use themis_hpo::hyperband::HyperBand;
 use themis_sim::app_runtime::AppRuntime;
 use themis_sim::arena::AppArena;
 use themis_sim::engine::{Engine, SimConfig};
@@ -538,7 +538,6 @@ impl EagerFitModel {
 struct MapRuntimeModel {
     jobs: Vec<JobSpec>,
     progress: BTreeMap<JobId, JobProgress>,
-    max_par_override: BTreeMap<JobId, usize>,
 }
 
 impl MapRuntimeModel {
@@ -561,10 +560,7 @@ impl MapRuntimeModel {
     }
 
     fn effective_max_parallelism(&self, job: JobId) -> usize {
-        self.max_par_override
-            .get(&job)
-            .copied()
-            .unwrap_or_else(|| self.job(job).map(|j| j.max_parallelism).unwrap_or(0))
+        self.job(job).map(|j| j.max_parallelism).unwrap_or(0)
     }
 
     fn total_demand(&self) -> usize {
@@ -700,7 +696,7 @@ proptest! {
         exponent in 0.2f64..0.9,
     ) {
         let mut spec = long_job(0, 5_000.0, 4);
-        spec.loss_curve = LossCurve::PowerLaw { floor: 0.05, scale: 2.0, exponent };
+        spec.loss_curve = LossCurve { floor: 0.05, scale: 2.0, exponent };
         let mut lazy = WorkEstimator::new();
         let mut eager = EagerFitModel::default();
         let mut iteration = 0.0;
@@ -727,13 +723,13 @@ proptest! {
 
     /// The position-indexed per-job tables answer `is_finished`,
     /// `active_jobs`, `effective_max_parallelism` and `total_demand` as the
-    /// id-keyed maps did, under random progress, kills and overrides — for
-    /// dense, sparse and unordered job ids alike.
+    /// id-keyed maps did, under random progress and kills — for dense,
+    /// sparse and unordered job ids alike.
     #[test]
     fn dense_job_state_agrees_with_btree_map_model(
         numbering in 0u8..3,
         num_jobs in 1usize..9,
-        ops in prop::collection::vec((0u8..3, 0usize..9, 1usize..12), 0..40),
+        ops in prop::collection::vec((0u8..2, 0usize..9, 1usize..12), 0..40),
     ) {
         let id_of = |pos: usize| match numbering {
             0 => JobId(pos as u32),
@@ -745,7 +741,6 @@ proptest! {
             .collect();
         let mut model = MapRuntimeModel {
             progress: jobs.iter().map(|j| (j.id, JobProgress::new())).collect(),
-            max_par_override: BTreeMap::new(),
             jobs: jobs.clone(),
         };
         let mut rt = AppRuntime::with_default_hpo(AppSpec::new(AppId(0), Time::ZERO, jobs));
@@ -757,15 +752,9 @@ proptest! {
                     rt.progress.get_mut(&job).unwrap().iterations_done = done;
                     model.progress.get_mut(&job).unwrap().iterations_done = done;
                 }
-                1 => {
+                _ => {
                     rt.progress.get_mut(&job).unwrap().kill(Time::ZERO);
                     model.progress.get_mut(&job).unwrap().kill(Time::ZERO);
-                }
-                _ => {
-                    prop_assert_eq!(
-                        rt.max_par_override.insert(job, amount),
-                        model.max_par_override.insert(job, amount)
-                    );
                 }
             }
             prop_assert_eq!(rt.is_finished(), model.is_finished());
@@ -837,21 +826,21 @@ impl Scheduler for FinishedJobsHoldNothing {
 /// every observation evaluating the loss curve before the estimator drops
 /// it as a repeat.
 struct MapHyperBandModel {
-    config: HyperBandConfig,
+    rung_iterations: f64,
     next_rung: f64,
     estimators: BTreeMap<JobId, WorkEstimator>,
 }
 
 impl MapHyperBandModel {
-    fn new(config: HyperBandConfig) -> Self {
+    fn new(rung_iterations: f64) -> Self {
         MapHyperBandModel {
-            config,
-            next_rung: config.rung_iterations,
+            rung_iterations,
+            next_rung: rung_iterations,
             estimators: BTreeMap::new(),
         }
     }
 
-    fn update(&mut self, jobs: JobViews<'_>) -> SchedulerUpdate {
+    fn update(&mut self, jobs: JobViews<'_>) -> Vec<JobId> {
         let mut active = 0usize;
         let mut all_reached = true;
         for job in jobs.iter().filter(|j| j.is_active()) {
@@ -864,7 +853,7 @@ impl MapHyperBandModel {
             all_reached &= job.progress.iterations_done >= self.next_rung;
         }
         if active <= 1 || !all_reached {
-            return SchedulerUpdate::none();
+            return Vec::new();
         }
         let mut ranked: Vec<(JobId, f64)> = jobs
             .iter()
@@ -879,12 +868,9 @@ impl MapHyperBandModel {
             })
             .collect();
         ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        let survivors = ((ranked.len() as f64 / self.config.eta).ceil() as usize).max(1);
-        self.next_rung += self.config.rung_iterations;
-        SchedulerUpdate {
-            kill: ranked.iter().skip(survivors).map(|(id, _)| *id).collect(),
-            max_parallelism: Vec::new(),
-        }
+        let survivors = ((ranked.len() as f64 / 2.0).ceil() as usize).max(1);
+        self.next_rung += self.rung_iterations;
+        ranked.iter().skip(survivors).map(|(id, _)| *id).collect()
     }
 }
 
@@ -974,13 +960,12 @@ proptest! {
             .enumerate()
             .map(|(pos, exponent)| {
                 let mut spec = long_job(id_of(pos).0, 400.0 + 100.0 * pos as f64, 4);
-                spec.loss_curve = LossCurve::PowerLaw { floor: 0.0, scale: 2.0, exponent: *exponent };
+                spec.loss_curve = LossCurve { floor: 0.0, scale: 2.0, exponent: *exponent };
                 spec
             })
             .collect();
-        let config = HyperBandConfig { rung_iterations: f64::from(rung), eta: 2.0 };
-        let mut dense = HyperBand::new(config);
-        let mut model = MapHyperBandModel::new(config);
+        let mut dense = HyperBand::new(f64::from(rung));
+        let mut model = MapHyperBandModel::new(f64::from(rung));
         let mut progress = vec![JobProgress::new(); specs.len()];
         for (round, moves) in steps.iter().enumerate() {
             // 0-2: stall; 3-6: a few iterations; 7: a jump past two rungs.
@@ -996,9 +981,9 @@ proptest! {
             }
             let now = Time::minutes(round as f64);
             let views = JobViews::new(&specs, &progress);
-            let update = dense.update(now, views);
-            prop_assert_eq!(&update, &model.update(views), "round {}", round);
-            for job in &update.kill {
+            let kill = dense.update(now, views);
+            prop_assert_eq!(&kill, &model.update(views), "round {}", round);
+            for job in &kill {
                 progress[specs.iter().position(|s| s.id == *job).unwrap()].kill(now);
             }
         }

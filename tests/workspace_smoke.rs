@@ -6,9 +6,11 @@
 //! correctly (every layer of the workspace participates) and that the
 //! simulator is deterministic: same seed, identical `SimReport`. Also
 //! checks that the documentation names only repository paths that exist,
-//! and that the benchmark's lockfile matches the crate manifests.
+//! that CI runs every named matrix, and that the benchmark's lockfile
+//! matches the crate manifests.
 
 use std::path::{Path, PathBuf};
+use themis_bench::scenarios::Matrix;
 use themis_cluster::prelude::*;
 use themis_core::prelude::*;
 use themis_sim::prelude::*;
@@ -109,6 +111,27 @@ fn docs_name_only_paths_that_exist() {
         }
     }
     assert!(dangling.is_empty(), "missing paths: {dangling:#?}");
+}
+
+/// A named matrix that no workflow runs is code no committed run executes.
+/// `full` takes hours and is run locally; every other name must appear as
+/// `--matrix <name>` (alone or in a comma-separated list) in CI.
+#[test]
+fn every_named_matrix_runs_in_ci() {
+    const LOCAL_ONLY: [&str; 1] = ["full"];
+    let ci = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
+    let ci = std::fs::read_to_string(ci).expect("readable workflow");
+    let words: Vec<&str> = ci.split_whitespace().collect();
+    let in_ci: Vec<&str> = words
+        .windows(2)
+        .filter(|pair| pair[0] == "--matrix")
+        .flat_map(|pair| pair[1].split(','))
+        .collect();
+    let missing: Vec<&str> = Matrix::NAMED
+        .into_iter()
+        .filter(|name| !LOCAL_ONLY.contains(name) && !in_ci.contains(name))
+        .collect();
+    assert!(missing.is_empty(), "matrices CI never runs: {missing:?}");
 }
 
 /// `benchmark/` is a package of its own, and its lockfile lists what the
