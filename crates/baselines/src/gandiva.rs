@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use themis_cluster::alloc::GpuAlloc;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::AppId;
+use themis_cluster::placement::spread;
 use themis_cluster::time::Time;
 use themis_cluster::view::ClusterState;
 use themis_sim::app_runtime::AppRuntime;
@@ -43,7 +44,7 @@ impl Gandiva {
             return 0.0;
         }
         let alloc = GpuAlloc::from_gpus(gpus);
-        cluster.scorer().score(&alloc, cluster.spec())
+        spread(&alloc, cluster.spec()).score()
     }
 }
 

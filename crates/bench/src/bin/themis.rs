@@ -10,8 +10,9 @@
 //! committed baseline. `--replay-gate` (`--matrix` may then list several)
 //! re-executes every distributed cell from its recorded transcript and
 //! exits 1 on any byte difference; `--log-out DIR` keeps the transcripts as
-//! `DIR/<scenario id>.msglog`. Host time is measured by `benchmark/`, not
-//! here.
+//! `DIR/<scenario id>.msglog`. A flag the chosen mode does not read (say
+//! `--check` with `--replay-gate`, or `--tolerance` without `--check`) is a
+//! usage error. Host time is measured by `benchmark/`, not here.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -206,6 +207,20 @@ fn sweep(args: &[Arg]) -> Result<Job, Usage> {
     }
     if let Some(a) = matrix_arg.filter(|_| !replay_gate && matrices.len() > 1) {
         return Err(a.error("takes one name (a comma-separated list needs --replay-gate)"));
+    }
+    // A flag the chosen mode would never read is refused, not dropped.
+    for a in args {
+        let problem = match a.flag {
+            "--check" | "--out" | "--policy" | "--jobs" | "--timings" | "--tolerance"
+                if replay_gate =>
+            {
+                "--replay-gate does not read it"
+            }
+            "--log-out" if !replay_gate => "only --replay-gate reads it",
+            "--tolerance" if check.is_none() => "only --check reads it",
+            _ => continue,
+        };
+        return Err(a.error(problem));
     }
     Ok(Box::new(move || {
         if list {

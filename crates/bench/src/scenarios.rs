@@ -656,7 +656,7 @@ impl Scenario {
             .with_contention(self.contention)
             .with_heavy_job_fraction(self.heavy_job_fraction);
         if self.burst_fraction > 0.0 {
-            config = config.with_burstiness(self.burst_fraction, 8.0);
+            config = config.with_burstiness(self.burst_fraction);
         }
         config
     }

@@ -407,12 +407,6 @@ impl FreeVector {
     }
 }
 
-impl FromIterator<(MachineId, usize)> for FreeVector {
-    fn from_iter<T: IntoIterator<Item = (MachineId, usize)>>(iter: T) -> Self {
-        FreeVector::from_counts(iter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

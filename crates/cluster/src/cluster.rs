@@ -13,7 +13,6 @@ use crate::alloc::{DenseBitSet, FreeVector, GpuAlloc};
 use crate::error::ClusterError;
 use crate::ids::{AppId, GpuId, JobId, MachineId};
 use crate::lease::{Lease, LeaseTable};
-use crate::placement::PlacementScorer;
 use crate::time::Time;
 use crate::topology::ClusterSpec;
 use std::collections::BTreeMap;
@@ -47,8 +46,8 @@ struct AppGpus {
 /// Mutable cluster state built on top of an immutable [`ClusterSpec`].
 ///
 /// Tracks per-GPU assignment and leases, and answers the queries the
-/// schedulers need: the free-resource vector, an app's current allocation,
-/// and placement scores.
+/// schedulers need: the free-resource vector and an app's current
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
@@ -64,17 +63,11 @@ pub struct Cluster {
     /// Per-app GPU index (app-id indexed; empty for idle/unknown apps).
     per_app: Vec<AppGpus>,
     leases: LeaseTable,
-    scorer: PlacementScorer,
 }
 
 impl Cluster {
     /// Creates a fully-idle cluster from a specification.
     pub fn new(spec: ClusterSpec) -> Self {
-        Self::with_scorer(spec, PlacementScorer::default())
-    }
-
-    /// Creates a cluster with a custom placement scorer.
-    pub fn with_scorer(spec: ClusterSpec, scorer: PlacementScorer) -> Self {
         let assignments = vec![None; spec.total_gpus()];
         let free_per_machine = spec
             .machines()
@@ -93,18 +86,12 @@ impl Cluster {
             allocated: 0,
             per_app: Vec::new(),
             leases: LeaseTable::new(),
-            scorer,
         }
     }
 
     /// The immutable topology.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
-    }
-
-    /// The placement scorer used for this cluster.
-    pub fn scorer(&self) -> &PlacementScorer {
-        &self.scorer
     }
 
     /// The lease table.
@@ -125,13 +112,6 @@ impl Cluster {
     /// Number of GPUs currently free. O(1).
     pub fn free_gpu_count(&self) -> usize {
         self.total_gpus() - self.allocated
-    }
-
-    /// The incrementally maintained per-machine free counts
-    /// (machine-indexed). Crate-internal: `ClusterView` seeds its shadow
-    /// counts from this with a single copy.
-    pub(crate) fn free_counts(&self) -> &[u32] {
-        &self.free_per_machine
     }
 
     /// The maintained free-GPU bitmask. Crate-internal: `ClusterView`

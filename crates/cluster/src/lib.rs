@@ -10,14 +10,15 @@
 //!   NVLink slots, machines grouped into racks ([`topology`]),
 //! * GPU allocation vectors and free-resource vectors used as the goods in
 //!   Themis auctions ([`alloc`]),
-//! * locality levels and placement scoring ([`placement`]),
+//! * locality levels and their placement scores ([`placement`]),
 //! * GPU leases, the mechanism by which Themis reclaims resources
 //!   ([`lease`]),
 //! * the mutable [`Cluster`] state that tracks which GPU is held by
 //!   which job under which lease in a dense assignment arena ([`cluster`]),
-//! * and borrowed per-round scheduling views — the [`view::ClusterState`]
-//!   trait plus the allocation-free [`view::ClusterView`] shadow policies
-//!   use instead of cloning the cluster every round ([`view`]).
+//! * and borrowed per-round scheduling views — the [`view::ClusterView`]
+//!   shadow policies use instead of cloning the cluster every round, and
+//!   the six-query [`view::ClusterState`] trait through which placement
+//!   helpers read either it or the [`Cluster`] ([`view`]).
 //!
 //! The types here are deliberately free of any scheduling policy; the
 //! policies live in `themis-core` (Themis itself) and `themis-baselines`.
@@ -57,7 +58,7 @@ pub mod prelude {
     pub use crate::error::ClusterError;
     pub use crate::ids::{AppId, GpuId, JobId, MachineId, RackId, TaskId};
     pub use crate::lease::{Lease, LeaseTable};
-    pub use crate::placement::{Locality, PlacementScorer};
+    pub use crate::placement::Locality;
     pub use crate::time::Time;
     pub use crate::topology::{ClusterSpec, MachineSpec, RackSpec};
     pub use crate::view::{ClusterState, ClusterView};

@@ -7,9 +7,9 @@
 //! * **Rack** locality — GPUs in the same rack,
 //! * **None** (cross-rack) — the allocation spans racks.
 //!
-//! Each successive level has lower network bandwidth. The [`PlacementScorer`]
-//! maps an allocation to a score in `(0, 1]` where `1.0` means tightly
-//! packed (the paper's Figure 7 plots the CDF of exactly this score).
+//! Each successive level has lower network bandwidth. [`Locality::score`]
+//! maps a level to a score in `(0, 1]` where `1.0` means tightly packed
+//! (the paper's Figure 7 plots the CDF of exactly this score).
 
 use crate::alloc::GpuAlloc;
 use crate::topology::ClusterSpec;
@@ -46,6 +46,18 @@ impl Locality {
             Locality::Machine => "machine",
             Locality::Rack => "rack",
             Locality::CrossRack => "cross-rack",
+        }
+    }
+
+    /// The placement score of an allocation at this level, in `(0, 1]`:
+    /// `1.0` means tightly packed, and the score falls with the bandwidth
+    /// across levels (paper §8.1, "Placement Score" metric).
+    pub fn score(self) -> f64 {
+        match self {
+            Locality::Slot => 1.0,
+            Locality::Machine => 0.9,
+            Locality::Rack => 0.75,
+            Locality::CrossRack => 0.5,
         }
     }
 }
@@ -96,51 +108,6 @@ pub fn spread(alloc: &GpuAlloc, spec: &ClusterSpec) -> Locality {
     }
 }
 
-/// Maps a [`Locality`] level to a placement score in `(0, 1]`.
-///
-/// A score of `1.0` indicates GPUs are tightly packed; lower scores imply
-/// GPUs that are spread out (paper §8.1, "Placement Score" metric). The
-/// default scores mirror the decreasing bandwidth across levels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementScorer {
-    /// Score when all GPUs share an NVLink slot.
-    pub slot: f64,
-    /// Score when all GPUs share a machine.
-    pub machine: f64,
-    /// Score when all GPUs share a rack.
-    pub rack: f64,
-    /// Score when the allocation crosses racks.
-    pub cross_rack: f64,
-}
-
-impl Default for PlacementScorer {
-    fn default() -> Self {
-        PlacementScorer {
-            slot: 1.0,
-            machine: 0.9,
-            rack: 0.75,
-            cross_rack: 0.5,
-        }
-    }
-}
-
-impl PlacementScorer {
-    /// The score for a locality level.
-    pub fn score_for(&self, locality: Locality) -> f64 {
-        match locality {
-            Locality::Slot => self.slot,
-            Locality::Machine => self.machine,
-            Locality::Rack => self.rack,
-            Locality::CrossRack => self.cross_rack,
-        }
-    }
-
-    /// The placement score of a concrete allocation.
-    pub fn score(&self, alloc: &GpuAlloc, spec: &ClusterSpec) -> f64 {
-        self.score_for(spread(alloc, spec))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,21 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn scorer_is_monotone() {
-        let scorer = PlacementScorer::default();
-        assert!(scorer.score_for(Locality::Slot) >= scorer.score_for(Locality::Machine));
-        assert!(scorer.score_for(Locality::Machine) >= scorer.score_for(Locality::Rack));
-        assert!(scorer.score_for(Locality::Rack) >= scorer.score_for(Locality::CrossRack));
-        assert_eq!(scorer.score_for(Locality::Slot), 1.0);
-    }
-
-    #[test]
-    fn scorer_scores_allocations() {
-        let spec = spec();
-        let scorer = PlacementScorer::default();
-        let tight = GpuAlloc::from_gpus([GpuId(0), GpuId(1)]);
-        let spread_alloc = GpuAlloc::from_gpus([GpuId(0), GpuId(8)]);
-        assert!(scorer.score(&tight, &spec) > scorer.score(&spread_alloc, &spec));
+    fn score_falls_as_locality_loosens() {
+        assert_eq!(Locality::Slot.score(), 1.0);
+        for pair in Locality::ALL.windows(2) {
+            assert!(pair[0].score() > pair[1].score(), "{pair:?}");
+        }
+        assert!(Locality::CrossRack.score() > 0.0);
     }
 
     #[test]

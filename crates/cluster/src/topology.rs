@@ -665,6 +665,7 @@ mod tests {
             GpuGeneration::Pascal
         );
         assert_eq!(spec.machine_speed(MachineId(2)), Some(2.0));
+        assert_eq!(spec.machine_speed(MachineId(9)), None);
         assert_eq!(spec.uniform_generation(), None);
         assert!(!spec.is_unit_speed());
         // Per-GPU speeds follow the machine, via the dense location table.

@@ -6,48 +6,33 @@
 //! `Cluster::clone()` for this — copying the whole topology, the lease
 //! table and every assignment once per round. A [`ClusterView`] replaces
 //! that clone: it *borrows* the real cluster and layers a small per-round
-//! overlay of tentative grants on top, so creating one costs two flat-array
-//! copies (the free bitmask and the per-machine free counts) instead of a
-//! deep clone of the cluster.
+//! overlay of tentative grants on top, so creating one costs one flat-array
+//! copy (the free bitmask) instead of a deep clone of the cluster.
 //!
 //! The [`ClusterState`] trait abstracts the read side shared by [`Cluster`]
 //! and [`ClusterView`], so placement helpers (`pick_gpus_packed`,
 //! `split_among_jobs`, bid preparation) run unchanged against either the
 //! committed state or a mid-round shadow.
 
-use crate::alloc::{DenseBitSet, FreeVector, GpuAlloc};
+use crate::alloc::{DenseBitSet, GpuAlloc};
 use crate::cluster::{Assignment, Cluster};
 use crate::error::ClusterError;
 use crate::ids::{AppId, GpuId, JobId, MachineId};
-use crate::placement::PlacementScorer;
 use crate::topology::ClusterSpec;
 
 /// Read access to allocation state, implemented by both the committed
-/// [`Cluster`] and the per-round [`ClusterView`] shadow.
+/// [`Cluster`] and the per-round [`ClusterView`] shadow: the queries the
+/// generic placement helpers make. Everything else is an inherent method of
+/// the type that needs it.
 pub trait ClusterState {
     /// The immutable topology.
     fn spec(&self) -> &ClusterSpec;
 
-    /// The placement scorer in use.
-    fn scorer(&self) -> &PlacementScorer;
-
     /// The assignment holding a GPU, if it is allocated.
     fn assignment(&self, gpu: GpuId) -> Option<Assignment>;
 
-    /// Whether a GPU exists and is currently free.
-    fn is_free(&self, gpu: GpuId) -> bool;
-
-    /// Number of free GPUs. O(1) on both implementations.
-    fn free_gpu_count(&self) -> usize;
-
     /// All currently free GPUs, in id order.
     fn free_gpus(&self) -> Vec<GpuId>;
-
-    /// Free GPUs on a specific machine, in id order.
-    fn free_gpus_on(&self, machine: MachineId) -> Vec<GpuId>;
-
-    /// The per-machine free-GPU vector.
-    fn free_vector(&self) -> FreeVector;
 
     /// All GPUs held by an app.
     fn gpus_of_app(&self, app: AppId) -> GpuAlloc;
@@ -57,25 +42,6 @@ pub trait ClusterState {
 
     /// All GPUs held by a specific job.
     fn gpus_of_job(&self, app: AppId, job: JobId) -> GpuAlloc;
-
-    /// Total number of GPUs in the cluster.
-    fn total_gpus(&self) -> usize {
-        self.spec().total_gpus()
-    }
-
-    /// Speed factor of a GPU (1.0 for unknown GPUs — the reference speed).
-    /// O(1) via the spec's precomputed GPU → (machine, rack, slot, speed)
-    /// table; shared by [`Cluster`] and the per-round [`ClusterView`]
-    /// shadow, so speed-aware placement helpers run against either.
-    fn gpu_speed(&self, gpu: GpuId) -> f64 {
-        self.spec().speed_of(gpu).unwrap_or(1.0)
-    }
-
-    /// Speed factor shared by every GPU of a machine (1.0 for unknown
-    /// machines).
-    fn machine_speed(&self, machine: MachineId) -> f64 {
-        self.spec().machine_speed(machine).unwrap_or(1.0)
-    }
 }
 
 impl ClusterState for Cluster {
@@ -83,32 +49,12 @@ impl ClusterState for Cluster {
         Cluster::spec(self)
     }
 
-    fn scorer(&self) -> &PlacementScorer {
-        Cluster::scorer(self)
-    }
-
     fn assignment(&self, gpu: GpuId) -> Option<Assignment> {
         Cluster::assignment(self, gpu)
     }
 
-    fn is_free(&self, gpu: GpuId) -> bool {
-        Cluster::is_free(self, gpu)
-    }
-
-    fn free_gpu_count(&self) -> usize {
-        Cluster::free_gpu_count(self)
-    }
-
     fn free_gpus(&self) -> Vec<GpuId> {
         Cluster::free_gpus(self)
-    }
-
-    fn free_gpus_on(&self, machine: MachineId) -> Vec<GpuId> {
-        Cluster::free_gpus_on(self, machine)
-    }
-
-    fn free_vector(&self) -> FreeVector {
-        Cluster::free_vector(self)
     }
 
     fn gpus_of_app(&self, app: AppId) -> GpuAlloc {
@@ -133,21 +79,17 @@ pub struct ClusterView<'a> {
     free: DenseBitSet,
     /// This round's tentative grants, in grant order (small).
     granted: Vec<(GpuId, Assignment)>,
-    /// Per-machine free counts, including overlay grants.
-    free_per_machine: Vec<u32>,
     free_count: usize,
 }
 
 impl Cluster {
     /// Opens a borrowed scheduling view over this cluster (see
-    /// [`ClusterView`]). Cheap: copies the free bitmask and the per-machine
-    /// free counts, nothing else.
+    /// [`ClusterView`]). Cheap: copies the free bitmask, nothing else.
     pub fn view(&self) -> ClusterView<'_> {
         ClusterView {
             base: self,
             free: self.free_mask().clone(),
             granted: Vec::new(),
-            free_per_machine: self.free_counts().to_vec(),
             free_count: self.free_gpu_count(),
         }
     }
@@ -168,11 +110,32 @@ impl ClusterView<'_> {
                 .unwrap_or(AppId(u32::MAX));
             return Err(ClusterError::GpuBusy { gpu, held_by });
         }
-        let machine = self.base.spec().machine_of(gpu).expect("gpu exists");
-        self.free_per_machine[machine.index()] -= 1;
         self.free_count -= 1;
         self.granted.push((gpu, Assignment { app, job }));
         Ok(())
+    }
+
+    /// Whether a GPU exists and is free in this view.
+    pub fn is_free(&self, gpu: GpuId) -> bool {
+        self.free.contains(gpu.index())
+    }
+
+    /// Number of GPUs free in this view. O(1).
+    pub fn free_gpu_count(&self) -> usize {
+        self.free_count
+    }
+
+    /// GPUs free in this view on a specific machine, in id order.
+    pub fn free_gpus_on(&self, machine: MachineId) -> Vec<GpuId> {
+        match self.base.spec().machine(machine) {
+            Some(m) => m
+                .gpus
+                .iter()
+                .copied()
+                .filter(|g| self.free.contains(g.index()))
+                .collect(),
+            None => Vec::new(),
+        }
     }
 
     fn overlay_gpus(&self, app: AppId, job: Option<JobId>) -> Vec<GpuId> {
@@ -189,10 +152,6 @@ impl ClusterState for ClusterView<'_> {
         self.base.spec()
     }
 
-    fn scorer(&self) -> &PlacementScorer {
-        self.base.scorer()
-    }
-
     fn assignment(&self, gpu: GpuId) -> Option<Assignment> {
         self.base.assignment(gpu).or_else(|| {
             self.granted
@@ -202,37 +161,8 @@ impl ClusterState for ClusterView<'_> {
         })
     }
 
-    fn is_free(&self, gpu: GpuId) -> bool {
-        self.free.contains(gpu.index())
-    }
-
-    fn free_gpu_count(&self) -> usize {
-        self.free_count
-    }
-
     fn free_gpus(&self) -> Vec<GpuId> {
         self.free.iter().map(|idx| GpuId(idx as u32)).collect()
-    }
-
-    fn free_gpus_on(&self, machine: MachineId) -> Vec<GpuId> {
-        match self.base.spec().machine(machine) {
-            Some(m) => m
-                .gpus
-                .iter()
-                .copied()
-                .filter(|g| self.free.contains(g.index()))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    fn free_vector(&self) -> FreeVector {
-        FreeVector::from_counts(
-            self.free_per_machine
-                .iter()
-                .enumerate()
-                .map(|(m, c)| (MachineId(m as u32), *c as usize)),
-        )
     }
 
     fn gpus_of_app(&self, app: AppId) -> GpuAlloc {
@@ -284,11 +214,13 @@ mod tests {
         let view = c.view();
         assert_eq!(view.free_gpu_count(), 7);
         assert_eq!(view.free_gpus(), c.free_gpus());
-        assert_eq!(view.free_vector(), c.free_vector());
+        assert_eq!(
+            view.free_gpus_on(MachineId(0)),
+            c.free_gpus_on(MachineId(0))
+        );
         assert_eq!(view.gpus_of_app(AppId(1)).len(), 1);
         assert_eq!(view.assignment(GpuId(0)).unwrap().app, AppId(1));
         assert!(view.is_free(GpuId(1)));
-        assert_eq!(view.total_gpus(), 8);
     }
 
     #[test]
@@ -304,11 +236,12 @@ mod tests {
         assert_eq!(view.gpus_of_job(AppId(2), JobId(3)).len(), 2);
         assert_eq!(view.gpus_of_job(AppId(2), JobId(9)).len(), 0);
         assert_eq!(view.assignment(GpuId(1)).unwrap().job, JobId(3));
-        assert_eq!(view.free_vector().on_machine(MachineId(0)), 2);
+        assert_eq!(view.free_gpus_on(MachineId(0)), vec![GpuId(2), GpuId(3)]);
         assert_eq!(
             view.free_gpus_on(MachineId(1)),
             vec![GpuId(5), GpuId(6), GpuId(7)]
         );
+        assert!(view.free_gpus_on(MachineId(9)).is_empty());
         // The committed cluster is untouched.
         assert_eq!(c.free_gpu_count(), 7);
         assert!(c.is_free(GpuId(1)));
@@ -334,23 +267,6 @@ mod tests {
             view.allocate(GpuId(99), AppId(3), JobId(0)),
             Err(ClusterError::UnknownGpu { .. })
         ));
-    }
-
-    #[test]
-    fn speed_queries_flow_through_state_and_view() {
-        use crate::topology::GpuGeneration;
-        let spec =
-            ClusterSpec::synthetic_mixed(1, 2, 4, &[GpuGeneration::Volta, GpuGeneration::Pascal]);
-        let c = Cluster::new(spec);
-        let view = c.view();
-        for state in [&c as &dyn ClusterState, &view as &dyn ClusterState] {
-            assert_eq!(state.gpu_speed(GpuId(0)), 2.0);
-            assert_eq!(state.gpu_speed(GpuId(4)), 1.0);
-            assert_eq!(state.gpu_speed(GpuId(99)), 1.0, "unknown GPUs default");
-            assert_eq!(state.machine_speed(MachineId(0)), 2.0);
-            assert_eq!(state.machine_speed(MachineId(1)), 1.0);
-            assert_eq!(state.machine_speed(MachineId(9)), 1.0);
-        }
     }
 
     #[test]

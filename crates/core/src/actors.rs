@@ -744,14 +744,9 @@ impl DistributedThemisScheduler {
                 );
             }
         }
-        if participants.is_empty() {
-            // Vacuously complete: run the (empty) auction right away so
-            // the Arbiter's round/RNG stream stays aligned with the
-            // in-process scheduler.
-            self.run_auction(at, cluster, apps);
-        } else {
-            self.arm_timer(at, bid_deadline, Deadline::Bid(round));
-        }
+        // Some status has unmet demand, so `select_participants` chose at
+        // least one app and the round waits for its bid.
+        self.arm_timer(at, bid_deadline, Deadline::Bid(round));
     }
 
     /// Runs the auction early if every participant has bid or passed.
@@ -1135,6 +1130,38 @@ mod tests {
         assert_eq!(stats.missed_rho_reports, 0);
         assert_eq!(stats.missed_bids, 0);
         assert_eq!(stats.voided_wins, 0);
+    }
+
+    /// A batch is as bulky as the singletons it coalesces: n wins cost n
+    /// `Win`s, n reports cost n `Rho`s, and an empty batch costs one unit.
+    #[test]
+    fn a_batch_costs_what_its_singletons_cost() {
+        let win = |app: u32| WinNotification {
+            round: 1,
+            app: AppId(app),
+            job: JobId(0),
+            gpus: vec![GpuId(app)],
+        };
+        let rho = |app: u32| RhoReport {
+            round: 1,
+            app: AppId(app),
+            rho: 2.0,
+        };
+        let one_win = ProtoMsg::ToAgent(ArbiterToAgent::Win(win(0))).size_units();
+        let one_rho = ProtoMsg::ToArbiter(AgentToArbiter::Rho(rho(0))).size_units();
+        for n in 0..5u32 {
+            let cost = |unit: u64| if n == 0 { 1 } else { u64::from(n) * unit };
+            let wins = ProtoMsg::ToAgent(ArbiterToAgent::WinBatch {
+                round: 1,
+                wins: (0..n).map(win).collect(),
+            });
+            assert_eq!(wins.size_units(), cost(one_win), "{n} wins");
+            let reports = ProtoMsg::ToArbiter(AgentToArbiter::RhoBatch {
+                round: 1,
+                reports: (0..n).map(rho).collect(),
+            });
+            assert_eq!(reports.size_units(), cost(one_rho), "{n} reports");
+        }
     }
 
     /// With a 5 s one-way delay every leg fits its phase: the round

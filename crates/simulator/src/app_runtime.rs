@@ -312,7 +312,7 @@ impl AppRuntime {
             // speed-weighted (a slow GPU occupies the cluster just as long).
             let gpu_minutes = dt.as_minutes() * job.gpus as f64;
             *attained_service += Time::minutes(gpu_minutes);
-            let score = cluster.scorer().score_for(job.locality);
+            let score = job.locality.score();
             placement_acc.0 += score * gpu_minutes;
             placement_acc.1 += gpu_minutes;
             // Training progress only accrues after any restart penalty, at

@@ -207,14 +207,6 @@ impl FromIterator<AppRuntime> for AppArena {
     }
 }
 
-impl<'a> IntoIterator for &'a AppArena {
-    type Item = &'a AppRuntime;
-    type IntoIter = Box<dyn Iterator<Item = &'a AppRuntime> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

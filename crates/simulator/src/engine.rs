@@ -740,7 +740,7 @@ mod tests {
         );
         // Alone on the cluster, rho should be ~1.
         assert!((outcome.rho.unwrap() - 1.0).abs() < 0.1);
-        // 4 GPUs on one machine (PCIe) scores 0.9 with the default scorer.
+        // 4 GPUs on one machine (PCIe) score 0.9 (`Locality::Machine`).
         assert!(outcome.placement_score >= 0.9 - 1e-9);
     }
 

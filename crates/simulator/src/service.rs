@@ -131,17 +131,6 @@ pub struct ServiceConfig {
     pub steady: SteadyConfig,
 }
 
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            horizon: Time::minutes(50_000.0),
-            tick_interval: Some(Time::minutes(10.0)),
-            window: Time::minutes(5_000.0),
-            steady: SteadyConfig::default(),
-        }
-    }
-}
-
 /// The report of a service run: the batch-shaped [`SimReport`] over every
 /// app the run touched (retired + still live), plus the windowed service
 /// metrics.

@@ -211,19 +211,6 @@ pub struct SteadyConfig {
     pub backlog_slack: usize,
 }
 
-impl Default for SteadyConfig {
-    fn default() -> Self {
-        SteadyConfig {
-            warmup: Time::minutes(2_000.0),
-            check_interval: Time::minutes(500.0),
-            min_samples: 10,
-            tolerance: 0.25,
-            consecutive: 4,
-            backlog_slack: 4,
-        }
-    }
-}
-
 /// Warmup discard + rolling-window convergence test on p99 ρ.
 ///
 /// Driven at observation points (service mode calls
@@ -432,8 +419,9 @@ mod tests {
             warmup: Time::ZERO,
             check_interval: Time::minutes(10.0),
             min_samples: 50,
+            tolerance: 0.25,
             consecutive: 2,
-            ..SteadyConfig::default()
+            backlog_slack: 4,
         };
         let mut d = SteadyStateDetector::new(config);
         let mut w = RollingWindow::new(Time::minutes(1_000.0));

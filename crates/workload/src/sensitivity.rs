@@ -105,12 +105,6 @@ impl PlacementSensitivity {
     }
 }
 
-impl Default for PlacementSensitivity {
-    fn default() -> Self {
-        PlacementSensitivity::INSENSITIVE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

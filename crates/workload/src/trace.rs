@@ -26,7 +26,23 @@ use rand::{Rng, SeedableRng};
 use themis_cluster::ids::{AppId, JobId};
 use themis_cluster::time::Time;
 
-/// Configuration of the synthetic trace generator.
+/// Median number of jobs per app (paper: 23).
+const MEDIAN_JOBS_PER_APP: f64 = 23.0;
+/// Maximum number of jobs per app (paper: 98).
+const MAX_JOBS_PER_APP: usize = 98;
+/// Median job duration at full parallelism, in minutes (paper: 59).
+const MEDIAN_JOB_DURATION_MIN: f64 = 59.0;
+/// Log-normal shape of job durations: the long tail of the paper's Figure 1.
+const DURATION_SIGMA: f64 = 0.9;
+/// Probability that a job requires 4 GPUs; the remainder require 2 ("most
+/// jobs need 4 GPUs, a few need 2").
+const FOUR_GPU_FRACTION: f64 = 0.8;
+/// How much a bursty arrival compresses its inter-arrival gap.
+const BURST_FACTOR: f64 = 8.0;
+
+/// Configuration of the synthetic trace generator. The paper's trace
+/// statistics (jobs per app, job durations, the 4/2-GPU mix) are the
+/// constants above; what varies between experiments is here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of apps to generate.
@@ -36,29 +52,15 @@ pub struct TraceConfig {
     /// Fraction of apps that train network-intensive (placement-sensitive)
     /// models. The paper uses 0.4.
     pub network_intensive_fraction: f64,
-    /// Median number of jobs per app (paper: 23).
-    pub median_jobs_per_app: f64,
-    /// Maximum number of jobs per app (paper: 98).
-    pub max_jobs_per_app: usize,
-    /// Median job duration at full parallelism (paper: 59 minutes).
-    pub median_job_duration: Time,
-    /// Log-normal shape parameter for job durations; larger values produce
-    /// a longer tail.
-    pub duration_sigma: f64,
     /// Multiplier applied to all durations (the paper scales durations down
     /// by 5x for its 50-GPU testbed experiments).
     pub duration_scale: f64,
-    /// Probability that a job requires 4 GPUs (the remainder require 2).
-    pub four_gpu_fraction: f64,
     /// Fraction of apps that arrive in a *burst*: their inter-arrival gap is
-    /// divided by [`TraceConfig::burst_factor`]. Zero (the default) disables
-    /// burstiness and leaves the arrival process exactly Poisson — and, by
-    /// construction, leaves the RNG stream untouched, so existing pinned
-    /// seeds keep producing the exact same traces.
+    /// divided by 8. Zero (the default) disables burstiness and leaves the
+    /// arrival process exactly Poisson — and, by construction, leaves the
+    /// RNG stream untouched, so existing pinned seeds keep producing the
+    /// exact same traces.
     pub burst_fraction: f64,
-    /// How much a bursty arrival compresses its inter-arrival gap (≥ 1).
-    /// Only consulted when [`TraceConfig::burst_fraction`] is positive.
-    pub burst_factor: f64,
     /// Fraction of jobs that demand 8 GPUs — a *heavy* heterogeneous tail on
     /// top of the paper's 4/2-GPU mix. Zero (the default) reproduces the
     /// paper's workload byte-for-byte.
@@ -73,14 +75,8 @@ impl Default for TraceConfig {
             num_apps: 100,
             mean_interarrival: Time::minutes(20.0),
             network_intensive_fraction: 0.4,
-            median_jobs_per_app: 23.0,
-            max_jobs_per_app: 98,
-            median_job_duration: Time::minutes(59.0),
-            duration_sigma: 0.9,
             duration_scale: 1.0,
-            four_gpu_fraction: 0.8,
             burst_fraction: 0.0,
-            burst_factor: 8.0,
             heavy_job_fraction: 0.0,
             seed: 42,
         }
@@ -126,18 +122,16 @@ impl TraceConfig {
     }
 
     /// Makes `fraction` of the apps arrive in bursts whose inter-arrival
-    /// gap is divided by `factor` (scenario-matrix "bursty" knob).
+    /// gap is divided by 8 (scenario-matrix "bursty" knob).
     ///
     /// # Panics
-    /// Panics if `fraction` is outside `[0, 1]` or `factor < 1`.
-    pub fn with_burstiness(mut self, fraction: f64, factor: f64) -> Self {
+    /// Panics if `fraction` is outside `[0, 1]`.
+    pub fn with_burstiness(mut self, fraction: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&fraction),
             "burst fraction must be in [0, 1]"
         );
-        assert!(factor >= 1.0, "burst factor must be >= 1");
         self.burst_fraction = fraction;
-        self.burst_factor = factor;
         self
     }
 
@@ -191,7 +185,7 @@ impl TraceGenerator {
         // knob existed (pinned seeds stay pinned).
         let mut mean = self.config.mean_interarrival.as_minutes();
         if self.config.burst_fraction > 0.0 && self.rng.gen::<f64>() < self.config.burst_fraction {
-            mean /= self.config.burst_factor.max(1.0);
+            mean /= BURST_FACTOR;
         }
         Time::minutes(sample_exponential(&mut self.rng, mean))
     }
@@ -208,16 +202,13 @@ impl TraceGenerator {
         let gpu_dist = if heavy > 0.0 {
             Discrete::new([
                 (8usize, heavy),
-                (4usize, (1.0 - heavy) * self.config.four_gpu_fraction),
-                (
-                    2usize,
-                    (1.0 - heavy) * (1.0 - self.config.four_gpu_fraction),
-                ),
+                (4usize, (1.0 - heavy) * FOUR_GPU_FRACTION),
+                (2usize, (1.0 - heavy) * (1.0 - FOUR_GPU_FRACTION)),
             ])
         } else {
             Discrete::new([
-                (4usize, self.config.four_gpu_fraction),
-                (2usize, 1.0 - self.config.four_gpu_fraction),
+                (4usize, FOUR_GPU_FRACTION),
+                (2usize, 1.0 - FOUR_GPU_FRACTION),
             ])
         };
         let jobs: Vec<JobSpec> = (0..num_jobs)
@@ -240,16 +231,12 @@ impl TraceGenerator {
     }
 
     fn sample_num_jobs(&mut self) -> usize {
-        let raw = sample_lognormal_median(&mut self.rng, self.config.median_jobs_per_app, 1.0);
-        (raw.round() as usize).clamp(1, self.config.max_jobs_per_app)
+        let raw = sample_lognormal_median(&mut self.rng, MEDIAN_JOBS_PER_APP, 1.0);
+        (raw.round() as usize).clamp(1, MAX_JOBS_PER_APP)
     }
 
     fn sample_duration(&mut self) -> Time {
-        let raw = sample_lognormal_median(
-            &mut self.rng,
-            self.config.median_job_duration.as_minutes(),
-            self.config.duration_sigma,
-        );
+        let raw = sample_lognormal_median(&mut self.rng, MEDIAN_JOB_DURATION_MIN, DURATION_SIGMA);
         Time::minutes((raw * self.config.duration_scale).max(1.0))
     }
 
@@ -494,7 +481,7 @@ mod tests {
         let plain = TraceGenerator::new(TraceConfig::default()).generate();
         let zeroed = TraceGenerator::new(
             TraceConfig::default()
-                .with_burstiness(0.0, 16.0)
+                .with_burstiness(0.0)
                 .with_heavy_job_fraction(0.0),
         )
         .generate();
@@ -507,7 +494,7 @@ mod tests {
         let bursty = TraceGenerator::new(
             TraceConfig::default()
                 .with_num_apps(300)
-                .with_burstiness(0.8, 16.0),
+                .with_burstiness(0.8),
         )
         .generate();
         let makespan = |apps: &[AppSpec]| apps.last().unwrap().arrival.as_minutes();
@@ -539,12 +526,6 @@ mod tests {
         // The 4-vs-2 mix must survive underneath the heavy tail.
         assert!(jobs.iter().any(|j| j.max_parallelism == 4));
         assert!(jobs.iter().any(|j| j.max_parallelism == 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "burst factor")]
-    fn burst_factor_below_one_rejected() {
-        let _ = TraceConfig::default().with_burstiness(0.5, 0.5);
     }
 
     #[test]

@@ -118,6 +118,63 @@ fn help_unknown_flags_and_no_arguments() {
             "",
             "error: argument 2 (smoke): sweep takes no positional argument",
         ),
+        // A flag the chosen mode never reads is refused, not dropped: the
+        // replay gate would otherwise exit 0 without opening the baseline.
+        (
+            &[
+                "sweep",
+                "--matrix",
+                "faults",
+                "--replay-gate",
+                "--check",
+                "BENCH_FAULTS_BASELINE.json",
+            ],
+            2,
+            "",
+            "error: argument 5 (--check): --replay-gate does not read it",
+        ),
+        (
+            &["sweep", "--replay-gate", "--out", "x.json"],
+            2,
+            "",
+            "error: argument 3 (--out): --replay-gate does not read it",
+        ),
+        (
+            &["sweep", "--policy", "themis", "--replay-gate"],
+            2,
+            "",
+            "error: argument 2 (--policy): --replay-gate does not read it",
+        ),
+        (
+            &["sweep", "--replay-gate", "--jobs", "4"],
+            2,
+            "",
+            "error: argument 3 (--jobs): --replay-gate does not read it",
+        ),
+        (
+            &["sweep", "--replay-gate", "--timings"],
+            2,
+            "",
+            "error: argument 3 (--timings): --replay-gate does not read it",
+        ),
+        (
+            &["sweep", "--replay-gate", "--tolerance", "0"],
+            2,
+            "",
+            "error: argument 3 (--tolerance): --replay-gate does not read it",
+        ),
+        (
+            &["sweep", "--log-out", "logs"],
+            2,
+            "",
+            "error: argument 2 (--log-out): only --replay-gate reads it",
+        ),
+        (
+            &["sweep", "--tolerance", "0.1"],
+            2,
+            "",
+            "error: argument 2 (--tolerance): only --check reads it",
+        ),
         (
             &["apps", "rack16-a6"],
             2,

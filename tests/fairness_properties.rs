@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::ids::{AppId, JobId, MachineId};
-use themis_cluster::placement::{spread, Locality, PlacementScorer};
+use themis_cluster::placement::{spread, Locality};
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
 use themis_core::auction::partial_allocation;
@@ -249,12 +249,12 @@ proptest! {
         let spec = ClusterSpec::homogeneous(2, 4, 4);
         let alloc: themis_cluster::alloc::GpuAlloc =
             gpu_indices.iter().map(|g| themis_cluster::ids::GpuId(*g)).collect();
-        let scorer = PlacementScorer::default();
-        let score = scorer.score(&alloc, &spec);
-        prop_assert!((0.0..=1.0).contains(&score));
-        // Spread level and score agree.
         let level = spread(&alloc, &spec);
-        prop_assert_eq!(score, scorer.score_for(level));
+        prop_assert!((0.0..=1.0).contains(&level.score()));
+        // A tighter level never scores lower.
+        for tighter in Locality::ALL.iter().filter(|l| **l <= level) {
+            prop_assert!(tighter.score() >= level.score());
+        }
         if alloc.len() <= 1 {
             prop_assert_eq!(level, Locality::Slot);
         }

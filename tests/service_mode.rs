@@ -35,7 +35,14 @@ fn run_replayed_service(scenario: &Scenario, policy: Policy) -> ServiceReport {
         horizon: Time::INFINITY,
         tick_interval: None,
         window: Time::minutes(1_000.0),
-        steady: SteadyConfig::default(),
+        steady: SteadyConfig {
+            warmup: Time::minutes(2_000.0),
+            check_interval: Time::minutes(500.0),
+            min_samples: 10,
+            tolerance: 0.25,
+            consecutive: 4,
+            backlog_slack: 4,
+        },
     };
     ServiceEngine::new(
         cluster,
