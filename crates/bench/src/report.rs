@@ -5,13 +5,18 @@
 //! its id `"<scenario id>/<policy>"` is the scenario's one encoding (see
 //! [`Scenario::id`]), and the parser rebuilds the scenario from it with
 //! [`Scenario::from_id`], so a new scenario axis changes neither this
-//! module nor any committed baseline. The canonical JSON rendering
-//! ([`SweepReport::to_canonical_string`]) deliberately excludes wall-clock
-//! timings: metrics are a pure function of the scenario, so serial and
-//! parallel runs of the same matrix emit byte-identical documents, and
-//! [`check_baseline`] — the one gate behind `themis sweep --check` and every
-//! baseline test — can diff a run against a committed `BENCH_*.json`
-//! exactly. Timings are advisory — ask for them with
+//! module nor any committed baseline. Its metrics are named blocks of named
+//! values, each block read off the run through one field table (`RUN`,
+//! `SERVICE`, `CONTROL`); the writer, the parser and the gate all walk
+//! those tables, so a new metric is one table line. The canonical JSON
+//! rendering ([`SweepReport::to_canonical_string`]) deliberately excludes
+//! wall-clock timings: metrics are a pure function of the scenario, so
+//! serial and parallel runs of the same matrix emit byte-identical
+//! documents, and [`check_baseline`] — the one gate behind `themis sweep
+//! --check` and every baseline test — can diff a run against a committed
+//! `BENCH_*.json` exactly. The gate compares the baseline's blocks by name,
+//! so a block the baseline predates is not compared and a new block needs
+//! no baseline regeneration. Timings are advisory — ask for them with
 //! [`SweepReport::to_json`]`(true)` or the `themis sweep --timings` flag.
 //!
 //! Parse errors carry their location in the document, e.g.
@@ -25,37 +30,112 @@ use std::path::Path;
 use themis_sim::metrics::SimReport;
 use themis_sim::scheduler::ControlPlaneStats;
 use themis_sim::service::ServiceReport;
+use Get::{Count, Number, Optional};
 
 /// Version stamp of the JSON schema, bumped on incompatible change so a
 /// stale baseline fails loudly instead of diffing nonsense. v7 made the
 /// cell id the only record of its scenario.
 pub const SCHEMA_VERSION: f64 = 7.0;
 
-/// One metric of a block: its JSON key and its value (`None` = absent,
-/// written `null`). Each block lists its metrics once; its JSON and its
-/// diffable `(name, value)` pairs both derive from that list.
-type Field<T> = (&'static str, fn(&T) -> Option<f64>);
-
-fn fields_json<T>(fields: &[Field<T>], block: &T) -> Vec<(String, Json)> {
-    fields
-        .iter()
-        .map(|(name, get)| ((*name).to_string(), Json::opt_num(get(block))))
-        .collect()
+/// How a metric is read off the run, which is also how it is read back
+/// from the document: its kind, carrying its getter.
+enum Get<R> {
+    /// A number every run has.
+    Number(fn(&R) -> f64),
+    /// A non-negative integer every run has — never a silent cast.
+    Count(fn(&R) -> u64),
+    /// A number some runs lack, written `null`.
+    Optional(fn(&R) -> Option<f64>),
 }
 
-/// `(name, value)` pairs for diffing. Absent values — and every value of
-/// an absent block — read NaN.
-fn fields_numbered<'a, T>(
-    fields: &'a [Field<T>],
-    block: Option<&'a T>,
-) -> impl Iterator<Item = (&'static str, f64)> + 'a {
-    fields
-        .iter()
-        .map(move |(name, get)| (*name, block.and_then(get).unwrap_or(f64::NAN)))
+/// A block of metrics: its name and its `(key, getter)` table, in document
+/// order.
+struct Table<R: 'static> {
+    name: &'static str,
+    fields: &'static [(&'static str, Get<R>)],
 }
+
+/// The batch metrics (the paper's §8.1 set), which every cell has. Its
+/// block is written at the top level of the cell's `metrics` object.
+#[rustfmt::skip]
+const RUN: Table<SimReport> = Table {
+    name: "run",
+    fields: &[
+        ("max_rho", Optional(SimReport::max_fairness)),
+        ("jain", Optional(SimReport::jains_index)),
+        ("makespan_minutes", Number(|r| r.end_time.as_minutes())),
+        ("avg_jct_minutes", Optional(|r| r.mean_completion_time().map(|t| t.as_minutes()))),
+        ("gpu_hours", Number(|r| r.total_gpu_time.as_hours())),
+        ("mean_placement_score", Optional(SimReport::mean_placement_score)),
+        ("peak_contention", Number(|r| r.peak_contention)),
+        ("finished_apps", Count(|r| r.finished_apps() as u64)),
+        ("unfinished_apps", Count(|r| r.unfinished_apps() as u64)),
+        ("scheduling_rounds", Count(|r| r.scheduling_rounds)),
+    ],
+};
+
+/// The windowed open-system metrics of a service-mode cell, from the final
+/// [`ServiceReport`] snapshot: ρ and queueing-delay percentiles over the
+/// final rolling window, the starvation audit (most consecutive zero-GPU
+/// rounds after warmup), admission counts, when steady state was declared,
+/// and the rounds the incremental hot path ran and skipped.
+#[rustfmt::skip]
+const SERVICE: Table<ServiceReport> = Table {
+    name: "service",
+    fields: &[
+        ("p50_rho", Optional(|r| r.windows.p50_rho)),
+        ("p99_rho", Optional(|r| r.windows.p99_rho)),
+        ("p50_queueing_minutes", Optional(|r| r.windows.p50_queueing_minutes)),
+        ("p99_queueing_minutes", Optional(|r| r.windows.p99_queueing_minutes)),
+        ("p99_renewal_minutes", Optional(|r| r.windows.p99_renewal_minutes)),
+        ("max_queue_rounds", Count(|r| r.windows.max_queue_rounds)),
+        ("admitted", Count(|r| r.admitted)),
+        ("retired", Count(|r| r.retired)),
+        ("steady_state_minutes", Optional(|r| r.steady_state_at.map(|t| t.as_minutes()))),
+        ("auctions_run", Count(|r| r.auctions_run)),
+        ("auctions_skipped", Count(|r| r.auctions_skipped)),
+    ],
+};
+
+/// The control-plane round accounting of a cell whose scheduler has one
+/// (distributed-mode Themis) — the metric set the `storm` matrix gates:
+/// under Arbiter congestion the missed-round rate is the headline number,
+/// and the raw counters say which phase of the §3.1 exchange lost the
+/// messages.
+#[rustfmt::skip]
+const CONTROL: Table<ControlPlaneStats> = Table {
+    name: "control",
+    fields: &[
+        ("rounds", Count(|c| c.rounds)),
+        ("completed_rounds", Count(|c| c.completed_rounds)),
+        ("missed_rho_reports", Count(|c| c.missed_rho_reports)),
+        ("missed_bids", Count(|c| c.missed_bids)),
+        ("voided_wins", Count(|c| c.voided_wins)),
+        ("missed_round_rate", Optional(ControlPlaneStats::missed_round_rate)),
+    ],
+};
+
+impl<R> Table<R> {
+    /// The block's values, read off the run.
+    fn read(&self, run: &R) -> (&'static str, Values) {
+        let values = self.fields.iter().map(|(key, get)| {
+            let value = match get {
+                Number(get) => Some(get(run)),
+                Count(get) => Some(get(run) as f64),
+                Optional(get) => get(run),
+            };
+            (*key, value)
+        });
+        (self.name, values.collect())
+    }
+}
+
+/// A block's values under their keys, in table order (`None` = absent).
+pub type Values = Vec<(&'static str, Option<f64>)>;
 
 /// A JSON object being parsed, with its location in the document for
 /// error messages (`cells[7].metrics.service`).
+#[derive(Clone)]
 struct At<'a> {
     json: &'a Json,
     path: String,
@@ -73,301 +153,100 @@ impl<'a> At<'a> {
             .ok_or_else(|| self.err(format_args!("missing numeric field '{key}'")))
     }
 
-    /// A required count: a non-negative integer, never a silent cast.
-    fn count(&self, key: &str) -> Result<u64, String> {
-        let v = self.num(key)?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(self.err(format_args!("'{key}' {v} is not a non-negative integer")));
-        }
-        Ok(v as u64)
-    }
-
-    /// An optional metric: absent or `null` is `None`, anything else must
-    /// be a number.
-    fn opt(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.json.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| self.err(format_args!("'{key}' must be a number or null"))),
-        }
-    }
-
     fn child(&self, key: &str) -> Option<At<'a>> {
         self.json.get(key).map(|json| At {
             json,
             path: format!("{}.{key}", self.path),
         })
     }
-}
 
-/// The windowed open-system metrics of one service-mode cell, extracted
-/// from the final [`ServiceReport`] snapshot. Deterministic for pinned
-/// seeds, so the service baseline gates them exactly alongside the batch
-/// metric set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceMetrics {
-    /// Median finish-time fairness ρ over the final rolling window.
-    pub p50_rho: Option<f64>,
-    /// 99th-percentile ρ over the final rolling window.
-    pub p99_rho: Option<f64>,
-    /// Median queueing delay (arrival → first grant), minutes.
-    pub p50_queueing_minutes: Option<f64>,
-    /// 99th-percentile queueing delay, minutes.
-    pub p99_queueing_minutes: Option<f64>,
-    /// 99th-percentile lease-renewal latency (shrink → re-grant), minutes.
-    pub p99_renewal_minutes: Option<f64>,
-    /// Starvation audit: most consecutive zero-GPU rounds any schedulable
-    /// app sat through after warmup.
-    pub max_queue_rounds: u64,
-    /// Apps admitted over the run.
-    pub admitted: u64,
-    /// Apps retired (finished and removed) over the run.
-    pub retired: u64,
-    /// When steady state was declared, in simulated minutes (absent if the
-    /// run never converged).
-    pub steady_state_minutes: Option<f64>,
-    /// Rounds that invoked the scheduling policy.
-    pub auctions_run: u64,
-    /// Rounds the incremental hot path skipped the policy call on.
-    pub auctions_skipped: u64,
-}
-
-impl ServiceMetrics {
-    const FIELDS: [Field<ServiceMetrics>; 11] = [
-        ("p50_rho", |m| m.p50_rho),
-        ("p99_rho", |m| m.p99_rho),
-        ("p50_queueing_minutes", |m| m.p50_queueing_minutes),
-        ("p99_queueing_minutes", |m| m.p99_queueing_minutes),
-        ("p99_renewal_minutes", |m| m.p99_renewal_minutes),
-        ("max_queue_rounds", |m| Some(m.max_queue_rounds as f64)),
-        ("admitted", |m| Some(m.admitted as f64)),
-        ("retired", |m| Some(m.retired as f64)),
-        ("steady_state_minutes", |m| m.steady_state_minutes),
-        ("auctions_run", |m| Some(m.auctions_run as f64)),
-        ("auctions_skipped", |m| Some(m.auctions_skipped as f64)),
-    ];
-
-    /// Extracts the windowed metric set from a finished service run.
-    pub fn from_report(report: &ServiceReport) -> ServiceMetrics {
-        ServiceMetrics {
-            p50_rho: report.windows.p50_rho,
-            p99_rho: report.windows.p99_rho,
-            p50_queueing_minutes: report.windows.p50_queueing_minutes,
-            p99_queueing_minutes: report.windows.p99_queueing_minutes,
-            p99_renewal_minutes: report.windows.p99_renewal_minutes,
-            max_queue_rounds: report.windows.max_queue_rounds,
-            admitted: report.admitted,
-            retired: report.retired,
-            steady_state_minutes: report.steady_state_at.map(|t| t.as_minutes()),
-            auctions_run: report.auctions_run,
-            auctions_skipped: report.auctions_skipped,
-        }
-    }
-
-    fn from_json(at: &At<'_>) -> Result<ServiceMetrics, String> {
-        Ok(ServiceMetrics {
-            p50_rho: at.opt("p50_rho")?,
-            p99_rho: at.opt("p99_rho")?,
-            p50_queueing_minutes: at.opt("p50_queueing_minutes")?,
-            p99_queueing_minutes: at.opt("p99_queueing_minutes")?,
-            p99_renewal_minutes: at.opt("p99_renewal_minutes")?,
-            max_queue_rounds: at.count("max_queue_rounds")?,
-            admitted: at.count("admitted")?,
-            retired: at.count("retired")?,
-            steady_state_minutes: at.opt("steady_state_minutes")?,
-            auctions_run: at.count("auctions_run")?,
-            auctions_skipped: at.count("auctions_skipped")?,
-        })
+    /// The block `table` describes: the run block is this object itself,
+    /// any other its child of the table's name; `None` if it is absent.
+    fn block<R>(&self, table: &Table<R>) -> Result<Option<(&'static str, Values)>, String> {
+        let at = match table.name {
+            "run" => Some(self.clone()),
+            name => self.child(name),
+        };
+        let Some(at) = at else { return Ok(None) };
+        let values = table.fields.iter().map(|(key, get)| {
+            let value = match (get, at.json.get(key)) {
+                (Optional(_), None | Some(Json::Null)) => None,
+                (Optional(_), Some(v)) => match v.as_f64() {
+                    None => return Err(at.err(format_args!("'{key}' must be a number or null"))),
+                    v => v,
+                },
+                (Number(_), _) => Some(at.num(key)?),
+                (Count(_), _) => match at.num(key)? {
+                    v if v >= 0.0 && v.fract() == 0.0 => Some(v),
+                    v => {
+                        return Err(
+                            at.err(format_args!("'{key}' {v} is not a non-negative integer"))
+                        )
+                    }
+                },
+            };
+            Ok((*key, value))
+        });
+        Ok(Some((table.name, values.collect::<Result<_, String>>()?)))
     }
 }
 
-/// The control-plane (auction-round) accounting of one distributed-mode
-/// cell, extracted from the scheduler's [`ControlPlaneStats`]. This is the
-/// metric set the `storm` matrix gates: under Arbiter congestion the
-/// missed-round rate is the headline number, and the raw counters say
-/// which phase of the §3.1 exchange lost the messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ControlMetrics {
-    /// Auction rounds the Arbiter started.
-    pub rounds: u64,
-    /// Rounds where every queried Agent's ρ report arrived by the deadline.
-    pub completed_rounds: u64,
-    /// ρ reports that missed the half-deadline across all rounds.
-    pub missed_rho_reports: u64,
-    /// Bids/Passes that missed the round deadline across all rounds.
-    pub missed_bids: u64,
-    /// Win notifications voided: lost in transit past the win deadline,
-    /// or wiped by an Arbiter failover.
-    pub voided_wins: u64,
-}
-
-impl ControlMetrics {
-    const FIELDS: [Field<ControlMetrics>; 6] = [
-        ("rounds", |m| Some(m.rounds as f64)),
-        ("completed_rounds", |m| Some(m.completed_rounds as f64)),
-        ("missed_rho_reports", |m| Some(m.missed_rho_reports as f64)),
-        ("missed_bids", |m| Some(m.missed_bids as f64)),
-        ("voided_wins", |m| Some(m.voided_wins as f64)),
-        // Derived from the counters above; write-only (recomputed on
-        // parse), kept in the document for human diffing.
-        ("missed_round_rate", ControlMetrics::missed_round_rate),
-    ];
-
-    /// Extracts the control-plane metric set from the scheduler's counters.
-    pub fn from_stats(stats: &ControlPlaneStats) -> ControlMetrics {
-        ControlMetrics {
-            rounds: stats.rounds,
-            completed_rounds: stats.completed_rounds,
-            missed_rho_reports: stats.missed_rho_reports,
-            missed_bids: stats.missed_bids,
-            voided_wins: stats.voided_wins,
-        }
-    }
-
-    /// Fraction of started rounds that lost at least one ρ report to the
-    /// deadline; `None` before any round has run.
-    pub fn missed_round_rate(&self) -> Option<f64> {
-        (self.rounds > 0).then(|| 1.0 - self.completed_rounds as f64 / self.rounds as f64)
-    }
-
-    fn from_json(at: &At<'_>) -> Result<ControlMetrics, String> {
-        Ok(ControlMetrics {
-            rounds: at.count("rounds")?,
-            completed_rounds: at.count("completed_rounds")?,
-            missed_rho_reports: at.count("missed_rho_reports")?,
-            missed_bids: at.count("missed_bids")?,
-            voided_wins: at.count("voided_wins")?,
-        })
-    }
-}
-
-/// The metrics extracted from one simulation run (the paper's §8.1 set).
+/// The metrics extracted from one run: the blocks it reports, by name,
+/// each in its table's order — `run` first, then `service` on service-mode
+/// cells and `control` on cells whose scheduler has a control plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellMetrics {
-    /// Worst finish-time fairness ρ across finished apps (lower is better).
-    pub max_rho: Option<f64>,
-    /// Jain's fairness index over ρ values (closer to 1 is better).
-    pub jain: Option<f64>,
-    /// Simulated end time of the run, in minutes.
-    pub makespan_minutes: f64,
-    /// Mean app completion time, in minutes.
-    pub avg_jct_minutes: Option<f64>,
-    /// Total GPU time consumed, in GPU-hours.
-    pub gpu_hours: f64,
-    /// Mean per-app placement score over finished apps.
-    pub mean_placement_score: Option<f64>,
-    /// Peak contention (aggregate demand / cluster size).
-    pub peak_contention: f64,
-    /// Apps that finished within the horizon.
-    pub finished_apps: usize,
-    /// Apps still unfinished at the horizon.
-    pub unfinished_apps: usize,
-    /// Scheduling rounds the policy ran.
-    pub scheduling_rounds: u64,
-    /// The windowed open-system metrics — present only on service-mode
-    /// cells, so closed-system cells serialize exactly as before.
-    pub service: Option<ServiceMetrics>,
-    /// The control-plane round accounting — present only on cells whose
-    /// scheduler exposes it (distributed-mode Themis), so in-process cells
-    /// serialize exactly as before.
-    pub control: Option<ControlMetrics>,
+    /// `(block name, values)`, in document order.
+    pub blocks: Vec<(&'static str, Values)>,
 }
 
 impl CellMetrics {
-    const FIELDS: [Field<CellMetrics>; 10] = [
-        ("max_rho", |m| m.max_rho),
-        ("jain", |m| m.jain),
-        ("makespan_minutes", |m| Some(m.makespan_minutes)),
-        ("avg_jct_minutes", |m| m.avg_jct_minutes),
-        ("gpu_hours", |m| Some(m.gpu_hours)),
-        ("mean_placement_score", |m| m.mean_placement_score),
-        ("peak_contention", |m| Some(m.peak_contention)),
-        ("finished_apps", |m| Some(m.finished_apps as f64)),
-        ("unfinished_apps", |m| Some(m.unfinished_apps as f64)),
-        ("scheduling_rounds", |m| Some(m.scheduling_rounds as f64)),
-    ];
-
-    /// Extracts the metric set from a finished simulation.
+    /// Extracts the metric blocks from a finished simulation.
     pub fn from_report(report: &SimReport) -> CellMetrics {
-        CellMetrics {
-            max_rho: report.max_fairness(),
-            jain: report.jains_index(),
-            makespan_minutes: report.end_time.as_minutes(),
-            avg_jct_minutes: report.mean_completion_time().map(|t| t.as_minutes()),
-            gpu_hours: report.total_gpu_time.as_hours(),
-            mean_placement_score: report.mean_placement_score(),
-            peak_contention: report.peak_contention,
-            finished_apps: report.finished_apps(),
-            unfinished_apps: report.unfinished_apps(),
-            scheduling_rounds: report.scheduling_rounds,
-            service: None,
-            control: report.control.as_ref().map(ControlMetrics::from_stats),
-        }
+        let mut blocks = vec![RUN.read(report)];
+        blocks.extend(report.control.as_ref().map(|c| CONTROL.read(c)));
+        CellMetrics { blocks }
     }
 
-    /// Extracts the metric set from a finished service run: the batch
-    /// metrics from the embedded [`SimReport`] plus the windowed block.
+    /// Extracts the metric blocks from a finished service run: the batch
+    /// blocks of the embedded [`SimReport`] plus the windowed block.
     pub fn from_service_report(report: &ServiceReport) -> CellMetrics {
         let mut metrics = CellMetrics::from_report(&report.sim);
-        metrics.service = Some(ServiceMetrics::from_report(report));
+        metrics.blocks.insert(1, SERVICE.read(report));
         metrics
     }
 
+    /// The block named `name`, if the run reports it.
+    pub fn block(&self, name: &str) -> Option<&Values> {
+        let mut blocks = self.blocks.iter();
+        blocks.find(|(n, _)| *n == name).map(|(_, values)| values)
+    }
+
+    /// The value of `key` in block `block`; `None` if either is absent.
+    pub fn get(&self, block: &str, key: &str) -> Option<f64> {
+        let values = self.block(block)?;
+        values.iter().find(|(k, _)| *k == key).and_then(|(_, v)| *v)
+    }
+
     fn to_json(&self) -> Json {
-        let mut pairs = fields_json(&Self::FIELDS, self);
-        if let Some(service) = &self.service {
-            let block = fields_json(&ServiceMetrics::FIELDS, service);
-            pairs.push(("service".into(), Json::Obj(block)));
-        }
-        if let Some(control) = &self.control {
-            let block = fields_json(&ControlMetrics::FIELDS, control);
-            pairs.push(("control".into(), Json::Obj(block)));
+        let mut pairs = Vec::new();
+        for (name, values) in &self.blocks {
+            let block = values
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), Json::opt_num(*v)));
+            match *name {
+                "run" => pairs.extend(block),
+                name => pairs.push((name.to_string(), Json::Obj(block.collect()))),
+            }
         }
         Json::Obj(pairs)
     }
 
     fn from_json(at: &At<'_>) -> Result<CellMetrics, String> {
+        let blocks = [at.block(&RUN)?, at.block(&SERVICE)?, at.block(&CONTROL)?];
         Ok(CellMetrics {
-            max_rho: at.opt("max_rho")?,
-            jain: at.opt("jain")?,
-            makespan_minutes: at.num("makespan_minutes")?,
-            avg_jct_minutes: at.opt("avg_jct_minutes")?,
-            gpu_hours: at.num("gpu_hours")?,
-            mean_placement_score: at.opt("mean_placement_score")?,
-            peak_contention: at.num("peak_contention")?,
-            finished_apps: at.count("finished_apps")? as usize,
-            unfinished_apps: at.count("unfinished_apps")? as usize,
-            scheduling_rounds: at.count("scheduling_rounds")?,
-            service: at
-                .child("service")
-                .map(|block| ServiceMetrics::from_json(&block))
-                .transpose()?,
-            control: at
-                .child("control")
-                .map(|block| ControlMetrics::from_json(&block))
-                .transpose()?,
+            blocks: blocks.into_iter().flatten().collect(),
         })
-    }
-
-    /// `(name, value)` pairs of the numeric metrics, for diffing. Absent
-    /// optional metrics surface as NaN, which only equals NaN on both sides
-    /// via the explicit check in [`compare_reports`]. The service and
-    /// control blocks' entries are always appended (NaN-filled on cells
-    /// without the block), so a cell missing its block compares as a
-    /// divergence rather than being silently zipped short.
-    fn numbered(&self) -> Vec<(&'static str, f64)> {
-        fields_numbered(&Self::FIELDS, Some(self))
-            .chain(fields_numbered(
-                &ServiceMetrics::FIELDS,
-                self.service.as_ref(),
-            ))
-            .chain(fields_numbered(
-                &ControlMetrics::FIELDS,
-                self.control.as_ref(),
-            ))
-            .collect()
     }
 }
 
@@ -410,11 +289,11 @@ impl CellReport {
             pairs.push(("wall_clock_ms".into(), Json::num(self.wall_clock_ms)));
             // Round throughput is derived from wall-clock, so it lives with
             // the advisory timings, never in the canonical form.
-            if self.wall_clock_ms > 0.0 {
-                pairs.push((
-                    "rounds_per_sec".into(),
-                    Json::num(self.metrics.scheduling_rounds as f64 / (self.wall_clock_ms / 1e3)),
-                ));
+            if let Some(rounds) = self.metrics.get("run", "scheduling_rounds") {
+                if self.wall_clock_ms > 0.0 {
+                    let per_sec = rounds / (self.wall_clock_ms / 1e3);
+                    pairs.push(("rounds_per_sec".into(), Json::num(per_sec)));
+                }
             }
         }
         Json::Obj(pairs)
@@ -538,10 +417,14 @@ impl SweepReport {
 /// Compares a freshly run report against a committed baseline.
 ///
 /// Returns one human-readable line per divergence; an empty vector means
-/// the gate passes. Metrics are compared with relative tolerance `tol`
-/// (pinned seeds make runs bit-reproducible, so CI uses a tiny tolerance
-/// that only forgives float formatting, not behavior). Wall-clock is never
-/// compared — it is advisory by design.
+/// the gate passes. Every value of every block the baseline holds is
+/// compared by name: a block the current run lacks is a divergence, a
+/// block the baseline lacks is not compared (so a new block needs no
+/// baseline regeneration). Values are compared with relative tolerance
+/// `tol` (pinned seeds make runs bit-reproducible, so CI uses a tiny
+/// tolerance that only forgives float formatting, not behavior); absent
+/// equals only absent. Wall-clock is never compared — it is advisory by
+/// design.
 pub fn compare_reports(current: &SweepReport, baseline: &SweepReport, tol: f64) -> Vec<String> {
     let mut diffs = Vec::new();
     if current.matrix != baseline.matrix {
@@ -550,26 +433,37 @@ pub fn compare_reports(current: &SweepReport, baseline: &SweepReport, tol: f64) 
             current.matrix, baseline.matrix
         ));
     }
-    let find = |cells: &[CellReport], id: &str| -> Option<CellMetrics> {
-        cells.iter().find(|c| c.id == id).map(|c| c.metrics.clone())
-    };
+    fn find<'a>(cells: &'a [CellReport], id: &str) -> Option<&'a CellReport> {
+        cells.iter().find(|c| c.id == id)
+    }
+    let show = |v: Option<f64>| v.map_or("null".to_string(), |v| v.to_string());
     for cell in &baseline.cells {
-        match find(&current.cells, &cell.id) {
-            None => diffs.push(format!("cell '{}' missing from current run", cell.id)),
-            Some(current_metrics) => {
-                for ((name, a), (_, b)) in current_metrics
-                    .numbered()
-                    .into_iter()
-                    .zip(cell.metrics.numbered())
-                {
-                    let both_absent = a.is_nan() && b.is_nan();
-                    let within = (a - b).abs() <= tol * b.abs().max(1.0);
-                    if !both_absent && !within {
-                        diffs.push(format!(
-                            "cell '{}': {} diverged: current {} vs baseline {}",
-                            cell.id, name, a, b
-                        ));
-                    }
+        let Some(now) = find(&current.cells, &cell.id) else {
+            diffs.push(format!("cell '{}' missing from current run", cell.id));
+            continue;
+        };
+        for (name, values) in &cell.metrics.blocks {
+            if now.metrics.block(name).is_none() {
+                diffs.push(format!(
+                    "cell '{}': block '{name}' missing from current run",
+                    cell.id
+                ));
+                continue;
+            }
+            for &(key, b) in values {
+                let a = now.metrics.get(name, key);
+                let same = match (a, b) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => (a - b).abs() <= tol * b.abs().max(1.0),
+                    _ => false,
+                };
+                if !same {
+                    diffs.push(format!(
+                        "cell '{}': {name}.{key} diverged: current {} vs baseline {}",
+                        cell.id,
+                        show(a),
+                        show(b)
+                    ));
                 }
             }
         }
@@ -648,6 +542,13 @@ mod tests {
     use themis_cluster::time::Time;
     use themis_protocol::fault::FaultConfig;
 
+    /// Sets `key` of block `block` in the one cell of `report`.
+    fn set(report: &mut SweepReport, block: &str, key: &str, value: Option<f64>) {
+        let blocks = &mut report.cells[0].metrics.blocks;
+        let (_, values) = blocks.iter_mut().find(|(n, _)| *n == block).expect("block");
+        values.iter_mut().find(|(k, _)| *k == key).expect("key").1 = value;
+    }
+
     /// A one-cell report of `policy` on `scenario`.
     fn one_cell(scenario: Scenario, policy: Policy, metrics: CellMetrics) -> SweepReport {
         let cell = CellReport::new(&scenario, policy, metrics);
@@ -666,19 +567,20 @@ mod tests {
     }
 
     fn sample_metrics() -> CellMetrics {
+        let run = vec![
+            ("max_rho", Some(2.5)),
+            ("jain", Some(0.9)),
+            ("makespan_minutes", Some(120.0)),
+            ("avg_jct_minutes", Some(60.0)),
+            ("gpu_hours", Some(14.5)),
+            ("mean_placement_score", Some(0.95)),
+            ("peak_contention", Some(2.0)),
+            ("finished_apps", Some(3.0)),
+            ("unfinished_apps", Some(0.0)),
+            ("scheduling_rounds", Some(17.0)),
+        ];
         CellMetrics {
-            max_rho: Some(2.5),
-            jain: Some(0.9),
-            makespan_minutes: 120.0,
-            avg_jct_minutes: Some(60.0),
-            gpu_hours: 14.5,
-            mean_placement_score: Some(0.95),
-            peak_contention: 2.0,
-            finished_apps: 3,
-            unfinished_apps: 0,
-            scheduling_rounds: 17,
-            service: None,
-            control: None,
+            blocks: vec![("run", run)],
         }
     }
 
@@ -712,19 +614,20 @@ mod tests {
 
     fn service_report() -> SweepReport {
         let mut metrics = sample_metrics();
-        metrics.service = Some(ServiceMetrics {
-            p50_rho: Some(1.1),
-            p99_rho: Some(2.2),
-            p50_queueing_minutes: Some(3.0),
-            p99_queueing_minutes: Some(40.0),
-            p99_renewal_minutes: None,
-            max_queue_rounds: 7,
-            admitted: 90,
-            retired: 85,
-            steady_state_minutes: Some(900.0),
-            auctions_run: 100,
-            auctions_skipped: 200,
-        });
+        let service = vec![
+            ("p50_rho", Some(1.1)),
+            ("p99_rho", Some(2.2)),
+            ("p50_queueing_minutes", Some(3.0)),
+            ("p99_queueing_minutes", Some(40.0)),
+            ("p99_renewal_minutes", None),
+            ("max_queue_rounds", Some(7.0)),
+            ("admitted", Some(90.0)),
+            ("retired", Some(85.0)),
+            ("steady_state_minutes", Some(900.0)),
+            ("auctions_run", Some(100.0)),
+            ("auctions_skipped", Some(200.0)),
+        ];
+        metrics.blocks.push(("service", service));
         let scenario = base().with_service(ServiceAxis::new(ServiceShape::Diurnal, 1.5, 2000.0));
         one_cell(scenario, Policy::themis_default(), metrics)
     }
@@ -742,35 +645,36 @@ mod tests {
 
         // The windowed block is gated like any metric.
         let mut current = service_report();
-        current.cells[0]
-            .metrics
-            .service
-            .as_mut()
-            .expect("service block present")
-            .max_queue_rounds += 1;
+        set(&mut current, "service", "max_queue_rounds", Some(8.0));
         let diffs = compare_reports(&current, &report, 1e-9);
         assert_eq!(diffs.len(), 1);
-        assert!(diffs[0].contains("max_queue_rounds"), "{diffs:?}");
+        assert!(diffs[0].contains("service.max_queue_rounds"), "{diffs:?}");
 
         // Dropping the block entirely is a divergence, not a silent pass.
-        current.cells[0].metrics.service = None;
-        assert!(!compare_reports(&current, &report, 1e-9).is_empty());
+        current.cells[0].metrics.blocks.truncate(1);
+        let diffs = compare_reports(&current, &report, 1e-9);
+        assert_eq!(diffs.len(), 1);
+        assert!(diffs[0].contains("block 'service' missing"), "{diffs:?}");
     }
 
-    fn storm_report() -> SweepReport {
+    fn storm_report_with(completed_rounds: u64) -> SweepReport {
         let fault = FaultConfig::reliable()
             .with_arbiter_service_time(Time::seconds(1.0))
             .with_arbiter_batch(8);
         let scenario = base().with_fault(fault).with_storm(StormAxis::new(2.0));
         let mut metrics = sample_metrics();
-        metrics.control = Some(ControlMetrics {
+        metrics.blocks.push(CONTROL.read(&ControlPlaneStats {
             rounds: 20,
-            completed_rounds: 15,
+            completed_rounds,
             missed_rho_reports: 9,
             missed_bids: 2,
             voided_wins: 0,
-        });
+        }));
         one_cell(scenario, Policy::themis_dist_default(), metrics)
+    }
+
+    fn storm_report() -> SweepReport {
+        storm_report_with(15)
     }
 
     #[test]
@@ -786,20 +690,16 @@ mod tests {
         assert_eq!(back.to_canonical_string(), text, "canonical fixed point");
 
         // The control block is gated like any metric.
-        let mut current = storm_report();
-        current.cells[0]
-            .metrics
-            .control
-            .as_mut()
-            .expect("control block present")
-            .completed_rounds -= 1;
+        let mut current = storm_report_with(14);
         let diffs = compare_reports(&current, &report, 1e-9);
         assert_eq!(diffs.len(), 2, "{diffs:?}");
-        assert!(diffs.iter().any(|d| d.contains("completed_rounds")));
-        assert!(diffs.iter().any(|d| d.contains("missed_round_rate")));
+        assert!(diffs.iter().any(|d| d.contains("control.completed_rounds")));
+        assert!(diffs
+            .iter()
+            .any(|d| d.contains("control.missed_round_rate")));
 
         // Dropping the block entirely is a divergence, not a silent pass.
-        current.cells[0].metrics.control = None;
+        current.cells[0].metrics.blocks.truncate(1);
         assert!(!compare_reports(&current, &report, 1e-9).is_empty());
 
         // A cell without the knobs names none of them.
@@ -813,7 +713,8 @@ mod tests {
     #[test]
     fn hostile_documents_fail_with_a_location() {
         let mut fixture = service_report();
-        fixture.cells[0].metrics.control = storm_report().cells[0].metrics.control.clone();
+        let control = storm_report().cells[0].metrics.blocks[1].clone();
+        fixture.cells[0].metrics.blocks.push(control);
         let text = fixture.to_canonical_string();
         let documents = r#"
             "finished_apps": 3 | "finished_apps": -3 | cells[0].metrics: 'finished_apps' -3 is not a non-negative integer
@@ -822,6 +723,7 @@ mod tests {
             "max_rho": 2.5 | "max_rho": "low" | cells[0].metrics: 'max_rho' must be a number or null
             "admitted": 90 | "admitted": -90 | cells[0].metrics.service: 'admitted' -90 is not
             "rounds": 20 | "rounds": 20.5 | cells[0].metrics.control: 'rounds' 20.5 is not
+            "control": { | "control": null, "was_control": { | cells[0].metrics.control: missing numeric field 'rounds'
             /themis" | " | cells[0].id: "rack16-a3-x2-s42-i0-vdiurnal-r1.5-z2000" has no '/<policy>' suffix
             /themis" | /fifo" | cells[0].id: unknown policy "fifo"
             -x2- | -yabc-x2- | cells[0].id: tag 'y': "abc" is not a number
@@ -879,7 +781,7 @@ mod tests {
         let baseline = check_baseline(&path, Some(&report), 1e-9).expect("identical run passes");
         assert_eq!(baseline.to_canonical_string(), report.to_canonical_string());
         let mut moved = sample_report();
-        moved.cells[0].metrics.gpu_hours += 1.0;
+        set(&mut moved, "run", "gpu_hours", Some(15.5));
         let Err(BaselineError::Diverged(message)) = check_baseline(&path, Some(&moved), 1e-9)
         else {
             panic!("a moved metric must diverge");
@@ -917,7 +819,7 @@ mod tests {
     fn comparison_flags_metric_divergence() {
         let baseline = sample_report();
         let mut current = sample_report();
-        current.cells[0].metrics.gpu_hours += 1.0;
+        set(&mut current, "run", "gpu_hours", Some(15.5));
         let diffs = compare_reports(&current, &baseline, 1e-9);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].contains("gpu_hours"), "{diffs:?}");
@@ -939,13 +841,55 @@ mod tests {
     #[test]
     fn absent_optional_metrics_compare_equal() {
         let mut baseline = sample_report();
-        baseline.cells[0].metrics.max_rho = None;
+        set(&mut baseline, "run", "max_rho", None);
         let current = baseline.clone();
         assert!(compare_reports(&current, &baseline, 1e-9).is_empty());
         // Absent vs present diverges.
         let mut present = baseline.clone();
-        present.cells[0].metrics.max_rho = Some(1.0);
+        set(&mut present, "run", "max_rho", Some(1.0));
         assert!(!compare_reports(&present, &baseline, 1e-9).is_empty());
+    }
+
+    /// The gate compares the baseline's blocks only: every committed
+    /// baseline passes against its own cells with a block it predates
+    /// added to each.
+    #[test]
+    fn every_committed_baseline_tolerates_a_new_block() {
+        for name in [
+            "BENCH_BASELINE",
+            "BENCH_FAULTS_BASELINE",
+            "BENCH_HETERO_BASELINE",
+            "BENCH_SCALE_BASELINE",
+            "BENCH_SERVICE_BASELINE",
+            "BENCH_STORM_BASELINE",
+            "BENCH_STRESS_BASELINE",
+        ] {
+            let path = format!("{}/../../{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let mut current = check_baseline(&path, None, 1e-9).unwrap_or_else(|e| panic!("{e}"));
+            for cell in &mut current.cells {
+                cell.metrics
+                    .blocks
+                    .push(("decisions", vec![("grants", Some(1.0))]));
+            }
+            check_baseline(&path, Some(&current), 1e-9).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    /// `missed_round_rate` is read back like any metric, so a hand edit
+    /// survives the canonical-form check and fails as a divergence.
+    #[test]
+    fn a_hand_edited_missed_round_rate_fails_the_gate() {
+        let path = std::env::temp_dir().join(format!("BENCH_RATE_{}.json", std::process::id()));
+        let text = storm_report().to_canonical_string();
+        let edited = text.replace("\"missed_round_rate\": 0.25", "\"missed_round_rate\": 0.5");
+        assert_ne!(edited, text);
+        std::fs::write(&path, edited).expect("write baseline");
+        let result = check_baseline(&path, Some(&storm_report()), 1e-9);
+        std::fs::remove_file(&path).expect("remove baseline");
+        let Err(BaselineError::Diverged(message)) = result else {
+            panic!("a hand-edited rate must diverge, got {result:?}");
+        };
+        assert!(message.contains("control.missed_round_rate"), "{message}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   [`run`](Scenario::run) any [`Policy`] on it deterministically; its
 //!   [`id`](Scenario::id) is its only serialization, parsed back by
 //!   [`Scenario::from_id`],
-//! * [`Matrix`] is a declarative set of axis values whose
-//!   [`expand`](Matrix::expand) takes the cartesian product,
+//! * [`Matrix`] is a grid of scenarios grown from one base scenario by one
+//!   [`axis`](Matrix::axis) step per varied axis,
 //! * the named matrices ([`Matrix::smoke`], [`Matrix::full`],
 //!   [`Matrix::stress`], [`Matrix::faults`], [`Matrix::scale`],
 //!   [`Matrix::hetero`], [`Matrix::service`], [`Matrix::soak`],
@@ -677,9 +677,8 @@ impl Scenario {
     /// The engine configuration: the scenario's lease, the paper's 1-minute
     /// checkpoint overhead, the experiment harness's 2M-minute horizon and
     /// the fault plumbing for distributed-mode cells (the fault RNG is
-    /// seeded from the scheduler seed). Faulty scenarios also enable the
-    /// engine's no-progress retry so a round fully lost to message faults
-    /// is re-attempted instead of stranding the event queue.
+    /// seeded from the scheduler seed). The engine retries a round lost to
+    /// message faults exactly when the fault config is not reliable.
     pub fn sim_config(&self) -> SimConfig {
         let mut config = SimConfig::default()
             .with_lease(Time::minutes(self.lease_minutes))
@@ -688,9 +687,6 @@ impl Scenario {
                 self.fault
                     .with_seed(self.scheduler_seed.wrapping_add(self.fault.seed)),
             );
-        if !self.fault.is_reliable() {
-            config = config.with_retry_interval(Time::minutes(1.0));
-        }
         if let Some(storm) = &self.storm {
             config = config
                 .with_bid_deadline(Time::minutes(storm.bid_deadline_minutes))
@@ -830,76 +826,53 @@ impl Scenario {
     }
 }
 
-/// A declarative scenario matrix: every field is an axis, and
-/// [`Matrix::expand`] takes the cartesian product of all of them.
+/// A declarative scenario matrix: the scenarios of a grid and the policies
+/// to run on each.
 ///
-/// Axes that only affect Themis (`fairness_knob`, `rho_error`) are deduped
-/// per baseline by [`Matrix::cells`]: a baseline runs only the first value
-/// of each Themis-only axis, since the remaining combinations would be
-/// byte-identical re-runs.
+/// A matrix grows from one base scenario ([`Matrix::new`]) by one
+/// [`axis`](Matrix::axis) step per varied axis, later axes varying
+/// fastest, so [`Matrix::expand`] is the cartesian product in axis order.
+/// Axes that only affect Themis (`fairness_knob`, `rho_error`) or only the
+/// distributed mode (`fault`) are deduped per baseline by
+/// [`Matrix::cells`]: a baseline runs only their first value, since the
+/// remaining combinations would be byte-identical re-runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Name of the matrix ("smoke", "full", ...), recorded in the report.
     pub name: String,
-    /// Cluster axis.
-    pub clusters: Vec<ClusterKind>,
-    /// GPU-generation-mix axis (every policy is speed-aware, so — unlike
-    /// the Themis-only knobs — no cell is deduped along it).
-    pub gen_mix: Vec<GenMix>,
-    /// Trace-size axis (number of apps).
-    pub apps: Vec<usize>,
-    /// Contention-factor axis.
-    pub contention: Vec<f64>,
-    /// Network-intensive-fraction axis.
-    pub network_fraction: Vec<f64>,
-    /// Fairness-knob axis (Themis only).
-    pub fairness_knob: Vec<f64>,
-    /// Lease-duration axis (minutes).
-    pub lease_minutes: Vec<f64>,
-    /// ρ-error axis (Themis only).
-    pub rho_error: Vec<f64>,
-    /// Bursty-arrival axis.
-    pub burst_fraction: Vec<f64>,
-    /// Heavy-job axis.
-    pub heavy_job_fraction: Vec<f64>,
-    /// Transport-fault axis (`themis-dist` only).
-    pub faults: Vec<FaultConfig>,
-    /// Service-mode axis. `[None]` (the default) keeps a matrix fully
-    /// closed-system; service matrices put their shape × rate grid here.
-    /// Like the generation mix, the axis affects every policy, so no cell
-    /// is deduped along it.
-    pub service: Vec<Option<ServiceAxis>>,
-    /// Storm axis. `[None]` (the default) keeps arrivals and the round
-    /// deadline untouched; the `storm` matrix puts its deadline grid here.
-    pub storm: Vec<Option<StormAxis>>,
-    /// Seed axis.
-    pub seeds: Vec<u64>,
+    /// Every scenario of the grid, in expansion order.
+    pub scenarios: Vec<Scenario>,
     /// Policies to run on every scenario.
     pub policies: Vec<Policy>,
 }
 
 impl Matrix {
-    /// A single-point matrix (one value per axis) that scenarios can be
-    /// grown from. Uses the paper's default knobs and all six policies.
-    pub fn point(name: &str, cluster: ClusterKind, apps: usize, seed: u64) -> Matrix {
+    /// A one-scenario matrix to grow axes on: `cluster` with `apps` apps,
+    /// trace and scheduler seed `seed`, every other axis at
+    /// [`Scenario::new`]'s default.
+    pub fn new(
+        name: &str,
+        cluster: ClusterKind,
+        apps: usize,
+        seed: u64,
+        policies: Vec<Policy>,
+    ) -> Matrix {
         Matrix {
             name: name.to_string(),
-            clusters: vec![cluster],
-            gen_mix: vec![GenMix::Uniform],
-            apps: vec![apps],
-            contention: vec![1.0],
-            network_fraction: vec![0.4],
-            fairness_knob: vec![0.8],
-            lease_minutes: vec![20.0],
-            rho_error: vec![0.0],
-            burst_fraction: vec![0.0],
-            heavy_job_fraction: vec![0.0],
-            faults: vec![FaultConfig::reliable()],
-            service: vec![None],
-            storm: vec![None],
-            seeds: vec![seed],
-            policies: Policy::all(),
+            scenarios: vec![Scenario::new(cluster, apps, seed).with_scheduler_seed(seed)],
+            policies,
         }
+    }
+
+    /// Crosses every scenario with every value of one more axis, the new
+    /// axis varying fastest. `set` applies one value: a `Scenario::with_*`
+    /// method, or a closure for a field without one.
+    pub fn axis<T: Copy>(mut self, values: &[T], set: impl Fn(Scenario, T) -> Scenario) -> Matrix {
+        let set = &set;
+        self.scenarios = (self.scenarios.iter())
+            .flat_map(|s| values.iter().map(move |&value| set(s.clone(), value)))
+            .collect();
+        self
     }
 
     /// The CI smoke matrix: small, pinned-seed, covers the contention,
@@ -907,39 +880,42 @@ impl Matrix {
     /// matrix `BENCH_BASELINE.json` is generated from; keep it fast — CI
     /// runs it on every push.
     pub fn smoke() -> Matrix {
-        Matrix {
-            contention: vec![1.0, 2.0],
-            fairness_knob: vec![0.8, 0.2],
-            burst_fraction: vec![0.0, 0.5],
-            ..Matrix::point("smoke", ClusterKind::Rack16, 6, 42)
-        }
+        Matrix::new("smoke", ClusterKind::Rack16, 6, 42, Policy::all())
+            .axis(&[1.0, 2.0], Scenario::with_contention)
+            .axis(&[0.8, 0.2], Scenario::with_fairness_knob)
+            .axis(&[0.0, 0.5], |s, burst_fraction| Scenario {
+                burst_fraction,
+                ..s
+            })
     }
 
     /// The paper-shaped evaluation matrix on the 50-GPU testbed: contention
     /// × placement mix × fairness knob × estimator error × two seeds.
     /// Hours of simulated sweep — run it locally, not in CI.
     pub fn full() -> Matrix {
-        Matrix {
-            apps: vec![20],
-            contention: vec![1.0, 2.0, 4.0],
-            network_fraction: vec![0.0, 0.5, 1.0],
-            fairness_knob: vec![0.2, 0.8],
-            rho_error: vec![0.0, 0.1],
-            seeds: vec![42, 43],
-            ..Matrix::point("full", ClusterKind::Testbed50, 20, 42)
-        }
+        Matrix::new("full", ClusterKind::Testbed50, 20, 42, Policy::all())
+            .axis(&[1.0, 2.0, 4.0], Scenario::with_contention)
+            .axis(&[0.0, 0.5, 1.0], Scenario::with_network_fraction)
+            .axis(&[0.2, 0.8], Scenario::with_fairness_knob)
+            .axis(&[0.0, 0.1], Scenario::with_rho_error)
+            .axis(&[42, 43], |s, seed| {
+                Scenario { seed, ..s }.with_scheduler_seed(seed)
+            })
     }
 
     /// A stress matrix for the new workload knobs: bursty arrivals and
     /// heavy 8-GPU jobs under elevated contention.
     pub fn stress() -> Matrix {
-        Matrix {
-            contention: vec![2.0],
-            burst_fraction: vec![0.0, 0.5, 0.9],
-            heavy_job_fraction: vec![0.0, 0.3],
-            apps: vec![10],
-            ..Matrix::point("stress", ClusterKind::Testbed50, 10, 42)
-        }
+        Matrix::new("stress", ClusterKind::Testbed50, 10, 42, Policy::all())
+            .axis(&[2.0], Scenario::with_contention)
+            .axis(&[0.0, 0.5, 0.9], |s, burst_fraction| Scenario {
+                burst_fraction,
+                ..s
+            })
+            .axis(&[0.0, 0.3], |s, heavy_job_fraction| Scenario {
+                heavy_job_fraction,
+                ..s
+            })
     }
 
     /// The control-plane robustness matrix: distributed-mode Themis under
@@ -954,30 +930,31 @@ impl Matrix {
     /// against `BENCH_FAULTS_BASELINE.json`, so a protocol regression
     /// fails fast.
     pub fn faults() -> Matrix {
-        Matrix {
-            policies: vec![Policy::themis_default(), Policy::themis_dist_default()],
-            contention: vec![2.0],
-            faults: vec![
-                FaultConfig::reliable(),
-                FaultConfig::reliable().with_drop_probability(0.2),
-                FaultConfig::reliable().with_delay(Time::seconds(5.0)),
-                // Reordering: small fixed delay, dominant jitter.
-                FaultConfig::reliable()
-                    .with_delay(Time::seconds(2.0))
-                    .with_jitter(Time::seconds(6.0)),
-                // Serialized links: offers/bids queue behind each other.
-                FaultConfig::reliable().with_bandwidth(120.0),
-                // Split-and-heal partitions every 4th round, 2 rounds long.
-                FaultConfig::reliable().with_partition(4, 2),
-                // Arbiter crash-failover every 6th round voids in-flight Wins.
-                FaultConfig::reliable().with_failover(6),
-                FaultConfig::reliable()
-                    .with_drop_probability(0.3)
-                    .with_delay(Time::seconds(5.0))
-                    .with_crash(5, 2),
-            ],
-            ..Matrix::point("faults", ClusterKind::Rack16, 6, 42)
-        }
+        let policies = vec![Policy::themis_default(), Policy::themis_dist_default()];
+        Matrix::new("faults", ClusterKind::Rack16, 6, 42, policies)
+            .axis(&[2.0], Scenario::with_contention)
+            .axis(
+                &[
+                    FaultConfig::reliable(),
+                    FaultConfig::reliable().with_drop_probability(0.2),
+                    FaultConfig::reliable().with_delay(Time::seconds(5.0)),
+                    // Reordering: small fixed delay, dominant jitter.
+                    FaultConfig::reliable()
+                        .with_delay(Time::seconds(2.0))
+                        .with_jitter(Time::seconds(6.0)),
+                    // Serialized links: offers/bids queue behind each other.
+                    FaultConfig::reliable().with_bandwidth(120.0),
+                    // Split-and-heal partitions every 4th round, 2 rounds long.
+                    FaultConfig::reliable().with_partition(4, 2),
+                    // Arbiter crash-failover every 6th round voids in-flight Wins.
+                    FaultConfig::reliable().with_failover(6),
+                    FaultConfig::reliable()
+                        .with_drop_probability(0.3)
+                        .with_delay(Time::seconds(5.0))
+                        .with_crash(5, 2),
+                ],
+                Scenario::with_fault,
+            )
     }
 
     /// The scale matrix: synthetic 1024- and 4096-GPU clusters under
@@ -992,12 +969,24 @@ impl Matrix {
     /// `BENCH_SCALE_BASELINE.json`; its host time is the `scale_batch`
     /// workload of `benchmark/`.
     pub fn scale() -> Matrix {
-        Matrix {
-            clusters: vec![ClusterKind::Scale1024, ClusterKind::Scale4096],
-            apps: vec![100, 500],
-            policies: vec![Policy::themis_default(), Policy::Tiresias],
-            ..Matrix::point("scale", ClusterKind::Scale1024, 100, 42)
-        }
+        let policies = vec![Policy::themis_default(), Policy::Tiresias];
+        Matrix::new("scale", ClusterKind::Scale1024, 100, 42, policies)
+            .axis(
+                &[ClusterKind::Scale1024, ClusterKind::Scale4096],
+                |s, cluster| Scenario { cluster, ..s },
+            )
+            .axis(&[100, 500], |s, apps| Scenario { apps, ..s })
+    }
+
+    /// Themis and all four in-process baselines.
+    fn themis_and_baselines() -> Vec<Policy> {
+        vec![
+            Policy::themis_default(),
+            Policy::Gandiva,
+            Policy::Slaq,
+            Policy::Tiresias,
+            Policy::Drf,
+        ]
     }
 
     /// The heterogeneity matrix: the full generation-mix axis (uniform /
@@ -1008,18 +997,15 @@ impl Matrix {
     /// standing speed-1.0-purity witness (its metrics must match the same
     /// cells of any uniform matrix).
     pub fn hetero() -> Matrix {
-        Matrix {
-            gen_mix: GenMix::ALL.to_vec(),
-            contention: vec![1.0, 2.0],
-            policies: vec![
-                Policy::themis_default(),
-                Policy::Gandiva,
-                Policy::Slaq,
-                Policy::Tiresias,
-                Policy::Drf,
-            ],
-            ..Matrix::point("hetero", ClusterKind::Rack16, 6, 42)
-        }
+        Matrix::new(
+            "hetero",
+            ClusterKind::Rack16,
+            6,
+            42,
+            Self::themis_and_baselines(),
+        )
+        .axis(&GenMix::ALL, Scenario::with_gen_mix)
+        .axis(&[1.0, 2.0], Scenario::with_contention)
     }
 
     /// The horizon (simulated minutes) of a `service` matrix cell; the
@@ -1037,24 +1023,19 @@ impl Matrix {
     /// actor-runtime pump, so service cells would measure the transport,
     /// not the service loop.
     pub fn service() -> Matrix {
-        Matrix {
-            service: ServiceShape::ALL
-                .into_iter()
-                .flat_map(|shape| {
-                    [0.25, 1.5].into_iter().map(move |rate| {
-                        Some(ServiceAxis::new(shape, rate, Self::SERVICE_HORIZON_MINUTES))
-                    })
-                })
-                .collect(),
-            policies: vec![
-                Policy::themis_default(),
-                Policy::Gandiva,
-                Policy::Slaq,
-                Policy::Tiresias,
-                Policy::Drf,
-            ],
-            ..Matrix::point("service", ClusterKind::Rack16, 6, 42)
-        }
+        let axes: Vec<ServiceAxis> = (ServiceShape::ALL.into_iter())
+            .flat_map(|shape| {
+                [0.25, 1.5].map(|rate| ServiceAxis::new(shape, rate, Self::SERVICE_HORIZON_MINUTES))
+            })
+            .collect();
+        Matrix::new(
+            "service",
+            ClusterKind::Rack16,
+            6,
+            42,
+            Self::themis_and_baselines(),
+        )
+        .axis(&axes, Scenario::with_service)
     }
 
     /// The nightly long-soak matrix: sustained overload (Poisson, 1.5×)
@@ -1062,15 +1043,12 @@ impl Matrix {
     /// baseline. Minutes of wall-clock — run it from the nightly scheduled
     /// CI job (or locally), never on push/PR.
     pub fn soak() -> Matrix {
-        Matrix {
-            service: vec![Some(ServiceAxis::new(
-                ServiceShape::Poisson,
-                1.5,
-                10.0 * Self::SERVICE_HORIZON_MINUTES,
-            ))],
-            policies: vec![Policy::themis_default(), Policy::Tiresias],
-            ..Matrix::point("soak", ClusterKind::Rack16, 6, 42)
-        }
+        let policies = vec![Policy::themis_default(), Policy::Tiresias];
+        let horizon = 10.0 * Self::SERVICE_HORIZON_MINUTES;
+        Matrix::new("soak", ClusterKind::Rack16, 6, 42, policies).axis(
+            &[ServiceAxis::new(ServiceShape::Poisson, 1.5, horizon)],
+            Scenario::with_service,
+        )
     }
 
     /// The simulated-time cap of a storm cell (see
@@ -1124,22 +1102,30 @@ impl Matrix {
     pub fn storm() -> Matrix {
         let congested = FaultConfig::reliable()
             .with_arbiter_service_time(Time::seconds(Self::STORM_SERVICE_SECONDS));
-        Matrix {
-            clusters: vec![
-                ClusterKind::Rack16,
-                ClusterKind::Testbed50,
-                ClusterKind::Scale1024,
-            ],
-            apps: vec![8, 32],
-            policies: vec![Policy::themis_dist_default()],
-            faults: vec![
-                FaultConfig::reliable(),
-                congested,
-                congested.with_arbiter_batch(Self::STORM_BATCH),
-            ],
-            storm: vec![Some(StormAxis::new(0.5)), Some(StormAxis::new(2.0))],
-            ..Matrix::point("storm", ClusterKind::Rack16, 8, 42)
-        }
+        let clusters = [
+            ClusterKind::Rack16,
+            ClusterKind::Testbed50,
+            ClusterKind::Scale1024,
+        ];
+        let faults = [
+            FaultConfig::reliable(),
+            congested,
+            congested.with_arbiter_batch(Self::STORM_BATCH),
+        ];
+        Matrix::new(
+            "storm",
+            ClusterKind::Rack16,
+            8,
+            42,
+            vec![Policy::themis_dist_default()],
+        )
+        .axis(&clusters, |s, cluster| Scenario { cluster, ..s })
+        .axis(&[8, 32], |s, apps| Scenario { apps, ..s })
+        .axis(&faults, Scenario::with_fault)
+        .axis(
+            &[StormAxis::new(0.5), StormAxis::new(2.0)],
+            Scenario::with_storm,
+        )
     }
 
     /// Names accepted by [`Matrix::by_name`].
@@ -1163,72 +1149,29 @@ impl Matrix {
         }
     }
 
-    /// Expands the cartesian product of all axes into concrete scenarios,
-    /// in a fixed lexicographic axis order. Every scenario's scheduler seed
-    /// is its trace seed, so a cell is a pure function of its axis values.
+    /// The scenarios of the grid, in expansion order.
     pub fn expand(&self) -> Vec<Scenario> {
-        // One fold step per axis: every scenario so far × every value of
-        // the next axis, later axes varying fastest.
-        fn axis<T: Copy>(
-            scenarios: Vec<Scenario>,
-            values: &[T],
-            set: impl Fn(&mut Scenario, T),
-        ) -> Vec<Scenario> {
-            let mut out = Vec::with_capacity(scenarios.len() * values.len());
-            for scenario in scenarios {
-                out.extend(values.iter().map(|&value| {
-                    let mut next = scenario.clone();
-                    set(&mut next, value);
-                    next
-                }));
-            }
-            out
-        }
-        let out = self
-            .clusters
-            .iter()
-            .map(|&c| Scenario::new(c, 0, 0))
-            .collect();
-        let out = axis(out, &self.gen_mix, |s, v| s.gen_mix = v);
-        let out = axis(out, &self.apps, |s, v| s.apps = v);
-        let out = axis(out, &self.contention, |s, v| s.contention = v);
-        let out = axis(out, &self.network_fraction, |s, v| s.network_fraction = v);
-        let out = axis(out, &self.fairness_knob, |s, v| s.fairness_knob = v);
-        let out = axis(out, &self.lease_minutes, |s, v| s.lease_minutes = v);
-        let out = axis(out, &self.rho_error, |s, v| s.rho_error = v);
-        let out = axis(out, &self.burst_fraction, |s, v| s.burst_fraction = v);
-        let out = axis(out, &self.heavy_job_fraction, |s, v| {
-            s.heavy_job_fraction = v
-        });
-        let out = axis(out, &self.faults, |s, v| s.fault = v);
-        let out = axis(out, &self.service, |s, v| s.service = v);
-        let out = axis(out, &self.storm, |s, v| s.storm = v);
-        axis(out, &self.seeds, |s, v| {
-            s.seed = v;
-            s.scheduler_seed = v;
-        })
+        self.scenarios.clone()
     }
 
     /// The concrete `(scenario, policy)` cells of the sweep, with
-    /// byte-identical baseline re-runs along policy-specific axes deduped:
-    /// a non-Themis policy only runs scenarios holding the *first* value
-    /// of the `fairness_knob` and `rho_error` axes, and a non-distributed
-    /// policy only the first value of the `faults` axis (transport faults
-    /// cannot touch an in-process scheduler).
+    /// byte-identical baseline re-runs along policy-specific axes deduped
+    /// against the first scenario, which holds every axis's first value: a
+    /// non-Themis policy only runs scenarios holding its `fairness_knob`
+    /// and `rho_error`, and a non-distributed policy only its `fault`
+    /// (transport faults cannot touch an in-process scheduler).
     pub fn cells(&self) -> Vec<(Scenario, Policy)> {
-        let first_knob = self.fairness_knob.first().copied();
-        let first_error = self.rho_error.first().copied();
-        let first_fault = self.faults.first().copied();
+        let Some(first) = self.scenarios.first() else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
-        for scenario in self.expand() {
+        for scenario in &self.scenarios {
+            let themis_axes = (scenario.fairness_knob, scenario.rho_error)
+                != (first.fairness_knob, first.rho_error);
+            let fault_axis = scenario.fault != first.fault;
             for &policy in &self.policies {
-                if !policy.is_themis()
-                    && (Some(scenario.fairness_knob) != first_knob
-                        || Some(scenario.rho_error) != first_error)
+                if (themis_axes && !policy.is_themis()) || (fault_axis && !policy.is_distributed())
                 {
-                    continue;
-                }
-                if !policy.is_distributed() && Some(scenario.fault) != first_fault {
                     continue;
                 }
                 out.push((scenario.clone(), policy));
@@ -1249,10 +1192,8 @@ mod tests {
     fn expansion_is_the_cartesian_product() {
         let matrix = Matrix::smoke();
         let scenarios = matrix.expand();
-        assert_eq!(
-            scenarios.len(),
-            matrix.contention.len() * matrix.fairness_knob.len() * matrix.burst_fraction.len()
-        );
+        // Contention × fairness knob × burstiness, two values each.
+        assert_eq!(scenarios.len(), 2 * 2 * 2);
         // Ids are unique.
         let ids: std::collections::BTreeSet<String> = scenarios.iter().map(|s| s.id()).collect();
         assert_eq!(ids.len(), scenarios.len());
@@ -1272,11 +1213,11 @@ mod tests {
         // extra fairness-knob value.
         assert_eq!(themis, matrix.expand().len());
         assert_eq!(dist, themis);
-        assert_eq!(gandiva, themis / matrix.fairness_knob.len());
+        assert_eq!(gandiva, themis / 2);
         // Every baseline cell uses the first knob value.
         for (scenario, policy) in &cells {
             if !policy.is_themis() {
-                assert_eq!(scenario.fairness_knob, matrix.fairness_knob[0]);
+                assert_eq!(scenario.fairness_knob, matrix.scenarios[0].fairness_knob);
             }
         }
     }
@@ -1440,24 +1381,21 @@ mod tests {
         // themis-dist runs the whole axis.
         let dist = cells.iter().filter(|(_, p)| p.is_distributed()).count();
         let in_process = cells.iter().filter(|(_, p)| !p.is_distributed()).count();
-        assert_eq!(dist, matrix.faults.len());
+        assert_eq!(dist, matrix.scenarios.len());
         assert_eq!(in_process, 1);
         for (scenario, policy) in &cells {
             if !policy.is_distributed() {
                 assert!(scenario.fault.is_reliable());
             }
         }
-        // Faulty scenarios enable the engine retry and seed the fault RNG.
+        // Faulty scenarios seed the fault RNG, and the engine retries the
+        // rounds their lost messages void: every app still finishes.
         let faulty = Scenario::new(ClusterKind::Rack16, 2, 1)
             .with_scheduler_seed(5)
             .with_fault(FaultConfig::reliable().with_drop_probability(0.5));
-        let config = faulty.sim_config();
-        assert!(config.retry_interval.is_some());
-        assert_eq!(config.fault.seed, 5);
-        assert!(Scenario::new(ClusterKind::Rack16, 2, 1)
-            .sim_config()
-            .retry_interval
-            .is_none());
+        assert_eq!(faulty.sim_config().fault.seed, 5);
+        let report = faulty.run(Policy::themis_dist_default());
+        assert_eq!(report.unfinished_apps(), 0);
     }
 
     #[test]
@@ -1493,7 +1431,11 @@ mod tests {
     #[test]
     fn hetero_matrix_covers_the_mix_axis_for_every_policy() {
         let matrix = Matrix::hetero();
-        assert_eq!(matrix.gen_mix.len(), 3);
+        assert_eq!(
+            matrix.scenarios.len(),
+            3 * 2,
+            "3 mixes x 2 contention levels"
+        );
         assert_eq!(matrix.policies.len(), 5, "themis + all four baselines");
         let cells = matrix.cells();
         // Every policy runs every mix (no dedupe along the hetero axis).
@@ -1519,7 +1461,7 @@ mod tests {
     #[test]
     fn service_matrix_covers_the_shape_rate_grid_for_every_policy() {
         let matrix = Matrix::service();
-        assert_eq!(matrix.service.len(), 6, "3 shapes x 2 rates");
+        assert_eq!(matrix.scenarios.len(), 6, "3 shapes x 2 rates");
         assert_eq!(matrix.policies.len(), 5, "themis + all four baselines");
         assert!(
             matrix.policies.iter().all(|p| !p.is_distributed()),
@@ -1562,7 +1504,9 @@ mod tests {
     #[test]
     fn soak_matrix_is_the_long_horizon_overload_cell() {
         let matrix = Matrix::soak();
-        let axis = matrix.service[0].expect("soak carries one service axis");
+        let axis = matrix.scenarios[0]
+            .service
+            .expect("soak carries one service axis");
         assert_eq!(axis.shape, ServiceShape::Poisson);
         assert_eq!(axis.rate, 1.5);
         assert_eq!(
@@ -1603,14 +1547,12 @@ mod tests {
     #[test]
     fn storm_matrix_covers_the_backpressure_grid() {
         let matrix = Matrix::storm();
-        assert_eq!(matrix.clusters.len(), 3, "Rack16 through Scale1024");
-        assert_eq!(matrix.apps, vec![8, 32]);
-        assert_eq!(
-            matrix.faults.len(),
-            3,
-            "free, congested, congested-but-coalesced"
-        );
-        assert_eq!(matrix.storm.len(), 2, "default and 4x round deadline");
+        // Rack16 through Scale1024 × 8 and 32 apps × free, congested and
+        // congested-but-coalesced × default and 4x round deadline.
+        let clusters: std::collections::BTreeSet<_> =
+            matrix.scenarios.iter().map(|s| s.cluster.name()).collect();
+        assert_eq!(clusters.len(), 3);
+        assert!(matrix.scenarios.iter().all(|s| [8, 32].contains(&s.apps)));
         assert!(
             matrix.policies.iter().all(|p| p.is_distributed()),
             "only distributed mode has an Arbiter inbox to congest"
@@ -1678,15 +1620,15 @@ mod tests {
             config.max_sim_time,
             Time::minutes(Matrix::STORM_HORIZON_MINUTES)
         );
-        // A congested Arbiter is a fault: the engine retry must engage so a
-        // fully-missed round is re-attempted.
+        // A congested Arbiter is a fault: the engine retries (on an
+        // unreliable transport) so a fully-missed round is re-attempted.
         let congested =
             s.with_fault(FaultConfig::reliable().with_arbiter_service_time(Time::seconds(0.25)));
-        assert!(congested.sim_config().retry_interval.is_some());
+        assert!(!congested.sim_config().fault.is_reliable());
         // Batching alone is not a fault; no retry, no id noise beyond -k.
         let batched = Scenario::new(ClusterKind::Rack16, 6, 42)
             .with_fault(FaultConfig::reliable().with_arbiter_batch(8));
-        assert!(batched.sim_config().retry_interval.is_none());
+        assert!(batched.sim_config().fault.is_reliable());
     }
 
     #[test]

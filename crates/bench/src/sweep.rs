@@ -124,11 +124,9 @@ mod tests {
     use crate::scenarios::ClusterKind;
 
     fn tiny_matrix() -> Matrix {
-        Matrix {
-            policies: vec![Policy::themis_default(), Policy::Drf],
-            contention: vec![1.0, 2.0],
-            ..Matrix::point("tiny", ClusterKind::Rack16, 3, 7)
-        }
+        let policies = vec![Policy::themis_default(), Policy::Drf];
+        Matrix::new("tiny", ClusterKind::Rack16, 3, 7, policies)
+            .axis(&[1.0, 2.0], Scenario::with_contention)
     }
 
     #[test]
@@ -145,8 +143,8 @@ mod tests {
         let got_ids: Vec<String> = report.cells.iter().map(|c| c.id.clone()).collect();
         assert_eq!(got_ids, expected_ids);
         for cell in &report.cells {
-            assert!(cell.metrics.scheduling_rounds > 0);
-            assert!(cell.metrics.gpu_hours >= 0.0);
+            assert!(cell.metrics.get("run", "scheduling_rounds") > Some(0.0));
+            assert!(cell.metrics.get("run", "gpu_hours") >= Some(0.0));
         }
     }
 
@@ -170,13 +168,12 @@ mod tests {
     fn replay_gate_covers_only_distributed_cells_and_passes() {
         use themis_cluster::time::Time;
         use themis_protocol::fault::FaultConfig;
-        let matrix = Matrix {
-            policies: vec![Policy::themis_default(), Policy::themis_dist_default()],
-            faults: vec![FaultConfig::reliable()
-                .with_drop_probability(0.2)
-                .with_delay(Time::seconds(2.0))],
-            ..Matrix::point("gate", ClusterKind::Rack16, 3, 7)
-        };
+        let policies = vec![Policy::themis_default(), Policy::themis_dist_default()];
+        let fault = FaultConfig::reliable()
+            .with_drop_probability(0.2)
+            .with_delay(Time::seconds(2.0));
+        let matrix = Matrix::new("gate", ClusterKind::Rack16, 3, 7, policies)
+            .axis(&[fault], Scenario::with_fault);
         let outcomes = run_replay_gate(&matrix);
         assert_eq!(outcomes.len(), 1, "only the distributed cell is gated");
         let outcome = &outcomes[0];

@@ -244,7 +244,9 @@ impl MessageLog {
             },
             None => return Err(err(0, "log truncated: missing record count".to_string())),
         };
-        let mut records = Vec::with_capacity(expected);
+        // Sized by the lines present, never by the header alone: a hostile
+        // count must reach the truncation error, not the allocator.
+        let mut records = Vec::with_capacity(expected.min(lines.clone().count()));
         for (idx, line) in lines {
             let lineno = idx + 1;
             if records.len() == expected {
@@ -473,8 +475,15 @@ mod tests {
     fn truncated_log_is_rejected_with_diagnostic() {
         let text = sample().to_text();
         let truncated: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
-        let e = MessageLog::parse(&truncated).unwrap_err();
-        assert!(e.to_string().contains("truncated"), "{e}");
+        for input in [
+            truncated.as_str(),
+            // Hostile counts: past `isize::MAX` records, and near 10^17.
+            "themis-msglog v1\nrecords 18446744073709551615\n",
+            "themis-msglog v1\nrecords 100000000000000000\n",
+        ] {
+            let e = MessageLog::parse(input).unwrap_err();
+            assert!(e.to_string().contains("truncated"), "{input:?}: {e}");
+        }
     }
 
     #[test]

@@ -38,18 +38,15 @@ pub struct SimConfig {
     /// as unfinished.
     pub max_sim_time: Time,
     /// Transport fault injection for message-driven (distributed-mode)
-    /// schedulers. The engine itself never consults this — it is the
-    /// plumbing point between a scenario and the scheduler built for it
-    /// (see `Policy::build_with` in `themis-bench`). Defaults to
-    /// [`FaultConfig::reliable`].
+    /// schedulers — the plumbing point between a scenario and the
+    /// scheduler built for it (see `Policy::build_with` in `themis-bench`).
+    /// The engine reads only whether it is reliable: under an unreliable
+    /// transport, a round that grants nothing while free GPUs and unmet
+    /// demand both exist enqueues a retry a minute later (doubling on
+    /// consecutive idle retries), so a round fully lost to message faults
+    /// cannot drain the event queue and strand unfinished apps. Defaults to
+    /// [`FaultConfig::reliable`], the classic purely event-driven behavior.
     pub fault: FaultConfig,
-    /// When set, a scheduling round that grants nothing while free GPUs
-    /// and unmet demand both exist enqueues a retry event this far in the
-    /// future (doubling on consecutive idle retries). Without it, a round
-    /// fully lost to message faults could leave the event queue empty and
-    /// strand unfinished apps. `None` (the default) preserves the classic
-    /// purely event-driven behavior.
-    pub retry_interval: Option<Time>,
     /// Per-round bid deadline override for the distributed protocol modes
     /// (storm scenarios shrink or stretch it to probe deadline scaling).
     /// `None` keeps each scheduler's own default (30 s). The engine itself
@@ -76,7 +73,6 @@ impl Default for SimConfig {
             checkpoint_overhead: Time::minutes(1.0),
             max_sim_time: Time::minutes(1_000_000.0),
             fault: FaultConfig::reliable(),
-            retry_interval: None,
             bid_deadline: None,
             incremental: false,
         }
@@ -111,13 +107,6 @@ impl SimConfig {
     /// Sets the transport fault injection for distributed-mode schedulers.
     pub fn with_faults(mut self, fault: FaultConfig) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Enables the no-progress retry event with the given base interval.
-    pub fn with_retry_interval(mut self, interval: Time) -> Self {
-        assert!(interval > Time::ZERO, "retry interval must be positive");
-        self.retry_interval = Some(interval);
         self
     }
 
@@ -558,14 +547,14 @@ impl<S: Scheduler> Engine<S> {
         if new_leases {
             self.events.push(lease_expiry, EventKind::LeaseExpiry);
             self.idle_retries = 0;
-        } else if let Some(base) = self.config.retry_interval {
+        } else if !self.config.fault.is_reliable() {
             // A round that granted nothing while free GPUs and unmet demand
             // both exist is (for a message-driven scheduler) a round lost to
             // transport faults: re-attempt it after a backoff instead of
             // letting the event queue drain with apps stranded.
             let starved = self.cluster.free_gpu_count() > 0 && self.has_unmet_demand();
             if starved && !self.retry_pending {
-                let backoff = base * f64::from(1u32 << self.idle_retries.min(16));
+                let backoff = Time::minutes(1.0) * f64::from(1u32 << self.idle_retries.min(16));
                 self.events.push(now + backoff, EventKind::Retry);
                 self.retry_pending = true;
                 self.idle_retries = self.idle_retries.saturating_add(1);
@@ -840,27 +829,16 @@ mod tests {
     fn retry_interval_keeps_rescheduling_after_lost_rounds() {
         let cluster = Cluster::new(ClusterSpec::homogeneous(1, 1, 4));
         let trace = vec![single_job_app(0, 0.0, 100.0, 2)];
-        // Without retries: the arrival event is the only event, the null
-        // scheduler grants nothing, and the queue drains after one round.
-        let no_retry = Engine::new(
-            cluster.clone(),
-            trace.clone(),
-            NullScheduler,
-            SimConfig::default().with_max_sim_time(Time::minutes(10_000.0)),
-        )
-        .run();
+        let config = SimConfig::default().with_max_sim_time(Time::minutes(10_000.0));
+        // Reliable transport, no retries: the arrival event is the only
+        // event, the null scheduler grants nothing, and the queue drains
+        // after one round.
+        let no_retry = Engine::new(cluster.clone(), trace.clone(), NullScheduler, config).run();
         assert_eq!(no_retry.scheduling_rounds, 1);
-        // With retries: rounds keep firing on the backoff schedule until
-        // the time cap, and the run still terminates.
-        let with_retry = Engine::new(
-            cluster,
-            trace,
-            NullScheduler,
-            SimConfig::default()
-                .with_max_sim_time(Time::minutes(10_000.0))
-                .with_retry_interval(Time::minutes(1.0)),
-        )
-        .run();
+        // A lossy transport: rounds keep firing on the backoff schedule
+        // until the time cap, and the run still terminates.
+        let lossy = config.with_faults(FaultConfig::reliable().with_drop_probability(0.5));
+        let with_retry = Engine::new(cluster, trace, NullScheduler, lossy).run();
         assert!(
             with_retry.scheduling_rounds > 5,
             "expected several retry rounds, got {}",

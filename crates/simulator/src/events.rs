@@ -25,8 +25,8 @@ pub enum EventKind {
     /// are waiting).
     Tick,
     /// A retry of a scheduling round that granted nothing while demand and
-    /// free GPUs both existed. Only scheduled when
-    /// [`SimConfig::retry_interval`](crate::engine::SimConfig) is set —
+    /// free GPUs both existed. Only scheduled under an unreliable
+    /// [`SimConfig::fault`](crate::engine::SimConfig::fault) —
     /// distributed-mode schedulers need it so a round lost to message
     /// faults is re-attempted instead of wedging the event queue.
     Retry,

@@ -55,6 +55,14 @@ pub struct ControlPlaneStats {
     pub voided_wins: u64,
 }
 
+impl ControlPlaneStats {
+    /// Fraction of started rounds that lost at least one ρ report to the
+    /// deadline; `None` before any round has run.
+    pub fn missed_round_rate(&self) -> Option<f64> {
+        (self.rounds > 0).then(|| 1.0 - self.completed_rounds as f64 / self.rounds as f64)
+    }
+}
+
 /// A cross-app scheduling policy.
 pub trait Scheduler {
     /// Short name used in reports ("themis", "gandiva", "tiresias", ...).

@@ -149,7 +149,7 @@ fn faults_sweep_matches_committed_baseline() {
     // Equal on every shared metric; the control block exists only on the
     // distributed side.
     let mut dist_metrics = dist.metrics.clone();
-    assert!(dist_metrics.control.is_some());
-    dist_metrics.control = None;
+    assert!(dist_metrics.block("control").is_some());
+    dist_metrics.blocks.retain(|(name, _)| *name != "control");
     assert_eq!(themis.metrics, dist_metrics);
 }

@@ -150,31 +150,38 @@ impl Scheduler for ActorReservationGuard {
 /// axis values, including the bursty/heavy workload knobs and a faulty
 /// transport point (which only the distributed policy runs).
 fn property_cells() -> Vec<(Scenario, Policy)> {
-    let matrix = Matrix {
-        gen_mix: GenMix::ALL.to_vec(),
-        apps: vec![2, 4],
-        contention: vec![1.0, 4.0],
-        fairness_knob: vec![0.2, 0.8],
-        lease_minutes: vec![5.0, 20.0],
-        burst_fraction: vec![0.0, 0.7],
-        heavy_job_fraction: vec![0.0, 0.4],
-        faults: vec![
-            FaultConfig::reliable(),
-            FaultConfig::reliable()
-                .with_drop_probability(0.3)
-                .with_delay(Time::seconds(8.0))
-                .with_crash(3, 2),
-            FaultConfig::reliable()
-                .with_delay(Time::seconds(2.0))
-                .with_jitter(Time::seconds(5.0))
-                .with_bandwidth(120.0)
-                .with_partition(4, 2)
-                .with_failover(5),
-        ],
-        seeds: vec![11, 29],
-        ..Matrix::point("property", ClusterKind::Rack16, 4, 11)
-    };
-    matrix.cells()
+    let faults = [
+        FaultConfig::reliable(),
+        FaultConfig::reliable()
+            .with_drop_probability(0.3)
+            .with_delay(Time::seconds(8.0))
+            .with_crash(3, 2),
+        FaultConfig::reliable()
+            .with_delay(Time::seconds(2.0))
+            .with_jitter(Time::seconds(5.0))
+            .with_bandwidth(120.0)
+            .with_partition(4, 2)
+            .with_failover(5),
+    ];
+    Matrix::new("property", ClusterKind::Rack16, 4, 11, Policy::all())
+        .axis(&GenMix::ALL, Scenario::with_gen_mix)
+        .axis(&[2, 4], |s, apps| Scenario { apps, ..s })
+        .axis(&[1.0, 4.0], Scenario::with_contention)
+        .axis(&[0.2, 0.8], Scenario::with_fairness_knob)
+        .axis(&[5.0, 20.0], Scenario::with_lease_minutes)
+        .axis(&[0.0, 0.7], |s, burst_fraction| Scenario {
+            burst_fraction,
+            ..s
+        })
+        .axis(&[0.0, 0.4], |s, heavy_job_fraction| Scenario {
+            heavy_job_fraction,
+            ..s
+        })
+        .axis(&faults, Scenario::with_fault)
+        .axis(&[11, 29], |s, seed| {
+            Scenario { seed, ..s }.with_scheduler_seed(seed)
+        })
+        .cells()
 }
 
 proptest! {

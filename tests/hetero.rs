@@ -182,7 +182,8 @@ fn hetero_sweep_matches_committed_baseline() {
         let uni = cell("uni");
         let two = cell("2gen");
         assert!(
-            two.metrics.avg_jct_minutes.unwrap() < uni.metrics.avg_jct_minutes.unwrap(),
+            two.metrics.get("run", "avg_jct_minutes").unwrap()
+                < uni.metrics.get("run", "avg_jct_minutes").unwrap(),
             "{policy}: a 1.5x-faster fleet must lower mean JCT"
         );
     }

@@ -198,7 +198,7 @@ fn parallel_service_sweep_is_byte_identical_to_serial() {
     for cell in &back.cells {
         assert!(cell.scenario.service.is_some(), "{} lost its axis", cell.id);
         assert!(
-            cell.metrics.service.is_some(),
+            cell.metrics.block("service").is_some(),
             "{} lost its windowed metrics",
             cell.id
         );

@@ -14,7 +14,7 @@
 //!   `themis-msglog v1` transcript byte-identically.
 
 use themis_bench::policies::Policy;
-use themis_bench::report::{check_baseline, ControlMetrics};
+use themis_bench::report::check_baseline;
 use themis_bench::scenarios::{ClusterKind, Matrix, Scenario, StormAxis};
 use themis_bench::sweep::{run_replay_gate, run_sweep};
 use themis_cluster::cluster::Cluster;
@@ -22,6 +22,7 @@ use themis_cluster::time::Time;
 use themis_protocol::fault::FaultConfig;
 use themis_sim::engine::Engine;
 use themis_sim::metrics::SimReport;
+use themis_sim::scheduler::ControlPlaneStats;
 
 /// An 8-app storm on the 16-GPU rack: every app arrives at time zero and
 /// the auction fans out to the whole population each round.
@@ -82,11 +83,7 @@ fn congestion_misses_rounds_and_coalescing_recovers_them() {
 
     let choked_control = choked.control.expect("dist reports control stats");
     let coalesced_control = coalesced.control.expect("dist reports control stats");
-    let rate = |control| {
-        ControlMetrics::from_stats(control)
-            .missed_round_rate()
-            .expect("rounds ran")
-    };
+    let rate = |control: &ControlPlaneStats| control.missed_round_rate().expect("rounds ran");
     let (choked_rate, coalesced_rate) = (rate(&choked_control), rate(&coalesced_control));
     assert!(
         choked_control.missed_rho_reports > 0 && choked_rate > 0.5,
@@ -123,12 +120,8 @@ fn storm_sweeps_are_deterministic_and_parallelism_invariant() {
     // backlog shows up as strictly more rounds than the free cell's (the
     // retry path re-attempts what congestion misses).
     for cell in &serial.cells {
-        let control = cell
-            .metrics
-            .control
-            .as_ref()
-            .expect("dist cells report control");
-        assert!(control.rounds > 0);
+        let rounds = cell.metrics.get("control", "rounds");
+        assert!(rounds > Some(0.0), "dist cells report control rounds");
     }
 }
 
@@ -174,22 +167,13 @@ fn committed_storm_baseline_is_canonical_and_contains_the_collapse() {
     .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(baseline.cells.len(), Matrix::storm().cells().len());
     for cell in &baseline.cells {
-        let control = cell
-            .metrics
-            .control
-            .as_ref()
-            .expect("dist cells report control");
-        assert!(control.rounds > 0, "{} ran no rounds", cell.id);
+        let rounds = cell.metrics.get("control", "rounds");
+        assert!(rounds > Some(0.0), "{} ran no rounds", cell.id);
     }
     let collapsed: Vec<_> = baseline
         .cells
         .iter()
-        .filter(|c| {
-            c.metrics
-                .control
-                .as_ref()
-                .is_some_and(|ctrl| ctrl.completed_rounds == 0)
-        })
+        .filter(|c| c.metrics.get("control", "completed_rounds") == Some(0.0))
         .collect();
     assert_eq!(
         collapsed.len(),
@@ -217,14 +201,13 @@ fn committed_storm_baseline_is_canonical_and_contains_the_collapse() {
 /// cheap 5-app Rack16 storm — the storm matrix's fault axis in miniature.
 fn mini_storm_matrix() -> Matrix {
     let congested = FaultConfig::reliable().with_arbiter_service_time(Time::seconds(0.5));
-    Matrix {
-        policies: vec![Policy::themis_dist_default()],
-        faults: vec![
-            FaultConfig::reliable(),
-            congested,
-            congested.with_arbiter_batch(4),
-        ],
-        storm: vec![Some(StormAxis::new(0.5))],
-        ..Matrix::point("storm-mini", ClusterKind::Rack16, 5, 42)
-    }
+    let faults = [
+        FaultConfig::reliable(),
+        congested,
+        congested.with_arbiter_batch(4),
+    ];
+    let policies = vec![Policy::themis_dist_default()];
+    Matrix::new("storm-mini", ClusterKind::Rack16, 5, 42, policies)
+        .axis(&faults, Scenario::with_fault)
+        .axis(&[StormAxis::new(0.5)], Scenario::with_storm)
 }
