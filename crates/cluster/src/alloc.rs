@@ -278,10 +278,27 @@ impl IntoIterator for GpuAlloc {
 /// Trailing zero counts are trimmed after every mutation, which keeps the
 /// derived equality identical to the sparse representation's ("machines
 /// with zero free GPUs are omitted").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FreeVector {
     counts: Vec<u32>,
     total: usize,
+}
+
+/// Written out because the derived `clone_from` clones and drops: this one
+/// copies into the existing buffer, which is what lets a pooled bid table
+/// refill its rows without allocating.
+impl Clone for FreeVector {
+    fn clone(&self) -> Self {
+        FreeVector {
+            counts: self.counts.clone(),
+            total: self.total,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+        self.total = source.total;
+    }
 }
 
 impl FreeVector {
@@ -370,28 +387,18 @@ impl FreeVector {
         self.total += other.total;
     }
 
-    /// Subtracts another free vector (saturating at zero per machine).
-    /// Used to remove already-won resources from a running offer.
-    pub fn saturating_sub(&self, other: &FreeVector) -> FreeVector {
-        let mut out = self.clone();
-        for (idx, count) in other.counts.iter().enumerate() {
-            if let Some(mine) = out.counts.get_mut(idx) {
-                let taken = (*mine).min(*count);
-                *mine -= taken;
-                out.total -= taken as usize;
-            }
+    /// Removes another free vector from `self` in place. `other` must fit
+    /// ([`FreeVector::contains_vector`]), so `add_assign(other)` undoes it
+    /// exactly — the auction's search walks one offer this way.
+    pub fn sub_assign(&mut self, other: &FreeVector) {
+        debug_assert!(self.contains_vector(other), "subtracting what is not there");
+        for (mine, count) in self.counts.iter_mut().zip(&other.counts) {
+            *mine -= count;
         }
-        while out.counts.last() == Some(&0) {
-            out.counts.pop();
+        self.total -= other.total;
+        while self.counts.last() == Some(&0) {
+            self.counts.pop();
         }
-        out
-    }
-
-    /// Adds another free vector.
-    pub fn add(&self, other: &FreeVector) -> FreeVector {
-        let mut out = self.clone();
-        out.add_assign(other);
-        out
     }
 
     /// `true` if `other` fits inside this offer (per machine).
@@ -521,19 +528,38 @@ mod tests {
     fn free_vector_arithmetic() {
         let a = FreeVector::from_counts([(MachineId(0), 3), (MachineId(1), 2)]);
         let b = FreeVector::from_counts([(MachineId(0), 1), (MachineId(1), 5)]);
-        let diff = a.saturating_sub(&b);
-        assert_eq!(diff.on_machine(MachineId(0)), 2);
-        assert_eq!(diff.on_machine(MachineId(1)), 0);
-        assert_eq!(diff.total(), 2);
-        let sum = a.add(&b);
+        let mut sum = a.clone();
+        sum.add_assign(&b);
         assert_eq!(sum.on_machine(MachineId(1)), 7);
         assert_eq!(sum.total(), 11);
         assert!(a.contains_vector(&FreeVector::from_counts([(MachineId(0), 3)])));
         assert!(!a.contains_vector(&b));
-        let mut acc = a.clone();
-        acc.add_assign(&b);
-        assert_eq!(acc, sum);
-        acc.clear();
-        assert!(acc.is_empty());
+        // Taking the last machine's GPUs trims it: equal to the sparse form.
+        let mut diff = sum.clone();
+        diff.sub_assign(&FreeVector::from_counts([(MachineId(1), 7)]));
+        assert_eq!(diff, FreeVector::from_counts([(MachineId(0), 4)]));
+        diff.sub_assign(&FreeVector::from_counts([(MachineId(0), 1)]));
+        assert_eq!(diff.total(), 3);
+        diff.add_assign(&b);
+        assert_eq!(
+            diff,
+            FreeVector::from_counts([(MachineId(0), 4), (MachineId(1), 5)])
+        );
+        diff.clear();
+        assert!(diff.is_empty());
+    }
+
+    #[test]
+    fn free_vector_clone_from_reuses_the_buffer() {
+        let big = FreeVector::from_counts((0..32u32).map(|m| (MachineId(m), 2)));
+        let small = FreeVector::from_counts([(MachineId(3), 1)]);
+        let mut row = big.clone();
+        let buffer = row.counts.as_ptr();
+        row.clone_from(&small);
+        assert_eq!(row, small);
+        assert_eq!(row.counts.as_ptr(), buffer, "no reallocation");
+        row.clone_from(&big);
+        assert_eq!(row, big);
+        assert_eq!(row.counts.as_ptr(), buffer);
     }
 }

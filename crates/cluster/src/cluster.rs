@@ -161,7 +161,8 @@ impl Cluster {
         )
     }
 
-    fn app_gpus(&self, app: AppId) -> &[GpuId] {
+    /// The app's GPUs, ascending (`ClusterView` chains its overlay on).
+    pub(crate) fn app_gpus(&self, app: AppId) -> &[GpuId] {
         self.per_app
             .get(app.index())
             .map_or(&[], |entry| entry.gpus.as_slice())

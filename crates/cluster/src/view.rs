@@ -115,6 +115,12 @@ impl ClusterView<'_> {
         Ok(())
     }
 
+    /// Makes room for `gpus` more grants, so granting them grows the
+    /// overlay at most once.
+    pub fn reserve(&mut self, gpus: usize) {
+        self.granted.reserve(gpus);
+    }
+
     /// Whether a GPU exists and is free in this view.
     pub fn is_free(&self, gpu: GpuId) -> bool {
         self.free.contains(gpu.index())
@@ -136,6 +142,19 @@ impl ClusterView<'_> {
                 .collect(),
             None => Vec::new(),
         }
+    }
+
+    /// The job of every GPU `app` holds in this view — committed GPUs
+    /// first, then this round's grants — without collecting the GPUs.
+    pub fn job_of_each_gpu_of(&self, app: AppId) -> impl Iterator<Item = JobId> + '_ {
+        let committed = self.base.app_gpus(app).iter().map(|gpu| {
+            self.base
+                .assignment(*gpu)
+                .expect("indexed gpu is assigned")
+                .job
+        });
+        let granted = self.granted.iter().filter(move |(_, a)| a.app == app);
+        committed.chain(granted.map(|(_, a)| a.job))
     }
 
     fn overlay_gpus(&self, app: AppId, job: Option<JobId>) -> Vec<GpuId> {
@@ -279,5 +298,9 @@ mod tests {
         let by_job: Vec<GpuId> = view.gpus_of_job(AppId(1), JobId(0)).into_iter().collect();
         assert_eq!(by_job, vec![GpuId(0), GpuId(2)]);
         assert_eq!(view.gpus_held_by(AppId(1)), 2);
+        view.allocate(GpuId(5), AppId(1), JobId(4)).unwrap();
+        view.allocate(GpuId(6), AppId(2), JobId(4)).unwrap();
+        let jobs: Vec<JobId> = view.job_of_each_gpu_of(AppId(1)).collect();
+        assert_eq!(jobs, vec![JobId(0), JobId(0), JobId(4)]);
     }
 }

@@ -58,12 +58,14 @@
 use crate::agent::Agent;
 use crate::arbiter::{AppStatus, Arbiter};
 use crate::config::ThemisConfig;
+use crate::rho::AwardSplit;
 use crate::scheduler::materialize_grant;
 use std::collections::{BTreeMap, BTreeSet};
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
+use themis_hpo::api::JobEstimate;
 use themis_protocol::actor::{ActorId, TimerWheel};
 use themis_protocol::bid::BidTable;
 use themis_protocol::fault::FaultConfig;
@@ -282,6 +284,10 @@ pub struct DistributedThemisScheduler {
     /// Per-app GPU sets as last observed, for LeaseExpired notifications.
     observed_gpus: BTreeMap<AppId, BTreeSet<GpuId>>,
     stats: DistStats,
+    /// Materialization buffers, kept across auctions: a winner's estimates
+    /// as they stand when its grant is materialized, and the award split.
+    estimates: Vec<JobEstimate>,
+    split: AwardSplit,
 }
 
 impl std::fmt::Debug for DistributedThemisScheduler {
@@ -323,6 +329,8 @@ impl DistributedThemisScheduler {
             partition_until: 0,
             observed_gpus: BTreeMap::new(),
             stats: DistStats::default(),
+            estimates: Vec::new(),
+            split: AwardSplit::default(),
             config,
         }
     }
@@ -805,8 +813,16 @@ impl DistributedThemisScheduler {
             let Some(runtime) = apps.get(app) else {
                 continue;
             };
-            let agent = &self.agents.get(&app).expect("winner has an actor").agent;
-            decisions.extend(materialize_grant(agent, &mut shadow, runtime, &grant));
+            self.estimates.clear();
+            runtime.estimates_into(&mut self.estimates);
+            materialize_grant(
+                app,
+                &self.estimates,
+                &mut shadow,
+                &grant,
+                &mut self.split,
+                &mut decisions,
+            );
         }
         // Notify winners; each grant stays reserved until its Win lands.
         let any = !decisions.is_empty();

@@ -4,26 +4,23 @@
 //! (§3.1). It answers the Arbiter's ρ probes and, when the app is invited
 //! into an auction, prepares a single bid: a valuation table mapping
 //! candidate subsets of the offered GPUs to the new ρ the app would achieve
-//! with them (§5.2). The Agent also performs the job-level greedy
-//! distribution of whatever the app wins.
+//! with them (§5.2).
 //!
 //! Probe and bid are one computation at different supplies: what the app
 //! holds, and what it holds plus the first `k` GPUs of the offer in the
-//! app's packing order. Both go through `RhoKernel` over an
-//! `AppContext` that is built once per app per scheduling call.
+//! app's packing order. Both go through `RhoKernel` over an `AppContext`
+//! that borrows what one probe read.
 
 use crate::config::ThemisConfig;
-use crate::rho::{greedy_job_distribution, RhoEstimate, RhoKernel, Supply};
+use crate::rho::{RhoEstimate, RhoKernel, Supply};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::cluster::Cluster;
-use themis_cluster::ids::{AppId, JobId, MachineId};
+use themis_cluster::ids::{AppId, MachineId};
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
-use themis_cluster::view::ClusterState;
 use themis_hpo::api::JobEstimate;
 use themis_protocol::bid::BidTable;
 use themis_sim::app_runtime::AppRuntime;
@@ -32,32 +29,77 @@ use themis_sim::app_runtime::AppRuntime;
 /// Bounds the §8.3.2 bid-preparation cost.
 pub const MAX_BID_ENTRIES: usize = 16;
 
-/// What an app's probe and its bid both read, computed once: the HPO
-/// framework's per-job estimates, the time since arrival and the app's
-/// holdings per machine (ascending machine id).
-#[derive(Debug)]
-pub(crate) struct AppContext {
-    pub(crate) estimates: Vec<JobEstimate>,
+/// What an app's probe and its bid both read: the HPO framework's per-job
+/// estimates, the time since arrival and the app's holdings per machine
+/// (ascending machine id), borrowed from whoever read them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AppContext<'a> {
+    pub(crate) estimates: &'a [JobEstimate],
     pub(crate) elapsed: Time,
-    pub(crate) holdings: Vec<(MachineId, usize)>,
+    pub(crate) holdings: &'a [(MachineId, usize)],
 }
 
-impl AppContext {
-    pub(crate) fn new(app: AppId, now: Time, runtime: &AppRuntime, cluster: &Cluster) -> Self {
-        AppContext {
-            estimates: runtime.estimates(),
-            elapsed: (now - runtime.spec.arrival).clamp_non_negative(),
-            holdings: cluster.machine_counts_of_app(app).collect(),
-        }
-    }
-
+impl AppContext<'_> {
     /// The app's current ρ: the kernel at the supply the app holds.
     pub(crate) fn current_rho(&self, spec: &ClusterSpec, scratch: &mut BidScratch) -> RhoEstimate {
-        scratch.fill_supply(&self.holdings, spec);
+        scratch.fill_supply(self.holdings, spec);
         scratch
             .kernel
-            .begin(&self.estimates, self.elapsed)
+            .begin(self.estimates, self.elapsed)
             .rho_of(&scratch.supply)
+    }
+}
+
+/// Every probe of one scheduling call, read into two flat buffers — the
+/// apps' estimates back to back, and their holdings — that the returned
+/// contexts borrow. Kept by the scheduler, so a warm call reads its apps
+/// without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct Probes {
+    estimates: Vec<JobEstimate>,
+    holdings: Vec<(MachineId, usize)>,
+    /// Per probed app, in probe order: its estimates and holdings as
+    /// `[start, end)` of the two buffers, and its time since arrival.
+    apps: Vec<(usize, usize, usize, usize, Time)>,
+}
+
+impl Probes {
+    /// Forgets every probe; keeps the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.estimates.clear();
+        self.holdings.clear();
+        self.apps.clear();
+    }
+
+    /// Reads one app, the next probe in number, and returns what it read.
+    pub(crate) fn push(
+        &mut self,
+        now: Time,
+        runtime: &AppRuntime,
+        cluster: &Cluster,
+    ) -> AppContext<'_> {
+        let (estimates, holdings) = (self.estimates.len(), self.holdings.len());
+        runtime.estimates_into(&mut self.estimates);
+        self.holdings
+            .extend(cluster.machine_counts_of_app(runtime.id()));
+        self.apps.push((
+            estimates,
+            self.estimates.len(),
+            holdings,
+            self.holdings.len(),
+            (now - runtime.spec.arrival).clamp_non_negative(),
+        ));
+        self.context(self.apps.len() - 1)
+    }
+
+    /// What probe number `idx` read.
+    pub(crate) fn context(&self, idx: usize) -> AppContext<'_> {
+        let (estimates, estimates_end, holdings, holdings_end, elapsed) = self.apps[idx];
+        AppContext {
+            estimates: &self.estimates[estimates..estimates_end],
+            elapsed,
+            holdings: &self.holdings[holdings..holdings_end],
+        }
     }
 }
 
@@ -69,6 +111,8 @@ pub(crate) struct BidScratch {
     kernel: RhoKernel,
     supply: Vec<Supply>,
     packing: Vec<Packed>,
+    /// The candidate subset of the row being valued.
+    subset: FreeVector,
 }
 
 impl BidScratch {
@@ -165,7 +209,8 @@ impl Agent {
     /// Estimates the app's *current* ρ (with the GPUs it already holds),
     /// answering the Arbiter's step-1 probe.
     pub fn current_rho(&self, now: Time, runtime: &AppRuntime, cluster: &Cluster) -> RhoEstimate {
-        AppContext::new(self.app, now, runtime, cluster)
+        Probes::default()
+            .push(now, runtime, cluster)
             .current_rho(cluster.spec(), &mut BidScratch::default())
     }
 
@@ -183,42 +228,58 @@ impl Agent {
         cluster: &Cluster,
         offer: &FreeVector,
     ) -> BidTable {
-        let context = AppContext::new(self.app, now, runtime, cluster);
+        let mut probe = Probes::default();
+        let context = probe.push(now, runtime, cluster);
         let mut scratch = BidScratch::default();
         let current_rho = context.current_rho(cluster.spec(), &mut scratch).rho;
-        self.bid(&context, current_rho, cluster.spec(), offer, &mut scratch)
+        let mut table = BidTable::empty(self.app, current_rho);
+        self.bid(
+            context,
+            current_rho,
+            cluster.spec(),
+            offer,
+            &mut scratch,
+            &mut table,
+        );
+        table
     }
 
     /// [`Agent::prepare_bid`] for a caller that has probed the app already
-    /// and holds its context and current ρ.
+    /// and holds its context and current ρ: refills `table`, a table from
+    /// the caller's pool, in place — its rows' subsets are overwritten,
+    /// not reallocated.
     pub(crate) fn bid(
         &mut self,
-        context: &AppContext,
+        context: AppContext<'_>,
         current_rho: f64,
         spec: &ClusterSpec,
         offer: &FreeVector,
         scratch: &mut BidScratch,
-    ) -> BidTable {
+        table: &mut BidTable,
+    ) {
         let AppContext {
             estimates,
             elapsed,
             holdings,
         } = context;
-        let mut table = BidTable::empty(self.app, current_rho);
+        table.app = self.app;
+        table.current_rho = current_rho;
         let demand: usize = estimates.iter().map(|e| e.max_parallelism).sum();
         let held: usize = holdings.iter().map(|(_, count)| count).sum();
         let unmet = demand.saturating_sub(held);
         let rows = unmet.min(offer.total()).min(MAX_BID_ENTRIES);
+        table.entries.truncate(rows);
+        table.entries.reserve_exact(rows - table.entries.len());
         if rows > 0 {
-            table.entries.reserve_exact(rows);
             packing_prefix(&mut scratch.packing, offer, holdings, rows, spec);
             scratch.fill_supply(holdings, spec);
-            let mut eval = scratch.kernel.begin(estimates, *elapsed);
+            scratch.subset.clear();
+            let mut eval = scratch.kernel.begin(estimates, elapsed);
             // Row k is row k − 1 plus one GPU from the machine at the
             // cursor: aggregate = existing + candidate subset.
-            let mut subset = FreeVector::empty();
+            let mut row = 0;
             for packed in &scratch.packing {
-                let wanted = rows - table.len();
+                let wanted = rows - row;
                 if wanted == 0 {
                     break;
                 }
@@ -231,11 +292,19 @@ impl Agent {
                 };
                 for taken in 1..=packed.count.min(wanted) {
                     scratch.supply[at].count += 1;
-                    subset.set(packed.machine, taken);
+                    scratch.subset.set(packed.machine, taken);
                     let rho = eval.rho_of(&scratch.supply).rho;
-                    table.push(subset.clone(), rho);
+                    match table.entries.get_mut(row) {
+                        Some(entry) => {
+                            entry.resources.clone_from(&scratch.subset);
+                            entry.rho = rho;
+                        }
+                        None => table.push(scratch.subset.clone(), rho),
+                    }
+                    row += 1;
                 }
             }
+            table.entries.truncate(row);
         }
 
         // One draw per bid, after the rows, whether or not there are any.
@@ -243,47 +312,15 @@ impl Agent {
             let error = self
                 .rng
                 .gen_range(-self.rho_error_theta..=self.rho_error_theta);
-            table = table.with_rho_error(error);
+            table.apply_rho_error(error);
         }
-        table
-    }
-
-    /// Splits GPUs the app won (as per-machine counts) among its jobs,
-    /// greedily and placement-sensitively, returning per-job shares.
-    /// Generic over [`ClusterState`] so the round's shadow view can be
-    /// passed during materialization.
-    pub fn distribute_award<C: ClusterState>(
-        &self,
-        runtime: &AppRuntime,
-        cluster: &C,
-        award: &FreeVector,
-    ) -> BTreeMap<JobId, Vec<(MachineId, usize)>> {
-        let aggregate: BTreeMap<MachineId, usize> = award.iter().collect();
-        // Account for GPUs jobs already hold: reduce each job's residual
-        // parallelism before distributing the award.
-        let mut held: BTreeMap<JobId, usize> = BTreeMap::new();
-        for gpu in cluster.gpus_of_app(self.app).iter() {
-            let job = cluster.assignment(gpu).expect("held gpu is assigned").job;
-            *held.entry(job).or_insert(0) += 1;
-        }
-        let adjusted: Vec<JobEstimate> = runtime
-            .estimates()
-            .into_iter()
-            .map(|mut e| {
-                let held = held.get(&e.job).copied().unwrap_or(0);
-                e.max_parallelism = e.max_parallelism.saturating_sub(held);
-                e
-            })
-            .filter(|e| e.max_parallelism > 0)
-            .collect();
-        greedy_job_distribution(&adjusted, &aggregate, cluster.spec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use themis_cluster::ids::GpuId;
+    use themis_cluster::ids::{GpuId, JobId};
     use themis_cluster::topology::ClusterSpec;
     use themis_workload::app::AppSpec;
     use themis_workload::job::JobSpec;
@@ -488,24 +525,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn distribute_award_respects_job_limits() {
-        let cluster = cluster();
-        let rt = runtime(0, ModelArch::Vgg16, 2, 2);
-        let agent = Agent::new(AppId(0), &ThemisConfig::default());
-        let award = FreeVector::from_counts([(MachineId(0), 3), (MachineId(1), 2)]);
-        let shares = agent.distribute_award(&rt, &cluster, &award);
-        let total: usize = shares
-            .values()
-            .flat_map(|s| s.iter().map(|(_, c)| *c))
-            .sum();
-        assert!(total <= 4, "two jobs with max_par 2 can use at most 4 GPUs");
-        for (job, share) in &shares {
-            let count: usize = share.iter().map(|(_, c)| *c).sum();
-            assert!(count <= rt.effective_max_parallelism(*job));
         }
     }
 }

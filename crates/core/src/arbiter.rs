@@ -53,26 +53,6 @@ pub struct AuctionOutcome {
 
 impl AuctionOutcome {
     /// Every grant made this round: auction awards plus leftover grants,
-    /// merged per app — a borrowing convenience for diagnostics and tests
-    /// that still need the outcome afterwards. Clones each grant; the
-    /// schedulers' hot path uses the draining
-    /// [`into_all_grants`](AuctionOutcome::into_all_grants) instead.
-    pub fn all_grants(&self) -> BTreeMap<AppId, FreeVector> {
-        let mut grants = self.winners.clone();
-        for (app, extra) in &self.leftover_grants {
-            match grants.entry(*app) {
-                std::collections::btree_map::Entry::Occupied(mut won) => {
-                    won.get_mut().add_assign(extra);
-                }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(extra.clone());
-                }
-            }
-        }
-        grants
-    }
-
-    /// Every grant made this round: auction awards plus leftover grants,
     /// merged per app. Consumes the outcome and *drains* both maps into
     /// the result — no `FreeVector` is cloned.
     pub fn into_all_grants(self) -> BTreeMap<AppId, FreeVector> {
@@ -242,8 +222,9 @@ impl Arbiter {
     /// the worst (highest) ρ among those that can actually use more GPUs.
     /// At least one app participates whenever any app has unmet demand.
     pub fn select_participants(&self, statuses: &[AppStatus]) -> Vec<AppId> {
-        let mut candidates: Vec<&AppStatus> =
-            statuses.iter().filter(|s| s.unmet_demand > 0).collect();
+        // Sized up front: one allocation however many apps there are.
+        let mut candidates: Vec<&AppStatus> = Vec::with_capacity(statuses.len());
+        candidates.extend(statuses.iter().filter(|s| s.unmet_demand > 0));
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -364,7 +345,11 @@ mod tests {
 
     /// GPUs granted by a round: auction awards plus leftover grants.
     fn total_granted(outcome: &AuctionOutcome) -> usize {
-        outcome.all_grants().values().map(FreeVector::total).sum()
+        let grants = outcome
+            .winners
+            .values()
+            .chain(outcome.leftover_grants.values());
+        grants.map(FreeVector::total).sum()
     }
 
     fn scaling_bid(app: u32, current_rho: f64, machine: u32, max_gpus: usize) -> BidTable {

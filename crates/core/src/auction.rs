@@ -19,7 +19,6 @@
 //! `1/ρ` is exactly minimizing the product of the bidders' finish-time
 //! fairness metrics.
 
-use std::collections::BTreeMap;
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::ids::AppId;
 use themis_protocol::bid::BidTable;
@@ -75,8 +74,8 @@ impl AuctionResult {
     }
 }
 
-/// An assignment of (at most) one bid-entry index per app.
-type Assignment = BTreeMap<AppId, usize>;
+/// An assignment of (at most) one bid-entry index per bid, by position.
+type Assignment = Vec<Option<usize>>;
 
 /// Scales a proportional-fair subset by the hidden-payment factor `c`.
 ///
@@ -118,72 +117,75 @@ fn entry_value(table: &BidTable, entry: Option<usize>) -> f64 {
     v.max(VALUE_FLOOR)
 }
 
+/// Σ log-value, added in bid order.
 fn assignment_log_value(bids: &[&BidTable], assignment: &Assignment) -> f64 {
     bids.iter()
-        .map(|t| entry_value(t, assignment.get(&t.app).copied()).ln())
+        .zip(assignment)
+        .map(|(t, entry)| entry_value(t, *entry).ln())
         .sum()
 }
 
 fn assignment_fits(bids: &[&BidTable], assignment: &Assignment, offer: &FreeVector) -> bool {
     let mut used = FreeVector::empty();
-    for table in bids {
-        if let Some(idx) = assignment.get(&table.app) {
-            used = used.add(&table.entries[*idx].resources);
+    for (table, entry) in bids.iter().zip(assignment) {
+        if let Some(idx) = entry {
+            used.add_assign(&table.entries[*idx].resources);
         }
     }
     offer.contains_vector(&used)
 }
 
-/// Exhaustive search over per-app entry choices (including "nothing"),
-/// maximizing the sum of log-values subject to capacity. Exponential in the
-/// number of apps, so only used when `Π (entries+1)` is small.
-fn solve_exact(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
-    fn recurse(
-        bids: &[&BidTable],
-        idx: usize,
-        remaining: &FreeVector,
-        current: &mut Assignment,
-        current_log: f64,
-        best: &mut (f64, Assignment),
-    ) {
-        if idx == bids.len() {
-            if current_log > best.0 {
-                *best = (current_log, current.clone());
+/// The exhaustive search's state: one `remaining` offer, taken from on the
+/// way down and given back on the way up, and the assignment under
+/// construction, so a search node allocates nothing.
+struct Search<'a> {
+    bids: &'a [&'a BidTable],
+    remaining: FreeVector,
+    current: Assignment,
+    best_log: f64,
+    best: Assignment,
+}
+
+impl Search<'_> {
+    fn recurse(&mut self, idx: usize, current_log: f64) {
+        if idx == self.bids.len() {
+            if current_log > self.best_log {
+                self.best_log = current_log;
+                self.best.clone_from(&self.current);
             }
             return;
         }
-        let table = bids[idx];
+        let table = self.bids[idx];
         // Option A: this app receives nothing.
-        recurse(
-            bids,
-            idx + 1,
-            remaining,
-            current,
-            current_log + entry_value(table, None).ln(),
-            best,
-        );
+        self.recurse(idx + 1, current_log + entry_value(table, None).ln());
         // Option B: each feasible entry.
         for (i, entry) in table.entries.iter().enumerate() {
-            if remaining.contains_vector(&entry.resources) {
-                let next_remaining = remaining.saturating_sub(&entry.resources);
-                current.insert(table.app, i);
-                recurse(
-                    bids,
-                    idx + 1,
-                    &next_remaining,
-                    current,
-                    current_log + entry_value(table, Some(i)).ln(),
-                    best,
-                );
-                current.remove(&table.app);
+            if self.remaining.contains_vector(&entry.resources) {
+                self.remaining.sub_assign(&entry.resources);
+                self.current[idx] = Some(i);
+                self.recurse(idx + 1, current_log + entry_value(table, Some(i)).ln());
+                self.current[idx] = None;
+                self.remaining.add_assign(&entry.resources);
             }
         }
     }
+}
 
-    let mut best = (f64::NEG_INFINITY, Assignment::new());
-    let mut current = Assignment::new();
-    recurse(bids, 0, offer, &mut current, 0.0, &mut best);
-    best.1
+/// Exhaustive search over per-app entry choices (including "nothing"),
+/// maximizing the sum of log-values subject to capacity. Exponential in the
+/// number of apps, so only used when `Π (entries+1)` is small. Visits
+/// "nothing" first, then the entries in table order, and keeps the first of
+/// equal optima.
+fn solve_exact(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
+    let mut search = Search {
+        bids,
+        remaining: offer.clone(),
+        current: vec![None; bids.len()],
+        best_log: f64::NEG_INFINITY,
+        best: vec![None; bids.len()],
+    };
+    search.recurse(0, 0.0);
+    search.best
 }
 
 /// Greedy assignment: repeatedly grants the largest positive marginal
@@ -195,13 +197,13 @@ fn solve_exact(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
 /// it at the end, and a loser had no entry above its baseline within the
 /// final remainder (`tests::greedy_result_admits_no_single_app_improvement`).
 fn solve_greedy(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
-    let mut assignment = Assignment::new();
+    let mut assignment: Assignment = vec![None; bids.len()];
     let mut remaining = offer.clone();
 
     loop {
-        let mut best: Option<(AppId, usize, f64)> = None;
-        for table in bids {
-            if assignment.contains_key(&table.app) {
+        let mut best: Option<(usize, usize, f64)> = None;
+        for (pos, table) in bids.iter().enumerate() {
+            if assignment[pos].is_some() {
                 continue;
             }
             let base = entry_value(table, None).ln();
@@ -215,14 +217,13 @@ fn solve_greedy(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
                 }
                 match best {
                     Some((_, _, g)) if gain <= g => {}
-                    _ => best = Some((table.app, i, gain)),
+                    _ => best = Some((pos, i, gain)),
                 }
             }
         }
-        let Some((app, idx, _)) = best else { break };
-        let table = bids.iter().find(|t| t.app == app).expect("app has a bid");
-        remaining = remaining.saturating_sub(&table.entries[idx].resources);
-        assignment.insert(app, idx);
+        let Some((pos, idx, _)) = best else { break };
+        remaining.sub_assign(&bids[pos].entries[idx].resources);
+        assignment[pos] = Some(idx);
     }
     assignment
 }
@@ -261,8 +262,8 @@ pub fn partial_allocation(bids: &[BidTable], offer: &FreeVector) -> AuctionResul
     let mut awards = Vec::new();
     let mut used = FreeVector::empty();
     let mut others: Vec<&BidTable> = Vec::with_capacity(bids.len());
-    for &table in &bids {
-        let Some(&entry_idx) = assignment.get(&table.app) else {
+    for (pos, &table) in bids.iter().enumerate() {
+        let Some(entry_idx) = assignment[pos] else {
             continue;
         };
         let entry = &table.entries[entry_idx];
@@ -275,7 +276,7 @@ pub fn partial_allocation(bids: &[BidTable], offer: &FreeVector) -> AuctionResul
         // Denominator: Π_{j≠i} V_j under the PF assignment computed
         // without app i participating at all.
         others.clear();
-        others.extend(bids.iter().filter(|t| t.app != table.app));
+        others.extend(bids[..pos].iter().chain(&bids[pos + 1..]));
         let (assignment_without_i, _) = solve(&others, offer);
         let log_without_i = assignment_log_value(&others, &assignment_without_i);
         let payment_factor = (log_without_i_present - log_without_i)
@@ -283,7 +284,7 @@ pub fn partial_allocation(bids: &[BidTable], offer: &FreeVector) -> AuctionResul
             .clamp(0.0, 1.0);
 
         let awarded = scale_subset(&entry.resources, payment_factor);
-        used = used.add(&awarded);
+        used.add_assign(&awarded);
         awards.push(Award {
             app: table.app,
             proportional_fair: entry.resources.clone(),
@@ -293,7 +294,9 @@ pub fn partial_allocation(bids: &[BidTable], offer: &FreeVector) -> AuctionResul
         });
     }
 
-    let leftover = offer.saturating_sub(&used);
+    // The awards are cut from a fitting assignment, so they fit too.
+    let mut leftover = offer.clone();
+    leftover.sub_assign(&used);
     AuctionResult {
         awards,
         leftover,
@@ -406,7 +409,7 @@ mod tests {
         let result = partial_allocation(&bids, &offer);
         let mut used = FreeVector::empty();
         for award in &result.awards {
-            used = used.add(&award.awarded);
+            used.add_assign(&award.awarded);
         }
         assert!(offer.contains_vector(&used));
         assert_eq!(used.total() + result.leftover.total(), offer.total());
@@ -466,7 +469,7 @@ mod tests {
         // Per-machine feasibility.
         let mut used = FreeVector::empty();
         for a in &result.awards {
-            used = used.add(&a.awarded);
+            used.add_assign(&a.awarded);
         }
         assert!(offer.contains_vector(&used));
     }
@@ -625,16 +628,15 @@ mod tests {
             let bids: Vec<&BidTable> = tables.iter().collect();
             let assignment = solve_greedy(&bids, &offer);
             prop_assert!(assignment_fits(&bids, &assignment, &offer));
-            for table in &bids {
+            for (pos, table) in bids.iter().enumerate() {
                 let mut others = assignment.clone();
-                let own = others.remove(&table.app);
-                let mut used = FreeVector::empty();
-                for other in &bids {
-                    if let Some(&i) = others.get(&other.app) {
-                        used = used.add(&other.entries[i].resources);
+                let own = others[pos].take();
+                let mut available = offer.clone();
+                for (other, entry) in bids.iter().zip(&others) {
+                    if let Some(i) = entry {
+                        available.sub_assign(&other.entries[*i].resources);
                     }
                 }
-                let available = offer.saturating_sub(&used);
                 let own_value = entry_value(table, own).ln();
                 for candidate in std::iter::once(None).chain((0..table.entries.len()).map(Some)) {
                     if candidate.is_some_and(|i| !available.contains_vector(&table.entries[i].resources)) {

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::arbiter::{Arbiter, AuctionOutcome};
     pub use crate::auction::{partial_allocation, AuctionResult, SolverKind};
     pub use crate::config::ThemisConfig;
-    pub use crate::rho::{estimate_rho, RhoEstimate};
+    pub use crate::rho::RhoEstimate;
     pub use crate::scheduler::ThemisScheduler;
 }
 

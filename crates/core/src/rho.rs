@@ -23,11 +23,13 @@
 //! Steps 2–5 exist once, as the pieces of `RhoKernel`: the Agent's probe
 //! and every row of its bid table go through the kernel, which keeps its
 //! supply in a small dense buffer, places only the jobs that receive GPUs
-//! and allocates nothing when warm. [`greedy_job_distribution`] and
-//! [`estimate_rho`] are the same pieces behind map-shaped interfaces, for
-//! callers that need the job-level shares themselves.
+//! and allocates nothing when warm. Step 2 alone — which job gets which of
+//! the GPUs an app won — is `AwardSplit`, the same greedy placement through
+//! buffers of its own; [`estimate_rho_for_aggregate`] is the kernel behind a
+//! map-shaped interface.
 
 use std::collections::BTreeMap;
+use themis_cluster::alloc::FreeVector;
 use themis_cluster::ids::{JobId, MachineId, RackId};
 use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
@@ -45,10 +47,6 @@ pub struct RhoEstimate {
     /// Ideal dedicated-cluster running time T_id.
     pub t_id: Time,
 }
-
-/// A job-level share of an aggregate allocation: how many GPUs the job gets
-/// on which machines.
-pub type JobShare = Vec<(MachineId, usize)>;
 
 /// Ideal (dedicated-cluster) running time `T_id` from per-job estimates:
 /// every exploration job runs concurrently at its maximum parallelism with
@@ -92,15 +90,6 @@ impl Supply {
     }
 }
 
-/// A share as [`Supply`] picks, dropping its zero-count entries.
-fn picks_of(share: &JobShare, spec: &ClusterSpec) -> Vec<Supply> {
-    share
-        .iter()
-        .filter(|(_, count)| *count > 0)
-        .map(|(machine, count)| Supply::new(*machine, *count, spec))
-        .collect()
-}
-
 fn locality_of(picks: &[Supply]) -> Locality {
     match picks {
         [] => Locality::Slot,
@@ -133,15 +122,19 @@ fn visiting_order(order: &mut Vec<usize>, estimates: &[JobEstimate]) {
     });
 }
 
-/// The greedy placement itself. Visits `estimates` in `order`; each job
-/// takes what it can use from the machine with the most remaining GPUs —
-/// fastest generation, then lowest id on ties, a total order, so how `work`
-/// is laid out cannot change a pick — and `on_share(position, picks)` sees
-/// every job that received GPUs. Stops when the supply is gone. `work`
-/// must hold no zero-count entry and no machine twice.
+/// The greedy placement itself (§5.2 step 4, "the AGENT computes the
+/// job-level allocation in a greedy manner"). Visits job positions in
+/// `order` — increasing work left, so the job that determines the app's
+/// finish time is packed first; each job takes the `need(position)` GPUs it
+/// can use from the machine with the most remaining GPUs — fastest
+/// generation, then lowest id on ties, a total order, so how `work` is laid
+/// out cannot change a pick — spilling to further machines only when
+/// necessary, and `on_share(position, picks)` sees every job that received
+/// GPUs. Stops when the supply is gone. `work` must hold no zero-count
+/// entry and no machine twice.
 fn place_greedily(
-    estimates: &[JobEstimate],
     order: &[usize],
+    need: impl Fn(usize) -> usize,
     work: &mut Vec<Supply>,
     picks: &mut Vec<Supply>,
     mut on_share: impl FnMut(usize, &mut [Supply]),
@@ -151,7 +144,7 @@ fn place_greedily(
         if left == 0 {
             break;
         }
-        let mut need = estimates[pos].max_parallelism;
+        let mut need = need(pos);
         picks.clear();
         while need > 0 && left > 0 {
             let best = (0..work.len())
@@ -181,42 +174,75 @@ fn place_greedily(
     }
 }
 
-/// Greedily distributes an aggregate per-machine GPU allocation among jobs
-/// in a placement-sensitive manner (§5.2 step 4, "the AGENT computes the
-/// job-level allocation in a greedy manner").
-///
-/// Because the app finishes when its fastest job converges, jobs are
-/// visited in order of *increasing* work left — the job that determines the
-/// app's finish time is packed first. Each job takes as many GPUs as it can
-/// use from the machine with the most remaining GPUs — breaking ties toward
-/// the machine with the *faster* GPU generation, so on a mixed cluster the
-/// finish-time-critical job lands on the fastest silicon — spilling to
-/// further machines only when necessary. On a uniform-speed cluster every
-/// speed comparison ties and the distribution is the speed-blind one.
-pub fn greedy_job_distribution(
-    estimates: &[JobEstimate],
-    aggregate: &BTreeMap<MachineId, usize>,
-    spec: &ClusterSpec,
-) -> BTreeMap<JobId, JobShare> {
-    let mut work: Vec<Supply> = aggregate
-        .iter()
-        .filter(|(_, count)| **count > 0)
-        .map(|(machine, count)| Supply::new(*machine, *count, spec))
-        .collect();
-    let mut order = Vec::new();
-    visiting_order(&mut order, estimates);
-    let mut shares: BTreeMap<JobId, JobShare> = BTreeMap::new();
-    place_greedily(
-        estimates,
-        &order,
-        &mut work,
-        &mut Vec::new(),
-        |pos, picks| {
-            let share = picks.iter().map(|p| (p.machine, p.count)).collect();
-            shares.insert(estimates[pos].job, share);
-        },
-    );
-    shares
+/// Reusable buffers for splitting what an app won among its jobs. Whoever
+/// materializes grants round after round keeps one; they grow to the
+/// largest app and award seen, never with the cluster.
+#[derive(Debug, Default)]
+pub(crate) struct AwardSplit {
+    order: Vec<usize>,
+    /// The job of every GPU the app holds, sorted.
+    held: Vec<JobId>,
+    work: Vec<Supply>,
+    picks: Vec<Supply>,
+    /// `(job, first, end)`: the job's picks are `picked[first..end]`.
+    shares: Vec<(JobId, usize, usize)>,
+    picked: Vec<(MachineId, usize)>,
+}
+
+impl AwardSplit {
+    /// Splits `award` among the jobs of `estimates` greedily (see
+    /// `place_greedily`), each job asking for its max parallelism less the
+    /// GPUs it holds — `held` yields the job of every GPU the app holds.
+    /// [`AwardSplit::shares`] reads the result.
+    pub(crate) fn split(
+        &mut self,
+        estimates: &[JobEstimate],
+        held: impl Iterator<Item = JobId>,
+        award: &FreeVector,
+        spec: &ClusterSpec,
+    ) {
+        let AwardSplit {
+            order,
+            held: held_jobs,
+            work,
+            picks,
+            shares,
+            picked,
+        } = self;
+        held_jobs.clear();
+        held_jobs.extend(held);
+        held_jobs.sort_unstable();
+        let need = |pos: usize| {
+            let job = estimates[pos].job;
+            let from = held_jobs.partition_point(|j| *j < job);
+            let to = held_jobs.partition_point(|j| *j <= job);
+            estimates[pos].max_parallelism.saturating_sub(to - from)
+        };
+        work.clear();
+        work.extend(
+            award
+                .iter()
+                .map(|(machine, count)| Supply::new(machine, count, spec)),
+        );
+        visiting_order(order, estimates);
+        shares.clear();
+        picked.clear();
+        // A job that holds all it can use asks for nothing and gets no share.
+        place_greedily(order, need, work, picks, |pos, picks| {
+            let first = picked.len();
+            picked.extend(picks.iter().map(|p| (p.machine, p.count)));
+            shares.push((estimates[pos].job, first, picked.len()));
+        });
+        shares.sort_unstable_by_key(|(job, ..)| *job);
+    }
+
+    /// The last split: every job that receives GPUs, in ascending job-id
+    /// order, with its `(machine, count)` picks in the order they were made.
+    pub(crate) fn shares(&self) -> impl Iterator<Item = (JobId, &[(MachineId, usize)])> {
+        self.shares
+            .iter()
+            .map(|&(job, first, end)| (job, &self.picked[first..end]))
+    }
 }
 
 /// Aggregate speed of the `cap` fastest GPUs of a job share — the
@@ -283,7 +309,8 @@ fn rho_from(
 }
 
 /// Estimates ρ for an app given per-job estimates, the elapsed time since
-/// the app arrived, and a job-level allocation (shares of machines).
+/// the app arrived, and an aggregate per-machine allocation, which is first
+/// distributed greedily among the jobs (§5.2 steps 2–5).
 ///
 /// The shared running time is estimated as
 /// `T_sh = elapsed + Σ_j W'_j / Σ_j (G_eff_j · S_j(placement))` with
@@ -300,40 +327,19 @@ fn rho_from(
 /// property the truthfulness proof of the partial-allocation mechanism
 /// relies on (§5.1). `T_id` stays defined on reference-speed GPUs, so ρ on
 /// a fast share can legitimately dip below its uniform-cluster value.
-pub fn estimate_rho(
-    estimates: &[JobEstimate],
-    elapsed: Time,
-    shares: &BTreeMap<JobId, JobShare>,
-    spec: &ClusterSpec,
-) -> RhoEstimate {
-    let mut aggregate_speedup = 0.0;
-    for est in estimates.iter().filter(|e| e.work_left > Time::ZERO) {
-        let mut picks = shares
-            .get(&est.job)
-            .map(|share| picks_of(share, spec))
-            .unwrap_or_default();
-        if !picks.is_empty() {
-            aggregate_speedup += share_speedup(est, &mut picks);
-        }
-    }
-    rho_from(
-        ideal_running_time(estimates),
-        elapsed,
-        total_work_left(estimates),
-        aggregate_speedup,
-    )
-}
-
-/// Convenience: estimate ρ for an aggregate per-machine allocation, running
-/// the greedy job distribution first.
 pub fn estimate_rho_for_aggregate(
     estimates: &[JobEstimate],
     elapsed: Time,
     aggregate: &BTreeMap<MachineId, usize>,
     spec: &ClusterSpec,
 ) -> RhoEstimate {
-    let shares = greedy_job_distribution(estimates, aggregate, spec);
-    estimate_rho(estimates, elapsed, &shares, spec)
+    let supply: Vec<Supply> = aggregate
+        .iter()
+        .map(|(machine, count)| Supply::new(*machine, *count, spec))
+        .collect();
+    RhoKernel::default()
+        .begin(estimates, elapsed)
+        .rho_of(&supply)
 }
 
 /// Reusable buffers of the ρ kernel. Whoever evaluates ρ round after round
@@ -383,8 +389,7 @@ pub(crate) struct RhoEval<'a> {
 impl RhoEval<'_> {
     /// ρ with `supply` (no machine twice) distributed greedily among the
     /// app's jobs. Costs the jobs that receive GPUs, not the jobs the app
-    /// has; the speed-up terms are added in `estimates` order, as
-    /// [`estimate_rho`] adds them.
+    /// has; the speed-up terms are added in `estimates` order.
     pub(crate) fn rho_of(&mut self, supply: &[Supply]) -> RhoEstimate {
         let RhoKernel {
             order,
@@ -401,7 +406,8 @@ impl RhoEval<'_> {
             self.ordered = true;
         }
         speedups.clear();
-        place_greedily(estimates, order, work, picks, |pos, picks| {
+        let need = |pos: usize| estimates[pos].max_parallelism;
+        place_greedily(order, need, work, picks, |pos, picks| {
             // A converged job still takes its share; it adds no speed-up.
             if estimates[pos].work_left > Time::ZERO {
                 speedups.push((pos, share_speedup(&estimates[pos], picks)));
@@ -462,7 +468,8 @@ mod tests {
     #[test]
     fn no_allocation_gives_unbounded_rho() {
         let estimates = vec![est(0, 100.0, 100.0, 4, ModelArch::ResNet50)];
-        let rho = estimate_rho(&estimates, Time::minutes(10.0), &BTreeMap::new(), &spec());
+        let rho =
+            estimate_rho_for_aggregate(&estimates, Time::minutes(10.0), &BTreeMap::new(), &spec());
         assert!(rho.rho.is_infinite());
         assert_eq!(rho.t_id, Time::minutes(25.0));
     }
@@ -535,17 +542,33 @@ mod tests {
         assert!(rho_large.rho <= rho_small.rho + 1e-9);
     }
 
+    /// `(job, picks)` of every share `AwardSplit` hands out, in call order.
+    fn split(
+        estimates: &[JobEstimate],
+        held: &[u32],
+        award: &[(u32, usize)],
+        spec: &ClusterSpec,
+    ) -> Vec<(JobId, Vec<(MachineId, usize)>)> {
+        let award = FreeVector::from_counts(award.iter().map(|(m, c)| (MachineId(*m), *c)));
+        let held = held.iter().map(|j| JobId(*j));
+        let mut split = AwardSplit::default();
+        split.split(estimates, held, &award, spec);
+        split
+            .shares()
+            .map(|(job, picks)| (job, picks.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn greedy_distribution_respects_max_parallelism_and_supply() {
         let estimates = vec![
-            est(0, 100.0, 100.0, 4, ModelArch::ResNet50),
             est(1, 300.0, 300.0, 2, ModelArch::ResNet50),
+            est(0, 100.0, 100.0, 4, ModelArch::ResNet50),
         ];
-        let aggregate: BTreeMap<MachineId, usize> = [(MachineId(0), 4), (MachineId(1), 1)].into();
-        let shares = greedy_job_distribution(&estimates, &aggregate, &spec());
+        let shares = split(&estimates, &[], &[(0, 4), (1, 1)], &spec());
         let total: usize = shares
-            .values()
-            .flat_map(|s| s.iter().map(|(_, c)| *c))
+            .iter()
+            .flat_map(|(_, s)| s.iter().map(|(_, c)| *c))
             .sum();
         assert!(total <= 5);
         for (job, share) in &shares {
@@ -554,10 +577,23 @@ mod tests {
             assert!(count <= est.max_parallelism);
         }
         // The job with the least work left (job 0, which determines the
-        // app's finish time) is served first and gets the densest machine.
-        assert_eq!(shares[&JobId(0)][0].0, MachineId(0));
+        // app's finish time) is served first and gets the densest machine;
+        // shares come out in job-id order whatever the estimates' order.
+        assert_eq!(shares[0], (JobId(0), vec![(MachineId(0), 4)]));
+        assert_eq!(shares[1], (JobId(1), vec![(MachineId(1), 1)]));
     }
 
+    #[test]
+    fn held_gpus_shrink_a_jobs_share() {
+        let estimates = vec![
+            est(0, 100.0, 100.0, 4, ModelArch::ResNet50),
+            est(1, 300.0, 300.0, 2, ModelArch::ResNet50),
+        ];
+        // Job 0 holds three GPUs, job 1 all it can use: job 0 asks for one
+        // more, and job 1 for none, so it gets no share at all.
+        let shares = split(&estimates, &[0, 1, 0, 1, 0], &[(0, 4)], &spec());
+        assert_eq!(shares, vec![(JobId(0), vec![(MachineId(0), 1)])]);
+    }
     #[test]
     fn fast_gpu_share_lowers_rho() {
         use themis_cluster::topology::GpuGeneration;
@@ -590,21 +626,27 @@ mod tests {
         let mixed =
             ClusterSpec::synthetic_mixed(1, 2, 4, &[GpuGeneration::Pascal, GpuGeneration::Volta]);
         let estimates = vec![est(0, 100.0, 100.0, 4, ModelArch::ResNet50)];
-        let aggregate: BTreeMap<MachineId, usize> = [(MachineId(0), 4), (MachineId(1), 4)].into();
-        let shares = greedy_job_distribution(&estimates, &aggregate, &mixed);
+        let award = [(0, 4), (1, 4)];
         // The finish-time-critical job is packed onto the Volta machine.
-        assert_eq!(shares[&JobId(0)], vec![(MachineId(1), 4)]);
+        let shares = split(&estimates, &[], &award, &mixed);
+        assert_eq!(shares, vec![(JobId(0), vec![(MachineId(1), 4)])]);
         // On the uniform cluster the same tie goes to the lower machine id
         // (the speed-blind behavior).
         let uniform = ClusterSpec::synthetic(1, 2, 4);
-        let shares = greedy_job_distribution(&estimates, &aggregate, &uniform);
-        assert_eq!(shares[&JobId(0)], vec![(MachineId(0), 4)]);
+        let shares = split(&estimates, &[], &award, &uniform);
+        assert_eq!(shares, vec![(JobId(0), vec![(MachineId(0), 4)])]);
     }
 
     #[test]
     fn share_locality_levels() {
         let spec = spec();
-        let share_locality = |share: &JobShare, spec| locality_of(&picks_of(share, spec));
+        let share_locality = |share: &Vec<(MachineId, usize)>, spec| {
+            let picks: Vec<Supply> = share
+                .iter()
+                .map(|(machine, count)| Supply::new(*machine, *count, spec))
+                .collect();
+            locality_of(&picks)
+        };
         assert_eq!(
             share_locality(&vec![(MachineId(0), 2)], &spec),
             Locality::Slot
@@ -627,7 +669,8 @@ mod tests {
     #[test]
     fn finished_app_rho_is_elapsed_over_ideal() {
         let estimates = vec![est(0, 100.0, 0.0, 4, ModelArch::ResNet50)];
-        let rho = estimate_rho(&estimates, Time::minutes(50.0), &BTreeMap::new(), &spec());
+        let rho =
+            estimate_rho_for_aggregate(&estimates, Time::minutes(50.0), &BTreeMap::new(), &spec());
         assert!((rho.rho - 2.0).abs() < 1e-9);
     }
 }

@@ -10,20 +10,26 @@
 //! 3. collects their bid tables over the free-GPU offer,
 //! 4. runs the partial-allocation auction and leftover assignment,
 //! 5. converts the per-machine awards into concrete GPU → job allocations
-//!    using each Agent's greedy job-level distribution.
+//!    by the greedy job-level distribution, from the estimates the probe
+//!    read.
+//!
+//! Everything a call reads — estimates, holdings, statuses, bid tables, the
+//! distribution's work lists — lives in buffers the scheduler keeps, so a
+//! warm call allocates for the decisions it returns, not for the apps and
+//! jobs it reads.
 
-use crate::agent::{Agent, AppContext, BidScratch};
+use crate::agent::{Agent, BidScratch, Probes};
 use crate::arbiter::{AppStatus, Arbiter};
 use crate::config::ThemisConfig;
-use crate::rho::JobShare;
+use crate::rho::AwardSplit;
 use std::collections::BTreeMap;
 use themis_cluster::alloc::FreeVector;
 use themis_cluster::cluster::Cluster;
-use themis_cluster::ids::{AppId, GpuId, JobId};
+use themis_cluster::ids::{AppId, GpuId};
 use themis_cluster::time::Time;
 use themis_cluster::view::{ClusterState, ClusterView};
+use themis_hpo::api::JobEstimate;
 use themis_protocol::bid::BidTable;
-use themis_sim::app_runtime::AppRuntime;
 use themis_sim::arena::AppArena;
 use themis_sim::scheduler::{AllocationDecision, Scheduler};
 
@@ -35,6 +41,12 @@ pub struct ThemisScheduler {
     agents: BTreeMap<AppId, Agent>,
     /// Probe and bid buffers, shared by every Agent.
     scratch: BidScratch,
+    /// What this call's probes read; `statuses[i]` is probe `i`.
+    probes: Probes,
+    statuses: Vec<AppStatus>,
+    /// The bid-table pool: this call's non-empty tables come first.
+    bids: Vec<BidTable>,
+    split: AwardSplit,
 }
 
 impl ThemisScheduler {
@@ -44,6 +56,10 @@ impl ThemisScheduler {
             arbiter: Arbiter::new(config),
             agents: BTreeMap::new(),
             scratch: BidScratch::default(),
+            probes: Probes::default(),
+            statuses: Vec::new(),
+            bids: Vec::new(),
+            split: AwardSplit::default(),
             config,
         }
     }
@@ -55,31 +71,28 @@ impl ThemisScheduler {
     }
 }
 
-fn agent_for<'a>(
-    agents: &'a mut BTreeMap<AppId, Agent>,
-    config: &ThemisConfig,
-    app: AppId,
-) -> &'a mut Agent {
-    agents.entry(app).or_insert_with(|| Agent::new(app, config))
-}
-
 /// Converts a per-app grant (per-machine counts) into concrete allocation
-/// decisions, drawing GPUs from the round's `shadow` view (which tracks
-/// GPUs already promised this round). Shared by the in-process and
+/// decisions appended to `decisions`, one per job that receives GPUs, in
+/// job-id order. `estimates` are the app's, as its probe read them; each
+/// job asks for its max parallelism less what it holds in the round's
+/// `shadow` view, and GPUs are drawn from `shadow`, which tracks GPUs
+/// already promised this round. Shared by the in-process and
 /// distributed-mode schedulers so their materialization can never diverge —
 /// the reliable `themis-dist` ≡ `themis` equivalence depends on it.
 pub(crate) fn materialize_grant(
-    agent: &Agent,
+    app: AppId,
+    estimates: &[JobEstimate],
     shadow: &mut ClusterView<'_>,
-    runtime: &AppRuntime,
     grant: &FreeVector,
-) -> Vec<AllocationDecision> {
-    let app = runtime.id();
-    let shares: BTreeMap<JobId, JobShare> = agent.distribute_award(runtime, shadow, grant);
-    let mut decisions = Vec::new();
-    for (job, share) in shares {
-        let mut gpus: Vec<GpuId> = Vec::new();
-        for (machine, count) in share {
+    split: &mut AwardSplit,
+    decisions: &mut Vec<AllocationDecision>,
+) {
+    let spec = shadow.spec();
+    split.split(estimates, shadow.job_of_each_gpu_of(app), grant, spec);
+    shadow.reserve(grant.total());
+    for (job, share) in split.shares() {
+        let mut gpus: Vec<GpuId> = Vec::with_capacity(share.iter().map(|(_, n)| n).sum());
+        for &(machine, count) in share {
             // The machine's first `count` free GPUs, in id order.
             let first = gpus.len();
             if let Some(machine) = shadow.spec().machine(machine) {
@@ -96,7 +109,6 @@ pub(crate) fn materialize_grant(
             decisions.push(AllocationDecision { app, job, gpus });
         }
     }
-    decisions
 }
 
 impl Scheduler for ThemisScheduler {
@@ -115,65 +127,79 @@ impl Scheduler for ThemisScheduler {
             return Vec::new();
         }
         let spec = cluster.spec();
+        let ThemisScheduler {
+            config,
+            arbiter,
+            agents,
+            scratch,
+            probes,
+            statuses,
+            bids,
+            split,
+        } = self;
 
         // 1. Probe the current ρ of every app that can take a GPU. Both
         //    lists are in ascending app order, as the arena iterates.
-        let mut statuses: Vec<AppStatus> = Vec::new();
-        let mut contexts: Vec<AppContext> = Vec::new();
+        probes.clear();
+        statuses.clear();
         for runtime in apps.iter().filter(|a| a.is_schedulable(now)) {
             let unmet_demand = runtime.unmet_demand(cluster);
             if unmet_demand == 0 {
                 continue;
             }
-            let app = runtime.id();
-            let context = AppContext::new(app, now, runtime, cluster);
+            let context = probes.push(now, runtime, cluster);
             statuses.push(AppStatus {
-                app,
-                rho: context.current_rho(spec, &mut self.scratch).rho,
+                app: runtime.id(),
+                rho: context.current_rho(spec, scratch).rho,
                 unmet_demand,
                 footprint: context.holdings.iter().map(|(m, _)| *m).collect(),
             });
-            contexts.push(context);
         }
         if statuses.is_empty() {
             return Vec::new();
         }
+        let probed = |app: &AppId| {
+            statuses
+                .binary_search_by_key(app, |s| s.app)
+                .expect("participants and grantees are probed apps")
+        };
 
         // 2. Select the worst-off 1−f fraction and collect their bids, each
-        //    from the context and ρ its probe computed.
-        let participants = self.arbiter.select_participants(&statuses);
-        let mut bids: Vec<BidTable> = Vec::new();
+        //    from the context and ρ its probe computed, into pooled tables.
+        let participants = arbiter.select_participants(statuses);
+        let mut tables = 0;
         for app in &participants {
-            let probed = statuses
-                .binary_search_by_key(app, |s| s.app)
-                .expect("participants are drawn from the statuses");
-            let bid = agent_for(&mut self.agents, &self.config, *app).bid(
-                &contexts[probed],
-                statuses[probed].rho,
+            let idx = probed(app);
+            if tables == bids.len() {
+                bids.push(BidTable::empty(*app, 0.0));
+            }
+            let agent = agents
+                .entry(*app)
+                .or_insert_with(|| Agent::new(*app, config));
+            let table = &mut bids[tables];
+            agent.bid(
+                probes.context(idx),
+                statuses[idx].rho,
                 spec,
                 &offer,
-                &mut self.scratch,
+                scratch,
+                table,
             );
-            if !bid.is_empty() {
-                bids.push(bid);
+            if !table.is_empty() {
+                tables += 1;
             }
         }
 
         // 3. Run the auction + leftover assignment.
-        let outcome = self
-            .arbiter
-            .run_auction(&offer, &statuses, &participants, &bids, spec);
+        let outcome = arbiter.run_auction(&offer, statuses, &participants, &bids[..tables], spec);
 
         // 4. Materialize per-machine grants into concrete GPU decisions,
         //    against a borrowed per-round view (no cluster clone).
         let mut shadow = cluster.view();
         let mut decisions = Vec::new();
         for (app, grant) in outcome.into_all_grants() {
-            let Some(runtime) = apps.get(app) else {
-                continue;
-            };
-            let agent = agent_for(&mut self.agents, &self.config, app);
-            decisions.extend(materialize_grant(agent, &mut shadow, runtime, &grant));
+            let estimates = probes.context(probed(&app)).estimates;
+            materialize_grant(app, estimates, &mut shadow, &grant, split, &mut decisions);
         }
         decisions
     }
@@ -182,6 +208,7 @@ impl Scheduler for ThemisScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use themis_cluster::ids::JobId;
     use themis_cluster::topology::ClusterSpec;
     use themis_sim::engine::{Engine, SimConfig};
     use themis_workload::app::AppSpec;
@@ -198,6 +225,51 @@ mod tests {
             gpus,
         );
         AppSpec::single_job(AppId(id), Time::minutes(arrival), job)
+    }
+
+    #[test]
+    fn materialize_grant_respects_job_limits() {
+        let mut cluster = Cluster::new(ClusterSpec::homogeneous(2, 2, 4));
+        let jobs = (0..2)
+            .map(|i| JobSpec::new(JobId(i), ModelArch::Vgg16, 1000.0, Time::minutes(0.1), 2))
+            .collect();
+        let runtime = themis_sim::app_runtime::AppRuntime::with_default_hpo(AppSpec::new(
+            AppId(0),
+            Time::ZERO,
+            jobs,
+        ));
+        // Job 1 already holds one GPU, on machine 2.
+        let held = GpuId(8);
+        let lease = Time::minutes(20.0);
+        cluster
+            .allocate(held, AppId(0), JobId(1), Time::ZERO, lease)
+            .unwrap();
+        let mut estimates = Vec::new();
+        runtime.estimates_into(&mut estimates);
+        let award = FreeVector::from_counts([
+            (themis_cluster::ids::MachineId(0), 3),
+            (themis_cluster::ids::MachineId(1), 2),
+        ]);
+        let mut shadow = cluster.view();
+        let mut decisions = Vec::new();
+        let mut split = AwardSplit::default();
+        materialize_grant(
+            AppId(0),
+            &estimates,
+            &mut shadow,
+            &award,
+            &mut split,
+            &mut decisions,
+        );
+        // Two jobs of max parallelism 2, one GPU already held: three more
+        // GPUs at most, in job-id order, each free before and taken after.
+        let jobs: Vec<JobId> = decisions.iter().map(|d| d.job).collect();
+        assert_eq!(jobs, vec![JobId(0), JobId(1)]);
+        assert_eq!(decisions[0].gpus.len(), 2);
+        assert_eq!(decisions[1].gpus.len(), 1);
+        for gpu in decisions.iter().flat_map(|d| &d.gpus) {
+            assert!(cluster.is_free(*gpu) && !shadow.is_free(*gpu));
+        }
     }
 
     #[test]

@@ -115,21 +115,25 @@ pub trait AppScheduler: std::fmt::Debug + Send {
     /// for repeated observations.
     fn update(&mut self, now: Time, jobs: JobViews<'_>) -> Vec<JobId>;
 
-    /// The Agent API: per-job estimates used to prepare bids. The default
-    /// implementation reports clairvoyant work-left (matching the paper's
-    /// simulator, which assumes clairvoyance of iteration counts, §8.1) and
-    /// the spec's max parallelism.
-    fn estimates(&self, jobs: JobViews<'_>) -> Vec<JobEstimate> {
-        jobs.iter()
-            .filter(|j| j.is_active())
-            .map(|j| JobEstimate {
-                job: j.spec.id,
-                total_work: j.spec.total_work(),
-                work_left: j.progress.work_left(j.spec),
-                max_parallelism: j.spec.max_parallelism,
-                sensitivity: j.spec.sensitivity(),
-            })
-            .collect()
+    /// The Agent API: appends the per-job estimates used to prepare bids
+    /// to `out`, leaving what `out` already holds in place (the Arbiter
+    /// probes every app into one buffer). The default implementation
+    /// reports clairvoyant work-left (matching the paper's simulator, which
+    /// assumes clairvoyance of iteration counts, §8.1) and the spec's max
+    /// parallelism.
+    ///
+    /// This is the trait's only estimates method, and every caller goes
+    /// through it: an implementation that reports its own estimates
+    /// overrides exactly this one. A second, allocating form beside it
+    /// would let an override of one be bypassed by callers of the other.
+    fn estimates_into(&self, jobs: JobViews<'_>, out: &mut Vec<JobEstimate>) {
+        out.extend(jobs.iter().filter(|j| j.is_active()).map(|j| JobEstimate {
+            job: j.spec.id,
+            total_work: j.spec.total_work(),
+            work_left: j.progress.work_left(j.spec),
+            max_parallelism: j.spec.max_parallelism,
+            sensitivity: j.spec.sensitivity(),
+        }));
     }
 }
 
@@ -158,7 +162,8 @@ mod tests {
         let mut progress = JobProgress::new();
         progress.advance(&spec, Time::minutes(1.0), 4, Locality::Slot);
         let views = JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress));
-        let estimates = Noop.estimates(views);
+        let mut estimates = Vec::new();
+        Noop.estimates_into(views, &mut estimates);
         assert_eq!(estimates.len(), 1);
         assert_eq!(estimates[0].total_work, spec.total_work());
         assert_eq!(estimates[0].work_left, progress.work_left(&spec));
@@ -171,7 +176,17 @@ mod tests {
         let mut progress = JobProgress::new();
         progress.kill(Time::ZERO);
         let views = JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress));
-        assert!(Noop.estimates(views).is_empty());
+        // Appending: what the buffer held stays, and nothing is added.
+        let mut estimates = vec![JobEstimate {
+            job: JobId(7),
+            total_work: Time::ZERO,
+            work_left: Time::ZERO,
+            max_parallelism: 1,
+            sensitivity: ModelArch::ResNet50.sensitivity(),
+        }];
+        Noop.estimates_into(views, &mut estimates);
+        assert_eq!(estimates.len(), 1);
+        assert_eq!(estimates[0].job, JobId(7));
         assert!(!views.iter().next().unwrap().is_active());
     }
 }

@@ -50,10 +50,11 @@ mod tests {
         let spec = JobSpec::new(JobId(0), ModelArch::Vgg16, 100.0, Time::minutes(0.1), 2);
         let progress = JobProgress::new();
         let s = SingleJob::new();
-        let est = s.estimates(JobViews::new(
-            std::slice::from_ref(&spec),
-            std::slice::from_ref(&progress),
-        ));
+        let mut est = Vec::new();
+        s.estimates_into(
+            JobViews::new(std::slice::from_ref(&spec), std::slice::from_ref(&progress)),
+            &mut est,
+        );
         assert_eq!(est.len(), 1);
         assert_eq!(est[0].job, JobId(0));
         assert_eq!(est[0].work_left, spec.total_work());

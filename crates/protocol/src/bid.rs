@@ -95,15 +95,15 @@ impl BidTable {
         self.entries.iter().find(|e| &e.resources == resources)
     }
 
-    /// Applies a multiplicative error to every ρ in the table (used by the
-    /// paper's §8.4.3 sensitivity experiment on bid-valuation error).
-    pub fn with_rho_error(mut self, relative_error: f64) -> Self {
+    /// Applies a multiplicative error to every ρ in the table, in place
+    /// (used by the paper's §8.4.3 sensitivity experiment on bid-valuation
+    /// error).
+    pub fn apply_rho_error(&mut self, relative_error: f64) {
         let factor = 1.0 + relative_error;
         self.current_rho *= factor;
         for e in &mut self.entries {
             e.rho *= factor;
         }
-        self
     }
 }
 
@@ -153,10 +153,13 @@ mod tests {
     fn rho_error_scales_all_entries() {
         let mut table = BidTable::empty(AppId(1), 4.0);
         table.push(fv(&[(0, 1)]), 2.0);
-        let noisy = table.clone().with_rho_error(0.1);
+        let mut noisy = table.clone();
+        noisy.apply_rho_error(0.1);
         assert!((noisy.current_rho - 4.4).abs() < 1e-12);
         assert!((noisy.entries[0].rho - 2.2).abs() < 1e-12);
         // Zero error is the identity.
-        assert_eq!(table.clone().with_rho_error(0.0), table);
+        let mut exact = table.clone();
+        exact.apply_rho_error(0.0);
+        assert_eq!(exact, table);
     }
 }

@@ -228,10 +228,11 @@ impl AppRuntime {
         JobViews::new(&self.spec.jobs, self.progress.as_slice())
     }
 
-    /// Per-job estimates for bid preparation (work left, max parallelism,
-    /// placement sensitivity), as the app's HPO scheduler reports them.
-    pub fn estimates(&self) -> Vec<JobEstimate> {
-        self.hpo.estimates(self.job_views())
+    /// Appends the per-job estimates for bid preparation (work left, max
+    /// parallelism, placement sensitivity) to `out`, as the app's HPO
+    /// scheduler reports them.
+    pub fn estimates_into(&self, out: &mut Vec<JobEstimate>) {
+        self.hpo.estimates_into(self.job_views(), out);
     }
 
     /// Runs the app's HPO scheduler and applies its kills. Returns the jobs
@@ -531,9 +532,12 @@ mod tests {
     #[test]
     fn estimates_follow_active_jobs() {
         let mut rt = AppRuntime::with_default_hpo(app(3));
-        assert_eq!(rt.estimates().len(), 3);
+        let mut estimates = Vec::new();
+        rt.estimates_into(&mut estimates);
+        assert_eq!(estimates.len(), 3);
         rt.progress.get_mut(&JobId(1)).unwrap().kill(Time::ZERO);
-        assert_eq!(rt.estimates().len(), 2);
+        rt.estimates_into(&mut estimates);
+        assert_eq!(estimates.len(), 5, "appends to what the buffer held");
         assert_eq!(rt.active_jobs(), vec![JobId(0), JobId(2)]);
     }
 }

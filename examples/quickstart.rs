@@ -81,13 +81,7 @@ fn main() {
 
     // Step 5: run the partial-allocation auction and report the winners.
     let outcome = arbiter.run_auction(&offer, &statuses, &participants, &bids, cluster.spec());
-    for (app, grant) in outcome.all_grants() {
-        println!(
-            "{app} wins {} GPUs: {:?}",
-            grant.total(),
-            grant.iter().collect::<Vec<_>>()
-        );
-    }
+    let leftover = outcome.auction.leftover.total();
     for award in &outcome.auction.awards {
         println!(
             "{}: proportional-fair {} GPUs, hidden-payment factor {:.2}",
@@ -96,8 +90,12 @@ fn main() {
             award.payment_factor
         );
     }
-    println!(
-        "{} GPUs left unallocated by the auction were handed out work-conservingly",
-        outcome.auction.leftover.total()
-    );
+    for (app, grant) in outcome.into_all_grants() {
+        println!(
+            "{app} wins {} GPUs: {:?}",
+            grant.total(),
+            grant.iter().collect::<Vec<_>>()
+        );
+    }
+    println!("{leftover} GPUs left unallocated by the auction were handed out work-conservingly");
 }

@@ -12,12 +12,12 @@
 //!
 //! Each property was checked to fail under seeded mutations of the new
 //! code: (a) dropping the job-id tie-break of the visiting order, adding
-//! the speed-up terms in visiting instead of `estimates()` order, packing
+//! the speed-up terms in visiting instead of estimates order, packing
 //! without the footprint preference, drawing the error only for a
 //! non-empty table; (b) letting jobs with no work left skip their share;
 //! (c) skipping apps with unmet demand ≤ 1 instead of 0, handing the bid a
 //! ρ other than the probe's, materialising a machine's last free GPUs
-//! instead of its first, ignoring held GPUs in `distribute_award`; (d) not
+//! instead of its first, ignoring held GPUs in `materialize_grant`; (d) not
 //! adding an app granted on the drained machine to the local tier, keeping
 //! an app listed after its demand reached zero, not deducting auction
 //! awards from the demands.
@@ -38,9 +38,7 @@ use themis_core::agent::{Agent, MAX_BID_ENTRIES};
 use themis_core::arbiter::{AppStatus, Arbiter, LeftoverRecipients};
 use themis_core::auction::partial_allocation;
 use themis_core::config::ThemisConfig;
-use themis_core::rho::{
-    estimate_rho_for_aggregate, greedy_job_distribution, JobShare, RhoEstimate,
-};
+use themis_core::rho::{estimate_rho_for_aggregate, RhoEstimate};
 use themis_core::scheduler::ThemisScheduler;
 use themis_hpo::api::{AppScheduler, JobEstimate, JobViews};
 use themis_protocol::bid::BidTable;
@@ -60,6 +58,18 @@ fn cases() -> ProptestConfig {
 // ---------------------------------------------------------------------------
 // Reference models: the parent commit's code, unchanged.
 // ---------------------------------------------------------------------------
+
+/// A job-level share of an aggregate allocation: how many GPUs the job gets
+/// on which machines.
+type JobShare = Vec<(MachineId, usize)>;
+
+/// The app's estimates as one fresh vector, the way the reference models
+/// read them.
+fn estimates_of(runtime: &AppRuntime) -> Vec<JobEstimate> {
+    let mut estimates = Vec::new();
+    runtime.estimates_into(&mut estimates);
+    estimates
+}
 
 fn ref_ideal_running_time(estimates: &[JobEstimate]) -> Time {
     estimates
@@ -267,7 +277,7 @@ impl RefAgent {
     }
 
     fn current_rho(&self, now: Time, runtime: &AppRuntime, cluster: &Cluster) -> RhoEstimate {
-        let estimates = runtime.estimates();
+        let estimates = estimates_of(runtime);
         let elapsed = (now - runtime.spec.arrival).clamp_non_negative();
         let aggregate = self.current_aggregate(cluster);
         let shares = ref_greedy_job_distribution(&estimates, &aggregate, cluster.spec());
@@ -281,7 +291,7 @@ impl RefAgent {
         cluster: &Cluster,
         offer: &FreeVector,
     ) -> BidTable {
-        let estimates = runtime.estimates();
+        let estimates = estimates_of(runtime);
         let elapsed = (now - runtime.spec.arrival).clamp_non_negative();
         let spec = cluster.spec();
         let current = self.current_aggregate(cluster);
@@ -314,7 +324,11 @@ impl RefAgent {
             let error = self
                 .rng
                 .gen_range(-self.rho_error_theta..=self.rho_error_theta);
-            table = table.with_rho_error(error);
+            let factor = 1.0 + error;
+            table.current_rho *= factor;
+            for entry in &mut table.entries {
+                entry.rho *= factor;
+            }
         }
         table
     }
@@ -325,7 +339,7 @@ impl RefAgent {
         cluster: &ClusterView<'_>,
         award: &FreeVector,
     ) -> BTreeMap<JobId, JobShare> {
-        let estimates = runtime.estimates();
+        let estimates = estimates_of(runtime);
         let aggregate: BTreeMap<MachineId, usize> = award.iter().collect();
         let adjusted: Vec<JobEstimate> = estimates
             .into_iter()
@@ -639,8 +653,8 @@ impl AppScheduler for Scripted {
         Vec::new()
     }
 
-    fn estimates(&self, _jobs: JobViews<'_>) -> Vec<JobEstimate> {
-        self.0.clone()
+    fn estimates_into(&self, _jobs: JobViews<'_>, out: &mut Vec<JobEstimate>) {
+        out.extend_from_slice(&self.0);
     }
 }
 
@@ -825,7 +839,7 @@ fn the_generator_reaches_the_bid_cap() {
             let offer = random_offer(&mut rng, &state.cluster);
             let held = state.cluster.gpus_held_by(runtime.id());
             capped += usize::from(
-                ref_uncapped_rows(&runtime.estimates(), held, &offer) > MAX_BID_ENTRIES,
+                ref_uncapped_rows(&estimates_of(runtime), held, &offer) > MAX_BID_ENTRIES,
             );
         }
     }
@@ -860,9 +874,8 @@ proptest! {
         }
     }
 
-    /// (b) `current_rho` ≡ the map-based probe, and the public
-    /// distribution and estimator, which now share the kernel's pieces,
-    /// still return what they returned.
+    /// (b) `current_rho` ≡ the map-based probe, and the public estimator,
+    /// which is now the kernel behind a map, still returns what it returned.
     #[test]
     fn current_rho_agrees_with_the_map_based_probe(case in 0u64..u64::MAX) {
         let mut rng = SmallRng::seed_from_u64(case);
@@ -876,18 +889,14 @@ proptest! {
                 .current_rho(state.now, runtime, &state.cluster);
             prop_assert_eq!(new, old);
 
-            let estimates = runtime.estimates();
+            let estimates = estimates_of(runtime);
             let aggregate: BTreeMap<MachineId, usize> = (0..rng.gen_range(0..6usize))
                 .map(|_| {
                     let machine = rng.gen_range(0..spec.total_machines() as u32 + 2);
                     (MachineId(machine), rng.gen_range(0..7usize))
                 })
                 .collect();
-            let shares = greedy_job_distribution(&estimates, &aggregate, spec);
-            prop_assert_eq!(
-                &shares,
-                &ref_greedy_job_distribution(&estimates, &aggregate, spec)
-            );
+            let shares = ref_greedy_job_distribution(&estimates, &aggregate, spec);
             let elapsed = Time::minutes(rng.gen_range(0.0..100.0));
             prop_assert_eq!(
                 estimate_rho_for_aggregate(&estimates, elapsed, &aggregate, spec),

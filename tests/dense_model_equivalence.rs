@@ -153,9 +153,11 @@ proptest! {
         prop_assert_eq!(&GpuAlloc::from_gpus(alloc.iter()), &alloc);
     }
 
-    /// Randomized set/add/saturating-sub sequences keep the dense
+    /// Randomized set/add-assign/sub-assign sequences keep the dense
     /// `FreeVector` in lock-step with a `BTreeMap` model, including the
-    /// "machines with zero count are omitted" equality semantics.
+    /// "machines with zero count are omitted" equality semantics; a
+    /// subtraction takes at most what the machine has, as `sub_assign`
+    /// requires, and the model's saturating one is the same.
     #[test]
     fn free_vector_agrees_with_btree_map_model(
         ops in prop::collection::vec((0u8..3, 0u32..24, 0usize..6), 0..80),
@@ -175,14 +177,14 @@ proptest! {
                 }
                 1 => {
                     let delta = FreeVector::from_counts([(m, count)]);
-                    vector = vector.add(&delta);
+                    vector.add_assign(&delta);
                     if count > 0 {
                         *model.entry(machine).or_insert(0) += count;
                     }
                 }
                 _ => {
-                    let delta = FreeVector::from_counts([(m, count)]);
-                    vector = vector.saturating_sub(&delta);
+                    let delta = FreeVector::from_counts([(m, count.min(vector.on_machine(m)))]);
+                    vector.sub_assign(&delta);
                     if count > 0 {
                         if let Some(current) = model.get_mut(&machine) {
                             *current = current.saturating_sub(count);
@@ -204,7 +206,8 @@ proptest! {
         prop_assert!(vector.contains_vector(&rebuilt));
     }
 
-    /// `add_assign` matches `add`.
+    /// `add_assign` matches the per-machine sum of the two vectors,
+    /// computed on a `BTreeMap` model.
     #[test]
     fn free_vector_add_assign_agrees_with_add(
         counts in prop::collection::vec((0u32..24, 0usize..5), 0..12),
@@ -212,9 +215,13 @@ proptest! {
     ) {
         let vector = FreeVector::from_counts(counts.iter().map(|(m, c)| (MachineId(*m), *c)));
         let delta = FreeVector::from_counts(extra.iter().map(|(m, c)| (MachineId(*m), *c)));
+        let mut sum: BTreeMap<MachineId, usize> = BTreeMap::new();
+        for (machine, count) in vector.iter().chain(delta.iter()) {
+            *sum.entry(machine).or_insert(0) += count;
+        }
         let mut in_place = vector.clone();
         in_place.add_assign(&delta);
-        prop_assert_eq!(in_place, vector.add(&delta));
+        prop_assert_eq!(in_place, FreeVector::from_counts(sum));
     }
 }
 

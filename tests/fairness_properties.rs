@@ -86,7 +86,7 @@ proptest! {
         let result = partial_allocation(&bids, &offer);
         let mut used = FreeVector::empty();
         for award in &result.awards {
-            used = used.add(&award.awarded);
+            used.add_assign(&award.awarded);
             prop_assert!(award.payment_factor > 0.0 && award.payment_factor <= 1.0 + 1e-9,
                 "payment factor {}", award.payment_factor);
             prop_assert!(offer.contains_vector(&award.proportional_fair));
@@ -268,10 +268,12 @@ proptest! {
         let b = FreeVector::from_counts(
             counts.iter().enumerate().map(|(m, c)| (MachineId(m as u32), c / 2)),
         );
-        let sum = a.add(&b);
+        let mut sum = a.clone();
+        sum.add_assign(&b);
         prop_assert_eq!(sum.total(), a.total() + b.total());
-        let back = sum.saturating_sub(&b);
-        prop_assert_eq!(back, a.clone());
         prop_assert!(sum.contains_vector(&a));
+        let mut back = sum;
+        back.sub_assign(&b);
+        prop_assert_eq!(back, a);
     }
 }

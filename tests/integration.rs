@@ -175,7 +175,8 @@ fn arbiter_and_agent_talk_over_the_in_memory_transport() {
         &bids,
         cluster.spec(),
     );
-    let grants = outcome.all_grants();
+    let round = outcome.round;
+    let grants = outcome.into_all_grants();
     let grant = &grants[&AppId(0)];
     assert_eq!(
         grant.total(),
@@ -183,7 +184,7 @@ fn arbiter_and_agent_talk_over_the_in_memory_transport() {
         "the lone app should win the whole machine"
     );
     let win = ArbiterToAgent::Win(WinNotification {
-        round: outcome.round,
+        round,
         app: AppId(0),
         job: JobId(0),
         gpus: vec![GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
