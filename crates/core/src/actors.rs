@@ -55,7 +55,7 @@
 //! [`MessageLog`](themis_protocol::log::MessageLog) and replayed
 //! byte-identically; see [`LogMode`].
 
-use crate::agent::Agent;
+use crate::agent::{Agent, AgentBuffers};
 use crate::arbiter::{AppStatus, Arbiter};
 use crate::config::ThemisConfig;
 use crate::rho::AwardSplit;
@@ -65,7 +65,6 @@ use themis_cluster::alloc::FreeVector;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
-use themis_hpo::api::JobEstimate;
 use themis_protocol::actor::{ActorId, TimerWheel};
 use themis_protocol::bid::BidTable;
 use themis_protocol::fault::FaultConfig;
@@ -284,9 +283,10 @@ pub struct DistributedThemisScheduler {
     /// Per-app GPU sets as last observed, for LeaseExpired notifications.
     observed_gpus: BTreeMap<AppId, BTreeSet<GpuId>>,
     stats: DistStats,
-    /// Materialization buffers, kept across auctions: a winner's estimates
-    /// as they stand when its grant is materialized, and the award split.
-    estimates: Vec<JobEstimate>,
+    /// What an Agent call reads — probes, bids, and a winner's estimates
+    /// as they stand when its grant is materialized — and the award split,
+    /// kept across messages and auctions.
+    buffers: AgentBuffers,
     split: AwardSplit,
 }
 
@@ -329,7 +329,7 @@ impl DistributedThemisScheduler {
             partition_until: 0,
             observed_gpus: BTreeMap::new(),
             stats: DistStats::default(),
-            estimates: Vec::new(),
+            buffers: AgentBuffers::default(),
             split: AwardSplit::default(),
             config,
         }
@@ -467,7 +467,7 @@ impl DistributedThemisScheduler {
             // resolves below).
             let report = match apps.get(app) {
                 Some(runtime) if !crashed && !runtime.is_finished() => {
-                    let rho = actor.agent.current_rho(at, runtime, cluster).rho;
+                    let rho = self.buffers.current_rho(at, runtime, cluster).rho;
                     Some(RhoReport { round, app, rho })
                 }
                 _ => None,
@@ -501,9 +501,13 @@ impl DistributedThemisScheduler {
                     return;
                 }
                 let actor = self.agents.get_mut(&app).expect("actor exists");
-                let table = actor
-                    .agent
-                    .prepare_bid(at, runtime, cluster, &offer.resources);
+                let table = self.buffers.prepare_bid(
+                    &mut actor.agent,
+                    at,
+                    runtime,
+                    cluster,
+                    &offer.resources,
+                );
                 let reply = if table.is_empty() {
                     AgentToArbiter::Pass { round, app }
                 } else {
@@ -813,11 +817,10 @@ impl DistributedThemisScheduler {
             let Some(runtime) = apps.get(app) else {
                 continue;
             };
-            self.estimates.clear();
-            runtime.estimates_into(&mut self.estimates);
+            let (context, _) = self.buffers.probe(at, runtime, cluster);
             materialize_grant(
                 app,
-                &self.estimates,
+                context.estimates,
                 &mut shadow,
                 &grant,
                 &mut self.split,

@@ -126,6 +126,59 @@ impl BidScratch {
     }
 }
 
+/// The buffers of one Agent call at a time, for a caller that answers ρ
+/// probes and offers message by message, as the actor runtime does. Each
+/// call reads its app into the buffers' `Probes`, forgetting the last one,
+/// and values it through `BidScratch` — the probe and bid path of the
+/// in-process scheduler — so a warm call allocates for the table it
+/// returns, not for the jobs it reads.
+#[derive(Debug, Default)]
+pub struct AgentBuffers {
+    probes: Probes,
+    scratch: BidScratch,
+}
+
+impl AgentBuffers {
+    /// Reads `runtime`'s app alone into the probes; the scratch values it.
+    pub(crate) fn probe(
+        &mut self,
+        now: Time,
+        runtime: &AppRuntime,
+        cluster: &Cluster,
+    ) -> (AppContext<'_>, &mut BidScratch) {
+        self.probes.clear();
+        (self.probes.push(now, runtime, cluster), &mut self.scratch)
+    }
+
+    /// [`Agent::current_rho`] through these buffers.
+    pub fn current_rho(
+        &mut self,
+        now: Time,
+        runtime: &AppRuntime,
+        cluster: &Cluster,
+    ) -> RhoEstimate {
+        let (context, scratch) = self.probe(now, runtime, cluster);
+        context.current_rho(cluster.spec(), scratch)
+    }
+
+    /// [`Agent::prepare_bid`] of `agent` through these buffers.
+    pub fn prepare_bid(
+        &mut self,
+        agent: &mut Agent,
+        now: Time,
+        runtime: &AppRuntime,
+        cluster: &Cluster,
+        offer: &FreeVector,
+    ) -> BidTable {
+        let (context, scratch) = self.probe(now, runtime, cluster);
+        let spec = cluster.spec();
+        let current_rho = context.current_rho(spec, scratch).rho;
+        let mut table = BidTable::empty(agent.app, current_rho);
+        agent.bid(context, current_rho, spec, offer, scratch, &mut table);
+        table
+    }
+}
+
 /// An offered machine, keyed for the packing order.
 #[derive(Debug, Clone, Copy)]
 struct Packed {
@@ -207,14 +260,15 @@ impl Agent {
     }
 
     /// Estimates the app's *current* ρ (with the GPUs it already holds),
-    /// answering the Arbiter's step-1 probe.
+    /// answering the Arbiter's step-1 probe. The one-shot form of
+    /// [`AgentBuffers::current_rho`]: the same path, on fresh buffers.
     pub fn current_rho(&self, now: Time, runtime: &AppRuntime, cluster: &Cluster) -> RhoEstimate {
-        Probes::default()
-            .push(now, runtime, cluster)
-            .current_rho(cluster.spec(), &mut BidScratch::default())
+        AgentBuffers::default().current_rho(now, runtime, cluster)
     }
 
-    /// Prepares the bid table in response to an offer (§5.2).
+    /// Prepares the bid table in response to an offer (§5.2). The one-shot
+    /// form of [`AgentBuffers::prepare_bid`]: the same path, on fresh
+    /// buffers.
     ///
     /// Candidate subsets are generated by, for every total GPU count `k` up
     /// to the app's unmet demand, picking the most tightly-packed `k` GPUs
@@ -228,20 +282,7 @@ impl Agent {
         cluster: &Cluster,
         offer: &FreeVector,
     ) -> BidTable {
-        let mut probe = Probes::default();
-        let context = probe.push(now, runtime, cluster);
-        let mut scratch = BidScratch::default();
-        let current_rho = context.current_rho(cluster.spec(), &mut scratch).rho;
-        let mut table = BidTable::empty(self.app, current_rho);
-        self.bid(
-            context,
-            current_rho,
-            cluster.spec(),
-            offer,
-            &mut scratch,
-            &mut table,
-        );
-        table
+        AgentBuffers::default().prepare_bid(self, now, runtime, cluster, offer)
     }
 
     /// [`Agent::prepare_bid`] for a caller that has probed the app already

@@ -8,7 +8,7 @@
 //! payments and unwanted capacity) to apps outside the auction in a
 //! placement-sensitive, work-conserving way (§5.1 "Leftover Allocation").
 
-use crate::auction::{partial_allocation, AuctionResult};
+use crate::auction::{AuctionResult, AuctionScratch};
 use crate::config::ThemisConfig;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -204,6 +204,8 @@ pub struct Arbiter {
     recipients: LeftoverRecipients,
     /// Leftover grants per status index (vectors are reused across rounds).
     grants: Vec<FreeVector>,
+    /// The mechanism's solve buffers, reused across rounds.
+    auction: AuctionScratch,
 }
 
 impl Arbiter {
@@ -214,6 +216,7 @@ impl Arbiter {
             rng: SmallRng::seed_from_u64(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             recipients: LeftoverRecipients::default(),
             grants: Vec::new(),
+            auction: AuctionScratch::default(),
             config,
         }
     }
@@ -260,7 +263,7 @@ impl Arbiter {
         spec: &ClusterSpec,
     ) -> AuctionOutcome {
         self.round += 1;
-        let auction = partial_allocation(bids, offer);
+        let auction = self.auction.run(bids, offer);
         let mut winners: BTreeMap<AppId, FreeVector> = BTreeMap::new();
         for award in &auction.awards {
             if !award.awarded.is_empty() {

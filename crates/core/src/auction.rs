@@ -31,8 +31,9 @@ const VALUE_FLOOR: f64 = 1e-12;
 /// Which solver computed the proportional-fair assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Unpruned exhaustive search over every per-app entry choice
-    /// (optimal; there is no bound, so the cost is the full `Π (entries+1)`).
+    /// Exhaustive search over every per-app entry choice that fits
+    /// (optimal). A table of nested rows is scanned up to its first row that
+    /// does not fit, so the cost is at most `Π (entries+1)` leaves.
     Exact,
     /// Greedy assignment, largest marginal gain first (used when the search
     /// space is too large for the exact solver; not known to be optimal).
@@ -97,210 +98,303 @@ fn scale_subset(pf: &FreeVector, c: f64) -> FreeVector {
     // Densest machines first so the kept GPUs stay packed.
     machines.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut remaining = target;
-    let mut kept = Vec::new();
+    let mut kept = FreeVector::empty();
     for (machine, count) in machines {
         if remaining == 0 {
             break;
         }
         let take = count.min(remaining);
-        kept.push((machine, take));
+        kept.set(machine, take);
         remaining -= take;
     }
-    FreeVector::from_counts(kept)
+    kept
 }
 
-fn entry_value(table: &BidTable, entry: Option<usize>) -> f64 {
-    let v = match entry {
-        Some(idx) => table.entries[idx].value(),
-        None => table.baseline_value(),
-    };
-    v.max(VALUE_FLOOR)
+/// The log-value of every choice of every bid, computed once per auction
+/// and read by the main solve and every leave-one-out solve alike.
+#[derive(Debug, Default)]
+struct LogValues {
+    /// Per bid: `ln` of its floored baseline value, then of each row's.
+    logs: Vec<f64>,
+    /// Per bid: where its log-values start in `logs`, and whether its rows
+    /// are nested — each contains the one before it, as an Agent's packed
+    /// prefixes do — so that a row that does not fit rules out every row
+    /// after it.
+    bids: Vec<(usize, bool)>,
 }
 
-/// Σ log-value, added in bid order.
-fn assignment_log_value(bids: &[&BidTable], assignment: &Assignment) -> f64 {
-    bids.iter()
-        .zip(assignment)
-        .map(|(t, entry)| entry_value(t, *entry).ln())
-        .sum()
-}
-
-fn assignment_fits(bids: &[&BidTable], assignment: &Assignment, offer: &FreeVector) -> bool {
-    let mut used = FreeVector::empty();
-    for (table, entry) in bids.iter().zip(assignment) {
-        if let Some(idx) = entry {
-            used.add_assign(&table.entries[*idx].resources);
+impl LogValues {
+    fn fill(&mut self, bids: &[BidTable]) {
+        let ln = |value: f64| value.max(VALUE_FLOOR).ln();
+        self.logs.clear();
+        self.bids.clear();
+        for table in bids {
+            let rows = &table.entries;
+            let nested = rows
+                .windows(2)
+                .all(|pair| pair[1].resources.contains_vector(&pair[0].resources));
+            self.bids.push((self.logs.len(), nested));
+            self.logs.push(ln(table.baseline_value()));
+            self.logs.extend(rows.iter().map(|row| ln(row.value())));
         }
     }
-    offer.contains_vector(&used)
+
+    /// `ln` of what bid `bid` gets from `entry` ("nothing" for `None`).
+    fn log(&self, bid: usize, entry: Option<usize>) -> f64 {
+        self.logs[self.bids[bid].0 + entry.map_or(0, |i| i + 1)]
+    }
+
+    fn nested(&self, bid: usize) -> bool {
+        self.bids[bid].1
+    }
+
+    /// Σ log-value of `assignment` over `members`, added in member order.
+    fn sum(&self, members: &[usize], assignment: &Assignment) -> f64 {
+        members
+            .iter()
+            .zip(assignment)
+            .map(|(&bid, entry)| self.log(bid, *entry))
+            .sum()
+    }
 }
 
-/// The exhaustive search's state: one `remaining` offer, taken from on the
-/// way down and given back on the way up, and the assignment under
-/// construction, so a search node allocates nothing.
-struct Search<'a> {
-    bids: &'a [&'a BidTable],
+/// One solve's state: the `remaining` offer, taken from on the way down
+/// and given back on the way up, the assignment under construction and
+/// `best`, the solve's result, so a search node allocates nothing.
+#[derive(Debug, Default)]
+struct SolveBuffers {
     remaining: FreeVector,
     current: Assignment,
-    best_log: f64,
     best: Assignment,
 }
 
-impl Search<'_> {
-    fn recurse(&mut self, idx: usize, current_log: f64) {
-        if idx == self.bids.len() {
-            if current_log > self.best_log {
-                self.best_log = current_log;
-                self.best.clone_from(&self.current);
-            }
-            return;
+/// Reusable buffers of the mechanism. The Arbiter keeps one, so a warm
+/// auction allocates for the awards it returns, not for its solves.
+#[derive(Debug, Default)]
+pub(crate) struct AuctionScratch {
+    values: LogValues,
+    /// The bids a solve sees, as positions in the auction's bid list.
+    members: Vec<usize>,
+    solve: SolveBuffers,
+    /// The main solve's assignment, kept through the leave-one-out solves.
+    assignment: Assignment,
+}
+
+/// What every solve of one auction reads.
+#[derive(Clone, Copy)]
+struct Instance<'a> {
+    bids: &'a [BidTable],
+    values: &'a LogValues,
+    offer: &'a FreeVector,
+}
+
+impl Instance<'_> {
+    /// Solves the proportional-fair assignment over the bids of `members`
+    /// into `buffers.best`, choosing the exact solver when the search space
+    /// is small enough.
+    fn solve(self, members: &[usize], buffers: &mut SolveBuffers) -> SolverKind {
+        const EXACT_SEARCH_LIMIT: f64 = 20_000.0;
+        let space: f64 = members
+            .iter()
+            .map(|&bid| (self.bids[bid].entries.len() + 1) as f64)
+            .product();
+        buffers.remaining.clone_from(self.offer);
+        for assignment in [&mut buffers.current, &mut buffers.best] {
+            assignment.clear();
+            assignment.resize(members.len(), None);
         }
-        let table = self.bids[idx];
-        // Option A: this app receives nothing.
-        self.recurse(idx + 1, current_log + entry_value(table, None).ln());
-        // Option B: each feasible entry.
-        for (i, entry) in table.entries.iter().enumerate() {
-            if self.remaining.contains_vector(&entry.resources) {
-                self.remaining.sub_assign(&entry.resources);
-                self.current[idx] = Some(i);
-                self.recurse(idx + 1, current_log + entry_value(table, Some(i)).ln());
-                self.current[idx] = None;
-                self.remaining.add_assign(&entry.resources);
+        if space <= EXACT_SEARCH_LIMIT {
+            Search {
+                instance: self,
+                members,
+                buffers,
+                best_log: f64::NEG_INFINITY,
+            }
+            .recurse(0, 0.0);
+            SolverKind::Exact
+        } else {
+            self.solve_greedy(members, buffers);
+            SolverKind::Greedy
+        }
+    }
+
+    /// Greedy assignment: repeatedly grants the largest positive marginal
+    /// log-value gain that still fits, to an app that has no entry yet.
+    ///
+    /// No single-app change improves the result, so a local-search pass
+    /// after it would never move: each winner took its best-valued entry
+    /// within the capacity left at its turn, which contains what the other
+    /// winners leave it at the end, and a loser had no entry above its
+    /// baseline within the final remainder
+    /// (`tests::greedy_result_admits_no_single_app_improvement`).
+    fn solve_greedy(self, members: &[usize], buffers: &mut SolveBuffers) {
+        let SolveBuffers {
+            remaining,
+            best: assignment,
+            ..
+        } = buffers;
+        let values = self.values;
+        loop {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (pos, &bid) in members.iter().enumerate() {
+                if assignment[pos].is_some() {
+                    continue;
+                }
+                let base = values.log(bid, None);
+                for (i, entry) in self.bids[bid].entries.iter().enumerate() {
+                    if !remaining.contains_vector(&entry.resources) {
+                        if values.nested(bid) {
+                            break;
+                        }
+                        continue;
+                    }
+                    let gain = values.log(bid, Some(i)) - base;
+                    if gain <= 0.0 {
+                        continue;
+                    }
+                    match best {
+                        Some((_, _, g)) if gain <= g => {}
+                        _ => best = Some((pos, i, gain)),
+                    }
+                }
+            }
+            let Some((pos, idx, _)) = best else { break };
+            remaining.sub_assign(&self.bids[members[pos]].entries[idx].resources);
+            assignment[pos] = Some(idx);
+        }
+    }
+
+    fn fits(self, members: &[usize], assignment: &Assignment) -> bool {
+        let mut used = FreeVector::empty();
+        for (&bid, entry) in members.iter().zip(assignment) {
+            if let Some(idx) = entry {
+                used.add_assign(&self.bids[bid].entries[*idx].resources);
             }
         }
+        self.offer.contains_vector(&used)
     }
 }
 
 /// Exhaustive search over per-app entry choices (including "nothing"),
 /// maximizing the sum of log-values subject to capacity. Exponential in the
 /// number of apps, so only used when `Π (entries+1)` is small. Visits
-/// "nothing" first, then the entries in table order, and keeps the first of
-/// equal optima.
-fn solve_exact(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
-    let mut search = Search {
-        bids,
-        remaining: offer.clone(),
-        current: vec![None; bids.len()],
-        best_log: f64::NEG_INFINITY,
-        best: vec![None; bids.len()],
-    };
-    search.recurse(0, 0.0);
-    search.best
+/// "nothing" first, then the entries in table order — up to the first that
+/// does not fit, in a nested table — and keeps the first of equal optima.
+struct Search<'a> {
+    instance: Instance<'a>,
+    members: &'a [usize],
+    buffers: &'a mut SolveBuffers,
+    best_log: f64,
 }
 
-/// Greedy assignment: repeatedly grants the largest positive marginal
-/// log-value gain that still fits, to an app that has no entry yet.
-///
-/// No single-app change improves the result, so a local-search pass after
-/// it would never move: each winner took its best-valued entry within the
-/// capacity left at its turn, which contains what the other winners leave
-/// it at the end, and a loser had no entry above its baseline within the
-/// final remainder (`tests::greedy_result_admits_no_single_app_improvement`).
-fn solve_greedy(bids: &[&BidTable], offer: &FreeVector) -> Assignment {
-    let mut assignment: Assignment = vec![None; bids.len()];
-    let mut remaining = offer.clone();
-
-    loop {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (pos, table) in bids.iter().enumerate() {
-            if assignment[pos].is_some() {
-                continue;
+impl Search<'_> {
+    fn recurse(&mut self, idx: usize, current_log: f64) {
+        if idx == self.members.len() {
+            if current_log > self.best_log {
+                self.best_log = current_log;
+                self.buffers.best.clone_from(&self.buffers.current);
             }
-            let base = entry_value(table, None).ln();
-            for (i, entry) in table.entries.iter().enumerate() {
-                if !remaining.contains_vector(&entry.resources) {
-                    continue;
-                }
-                let gain = entry_value(table, Some(i)).ln() - base;
-                if gain <= 0.0 {
-                    continue;
-                }
-                match best {
-                    Some((_, _, g)) if gain <= g => {}
-                    _ => best = Some((pos, i, gain)),
-                }
+            return;
+        }
+        let Instance { bids, values, .. } = self.instance;
+        let bid = self.members[idx];
+        // Option A: this app receives nothing.
+        self.recurse(idx + 1, current_log + values.log(bid, None));
+        // Option B: each feasible entry.
+        for (i, entry) in bids[bid].entries.iter().enumerate() {
+            if self.buffers.remaining.contains_vector(&entry.resources) {
+                self.buffers.remaining.sub_assign(&entry.resources);
+                self.buffers.current[idx] = Some(i);
+                self.recurse(idx + 1, current_log + values.log(bid, Some(i)));
+                self.buffers.current[idx] = None;
+                self.buffers.remaining.add_assign(&entry.resources);
+            } else if values.nested(bid) {
+                break;
             }
         }
-        let Some((pos, idx, _)) = best else { break };
-        remaining.sub_assign(&bids[pos].entries[idx].resources);
-        assignment[pos] = Some(idx);
-    }
-    assignment
-}
-
-/// Solves the proportional-fair assignment, choosing the exact solver when
-/// the search space is small enough.
-fn solve(bids: &[&BidTable], offer: &FreeVector) -> (Assignment, SolverKind) {
-    const EXACT_SEARCH_LIMIT: f64 = 20_000.0;
-    let space: f64 = bids.iter().map(|t| (t.entries.len() + 1) as f64).product();
-    if space <= EXACT_SEARCH_LIMIT {
-        (solve_exact(bids, offer), SolverKind::Exact)
-    } else {
-        (solve_greedy(bids, offer), SolverKind::Greedy)
     }
 }
 
 /// Runs the partial-allocation mechanism, hidden payments included, over a
 /// set of bids for an offer.
 pub fn partial_allocation(bids: &[BidTable], offer: &FreeVector) -> AuctionResult {
-    if bids.is_empty() || offer.is_empty() {
-        return AuctionResult {
-            awards: Vec::new(),
-            leftover: offer.clone(),
-            solver: SolverKind::Exact,
+    AuctionScratch::default().run(bids, offer)
+}
+
+impl AuctionScratch {
+    /// [`partial_allocation`] through these buffers.
+    pub(crate) fn run(&mut self, bids: &[BidTable], offer: &FreeVector) -> AuctionResult {
+        if bids.is_empty() || offer.is_empty() {
+            return AuctionResult {
+                awards: Vec::new(),
+                leftover: offer.clone(),
+                solver: SolverKind::Exact,
+            };
+        }
+        let AuctionScratch {
+            values,
+            members,
+            solve: buffers,
+            assignment,
+        } = self;
+        values.fill(bids);
+        let instance = Instance {
+            bids,
+            values,
+            offer,
         };
-    }
+        members.clear();
+        members.extend(0..bids.len());
+        let solver = instance.solve(members, buffers);
+        std::mem::swap(assignment, &mut buffers.best);
 
-    let bids: Vec<&BidTable> = bids.iter().collect();
-    let (assignment, solver) = solve(&bids, offer);
+        // Π_{j≠i} V_j under the chosen assignment, per excluded app i, is
+        // recomputed from scratch per app below via re-solving without i.
+        let full_log = values.sum(members, assignment);
+        debug_assert!(instance.fits(members, assignment));
 
-    // Π_{j≠i} V_j under the chosen assignment, per excluded app i, is
-    // recomputed from scratch per app below via re-solving without i.
-    let full_log = assignment_log_value(&bids, &assignment);
-    debug_assert!(assignment_fits(&bids, &assignment, offer));
+        let mut awards = Vec::new();
+        let mut used = FreeVector::empty();
+        for (pos, table) in bids.iter().enumerate() {
+            let Some(entry_idx) = assignment[pos] else {
+                continue;
+            };
+            let entry = &table.entries[entry_idx];
+            if entry.resources.is_empty() {
+                continue;
+            }
 
-    let mut awards = Vec::new();
-    let mut used = FreeVector::empty();
-    let mut others: Vec<&BidTable> = Vec::with_capacity(bids.len());
-    for (pos, &table) in bids.iter().enumerate() {
-        let Some(entry_idx) = assignment[pos] else {
-            continue;
-        };
-        let entry = &table.entries[entry_idx];
-        if entry.resources.is_empty() {
-            continue;
+            // Numerator: Π_{j≠i} V_j under the PF assignment with i present.
+            let log_without_i_present = full_log - values.log(pos, Some(entry_idx));
+            // Denominator: Π_{j≠i} V_j under the PF assignment computed
+            // without app i participating at all.
+            members.clear();
+            members.extend((0..bids.len()).filter(|&bid| bid != pos));
+            instance.solve(members, buffers);
+            let log_without_i = values.sum(members, &buffers.best);
+            let payment_factor = (log_without_i_present - log_without_i)
+                .exp()
+                .clamp(0.0, 1.0);
+
+            let awarded = scale_subset(&entry.resources, payment_factor);
+            used.add_assign(&awarded);
+            awards.push(Award {
+                app: table.app,
+                proportional_fair: entry.resources.clone(),
+                payment_factor,
+                awarded,
+                rho: entry.rho,
+            });
         }
 
-        // Numerator: Π_{j≠i} V_j under the PF assignment with i present.
-        let log_without_i_present = full_log - entry_value(table, Some(entry_idx)).ln();
-        // Denominator: Π_{j≠i} V_j under the PF assignment computed
-        // without app i participating at all.
-        others.clear();
-        others.extend(bids[..pos].iter().chain(&bids[pos + 1..]));
-        let (assignment_without_i, _) = solve(&others, offer);
-        let log_without_i = assignment_log_value(&others, &assignment_without_i);
-        let payment_factor = (log_without_i_present - log_without_i)
-            .exp()
-            .clamp(0.0, 1.0);
-
-        let awarded = scale_subset(&entry.resources, payment_factor);
-        used.add_assign(&awarded);
-        awards.push(Award {
-            app: table.app,
-            proportional_fair: entry.resources.clone(),
-            payment_factor,
-            awarded,
-            rho: entry.rho,
-        });
-    }
-
-    // The awards are cut from a fitting assignment, so they fit too.
-    let mut leftover = offer.clone();
-    leftover.sub_assign(&used);
-    AuctionResult {
-        awards,
-        leftover,
-        solver,
+        // The awards are cut from a fitting assignment, so they fit too.
+        let mut leftover = offer.clone();
+        leftover.sub_assign(&used);
+        AuctionResult {
+            awards,
+            leftover,
+            solver,
+        }
     }
 }
 
@@ -624,10 +718,17 @@ mod tests {
         /// trade up.
         #[test]
         fn greedy_result_admits_no_single_app_improvement(seed in 0u64..u64::MAX) {
-            let (tables, offer) = random_instance(seed);
-            let bids: Vec<&BidTable> = tables.iter().collect();
-            let assignment = solve_greedy(&bids, &offer);
-            prop_assert!(assignment_fits(&bids, &assignment, &offer));
+            let (bids, offer) = random_instance(seed);
+            let mut values = LogValues::default();
+            values.fill(&bids);
+            let instance = Instance { bids: &bids, values: &values, offer: &offer };
+            let members: Vec<usize> = (0..bids.len()).collect();
+            let mut buffers = SolveBuffers::default();
+            buffers.remaining.clone_from(&offer);
+            buffers.best.resize(bids.len(), None);
+            instance.solve_greedy(&members, &mut buffers);
+            let assignment = buffers.best;
+            prop_assert!(instance.fits(&members, &assignment));
             for (pos, table) in bids.iter().enumerate() {
                 let mut others = assignment.clone();
                 let own = others[pos].take();
@@ -637,13 +738,13 @@ mod tests {
                         available.sub_assign(&other.entries[*i].resources);
                     }
                 }
-                let own_value = entry_value(table, own).ln();
+                let own_value = values.log(pos, own);
                 for candidate in std::iter::once(None).chain((0..table.entries.len()).map(Some)) {
                     if candidate.is_some_and(|i| !available.contains_vector(&table.entries[i].resources)) {
                         continue;
                     }
                     prop_assert!(
-                        entry_value(table, candidate).ln() <= own_value + 1e-12,
+                        values.log(pos, candidate) <= own_value + 1e-12,
                         "seed {seed}: {:?} improves from {own:?} to {candidate:?}",
                         table.app
                     );

@@ -108,18 +108,29 @@ fn locality_of(picks: &[Supply]) -> Locality {
 }
 
 /// The order the greedy distribution visits jobs in: increasing work left,
-/// then job id (then position, which makes the unstable sort the stable
-/// one).
-fn visiting_order(order: &mut Vec<usize>, estimates: &[JobEstimate]) {
+/// then job id, then position (which makes the unstable sort the stable
+/// one), as one flat integer key per job whose low 32 bits are the
+/// position.
+fn visiting_order(order: &mut Vec<u128>, estimates: &[JobEstimate]) {
     order.clear();
-    order.extend(0..estimates.len());
-    order.sort_unstable_by(|&a, &b| {
-        let (ea, eb) = (&estimates[a], &estimates[b]);
-        ea.work_left
-            .cmp(&eb.work_left)
-            .then(ea.job.cmp(&eb.job))
-            .then(a.cmp(&b))
-    });
+    order.extend(estimates.iter().enumerate().map(|(pos, est)| {
+        (u128::from(time_key(est.work_left)) << 64) | (u128::from(est.job.0) << 32) | pos as u128
+    }));
+    order.sort_unstable();
+}
+
+/// `t` as a `u64` that orders exactly as `Time::cmp` does: the sign bit
+/// flipped for non-negative values and every bit for negative ones, after
+/// −0.0 is folded into +0.0, which `Time::cmp` holds equal. `Time` is never
+/// NaN.
+fn time_key(t: Time) -> u64 {
+    let minutes = t.as_minutes();
+    let bits = if minutes == 0.0 { 0 } else { minutes.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// The greedy placement itself (§5.2 step 4, "the AGENT computes the
@@ -133,17 +144,18 @@ fn visiting_order(order: &mut Vec<usize>, estimates: &[JobEstimate]) {
 /// GPUs. Stops when the supply is gone. `work` must hold no zero-count
 /// entry and no machine twice.
 fn place_greedily(
-    order: &[usize],
+    order: &[u128],
     need: impl Fn(usize) -> usize,
     work: &mut Vec<Supply>,
     picks: &mut Vec<Supply>,
     mut on_share: impl FnMut(usize, &mut [Supply]),
 ) {
     let mut left: usize = work.iter().map(|s| s.count).sum();
-    for &pos in order {
+    for &key in order {
         if left == 0 {
             break;
         }
+        let pos = key as u32 as usize;
         let mut need = need(pos);
         picks.clear();
         while need > 0 && left > 0 {
@@ -179,7 +191,7 @@ fn place_greedily(
 /// largest app and award seen, never with the cluster.
 #[derive(Debug, Default)]
 pub(crate) struct AwardSplit {
-    order: Vec<usize>,
+    order: Vec<u128>,
     /// The job of every GPU the app holds, sorted.
     held: Vec<JobId>,
     work: Vec<Supply>,
@@ -347,7 +359,7 @@ pub fn estimate_rho_for_aggregate(
 /// supply) and never with the cluster.
 #[derive(Debug, Default)]
 pub(crate) struct RhoKernel {
-    order: Vec<usize>,
+    order: Vec<u128>,
     work: Vec<Supply>,
     picks: Vec<Supply>,
     /// `(estimate position, speed-up term)` of the jobs holding a share.
@@ -452,6 +464,26 @@ mod tests {
     fn spec() -> ClusterSpec {
         // 2 racks × 2 machines × 4 GPUs, slot size 2.
         ClusterSpec::homogeneous(2, 2, 4)
+    }
+
+    #[test]
+    fn time_key_orders_as_time_cmp() {
+        let times = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.0,
+            f64::INFINITY,
+        ]
+        .map(Time::minutes);
+        for a in times {
+            for b in times {
+                assert_eq!(time_key(a).cmp(&time_key(b)), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! estimates and holdings, the statuses, a pool of bid tables, the search's
 //! one remaining offer, the award split — so a warm call allocates for the
 //! decisions it returns, not for the apps, jobs, bid rows or search nodes it
-//! reads. The assertions are structural: two states that differ only in
-//! what is read must cost the same number of allocations, whatever that
-//! number is.
+//! reads. The actor runtime answers each ρ query and offer through one
+//! `AgentBuffers` it keeps, so a warm query plus bid allocates for the table
+//! it sends, not for the jobs it reads. The assertions are structural: two
+//! states that differ only in what is read must cost the same number of
+//! allocations, whatever that number is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +16,7 @@ use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
+use themis_core::agent::{Agent, AgentBuffers};
 use themis_core::config::ThemisConfig;
 use themis_core::scheduler::ThemisScheduler;
 use themis_sim::app_runtime::AppRuntime;
@@ -185,5 +188,33 @@ fn allocations_follow_the_decisions_not_apps_times_jobs() {
         "eight decisions ({}) cost no more than one ({})",
         eight[0],
         one[0]
+    );
+}
+
+#[test]
+fn actor_probe_and_bid_cost_no_allocation_per_job() {
+    // One app on an empty 8-GPU machine, jobs of parallelism 8: a table of
+    // eight rows, however many jobs the app has.
+    let now = Time::minutes(10.0);
+    let mut requests = Vec::new();
+    for jobs in [2, 16] {
+        let state = empty_cluster_state(1, jobs, 8);
+        let runtime = state.apps.get(AppId(0)).expect("app 0 exists");
+        let offer = state.cluster.free_vector();
+        let mut agent = Agent::new(AppId(0), &ThemisConfig::default());
+        let mut buffers = AgentBuffers::default();
+        let mut query_and_bid = || {
+            buffers.current_rho(now, runtime, &state.cluster);
+            buffers.prepare_bid(&mut agent, now, runtime, &state.cluster, &offer)
+        };
+        query_and_bid();
+        let before = REQUESTS.with(Cell::get);
+        let table = query_and_bid();
+        requests.push(REQUESTS.with(Cell::get) - before);
+        assert_eq!(table.len(), 8);
+    }
+    assert_eq!(
+        requests[0], requests[1],
+        "2 and 16 jobs cost {requests:?} allocations"
     );
 }

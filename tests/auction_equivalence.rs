@@ -10,10 +10,16 @@
 //! reference model: same solver kind, same awards, the same payment factors
 //! to the last bit, the same leftover.
 //!
+//! Both solvers now also read one table of log-values, computed once per
+//! auction and shared with the leave-one-out solves, and stop scanning a
+//! nested table (each row containing the one before it) at its first row
+//! that does not fit.
+//!
 //! Checked to fail under seeded mutations of the new code: the exact
 //! search's leaf comparison `>` turned into `>=` (a later equal optimum
-//! replaces the first), and the `add_assign` undo after a subtree dropped
-//! (later siblings see too little capacity).
+//! replaces the first), the `add_assign` undo after a subtree dropped
+//! (later siblings see too little capacity), and the row cut applied to
+//! every table, nested or not.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -236,10 +242,11 @@ fn ref_partial_allocation(
 /// Up to 6 machines of 1–4 GPUs and 1–8 bidders (app ids with gaps, in no
 /// particular order). Half of the instances are sized for the exact solver
 /// (at most 4 bidders × 8 rows), half for the greedy one (6–8 bidders ×
-/// 6–12 rows). Every row is a non-empty subset of the offer; a fifth
-/// repeat an earlier row's subset, and row ρs are a few multiples of the
-/// bidder's current ρ, so values tie and some rows are worth less than
-/// nothing (or exactly nothing).
+/// 6–12 rows). Every row is a non-empty subset of the offer. A third of the
+/// tables are nested prefixes, consecutive rows now and then equal; in the
+/// rest a fifth of the rows repeat an earlier row's subset. Row ρs are a
+/// few multiples of the bidder's current ρ, so values tie and some rows are
+/// worth less than nothing (or exactly nothing).
 fn random_instance(rng: &mut SmallRng) -> (Vec<BidTable>, FreeVector) {
     let machines: Vec<(u32, usize)> = (0..rng.gen_range(1..=6u32))
         .map(|m| (m, rng.gen_range(1..=4usize)))
@@ -265,8 +272,25 @@ fn random_instance(rng: &mut SmallRng) -> (Vec<BidTable>, FreeVector) {
                 16.0
             };
             let mut table = BidTable::empty(AppId(app), current_rho);
+            // A third of the tables are nested, as an Agent's packed
+            // prefixes are: each row is the one before it plus up to two
+            // GPUs the offer still has, or the same subset again.
+            let nested = rng.gen_range(0..3u8) == 0;
             for _ in 0..rng.gen_range(rows.clone()) {
                 let resources = match table.entries.len() {
+                    n if nested => {
+                        let mut subset = match n {
+                            0 => fv([(machines[0].0, 1)]),
+                            _ => table.entries[n - 1].resources.clone(),
+                        };
+                        for _ in 0..rng.gen_range(0..=2u8) {
+                            let (m, cap) = machines[rng.gen_range(0..machines.len())];
+                            let machine = MachineId(m);
+                            let held = subset.on_machine(machine);
+                            subset.set(machine, (held + 1).min(cap));
+                        }
+                        subset
+                    }
                     n if n > 0 && rng.gen_range(0..5u8) == 0 => {
                         table.entries[rng.gen_range(0..n)].resources.clone()
                     }
@@ -289,18 +313,29 @@ fn random_instance(rng: &mut SmallRng) -> (Vec<BidTable>, FreeVector) {
 }
 
 /// The generator reaches both solvers, so the property compares the exact
-/// search and the greedy pass, not only one of them.
+/// search and the greedy pass, not only one of them, and it builds nested
+/// tables with equal consecutive rows, so the solvers' row cut is exercised
+/// where it is tightest.
 #[test]
 fn the_generator_reaches_both_solvers() {
-    let (mut exact, mut greedy) = (0, 0);
+    let (mut exact, mut greedy, mut repeats) = (0, 0, 0);
     for case in 0..64 {
         let (bids, offer) = random_instance(&mut SmallRng::seed_from_u64(case));
         match partial_allocation(&bids, &offer).solver {
             SolverKind::Exact => exact += 1,
             SolverKind::Greedy => greedy += 1,
         }
+        for table in &bids {
+            let rows = &table.entries;
+            let nested = rows
+                .windows(2)
+                .all(|w| w[1].resources.contains_vector(&w[0].resources));
+            let repeat = rows.windows(2).any(|w| w[1].resources == w[0].resources);
+            repeats += usize::from(nested && repeat && rows.len() > 2);
+        }
     }
     assert!(exact > 0 && greedy > 0, "exact {exact}, greedy {greedy}");
+    assert!(repeats > 0, "no nested table repeats a row");
 }
 
 proptest! {

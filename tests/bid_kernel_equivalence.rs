@@ -10,8 +10,14 @@
 //! reference models. The contract is observational purity: every `f64` equal
 //! with `==`, every RNG draw in the same place, every decision the same.
 //!
+//! The visiting order now sorts flat integer keys instead of comparing
+//! estimates, which (a)–(c) pin; the actor runtime answers through borrowed
+//! `AgentBuffers`, which (e) pins against the one-shot calls.
+//!
 //! Each property was checked to fail under seeded mutations of the new
-//! code: (a) dropping the job-id tie-break of the visiting order, adding
+//! code: (a)–(c) dropping the −0.0 fold from the visiting order's work-left
+//! key (the scripted estimates report −0.0 next to +0.0); (a) dropping the
+//! job-id tie-break of the visiting order, adding
 //! the speed-up terms in visiting instead of estimates order, packing
 //! without the footprint preference, drawing the error only for a
 //! non-empty table; (b) letting jobs with no work left skip their share;
@@ -20,7 +26,8 @@
 //! instead of its first, ignoring held GPUs in `materialize_grant`; (d) not
 //! adding an app granted on the drained machine to the local tier, keeping
 //! an app listed after its demand reached zero, not deducting auction
-//! awards from the demands.
+//! awards from the demands; (e) not clearing the candidate subset at the
+//! start of a bid.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -34,7 +41,7 @@ use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
 use themis_cluster::topology::{ClusterSpec, GpuGeneration};
 use themis_cluster::view::{ClusterState, ClusterView};
-use themis_core::agent::{Agent, MAX_BID_ENTRIES};
+use themis_core::agent::{Agent, AgentBuffers, MAX_BID_ENTRIES};
 use themis_core::arbiter::{AppStatus, Arbiter, LeftoverRecipients};
 use themis_core::auction::partial_allocation;
 use themis_core::config::ThemisConfig;
@@ -701,14 +708,19 @@ fn random_app(rng: &mut SmallRng, id: u32) -> AppRuntime {
     let arrival = Time::minutes(rng.gen_range(0.0..50.0));
     let spec = AppSpec::new(AppId(id), arrival, jobs);
     let mut rt = if rng.gen_range(0..4u8) == 0 {
-        // Estimates for some of the jobs, in any order, a quarter of them
-        // with nothing left to do.
+        // Estimates for some of the jobs, in any order: some with nothing
+        // left to do, as +0.0, as −0.0 (which `Time::cmp` holds equal) or
+        // as a negative overshoot, and some tied exactly on work left.
+        let tie = Time::minutes(rng.gen_range(1.0..100.0));
         let mut estimates: Vec<JobEstimate> = spec
             .jobs
             .iter()
             .filter_map(|job| {
-                let work_left = match rng.gen_range(0..4u8) {
+                let work_left = match rng.gen_range(0..8u8) {
                     0 => Time::ZERO,
+                    1 => Time::minutes(-0.0),
+                    2 => Time::minutes(-rng.gen_range(0.0..5.0f64)),
+                    3 => tie,
                     _ => job.total_work() * rng.gen_range(0.05..1.0),
                 };
                 (rng.gen_range(0..5u8) > 0).then_some(JobEstimate {
@@ -997,6 +1009,37 @@ proptest! {
                 reference.run_auction(&leftover, &statuses, &participants, &[], &spec);
             prop_assert_eq!(outcome.winners, winners);
             prop_assert_eq!(outcome.leftover_grants, grants);
+        }
+    }
+
+    /// (e) The actor runtime's borrowed buffers ≡ the one-shot calls: one
+    /// `AgentBuffers`, reused across every app of the state for two rounds,
+    /// answers each ρ query and offer exactly as `Agent::current_rho` and
+    /// `Agent::prepare_bid` on fresh buffers do — table for table and draw
+    /// for draw.
+    #[test]
+    fn borrowed_agent_buffers_agree_with_the_one_shot_calls(case in 0u64..u64::MAX) {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let state = random_state(&mut rng);
+        let config = random_config(&mut rng);
+        let agents = || -> Vec<Agent> {
+            state.apps.iter().map(|rt| Agent::new(rt.id(), &config)).collect()
+        };
+        let (mut borrowed, mut one_shot) = (agents(), agents());
+        let mut buffers = AgentBuffers::default();
+        let (now, cluster) = (state.now, &state.cluster);
+        for _ in 0..2 {
+            for (idx, runtime) in state.apps.iter().enumerate() {
+                prop_assert_eq!(
+                    buffers.current_rho(now, runtime, cluster),
+                    one_shot[idx].current_rho(now, runtime, cluster)
+                );
+                let offer = random_offer(&mut rng, cluster);
+                prop_assert_eq!(
+                    buffers.prepare_bid(&mut borrowed[idx], now, runtime, cluster, &offer),
+                    one_shot[idx].prepare_bid(now, runtime, cluster, &offer)
+                );
+            }
         }
     }
 }
