@@ -15,7 +15,6 @@ use crate::ids::{AppId, GpuId, JobId, MachineId};
 use crate::lease::{Lease, LeaseTable};
 use crate::time::Time;
 use crate::topology::ClusterSpec;
-use std::collections::BTreeMap;
 
 /// The owner of an allocated GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,14 +23,6 @@ pub struct Assignment {
     pub app: AppId,
     /// Job (within the app) the GPU is assigned to.
     pub job: JobId,
-}
-
-/// Reusable buffers for [`Cluster::for_each_job_of_app`]. Keep one per
-/// long-lived caller; its contents between calls are unspecified.
-#[derive(Debug, Clone, Default)]
-pub struct JobHoldings {
-    pairs: Vec<(JobId, GpuId)>,
-    alloc: GpuAlloc,
 }
 
 /// One app's entry in the per-app index.
@@ -69,6 +60,7 @@ impl Cluster {
     /// Creates a fully-idle cluster from a specification.
     pub fn new(spec: ClusterSpec) -> Self {
         let assignments = vec![None; spec.total_gpus()];
+        let leases = LeaseTable::with_gpus(spec.total_gpus());
         let free_per_machine = spec
             .machines()
             .iter()
@@ -85,7 +77,7 @@ impl Cluster {
             free_mask,
             allocated: 0,
             per_app: Vec::new(),
-            leases: LeaseTable::new(),
+            leases,
         }
     }
 
@@ -204,40 +196,15 @@ impl Cluster {
             .map(move |run| (machine_of(&run[0]), run.len()))
     }
 
-    /// All GPUs currently held by an app, grouped by job.
-    pub fn jobs_of_app(&self, app: AppId) -> BTreeMap<JobId, GpuAlloc> {
-        let mut by_job = BTreeMap::new();
-        self.for_each_job_of_app(app, &mut JobHoldings::default(), |job, alloc| {
-            by_job.insert(job, alloc.clone());
-        });
-        by_job
-    }
-
-    /// Calls `f(job, gpus)` once for every job of `app` that holds GPUs, in
-    /// ascending job-id order (the order [`Cluster::jobs_of_app`] iterates
-    /// in). One pass over the app's GPU index through the caller's reusable
-    /// `scratch`, so a warm call allocates nothing — prefer this over
-    /// [`Cluster::jobs_of_app`] or a [`Cluster::gpus_of_job`] loop anywhere
-    /// that runs every scheduling round.
-    pub fn for_each_job_of_app(
-        &self,
-        app: AppId,
-        scratch: &mut JobHoldings,
-        mut f: impl FnMut(JobId, &GpuAlloc),
-    ) {
-        let JobHoldings { pairs, alloc } = scratch;
-        pairs.clear();
-        pairs.extend(self.app_gpus(app).iter().map(|&gpu| {
+    /// `(gpu, job)` for every GPU an app holds, in ascending GPU order:
+    /// the app's GPU index read through the assignment arena, without
+    /// allocating. A caller that wants per-job facts folds them in one pass
+    /// over this.
+    pub fn gpu_jobs_of_app(&self, app: AppId) -> impl Iterator<Item = (GpuId, JobId)> + '_ {
+        self.app_gpus(app).iter().map(|&gpu| {
             let assignment = self.assignments[gpu.index()].expect("indexed gpu is assigned");
-            (assignment.job, gpu)
-        }));
-        // Keys are unique, so the unstable sort is deterministic; each
-        // job's GPUs stay ascending.
-        pairs.sort_unstable();
-        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
-            alloc.refill_sorted(run.iter().map(|(_, gpu)| *gpu));
-            f(run[0].0, alloc);
-        }
+            (gpu, assignment.job)
+        })
     }
 
     /// All GPUs currently held by a specific job.
@@ -340,20 +307,6 @@ impl Cluster {
     /// Releases every GPU held by an app, returning the freed GPUs.
     pub fn release_app(&mut self, app: AppId) -> Vec<GpuId> {
         let gpus: Vec<GpuId> = self.app_gpus(app).to_vec();
-        for gpu in &gpus {
-            let _ = self.release(*gpu);
-        }
-        gpus
-    }
-
-    /// Releases every GPU held by a specific job, returning the freed GPUs.
-    pub fn release_job(&mut self, app: AppId, job: JobId) -> Vec<GpuId> {
-        let gpus: Vec<GpuId> = self
-            .app_gpus(app)
-            .iter()
-            .copied()
-            .filter(|g| self.assignment(*g).is_some_and(|a| a.job == job))
-            .collect();
         for gpu in &gpus {
             let _ = self.release(*gpu);
         }
@@ -532,11 +485,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.gpus_of_app(AppId(1)).len(), 3);
-        let by_job = c.jobs_of_app(AppId(1));
-        assert_eq!(by_job[&JobId(0)].len(), 2);
-        assert_eq!(by_job[&JobId(1)].len(), 1);
-        let freed = c.release_job(AppId(1), JobId(0));
-        assert_eq!(freed, vec![GpuId(0), GpuId(1)]);
+        assert_eq!(c.gpus_of_job(AppId(1), JobId(0)).len(), 2);
+        assert_eq!(c.gpus_of_job(AppId(1), JobId(1)).len(), 1);
+        assert_eq!(c.release_jobs_where(AppId(1), |job| job == JobId(0)), 2);
+        assert_eq!(c.gpus_of_app(AppId(1)).as_slice(), &[GpuId(2)]);
+        assert!(c.is_free(GpuId(0)) && c.is_free(GpuId(1)));
         let freed = c.release_app(AppId(1));
         assert_eq!(freed, vec![GpuId(2)]);
         assert_eq!(c.gpus_of_app(AppId(2)).len(), 1);
@@ -556,31 +509,26 @@ mod tests {
             )
             .unwrap();
         }
-        let mut scratch = JobHoldings::default();
-        let mut seen = Vec::new();
-        for _ in 0..2 {
-            seen.clear();
-            c.for_each_job_of_app(AppId(2), &mut scratch, |job, alloc| {
-                seen.push((job, alloc.as_slice().to_vec()));
-            });
-        }
+        let pairs: Vec<(GpuId, JobId)> = c.gpu_jobs_of_app(AppId(2)).collect();
+        let expected = [(0, 1), (1, 0), (2, 0), (3, 1), (5, 4)].map(|(g, j)| (GpuId(g), JobId(j)));
+        assert_eq!(pairs, expected);
         assert_eq!(
-            seen,
-            vec![
-                (JobId(0), vec![GpuId(1), GpuId(2)]),
-                (JobId(1), vec![GpuId(0), GpuId(3)]),
-                (JobId(4), vec![GpuId(5)]),
-            ]
+            c.gpus_of_job(AppId(2), JobId(1)).as_slice(),
+            &[GpuId(0), GpuId(3)]
         );
-        let by_job = c.jobs_of_app(AppId(2));
-        assert_eq!(by_job.len(), 3);
-        assert_eq!(by_job[&JobId(1)].as_slice(), &[GpuId(0), GpuId(3)]);
-        c.for_each_job_of_app(AppId(9), &mut scratch, |_, _| panic!("app 9 holds nothing"));
+        assert_eq!(
+            c.gpu_jobs_of_app(AppId(9)).count(),
+            0,
+            "app 9 holds nothing"
+        );
 
+        // Several jobs released in one pass, whatever their GPU order.
         assert_eq!(c.release_jobs_where(AppId(2), |job| job != JobId(0)), 3);
         assert_eq!(c.gpus_of_app(AppId(2)).as_slice(), &[GpuId(1), GpuId(2)]);
         assert!(c.leases().lease(GpuId(3)).is_none());
+        assert_eq!(c.leases().len(), 2);
         assert_eq!(c.free_gpu_count(), 6);
+        assert_eq!(c.free_vector().on_machine(MachineId(0)), 2);
         assert_eq!(c.release_jobs_where(AppId(9), |_| true), 0);
     }
 

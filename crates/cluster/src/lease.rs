@@ -8,7 +8,7 @@
 
 use crate::ids::{AppId, GpuId, JobId};
 use crate::time::Time;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 /// An active lease: one GPU held by one job of one app until `expires_at`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,21 +27,42 @@ pub struct Lease {
 
 /// Tracks the active lease (if any) for every GPU.
 ///
-/// Beside the per-GPU map the table keeps an expiry-ordered index of the
-/// same leases, so "what has expired by `now`" and "when does the next
-/// lease run out" cost O(expired) and O(1) instead of a walk over every
-/// lease. The index is derived state: equality is that of the per-GPU map
-/// alone.
+/// The leases live in a GPU-indexed slot vector. Beside it the table keeps
+/// an expiry-ordered queue of `(expires_at, gpu)` keys, so "what has expired
+/// by `now`" and "when does the next lease run out" cost O(expired) and
+/// O(1) instead of a walk over every lease. The queue is deleted from
+/// lazily: a revoke clears only the slot, and a key is *live* while its
+/// GPU's slot holds a lease with exactly that expiry. Stale keys are popped
+/// whenever they reach the front, so the front key is always live. A grant
+/// at the latest expiry so far — the engine's only kind, `now + lease` —
+/// is a push at the back; once the queue has grown to its working size the
+/// table allocates nothing but the lists it returns.
+///
+/// The queue is derived state: equality, [`LeaseTable::iter`] and both
+/// `From` conversions see the per-GPU leases alone.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseTable {
-    leases: BTreeMap<GpuId, Lease>,
-    /// `(expires_at, gpu)` for every entry of `leases`.
-    by_expiry: BTreeSet<(Time, GpuId)>,
+    /// The lease on each GPU, indexed by GPU id.
+    slots: Vec<Option<Lease>>,
+    /// Number of `Some` slots.
+    len: usize,
+    /// `(expires_at, gpu)` keys in ascending order; every active lease has
+    /// a live key, and the front key (if any) is live.
+    by_expiry: VecDeque<(Time, GpuId)>,
+}
+
+/// Whether the queued key `(expires_at, gpu)` stands for an active lease:
+/// the GPU's slot holds a lease with exactly that expiry.
+fn is_live(slots: &[Option<Lease>], (expires_at, gpu): (Time, GpuId)) -> bool {
+    slots
+        .get(gpu.index())
+        .and_then(Option::as_ref)
+        .is_some_and(|l| l.expires_at == expires_at)
 }
 
 impl PartialEq for LeaseTable {
     fn eq(&self, other: &Self) -> bool {
-        self.leases == other.leases
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
@@ -59,7 +80,12 @@ impl From<BTreeMap<GpuId, Lease>> for LeaseTable {
 
 impl From<LeaseTable> for BTreeMap<GpuId, Lease> {
     fn from(table: LeaseTable) -> Self {
-        table.leases
+        table
+            .slots
+            .into_iter()
+            .flatten()
+            .map(|lease| (lease.gpu, lease))
+            .collect()
     }
 }
 
@@ -69,68 +95,122 @@ impl LeaseTable {
         Self::default()
     }
 
+    /// An empty table with a slot for each of `gpus` GPUs, so grants on
+    /// them never grow the slot vector.
+    pub(crate) fn with_gpus(gpus: usize) -> Self {
+        LeaseTable {
+            slots: vec![None; gpus],
+            ..Self::default()
+        }
+    }
+
     /// Number of active leases.
     pub fn len(&self) -> usize {
-        self.leases.len()
+        self.len
     }
 
     /// `true` if no leases are active.
     pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
+        self.len == 0
     }
 
     /// The active lease on a GPU, if any.
     pub fn lease(&self, gpu: GpuId) -> Option<&Lease> {
-        self.leases.get(&gpu)
+        self.slots.get(gpu.index())?.as_ref()
+    }
+
+    /// Pops stale keys off the front of the expiry queue.
+    fn pop_stale_front(&mut self) {
+        while let Some(&key) = self.by_expiry.front() {
+            if is_live(&self.slots, key) {
+                break;
+            }
+            self.by_expiry.pop_front();
+        }
+    }
+
+    /// Number of queued keys, live or stale, that expire at or before
+    /// `now`: a prefix of the queue.
+    fn due(&self, now: Time) -> usize {
+        self.by_expiry
+            .partition_point(|(expires_at, _)| *expires_at <= now)
     }
 
     /// Grants (or replaces) a lease on a GPU.
     pub fn grant(&mut self, lease: Lease) -> Option<Lease> {
-        let old = self.leases.insert(lease.gpu, lease);
-        if let Some(old) = &old {
-            self.by_expiry.remove(&(old.expires_at, old.gpu));
+        let idx = lease.gpu.index();
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, None);
         }
-        self.by_expiry.insert((lease.expires_at, lease.gpu));
+        let old = self.slots[idx].replace(lease);
+        match old {
+            None => self.len += 1,
+            // The old key is live again under the new lease.
+            Some(old) if old.expires_at == lease.expires_at => return Some(old),
+            Some(_) => {}
+        }
+        let key = (lease.expires_at, lease.gpu);
+        match self.by_expiry.back() {
+            Some(back) if *back > key => {
+                let at = self.by_expiry.partition_point(|k| *k < key);
+                self.by_expiry.insert(at, key);
+            }
+            _ => self.by_expiry.push_back(key),
+        }
+        self.pop_stale_front();
         old
     }
 
     /// Revokes the lease on a GPU, returning it if present.
     pub fn revoke(&mut self, gpu: GpuId) -> Option<Lease> {
-        let lease = self.leases.remove(&gpu)?;
-        self.by_expiry.remove(&(lease.expires_at, gpu));
+        let lease = self.slots.get_mut(gpu.index())?.take()?;
+        self.len -= 1;
+        self.pop_stale_front();
         Some(lease)
     }
 
     /// All leases that have expired at or before `now`, in GPU order.
     pub fn expired(&self, now: Time) -> Vec<Lease> {
-        let mut expired: Vec<Lease> = self
-            .by_expiry
-            .iter()
-            .take_while(|(expires_at, _)| *expires_at <= now)
-            .map(|(_, gpu)| self.leases[gpu])
-            .collect();
+        let due = self.due(now);
+        let mut expired = Vec::with_capacity(due);
+        expired.extend(
+            self.by_expiry
+                .range(..due)
+                .filter(|key| is_live(&self.slots, **key))
+                .map(|(_, gpu)| self.slots[gpu.index()].expect("live key has a lease")),
+        );
+        // A GPU revoked and re-granted at the same expiry has two live keys.
         expired.sort_unstable_by_key(|l| l.gpu);
+        expired.dedup_by_key(|l| l.gpu);
         expired
     }
 
     /// Removes and returns all leases that have expired at or before `now`,
     /// in GPU order.
     pub fn reclaim_expired(&mut self, now: Time) -> Vec<Lease> {
-        let expired = self.expired(now);
-        for lease in &expired {
-            self.revoke(lease.gpu);
+        let due = self.due(now);
+        let mut expired = Vec::with_capacity(due);
+        for key in self.by_expiry.drain(..due) {
+            // A second live-looking key for the same GPU finds its slot
+            // already empty.
+            if is_live(&self.slots, key) {
+                expired.extend(self.slots[key.1.index()].take());
+            }
         }
+        self.len -= expired.len();
+        self.pop_stale_front();
+        expired.sort_unstable_by_key(|l| l.gpu);
         expired
     }
 
     /// The earliest lease expiry in the table, if any lease is active.
     pub fn next_expiry(&self) -> Option<Time> {
-        self.by_expiry.first().map(|(expires_at, _)| *expires_at)
+        self.by_expiry.front().map(|(expires_at, _)| *expires_at)
     }
 
     /// Iterates over all active leases in GPU order.
     pub fn iter(&self) -> impl Iterator<Item = &Lease> {
-        self.leases.values()
+        self.slots.iter().flatten()
     }
 }
 
@@ -191,6 +271,33 @@ mod tests {
         assert_eq!(table.next_expiry(), Some(Time::minutes(60.0)));
         let reclaimed = table.reclaim_expired(Time::minutes(60.0));
         assert_eq!(reclaimed.len(), 1);
+        assert!(table.is_empty());
+        assert_eq!(table.next_expiry(), None);
+    }
+
+    #[test]
+    fn stale_and_doubled_keys_are_skipped() {
+        let mut table = LeaseTable::new();
+        table.grant(lease(0, 1, 0.0, 30.0));
+        // Earlier than the latest queued expiry: filed in order.
+        table.grant(lease(1, 1, 0.0, 10.0));
+        table.grant(lease(2, 1, 0.0, 20.0));
+        assert_eq!(table.next_expiry(), Some(Time::minutes(10.0)));
+        // Revoked and re-granted at the same expiry: two keys look live.
+        table.revoke(GpuId(0));
+        table.grant(lease(0, 2, 5.0, 30.0));
+        // A stale key inside the due prefix.
+        table.revoke(GpuId(2));
+        let gpus = |leases: Vec<Lease>| leases.iter().map(|l| l.gpu).collect::<Vec<_>>();
+        assert_eq!(
+            gpus(table.expired(Time::minutes(30.0))),
+            [GpuId(0), GpuId(1)]
+        );
+        assert_eq!(gpus(table.reclaim_expired(Time::minutes(25.0))), [GpuId(1)]);
+        assert_eq!(table.next_expiry(), Some(Time::minutes(30.0)));
+        let reclaimed = table.reclaim_expired(Time::minutes(30.0));
+        assert_eq!(reclaimed.len(), 1);
+        assert_eq!(reclaimed[0].app, AppId(2));
         assert!(table.is_empty());
         assert_eq!(table.next_expiry(), None);
     }

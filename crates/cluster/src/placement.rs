@@ -12,7 +12,7 @@
 //! (the paper's Figure 7 plots the CDF of exactly this score).
 
 use crate::alloc::GpuAlloc;
-use crate::topology::ClusterSpec;
+use crate::topology::{ClusterSpec, GpuLocation};
 
 /// The tightest network boundary an allocation fits inside.
 ///
@@ -68,44 +68,73 @@ impl std::fmt::Display for Locality {
     }
 }
 
-/// Computes the spread ([`Locality`]) of an allocation.
-///
-/// Returns `Locality::Slot` for empty or single-GPU allocations (a single GPU
-/// has ideal placement by definition). One pass over the allocation using
-/// the spec's precomputed GPU→(machine, rack, slot) table — no set
-/// construction, no per-machine scans.
-pub fn spread(alloc: &GpuAlloc, spec: &ClusterSpec) -> Locality {
-    if alloc.len() <= 1 {
-        return Locality::Slot;
-    }
-    let mut first = None;
-    let mut same_machine = true;
-    let mut same_rack = true;
-    let mut same_slot = true;
-    for gpu in alloc.iter() {
-        let Some(loc) = spec.location_of(gpu) else {
-            continue;
+/// A running fold of GPU locations into a [`Locality`]: the one place the
+/// locality rule is written. [`spread`] folds an allocation into one; the
+/// simulator folds every job of an app into its own in a single walk over
+/// the app's GPUs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpreadFold {
+    /// GPUs added, known to the spec or not.
+    gpus: usize,
+    /// The first known GPU's location, which the others are compared with.
+    first: Option<GpuLocation>,
+    split_machine: bool,
+    split_rack: bool,
+    split_slot: bool,
+}
+
+impl SpreadFold {
+    /// Adds one GPU at `loc`. A GPU the spec does not know (`None`) counts
+    /// toward the size but not toward the spread.
+    pub fn add(&mut self, loc: Option<GpuLocation>) {
+        self.gpus += 1;
+        let Some(loc) = loc else {
+            return;
         };
-        match first {
-            None => first = Some(loc),
+        match self.first {
+            None => self.first = Some(loc),
             Some(anchor) => {
-                same_machine &= loc.machine == anchor.machine;
-                same_rack &= loc.rack == anchor.rack;
-                same_slot &= loc.slot == anchor.slot;
+                self.split_machine |= loc.machine != anchor.machine;
+                self.split_rack |= loc.rack != anchor.rack;
+                self.split_slot |= loc.slot != anchor.slot;
             }
         }
     }
-    if first.is_none() {
-        // A multi-GPU allocation with no GPU known to this spec: worst
-        // placement, matching the previous set-based implementation.
-        return Locality::CrossRack;
+
+    /// Number of GPUs added.
+    pub fn gpus(&self) -> usize {
+        self.gpus
     }
-    match (same_machine, same_slot, same_rack) {
-        (true, true, _) => Locality::Slot,
-        (true, false, _) => Locality::Machine,
-        (false, _, true) => Locality::Rack,
-        (false, _, false) => Locality::CrossRack,
+
+    /// The spread of the GPUs added so far. `Slot` for none or one (a
+    /// single GPU has ideal placement by definition); `CrossRack` for
+    /// several of which the spec knows none.
+    pub fn locality(&self) -> Locality {
+        if self.gpus <= 1 {
+            return Locality::Slot;
+        }
+        if self.first.is_none() {
+            return Locality::CrossRack;
+        }
+        match (self.split_machine, self.split_slot, self.split_rack) {
+            (false, false, _) => Locality::Slot,
+            (false, true, _) => Locality::Machine,
+            (true, _, false) => Locality::Rack,
+            (true, _, true) => Locality::CrossRack,
+        }
     }
+}
+
+/// Computes the spread ([`Locality`]) of an allocation: one
+/// [`SpreadFold`] pass over it using the spec's precomputed
+/// GPU→(machine, rack, slot) table — no set construction, no per-machine
+/// scans.
+pub fn spread(alloc: &GpuAlloc, spec: &ClusterSpec) -> Locality {
+    let mut fold = SpreadFold::default();
+    for gpu in alloc.iter() {
+        fold.add(spec.location_of(gpu));
+    }
+    fold.locality()
 }
 
 #[cfg(test)]
@@ -151,6 +180,18 @@ mod tests {
         // Machine 2 is in rack 1.
         let cross = GpuAlloc::from_gpus([GpuId(0), GpuId(8)]);
         assert_eq!(spread(&cross, &spec), Locality::CrossRack);
+    }
+
+    #[test]
+    fn unknown_gpus_count_toward_size_but_not_spread() {
+        let spec = spec();
+        let unknown = GpuAlloc::from_gpus([GpuId(90), GpuId(99)]);
+        assert_eq!(spread(&unknown, &spec), Locality::CrossRack);
+        let one_known = GpuAlloc::from_gpus([GpuId(0), GpuId(99)]);
+        assert_eq!(spread(&one_known, &spec), Locality::Slot);
+        let mut fold = SpreadFold::default();
+        fold.add(None);
+        assert_eq!((fold.gpus(), fold.locality()), (1, Locality::Slot));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 
 use crate::job_table::JobTable;
 use std::sync::Arc;
-use themis_cluster::cluster::{Cluster, JobHoldings};
+use themis_cluster::alloc::GpuAlloc;
+use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, JobId};
-use themis_cluster::placement::{spread, Locality};
+use themis_cluster::placement::{Locality, SpreadFold};
 use themis_cluster::time::Time;
 use themis_cluster::view::ClusterState;
 use themis_hpo::api::{AppScheduler, JobEstimate, JobViews};
@@ -84,10 +85,32 @@ pub(crate) struct HeldJobs {
     jobs: Vec<HeldJob>,
 }
 
+/// What [`HeldJobs::refresh`] folds one job's GPUs into.
+#[derive(Clone, Copy, Default)]
+struct JobFold {
+    /// GPU count and locality.
+    spread: SpreadFold,
+    /// Σ speed in ascending GPU order; summed on mixed generations only.
+    speed: f64,
+}
+
+/// The buffers [`HeldJobs::refresh`] folds an app's GPUs through, kept by
+/// the engine for their capacity.
+#[derive(Default)]
+pub(crate) struct HeldScratch {
+    /// One fold per job position, grown to the largest job count seen.
+    /// Every fold is empty between refreshes.
+    by_pos: Vec<JobFold>,
+    /// The positions the current refresh has folded a GPU into.
+    touched: Vec<usize>,
+}
+
 impl HeldJobs {
     /// Re-derives the app's held jobs from `cluster` through `scratch`, if
-    /// the app's allocation changed since they were last derived.
-    pub(crate) fn refresh(&mut self, cluster: &Cluster, spec: &AppSpec, scratch: &mut JobHoldings) {
+    /// the app's allocation changed since they were last derived: one walk
+    /// over the app's GPUs in ascending id, folding each into its job's
+    /// position, so a refresh costs O(GPUs held + jobs holding).
+    pub(crate) fn refresh(&mut self, cluster: &Cluster, spec: &AppSpec, scratch: &mut HeldScratch) {
         let epoch = cluster.allocation_epoch(spec.id);
         if self.epoch == Some(epoch) {
             return;
@@ -98,20 +121,59 @@ impl HeldJobs {
             // Sized once: no more jobs than the app has can hold GPUs.
             self.jobs.reserve_exact(spec.num_jobs());
         }
-        let jobs = &mut self.jobs;
-        cluster.for_each_job_of_app(spec.id, scratch, |job, alloc| {
+        let topology = cluster.spec();
+        let uniform = topology.uniform_generation();
+        let HeldScratch { by_pos, touched } = scratch;
+        if by_pos.len() < spec.num_jobs() {
+            by_pos.resize(spec.num_jobs(), JobFold::default());
+        }
+        for (gpu, job) in cluster.gpu_jobs_of_app(spec.id) {
             let Some(pos) = spec.job_position(job) else {
-                return;
+                continue;
             };
-            jobs.push(HeldJob {
+            let fold = &mut by_pos[pos];
+            if fold.spread.gpus() == 0 {
+                touched.push(pos);
+            }
+            let loc = topology.location_of(gpu);
+            fold.spread.add(loc);
+            if uniform.is_none() {
+                fold.speed += loc.map_or(1.0, |l| l.speed());
+            }
+        }
+        touched.sort_unstable();
+        for pos in touched.drain(..) {
+            let JobFold { spread, speed } = std::mem::take(&mut by_pos[pos]);
+            let gpus = spread.gpus();
+            let cap = spec.jobs[pos].max_parallelism;
+            // `ClusterSpec::capped_speed` of the job's GPUs, bit for bit.
+            let usable_speed = match uniform {
+                _ if gpus.min(cap) == 0 => 0.0,
+                Some(g) => g.speed() * gpus.min(cap) as f64,
+                None if gpus <= cap => speed,
+                None => {
+                    let job = spec.jobs[pos].id;
+                    let alloc = GpuAlloc::from_sorted(
+                        cluster
+                            .gpu_jobs_of_app(spec.id)
+                            .filter(|(_, j)| *j == job)
+                            .map(|(gpu, _)| gpu)
+                            .collect(),
+                    );
+                    topology.capped_speed(&alloc, cap)
+                }
+            };
+            self.jobs.push(HeldJob {
                 pos,
-                gpus: alloc.len(),
-                locality: spread(alloc, cluster.spec()),
-                usable_speed: cluster
-                    .spec()
-                    .capped_speed(alloc, spec.jobs[pos].max_parallelism),
+                gpus,
+                locality: spread.locality(),
+                usable_speed,
             });
-        });
+        }
+        // Position order is id order under generator numbering; sparse or
+        // unordered ids need the sort.
+        self.jobs
+            .sort_unstable_by_key(|held| spec.jobs[held.pos].id);
     }
 }
 
@@ -274,10 +336,10 @@ impl AppRuntime {
     /// clusters by hand needs the same reset, which
     /// [`AppRuntime::forget_holdings`] performs.
     pub fn advance(&mut self, cluster: &Cluster, from: Time, dt: Time) {
-        self.advance_with(cluster, from, dt, &mut JobHoldings::default());
+        self.advance_with(cluster, from, dt, &mut HeldScratch::default());
     }
 
-    /// [`AppRuntime::advance`] through the caller's reusable grouping
+    /// [`AppRuntime::advance`] through the caller's reusable held-job
     /// buffers. Walks the jobs that hold GPUs (ascending job id — the order
     /// the float accumulators below are summed in), not every job spec.
     pub(crate) fn advance_with(
@@ -285,7 +347,7 @@ impl AppRuntime {
         cluster: &Cluster,
         from: Time,
         dt: Time,
-        scratch: &mut JobHoldings,
+        scratch: &mut HeldScratch,
     ) {
         if dt <= Time::ZERO || !self.has_arrived(from + dt) {
             return;

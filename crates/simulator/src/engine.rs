@@ -13,13 +13,13 @@
 //!
 //! The engine is deterministic: identical inputs produce identical reports.
 
-use crate::app_runtime::AppRuntime;
+use crate::app_runtime::{AppRuntime, HeldScratch};
 use crate::arena::AppArena;
 use crate::events::{EventKind, EventQueue};
 use crate::metrics::SimReport;
 use crate::scheduler::Scheduler;
 use std::collections::BTreeSet;
-use themis_cluster::cluster::{Cluster, JobHoldings};
+use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId};
 use themis_cluster::time::Time;
 use themis_protocol::fault::FaultConfig;
@@ -152,10 +152,10 @@ pub struct Engine<S: Scheduler> {
     /// Rounds in which the incremental hot path skipped the policy call.
     auctions_skipped: u64,
     /// Per-round scratch, kept for its capacity: the buffers an app's held
-    /// jobs are regrouped through when its allocation moved, this round's
+    /// jobs are re-derived through when its allocation moved, this round's
     /// successful grants and reclaimed leases keyed `(app, job, gpu)`, and
     /// one app's finish projections.
-    scratch: JobHoldings,
+    scratch: HeldScratch,
     granted: Vec<(AppId, JobId, GpuId)>,
     reclaimed: Vec<(AppId, JobId, GpuId)>,
     projections: Vec<(JobId, Time)>,
@@ -197,7 +197,7 @@ impl<S: Scheduler> Engine<S> {
             offer_dirty: true,
             auctions_run: 0,
             auctions_skipped: 0,
-            scratch: JobHoldings::default(),
+            scratch: HeldScratch::default(),
             granted: Vec::new(),
             reclaimed: Vec::new(),
             projections: Vec::new(),
@@ -448,8 +448,10 @@ impl<S: Scheduler> Engine<S> {
             // even without progress: `AppScheduler::update` is not
             // idempotent.
             if !rt.is_finished() {
-                for job in rt.run_hpo(now) {
-                    self.cluster.release_job(app_id, job);
+                let killed = rt.run_hpo(now);
+                if !killed.is_empty() {
+                    self.cluster
+                        .release_jobs_where(app_id, |job| killed.contains(&job));
                 }
             }
             if rt.try_finish(now) {

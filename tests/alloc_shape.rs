@@ -6,14 +6,17 @@
 //! decisions it returns, not for the apps, jobs, bid rows or search nodes it
 //! reads. The actor runtime answers each ρ query and offer through one
 //! `AgentBuffers` it keeps, so a warm query plus bid allocates for the table
-//! it sends, not for the jobs it reads. The assertions are structural: two
-//! states that differ only in what is read must cost the same number of
-//! allocations, whatever that number is.
+//! it sends, not for the jobs it reads. The engine's lease table keeps its
+//! slots and expiry queue, so a warm grant / revoke / reclaim cycle
+//! allocates for the list of reclaimed leases, not per GPU. The assertions
+//! are structural: two states that differ only in what is read must cost
+//! the same number of allocations, whatever that number is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId};
+use themis_cluster::lease::{Lease, LeaseTable};
 use themis_cluster::time::Time;
 use themis_cluster::topology::ClusterSpec;
 use themis_core::agent::{Agent, AgentBuffers};
@@ -216,5 +219,44 @@ fn actor_probe_and_bid_cost_no_allocation_per_job() {
     assert_eq!(
         requests[0], requests[1],
         "2 and 16 jobs cost {requests:?} allocations"
+    );
+}
+
+/// One lease round over `gpus` GPUs, as the engine runs it: every GPU
+/// granted until `round`'s expiry, half of them released early, the rest
+/// reclaimed when they expire.
+fn lease_round(table: &mut LeaseTable, gpus: u32, round: u32) {
+    let granted_at = Time::minutes(20.0 * f64::from(round));
+    let expires_at = granted_at + Time::minutes(20.0);
+    for gpu in 0..gpus {
+        table.grant(Lease {
+            gpu: GpuId(gpu),
+            app: AppId(gpu % 3),
+            job: JobId(0),
+            granted_at,
+            expires_at,
+        });
+    }
+    for gpu in (0..gpus).step_by(2) {
+        table.revoke(GpuId(gpu));
+    }
+    let reclaimed = table.reclaim_expired(expires_at);
+    assert_eq!(reclaimed.len(), gpus as usize / 2);
+    assert!(table.is_empty());
+}
+
+#[test]
+fn a_warm_lease_round_costs_no_allocation_per_gpu() {
+    let mut requests = Vec::new();
+    for gpus in [8, 64] {
+        let mut table = LeaseTable::new();
+        lease_round(&mut table, gpus, 0);
+        let before = REQUESTS.with(Cell::get);
+        lease_round(&mut table, gpus, 1);
+        requests.push(REQUESTS.with(Cell::get) - before);
+    }
+    assert_eq!(
+        requests[0], requests[1],
+        "8 and 64 GPUs cost {requests:?} allocations"
     );
 }

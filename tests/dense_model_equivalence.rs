@@ -233,7 +233,8 @@ proptest! {
 /// job-id order) one byte decides whether to grant, how many GPUs, and
 /// whether to take the lowest or the highest free ids. Lowest-first
 /// re-grants exactly what a lease expiry just freed (a renewal);
-/// highest-first moves the job (a restart).
+/// highest-first moves the job (a restart). A byte with bit 6 set lets the
+/// job grow up to two GPUs past its max parallelism.
 struct Scripted {
     script: Vec<u8>,
     cursor: usize,
@@ -264,7 +265,8 @@ impl Scheduler for Scripted {
             for job in app.active_jobs() {
                 let byte = self.next_byte();
                 let held = shadow.gpus_of_job(app.id(), job).len();
-                let want = app.effective_max_parallelism(job).saturating_sub(held);
+                let over_cap = if byte & 0x40 != 0 { 2 } else { 0 };
+                let want = (app.effective_max_parallelism(job) + over_cap).saturating_sub(held);
                 let free = shadow.free_gpus();
                 if byte.is_multiple_of(3) || want == 0 || free.is_empty() {
                     continue;
@@ -291,11 +293,29 @@ impl Scheduler for Scripted {
 
 type Holdings = BTreeMap<(AppId, JobId), BTreeSet<GpuId>>;
 
+/// The deleted `Cluster::jobs_of_app`: every `(job, gpu)` pair of the app
+/// sorted, then cut into one ascending allocation per job.
+fn jobs_of_app(cluster: &Cluster, app: AppId) -> BTreeMap<JobId, GpuAlloc> {
+    let mut pairs: Vec<(JobId, GpuId)> = cluster
+        .gpus_of_app(app)
+        .iter()
+        .map(|gpu| (cluster.assignment(gpu).expect("held gpu").job, gpu))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let gpus = run.iter().map(|(_, gpu)| *gpu).collect();
+            (run[0].0, GpuAlloc::from_sorted(gpus))
+        })
+        .collect()
+}
+
 /// The deleted `held_before` snapshot: every holding of every app.
 fn snapshot_holdings<S: Scheduler>(engine: &Engine<S>) -> Holdings {
     let mut held = Holdings::new();
     for rt in engine.apps().iter() {
-        for (job, alloc) in engine.cluster().jobs_of_app(rt.id()) {
+        for (job, alloc) in jobs_of_app(engine.cluster(), rt.id()) {
             held.insert((rt.id(), job), alloc.iter().collect());
         }
     }
@@ -326,10 +346,10 @@ fn cached_holdings(rt: &AppRuntime) -> HeldFacts {
 }
 
 /// The deleted regroup-every-round derivation: the same facts computed
-/// from scratch off the cluster's per-job grouping.
+/// from scratch off the sorted per-job grouping, through `spread` and
+/// `capped_speed`.
 fn regrouped_holdings(cluster: &Cluster, rt: &AppRuntime) -> HeldFacts {
-    cluster
-        .jobs_of_app(rt.id())
+    jobs_of_app(cluster, rt.id())
         .into_iter()
         .map(|(job, alloc)| {
             let cap = rt.job_spec(job).expect("held job exists").max_parallelism;
@@ -655,14 +675,36 @@ proptest! {
     }
 
     /// The expiry-ordered lease index agrees with a full scan of the
-    /// per-GPU map under random grant / revoke / reclaim.
+    /// per-GPU map under random grant / revoke / reclaim, after a fixed
+    /// opening that reaches out-of-order grants, stale keys inside a
+    /// reclaim and a GPU revoked and re-granted at the same expiry.
     #[test]
     fn lease_expiry_index_agrees_with_full_scan_model(
         ops in prop::collection::vec((0u8..4, 0u32..24, 0u32..60), 0..160),
     ) {
         let mut table = LeaseTable::new();
         let mut model = ScanLeaseModel::default();
-        for (op, gpu, minute) in ops {
+        // Every case opens with the three states lazy deletion must get
+        // right, then runs its random operations from there.
+        let prologue = [
+            (0, 0, 30),
+            // Grants earlier than the latest queued expiry.
+            (0, 1, 10),
+            (0, 2, 20),
+            (0, 3, 15),
+            // GPU 3 extended: its key at 15 is stale.
+            (0, 3, 45),
+            // GPU 0 revoked, then re-granted at the same expiry: two keys
+            // look live.
+            (2, 0, 0),
+            (0, 0, 30),
+            (2, 2, 0),
+            // A reclaim that walks past stale keys (15 and 20), then one
+            // that meets GPU 0's doubled key.
+            (3, 0, 25),
+            (3, 0, 30),
+        ];
+        for (op, gpu, minute) in prologue.into_iter().chain(ops) {
             let at = Time::minutes(f64::from(minute));
             let gpu = GpuId(gpu);
             match op {
@@ -810,7 +852,7 @@ impl Scheduler for FinishedJobsHoldNothing {
         apps: &AppArena,
     ) -> Vec<AllocationDecision> {
         for rt in apps.iter() {
-            for (job, alloc) in cluster.jobs_of_app(rt.id()) {
+            for (job, alloc) in jobs_of_app(cluster, rt.id()) {
                 let (spec, progress) = rt.job(job).expect("held job exists");
                 assert!(
                     !progress.is_finished(spec),
@@ -902,10 +944,13 @@ proptest! {
     /// (a) After every round of a scripted run, each active app's cached
     /// held jobs equal a fresh regroup of the cluster: job, GPU count,
     /// locality and usable speed. Two racks of mixed-generation machines
-    /// make locality and speed vary; staggered arrivals give partial lease
-    /// expiries and same-round renewals; multi-job apps converge, are
-    /// killed by HyperBand and finish; apps are admitted and retired as in
-    /// service mode.
+    /// make locality and speed vary, and jobs granted past their max
+    /// parallelism take the fastest-`cap` speed rule; staggered arrivals
+    /// give partial lease expiries and same-round renewals; multi-job apps
+    /// converge, are killed by HyperBand and finish; apps are admitted and
+    /// retired as in service mode. Of every three apps, the second numbers
+    /// its jobs sparsely (5, 9, …) and the third in descending order
+    /// (40, 37, …).
     #[test]
     fn cached_holdings_agree_with_a_fresh_regroup(
         script in prop::collection::vec(0u8..=255, 8..48),
@@ -914,7 +959,17 @@ proptest! {
     ) {
         let topology = ClusterSpec::homogeneous(2, machines, 3)
             .with_generation_cycle(&GpuGeneration::ALL);
-        let mut checker = RenewalChecker::new(scripted_specs(&arrivals), topology, script);
+        let mut specs = scripted_specs(&arrivals);
+        for (i, app) in specs.iter_mut().enumerate() {
+            for (pos, job) in app.jobs.iter_mut().enumerate() {
+                job.id = match i % 3 {
+                    0 => job.id,
+                    1 => JobId(5 + 4 * pos as u32),
+                    _ => JobId(40 - 3 * pos as u32),
+                };
+            }
+        }
+        let mut checker = RenewalChecker::new(specs, topology, script);
         checker.run(Time::minutes(400.0));
         prop_assert!(checker.pending.is_empty());
     }
