@@ -14,9 +14,7 @@ use themis_cluster::ids::{AppId, GpuId};
 use themis_cluster::time::Time;
 use themis_cluster::view::ClusterState;
 use themis_sim::arena::AppArena;
-use themis_sim::scheduler::{
-    free_gpus_fastest_first, split_among_jobs, AllocationDecision, Scheduler,
-};
+use themis_sim::scheduler::{split_among_jobs, AllocationDecision, Scheduler};
 
 /// The instantaneous dominant-resource-fairness scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -77,8 +75,8 @@ impl Scheduler for Drf {
         }
 
         // Materialize grants: DRF is placement-unaware, so GPUs are assigned
-        // fastest-first (id order on a uniform-speed cluster).
-        let mut free: Vec<GpuId> = free_gpus_fastest_first(cluster);
+        // in id order.
+        let mut free: Vec<GpuId> = cluster.free_gpus();
         let mut decisions = Vec::new();
         for (app_id, count) in granted {
             let app = &apps[app_id];
@@ -158,22 +156,21 @@ mod tests {
     }
 
     #[test]
-    fn smallest_share_app_gets_the_fastest_gpus() {
-        use themis_cluster::topology::{ClusterSpec, GpuGeneration};
-        let cluster = Cluster::new(ClusterSpec::synthetic_mixed(
-            1,
-            2,
-            4,
-            &[GpuGeneration::Kepler, GpuGeneration::Volta],
-        ));
+    fn grants_take_free_gpus_in_id_order() {
+        let mut cluster = Cluster::new(ClusterSpec::homogeneous(1, 2, 4));
+        cluster
+            .allocate(
+                GpuId(1),
+                AppId(9),
+                JobId(0),
+                Time::ZERO,
+                Time::minutes(20.0),
+            )
+            .unwrap();
         let apps = AppArena::from_runtimes([app(0, 4)]);
         let decisions = Drf::new().schedule(Time::ZERO, &cluster, &apps);
         let gpus: Vec<_> = decisions.iter().flat_map(|d| d.gpus.clone()).collect();
-        assert_eq!(gpus.len(), 4);
-        assert!(
-            gpus.iter().all(|g| g.0 >= 4),
-            "DRF hands out the Volta GPUs first, got {gpus:?}"
-        );
+        assert_eq!(gpus, [0, 2, 3, 4].map(GpuId));
     }
 
     #[test]

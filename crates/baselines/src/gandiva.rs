@@ -6,9 +6,6 @@
 //! resources and running a greedy algorithm that maximizes aggregate
 //! placement score at the end of every lease (§8, "Gandiva"). There is no
 //! fairness objective: a well-placed app can keep winning indefinitely.
-//! On a mixed-generation cluster the packing inherits
-//! [`pick_gpus_packed`]'s fastest-machine tie-break, so at equal locality
-//! Gandiva packs jobs onto the faster silicon.
 
 use std::collections::BTreeSet;
 use themis_cluster::alloc::GpuAlloc;

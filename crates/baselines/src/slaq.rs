@@ -7,8 +7,7 @@
 //! resources to maximize the total decrease (§8, "SLAQ"). Old, slowly
 //! converging jobs are naturally demoted — which is exactly why SLAQ fares
 //! poorly on finish-time fairness in Figure 5. Grants materialize through
-//! the speed-aware [`pick_gpus_packed`], so on a mixed-generation cluster
-//! the quality-greedy winner lands on the fastest equally-local machines.
+//! [`pick_gpus_packed`].
 
 use std::collections::BTreeMap;
 use themis_cluster::cluster::Cluster;

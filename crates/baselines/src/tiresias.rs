@@ -13,9 +13,7 @@ use themis_cluster::ids::GpuId;
 use themis_cluster::time::Time;
 use themis_sim::app_runtime::AppRuntime;
 use themis_sim::arena::AppArena;
-use themis_sim::scheduler::{
-    free_gpus_fastest_first, split_among_jobs, AllocationDecision, Scheduler,
-};
+use themis_sim::scheduler::{split_among_jobs, AllocationDecision, Scheduler};
 
 /// The Least-Attained-Service scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -39,10 +37,8 @@ impl Scheduler for Tiresias {
         cluster: &Cluster,
         apps: &AppArena,
     ) -> Vec<AllocationDecision> {
-        // Fastest GPUs first: LAS stays placement-insensitive, but on a
-        // mixed-generation cluster the least-served app is handed the
-        // fastest available silicon (id order at uniform speed).
-        let mut free: Vec<GpuId> = free_gpus_fastest_first(cluster);
+        // LAS is placement-insensitive: free GPUs are handed out in id order.
+        let mut free: Vec<GpuId> = cluster.free_gpus();
         if free.is_empty() {
             return Vec::new();
         }
@@ -68,8 +64,8 @@ impl Scheduler for Tiresias {
             }
             let budget = want.min(free.len());
             for (job, count) in split_among_jobs(app, &shadow, budget) {
-                // Placement-insensitive: take the first `count` free GPUs
-                // in fastest-first order, wherever they are.
+                // Placement-insensitive: take the first `count` free GPUs,
+                // wherever they are.
                 let gpus: Vec<GpuId> = free.drain(..count.min(free.len())).collect();
                 for gpu in &gpus {
                     shadow
@@ -138,27 +134,23 @@ mod tests {
     }
 
     #[test]
-    fn least_served_app_gets_the_fastest_gpus() {
-        use themis_cluster::topology::{ClusterSpec, GpuGeneration};
-        // Machine 0 Kepler (0.5), machine 1 Volta (2.0); two contending
-        // apps of 4 each on 8 GPUs: the least-served app is handed the
-        // Volta GPUs (4..8) first.
-        let cluster = Cluster::new(ClusterSpec::synthetic_mixed(
-            1,
-            2,
-            4,
-            &[GpuGeneration::Kepler, GpuGeneration::Volta],
-        ));
+    fn least_served_app_gets_the_lowest_free_gpu_ids() {
+        // Two contending apps of 4 on 8 GPUs: the least-served app takes
+        // the first four free GPUs in id order, the other the rest.
+        let cluster = Cluster::new(ClusterSpec::homogeneous(1, 2, 4));
         let mut a0 = app(0, 4);
         a0.attained_service = Time::minutes(100.0);
         let apps = AppArena::from_runtimes([a0, app(1, 4)]);
         let decisions = Tiresias::new().schedule(Time::ZERO, &cluster, &apps);
-        let first = decisions.iter().find(|d| d.app == AppId(1)).unwrap();
-        assert!(
-            first.gpus.iter().all(|g| g.0 >= 4),
-            "least-served app should get the Volta machine, got {:?}",
-            first.gpus
-        );
+        let gpus_of = |app: AppId| -> Vec<GpuId> {
+            decisions
+                .iter()
+                .filter(|d| d.app == app)
+                .flat_map(|d| d.gpus.clone())
+                .collect()
+        };
+        assert_eq!(gpus_of(AppId(1)), [0, 1, 2, 3].map(GpuId));
+        assert_eq!(gpus_of(AppId(0)), [4, 5, 6, 7].map(GpuId));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! * [`scenarios`] — the declarative [`scenarios::Scenario`] cell and the
 //!   cartesian [`scenarios::Matrix`] expander with the named matrices
-//!   (`smoke`, `full`, `stress`, `faults`, `scale`, `hetero`, `service`,
-//!   `soak`, `storm`),
+//!   (`smoke`, `full`, `stress`, `faults`, `scale`, `service`, `soak`,
+//!   `storm`),
 //! * [`sweep`] — the multi-threaded batch runner executing every
 //!   `(scenario × policy)` cell via `themis_sim::batch`,
 //! * [`report`] — the machine-readable [`report::SweepReport`] and the

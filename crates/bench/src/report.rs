@@ -538,7 +538,7 @@ pub fn check_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::{ClusterKind, ServiceAxis, ServiceShape, StormAxis};
+    use crate::scenarios::{ClusterKind, Matrix, ServiceAxis, ServiceShape, StormAxis};
     use themis_cluster::time::Time;
     use themis_protocol::fault::FaultConfig;
 
@@ -730,7 +730,7 @@ mod tests {
             -x2- | -xNaN- | cells[0].id: tag 'x': "NaN" is not finite
             -x2- | -x1- | cells[0].id: "rack16-a3-x1-s42-i0-vdiurnal-r1.5-z2000" is not canonical
             -vdiurnal- | -vwavy- | cells[0].id: tag 'v': unknown service shape "wavy"
-            -vdiurnal- | -g9gen-vdiurnal- | cells[0].id: tag 'g': unknown generation mix "9gen"
+            -vdiurnal- | -g9gen-vdiurnal- | cells[0].id: unknown tag 'g'
             "schema_version": 7 | "schema_version": 6 | report is v6, this binary expects v7 (regenerate the baseline)
         "#;
         for case in documents.lines().map(str::trim).filter(|l| !l.is_empty()) {
@@ -850,21 +850,29 @@ mod tests {
         assert!(!compare_reports(&present, &baseline, 1e-9).is_empty());
     }
 
+    /// Every committed baseline: each `BENCH_*BASELINE.json` at the
+    /// repository root, in name order.
+    fn committed_baselines() -> Vec<std::path::PathBuf> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths: Vec<_> = std::fs::read_dir(&root)
+            .expect("read the repository root")
+            .map(|entry| entry.expect("read a root entry").path())
+            .filter(|path| {
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                name.starts_with("BENCH_") && name.ends_with("BASELINE.json")
+            })
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "no baseline under {}", root.display());
+        paths
+    }
+
     /// The gate compares the baseline's blocks only: every committed
     /// baseline passes against its own cells with a block it predates
     /// added to each.
     #[test]
     fn every_committed_baseline_tolerates_a_new_block() {
-        for name in [
-            "BENCH_BASELINE",
-            "BENCH_FAULTS_BASELINE",
-            "BENCH_HETERO_BASELINE",
-            "BENCH_SCALE_BASELINE",
-            "BENCH_SERVICE_BASELINE",
-            "BENCH_STORM_BASELINE",
-            "BENCH_STRESS_BASELINE",
-        ] {
-            let path = format!("{}/../../{name}.json", env!("CARGO_MANIFEST_DIR"));
+        for path in committed_baselines() {
             let mut current = check_baseline(&path, None, 1e-9).unwrap_or_else(|e| panic!("{e}"));
             for cell in &mut current.cells {
                 cell.metrics
@@ -872,6 +880,24 @@ mod tests {
                     .push(("decisions", vec![("grants", Some(1.0))]));
             }
             check_baseline(&path, Some(&current), 1e-9).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    /// A baseline belongs to a named matrix, so deleting a matrix cannot
+    /// leave its baseline behind.
+    #[test]
+    fn every_committed_baseline_is_of_a_named_matrix() {
+        for path in committed_baselines() {
+            let text = std::fs::read_to_string(&path).expect("read baseline");
+            let matrix = Json::parse(&text)
+                .ok()
+                .and_then(|doc| doc.get("matrix").and_then(Json::as_str).map(String::from))
+                .unwrap_or_else(|| panic!("{} names no matrix", path.display()));
+            assert!(
+                Matrix::NAMED.contains(&matrix.as_str()),
+                "{} is of matrix {matrix:?}, which is not in Matrix::NAMED",
+                path.display()
+            );
         }
     }
 

@@ -14,8 +14,8 @@
 //!   [`axis`](Matrix::axis) step per varied axis,
 //! * the named matrices ([`Matrix::smoke`], [`Matrix::full`],
 //!   [`Matrix::stress`], [`Matrix::faults`], [`Matrix::scale`],
-//!   [`Matrix::hetero`], [`Matrix::service`], [`Matrix::soak`],
-//!   [`Matrix::storm`]; [`Matrix::NAMED`]) are the sweeps `themis sweep`
+//!   [`Matrix::service`], [`Matrix::soak`], [`Matrix::storm`];
+//!   [`Matrix::NAMED`]) are the sweeps `themis sweep`
 //!   and CI run.
 //!
 //! The simulated figures in [`crate::experiments`] are cell tables over
@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::time::Time;
-use themis_cluster::topology::{ClusterSpec, GpuGeneration};
+use themis_cluster::topology::ClusterSpec;
 use themis_core::config::ThemisConfig;
 use themis_protocol::fault::FaultConfig;
 use themis_protocol::log::MessageLog;
@@ -40,66 +40,6 @@ use themis_sim::window::SteadyConfig;
 use themis_workload::app::AppSpec;
 use themis_workload::stream::TraceStream;
 use themis_workload::trace::{TraceConfig, TraceGenerator};
-
-/// The GPU-generation mix of a scenario's cluster: which speed classes the
-/// machines cycle through (see [`ClusterSpec::with_generation_cycle`]).
-///
-/// This is the heterogeneity axis of the scenario matrix. [`GenMix::Uniform`]
-/// reproduces the paper's identical-GPU fleet exactly (every machine at the
-/// reference speed 1.0), so uniform cells are byte-identical to the
-/// pre-heterogeneity sweep; the mixed values open the axis the paper's §8
-/// leaves closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GenMix {
-    /// Every machine at the reference generation (speed 1.0) — the paper's
-    /// uniform fleet.
-    #[default]
-    Uniform,
-    /// Two generations at a 2:1 speed ratio, alternating per machine
-    /// (Volta 2.0 / Pascal 1.0).
-    TwoGen,
-    /// Three generations at 4:2:1 speeds cycling per machine
-    /// (Volta 2.0 / Pascal 1.0 / Kepler 0.5).
-    ThreeGen,
-}
-
-impl GenMix {
-    /// Every mix, uniform first.
-    pub const ALL: [GenMix; 3] = [GenMix::Uniform, GenMix::TwoGen, GenMix::ThreeGen];
-
-    /// Stable identifier used in scenario ids and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GenMix::Uniform => "uni",
-            GenMix::TwoGen => "2gen",
-            GenMix::ThreeGen => "3gen",
-        }
-    }
-
-    /// Parses the identifier produced by [`GenMix::name`].
-    pub fn parse(name: &str) -> Option<GenMix> {
-        GenMix::ALL.into_iter().find(|m| m.name() == name)
-    }
-
-    /// The machine-generation cycle this mix assigns round-robin.
-    pub fn cycle(&self) -> &'static [GpuGeneration] {
-        match self {
-            GenMix::Uniform => &[GpuGeneration::Pascal],
-            GenMix::TwoGen => &[GpuGeneration::Volta, GpuGeneration::Pascal],
-            GenMix::ThreeGen => &[
-                GpuGeneration::Volta,
-                GpuGeneration::Pascal,
-                GpuGeneration::Kepler,
-            ],
-        }
-    }
-}
-
-impl std::fmt::Display for GenMix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// The burst shape of a service-mode cell's arrival process — which
 /// time-varying rate modulation the open-system [`ArrivalProcess`] applies.
@@ -225,7 +165,8 @@ impl StormAxis {
 /// The cluster shapes scenarios can run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterKind {
-    /// The paper's simulated 256-GPU heterogeneous cluster (§8.1).
+    /// The paper's simulated 256-GPU cluster, heterogeneous in machine size
+    /// only (§8.1).
     Sim256,
     /// The paper's 50-GPU testbed (durations scaled 1/5, §8.3).
     Testbed50,
@@ -302,14 +243,11 @@ impl ClusterKind {
 ///
 /// ```
 /// use themis_bench::policies::Policy;
-/// use themis_bench::scenarios::{ClusterKind, GenMix, Scenario};
+/// use themis_bench::scenarios::{ClusterKind, Scenario};
 ///
-/// // A contended 16-GPU cell on a two-generation cluster, run end to end.
-/// let scenario = Scenario::new(ClusterKind::Rack16, 3, 42)
-///     .with_contention(2.0)
-///     .with_gen_mix(GenMix::TwoGen);
+/// // A contended 16-GPU cell, run end to end.
+/// let scenario = Scenario::new(ClusterKind::Rack16, 3, 42).with_contention(2.0);
 /// assert_eq!(scenario.cluster_spec().total_gpus(), 16);
-/// assert!(!scenario.cluster_spec().is_unit_speed());
 ///
 /// let report = scenario.run(Policy::themis_default());
 /// assert_eq!(report.finished_apps(), 3);
@@ -320,8 +258,6 @@ impl ClusterKind {
 pub struct Scenario {
     /// Cluster shape.
     pub cluster: ClusterKind,
-    /// GPU-generation mix applied to the cluster (the heterogeneity axis).
-    pub gen_mix: GenMix,
     /// Number of apps in the generated trace.
     pub apps: usize,
     /// Contention factor: arrival rate multiplier (§8.4.2; 2.0 halves the
@@ -369,7 +305,6 @@ impl Scenario {
     pub fn new(cluster: ClusterKind, apps: usize, seed: u64) -> Scenario {
         Scenario {
             cluster,
-            gen_mix: GenMix::Uniform,
             apps,
             contention: 1.0,
             network_fraction: 0.4,
@@ -428,12 +363,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the GPU-generation mix of the cluster.
-    pub fn with_gen_mix(mut self, gen_mix: GenMix) -> Scenario {
-        self.gen_mix = gen_mix;
-        self
-    }
-
     /// Switches the scenario to service mode with the given axis.
     pub fn with_service(mut self, axis: ServiceAxis) -> Scenario {
         self.service = Some(axis);
@@ -446,15 +375,9 @@ impl Scenario {
         self
     }
 
-    /// The concrete cluster topology this scenario runs on: the cluster
-    /// kind's base spec with the generation mix applied. [`GenMix::Uniform`]
-    /// yields the base spec unchanged (every constructor already builds
-    /// reference-generation machines), preserving speed-1.0 purity.
+    /// The concrete cluster topology this scenario runs on.
     pub fn cluster_spec(&self) -> ClusterSpec {
-        match self.gen_mix {
-            GenMix::Uniform => self.cluster.spec(),
-            mix => self.cluster.spec().with_generation_cycle(mix.cycle()),
-        }
+        self.cluster.spec()
     }
 
     /// The scenario's one serialization, parsed back by
@@ -491,11 +414,10 @@ impl Scenario {
 
     /// Every id component as `(tag, value)`, in id order; an absent
     /// service or storm axis reads as empty.
-    fn components(&self) -> [(char, String); 25] {
+    fn components(&self) -> [(char, String); 24] {
         let (f, service, storm) = (&self.fault, self.service, self.storm);
         let axis = |value: Option<String>| value.unwrap_or_default();
         [
-            ('g', self.gen_mix.to_string()),
             ('a', self.apps.to_string()),
             ('x', self.contention.to_string()),
             ('n', self.network_fraction.to_string()),
@@ -582,10 +504,6 @@ impl Scenario {
             }
             let v = value.as_str();
             match tag {
-                'g' => {
-                    s.gen_mix = GenMix::parse(v)
-                        .ok_or_else(|| format!("tag 'g': unknown generation mix {v:?}"))?;
-                }
                 'a' => apps = Some(int(tag, v)?),
                 'x' => s.contention = num(tag, v, POSITIVE)?,
                 'n' => s.network_fraction = num(tag, v, UNIT)?,
@@ -989,25 +907,6 @@ impl Matrix {
         ]
     }
 
-    /// The heterogeneity matrix: the full generation-mix axis (uniform /
-    /// two-generation 2:1 / three-generation 4:2:1) under two contention
-    /// levels on the 16-GPU rack, for Themis and all four baselines.
-    /// Pinned seed — CI gates it exactly against
-    /// `BENCH_HETERO_BASELINE.json`; the uniform column doubles as a
-    /// standing speed-1.0-purity witness (its metrics must match the same
-    /// cells of any uniform matrix).
-    pub fn hetero() -> Matrix {
-        Matrix::new(
-            "hetero",
-            ClusterKind::Rack16,
-            6,
-            42,
-            Self::themis_and_baselines(),
-        )
-        .axis(&GenMix::ALL, Scenario::with_gen_mix)
-        .axis(&[1.0, 2.0], Scenario::with_contention)
-    }
-
     /// The horizon (simulated minutes) of a `service` matrix cell; the
     /// nightly `soak` matrix runs 10× this. Sized so the sustained-overload
     /// cells (~75 admitted apps on the 16-GPU rack) stay tractable in the
@@ -1129,8 +1028,8 @@ impl Matrix {
     }
 
     /// Names accepted by [`Matrix::by_name`].
-    pub const NAMED: [&'static str; 9] = [
-        "smoke", "full", "stress", "faults", "scale", "hetero", "service", "soak", "storm",
+    pub const NAMED: [&'static str; 8] = [
+        "smoke", "full", "stress", "faults", "scale", "service", "soak", "storm",
     ];
 
     /// Looks up a named matrix.
@@ -1141,7 +1040,6 @@ impl Matrix {
             "stress" => Some(Matrix::stress()),
             "faults" => Some(Matrix::faults()),
             "scale" => Some(Matrix::scale()),
-            "hetero" => Some(Matrix::hetero()),
             "service" => Some(Matrix::service()),
             "soak" => Some(Matrix::soak()),
             "storm" => Some(Matrix::storm()),
@@ -1274,13 +1172,8 @@ mod tests {
             ),
             // A crash schedule with one half zero is not the default.
             (
-                s.clone()
-                    .with_fault(FaultConfig::reliable().with_crash(0, 3)),
+                s.with_fault(FaultConfig::reliable().with_crash(0, 3)),
                 "testbed50-a8-x2-f0.4-c0x3-s7",
-            ),
-            (
-                s.with_gen_mix(GenMix::TwoGen),
-                "testbed50-g2gen-a8-x2-f0.4-s7",
             ),
         ] {
             assert_eq!(scenario.id(), id);
@@ -1298,7 +1191,6 @@ mod tests {
             r(1e3) as usize,
             r(1e18) as u64,
         );
-        s.gen_mix = GenMix::ALL[r(3.0) as usize];
         for x in [&mut s.contention, &mut s.lease_minutes] {
             if r(1.0) > 0.0 {
                 *x = 0.01 + r(60.0);
@@ -1405,57 +1297,6 @@ mod tests {
         let b = s.run(Policy::themis_default());
         assert_eq!(a, b);
         assert!(a.scheduling_rounds > 0);
-    }
-
-    #[test]
-    fn gen_mix_round_trips_and_builds_mixed_specs() {
-        for mix in GenMix::ALL {
-            assert_eq!(GenMix::parse(mix.name()), Some(mix));
-            assert!(!mix.cycle().is_empty());
-            assert_eq!(mix.to_string(), mix.name());
-        }
-        assert_eq!(GenMix::parse("4gen"), None);
-        assert_eq!(GenMix::default(), GenMix::Uniform);
-
-        let s = Scenario::new(ClusterKind::Rack16, 2, 1);
-        // Uniform: the base spec, untouched.
-        assert_eq!(s.cluster_spec(), ClusterKind::Rack16.spec());
-        assert!(s.cluster_spec().is_unit_speed());
-        // Mixed: same topology, different speeds.
-        let mixed = s.with_gen_mix(GenMix::ThreeGen).cluster_spec();
-        assert_eq!(mixed.total_gpus(), 16);
-        assert_eq!(mixed.uniform_generation(), None);
-        assert!(mixed.total_speed() != 16.0);
-    }
-
-    #[test]
-    fn hetero_matrix_covers_the_mix_axis_for_every_policy() {
-        let matrix = Matrix::hetero();
-        assert_eq!(
-            matrix.scenarios.len(),
-            3 * 2,
-            "3 mixes x 2 contention levels"
-        );
-        assert_eq!(matrix.policies.len(), 5, "themis + all four baselines");
-        let cells = matrix.cells();
-        // Every policy runs every mix (no dedupe along the hetero axis).
-        for policy in &matrix.policies {
-            for mix in GenMix::ALL {
-                assert!(
-                    cells
-                        .iter()
-                        .any(|(s, p)| p.name() == policy.name() && s.gen_mix == mix),
-                    "{} missing a {} cell",
-                    policy.name(),
-                    mix
-                );
-            }
-        }
-        assert_eq!(
-            cells.len(),
-            matrix.expand().len() * matrix.policies.len(),
-            "no dedupe applies: every policy runs the full expansion"
-        );
     }
 
     #[test]
@@ -1629,16 +1470,5 @@ mod tests {
         let batched = Scenario::new(ClusterKind::Rack16, 6, 42)
             .with_fault(FaultConfig::reliable().with_arbiter_batch(8));
         assert!(batched.sim_config().fault.is_reliable());
-    }
-
-    #[test]
-    fn uniform_mix_cells_match_the_speed_blind_run() {
-        // The purity witness in miniature: a uniform-mix scenario is the
-        // *same cell* as the pre-heterogeneity scenario, report for report.
-        let s = Scenario::new(ClusterKind::Rack16, 3, 7).with_contention(2.0);
-        let uniform = s.clone().with_gen_mix(GenMix::Uniform);
-        for policy in [Policy::themis_default(), Policy::Tiresias] {
-            assert_eq!(s.run(policy), uniform.run(policy));
-        }
     }
 }

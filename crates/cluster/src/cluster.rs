@@ -163,7 +163,7 @@ impl Cluster {
     /// A counter that moves whenever an app's GPU set changes: every
     /// allocate, release and lease reclaim that touches the app bumps it. On
     /// one cluster, an unchanged epoch means unchanged holdings, so a caller
-    /// may cache anything derived from them (job grouping, locality, speed)
+    /// may cache anything derived from them (job grouping, locality)
     /// against it. Epochs of different clusters are unrelated: a cache must
     /// not be carried from one cluster to another. Zero for an app that never
     /// held a GPU.

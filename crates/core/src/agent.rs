@@ -185,24 +185,18 @@ struct Packed {
     /// The app already holds GPUs here.
     preferred: bool,
     count: usize,
-    speed: f64,
     machine: MachineId,
 }
 
 impl Packed {
     /// The order candidate subsets fill machines in: the app's current
-    /// footprint first, then machines with the most offered GPUs, then — on
-    /// a mixed-generation cluster — machines with the faster GPUs (at equal
-    /// locality a fast-GPU offer is worth more ρ per GPU, so the subsets
-    /// the Agent values should contain the fastest silicon available), then
-    /// lowest id. Uniform-speed clusters tie on every speed comparison and
-    /// get the speed-blind order.
+    /// footprint first, then machines with the most offered GPUs, then
+    /// lowest id.
     fn packs_before(&self, other: &Packed) -> Ordering {
         other
             .preferred
             .cmp(&self.preferred)
             .then(other.count.cmp(&self.count))
-            .then_with(|| other.speed.total_cmp(&self.speed))
             .then(self.machine.cmp(&other.machine))
     }
 }
@@ -216,7 +210,6 @@ fn packing_prefix(
     offer: &FreeVector,
     holdings: &[(MachineId, usize)],
     rows: usize,
-    spec: &ClusterSpec,
 ) {
     packing.clear();
     let mut held = holdings.iter().map(|(machine, _)| *machine).peekable();
@@ -225,7 +218,6 @@ fn packing_prefix(
         let candidate = Packed {
             preferred: held.peek() == Some(&machine),
             count,
-            speed: spec.machine_speed(machine).unwrap_or(1.0),
             machine,
         };
         if packing.len() == rows {
@@ -312,7 +304,7 @@ impl Agent {
         table.entries.truncate(rows);
         table.entries.reserve_exact(rows - table.entries.len());
         if rows > 0 {
-            packing_prefix(&mut scratch.packing, offer, holdings, rows, spec);
+            packing_prefix(&mut scratch.packing, offer, holdings, rows);
             scratch.fill_supply(holdings, spec);
             scratch.subset.clear();
             let mut eval = scratch.kernel.begin(estimates, elapsed);
@@ -541,31 +533,18 @@ mod tests {
     }
 
     #[test]
-    fn bids_prefer_faster_machines_at_equal_packing() {
-        use themis_cluster::topology::{ClusterSpec, GpuGeneration};
-        // Machines 0/2 Pascal, machines 1/3 Volta; everything free.
-        let cluster = Cluster::new(ClusterSpec::synthetic_mixed(
-            2,
-            2,
-            4,
-            &[GpuGeneration::Pascal, GpuGeneration::Volta],
-        ));
+    fn bids_break_packing_ties_toward_the_lower_machine_id() {
+        // Every machine offers 4 free GPUs and the app holds none: every
+        // candidate subset draws from machine 0, the lowest id.
+        let cluster = cluster();
         let rt = runtime(0, ModelArch::ResNet50, 1, 4);
         let mut agent = Agent::new(AppId(0), &ThemisConfig::default());
         let offer = cluster.free_vector();
         let table = agent.prepare_bid(Time::ZERO, &rt, &cluster, &offer);
-        assert!(!table.is_empty());
-        // Every candidate subset draws from the Volta machines first.
-        for entry in &table.entries {
-            for (machine, count) in entry.resources.iter() {
-                if count > 0 {
-                    assert_eq!(
-                        cluster.spec().machine_speed(machine),
-                        Some(2.0),
-                        "subset {entry:?} uses a slow machine while fast ones are free"
-                    );
-                }
-            }
+        assert_eq!(table.len(), 4);
+        for (row, entry) in table.entries.iter().enumerate() {
+            let used: Vec<_> = entry.resources.iter().filter(|(_, c)| *c > 0).collect();
+            assert_eq!(used, vec![(MachineId(0), row + 1)], "row {row}");
         }
     }
 }

@@ -249,18 +249,17 @@ impl Arbiter {
     /// participants and non-participants (an app without unmet demand may
     /// be left out: it neither bids nor receives a leftover); `bids` are
     /// the tables received from the
-    /// participants' Agents; `spec` is the cluster topology, consulted for
-    /// machine speeds when handing out leftovers (leftover GPUs on *faster*
-    /// machines are placed first, so the most valuable stragglers are the
-    /// least likely to go unused when demand runs out mid-loop — on a
-    /// uniform-speed cluster the order is machine-id order, unchanged).
+    /// participants' Agents. Leftover GPUs are handed out machine by
+    /// machine in id order. `_spec`, the cluster topology, is unread; it
+    /// stays in the signature because out-of-workspace callers (the
+    /// benchmark harness) pass it.
     pub fn run_auction(
         &mut self,
         offer: &FreeVector,
         statuses: &[AppStatus],
         participants: &[AppId],
         bids: &[BidTable],
-        spec: &ClusterSpec,
+        _spec: &ClusterSpec,
     ) -> AuctionOutcome {
         self.round += 1;
         let auction = self.auction.run(bids, offer);
@@ -284,18 +283,9 @@ impl Arbiter {
             self.grants.resize_with(statuses.len(), FreeVector::empty);
         }
 
-        let mut machines: Vec<MachineId> = auction.leftover.machines().collect();
-        // Fastest machines first (stable: id order within a generation, and
-        // the speed-1.0 order is exactly the previous id order).
-        machines.sort_by(|a, b| {
-            spec.machine_speed(*b)
-                .unwrap_or(1.0)
-                .total_cmp(&spec.machine_speed(*a).unwrap_or(1.0))
-                .then(a.cmp(b))
-        });
-        for machine in machines {
+        for (machine, count) in auction.leftover.iter() {
             self.recipients.drain(machine);
-            for _ in 0..auction.leftover.on_machine(machine) {
+            for _ in 0..count {
                 let Some(&recipient) = self.recipients.candidates().choose(&mut self.rng) else {
                     break;
                 };
@@ -327,7 +317,7 @@ impl Arbiter {
 mod tests {
     use super::*;
 
-    /// A uniform-speed 4-machine × 8-GPU spec covering every machine id the
+    /// A 4-machine × 8-GPU spec covering every machine id the
     /// tests hand out leftovers on.
     fn spec() -> ClusterSpec {
         ClusterSpec::synthetic(1, 4, 8)
@@ -476,26 +466,19 @@ mod tests {
     }
 
     #[test]
-    fn leftovers_on_faster_machines_are_placed_first() {
-        use themis_cluster::topology::GpuGeneration;
-        // Machine 0 Pascal (1.0), machine 1 Volta (2.0). No bids at all, so
-        // the whole offer is leftover; the lone app's demand covers only
-        // half of it, and the Volta GPUs must be the half that lands.
-        let mixed =
-            ClusterSpec::synthetic_mixed(1, 2, 8, &[GpuGeneration::Pascal, GpuGeneration::Volta]);
+    fn leftovers_are_placed_in_machine_id_order() {
+        // No bids at all, so the whole offer is leftover; the lone app's
+        // demand covers only half of it, and machine 0's GPUs must be the
+        // half that lands.
         let mut arbiter = Arbiter::new(ThemisConfig::default());
         let offer = fv(&[(0, 8), (1, 8)]);
         let statuses = vec![status(0, 5.0, 8, &[])];
-        let outcome = arbiter.run_auction(&offer, &statuses, &[], &[], &mixed);
+        let outcome = arbiter.run_auction(&offer, &statuses, &[], &[], &spec());
         let grant = outcome
             .leftover_grants
             .get(&AppId(0))
             .expect("app 0 takes leftovers");
         assert_eq!(grant.total(), 8);
-        assert_eq!(
-            grant.on_machine(MachineId(1)),
-            8,
-            "the Volta machine's GPUs are placed before the Pascal ones"
-        );
+        assert_eq!(grant.on_machine(MachineId(0)), 8);
     }
 }

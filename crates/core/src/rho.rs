@@ -69,21 +69,18 @@ pub fn ideal_running_time(estimates: &[JobEstimate]) -> Time {
 pub(crate) struct Supply {
     pub(crate) machine: MachineId,
     pub(crate) count: usize,
-    speed: f64,
     /// `None` for a machine the spec does not know.
     rack: Option<RackId>,
     slot_size: usize,
 }
 
 impl Supply {
-    /// An unknown machine runs at the reference speed and never spans a
-    /// slot boundary.
+    /// An unknown machine never spans a slot boundary.
     pub(crate) fn new(machine: MachineId, count: usize, spec: &ClusterSpec) -> Self {
         let known = spec.machine(machine);
         Supply {
             machine,
             count,
-            speed: known.map_or(1.0, |m| m.speed()),
             rack: known.map(|m| m.rack),
             slot_size: known.map_or(usize::MAX, |m| m.slot_size),
         }
@@ -137,9 +134,9 @@ fn time_key(t: Time) -> u64 {
 /// job-level allocation in a greedy manner"). Visits job positions in
 /// `order` — increasing work left, so the job that determines the app's
 /// finish time is packed first; each job takes the `need(position)` GPUs it
-/// can use from the machine with the most remaining GPUs — fastest
-/// generation, then lowest id on ties, a total order, so how `work` is laid
-/// out cannot change a pick — spilling to further machines only when
+/// can use from the machine with the most remaining GPUs — lowest id on
+/// ties, a total order, so how `work` is laid out cannot change a pick —
+/// spilling to further machines only when
 /// necessary, and `on_share(position, picks)` sees every job that received
 /// GPUs. Stops when the supply is gone. `work` must hold no zero-count
 /// entry and no machine twice.
@@ -148,7 +145,7 @@ fn place_greedily(
     need: impl Fn(usize) -> usize,
     work: &mut Vec<Supply>,
     picks: &mut Vec<Supply>,
-    mut on_share: impl FnMut(usize, &mut [Supply]),
+    mut on_share: impl FnMut(usize, &[Supply]),
 ) {
     let mut left: usize = work.iter().map(|s| s.count).sum();
     for &key in order {
@@ -164,7 +161,6 @@ fn place_greedily(
                     let (a, b) = (&work[a], &work[b]);
                     a.count
                         .cmp(&b.count)
-                        .then_with(|| a.speed.total_cmp(&b.speed))
                         .then_with(|| b.machine.cmp(&a.machine))
                 })
                 .expect("supply left means a machine is left");
@@ -257,34 +253,12 @@ impl AwardSplit {
     }
 }
 
-/// Aggregate speed of the `cap` fastest GPUs of a job share — the
-/// `Σ speed_i` term of the effective-throughput model (all GPUs of one
-/// machine share a generation). `min(total, cap) as f64` exactly on a
-/// uniform-speed cluster. Reorders `picks` fastest first.
-fn capped_speed(picks: &mut [Supply], cap: usize) -> f64 {
-    // Stable, so equal-speed machines add up in share order.
-    picks.sort_by(|a, b| b.speed.total_cmp(&a.speed));
-    let mut left = cap;
-    let mut speed = 0.0;
-    for pick in picks.iter() {
-        if left == 0 {
-            break;
-        }
-        let take = pick.count.min(left);
-        speed += pick.speed * take as f64;
-        left -= take;
-    }
-    speed
-}
-
-/// One job's term of `Σ_j G_eff_j · S_j(placement)`, from its share.
-fn share_speedup(est: &JobEstimate, picks: &mut [Supply]) -> f64 {
+/// One job's term of `Σ_j G_j · S_j(placement)`, from its share.
+fn share_speedup(est: &JobEstimate, picks: &[Supply]) -> f64 {
     let gpus: usize = picks.iter().map(|p| p.count).sum();
-    let locality = locality_of(picks);
     let usable = gpus.min(est.max_parallelism.max(1));
-    let usable_speed = capped_speed(picks, usable);
     est.sensitivity
-        .effective_speedup_weighted(usable, usable_speed, locality)
+        .effective_speedup(usable, locality_of(picks))
 }
 
 /// Σ `work_left` over the jobs that have any, in `estimates` order.
@@ -325,20 +299,16 @@ fn rho_from(
 /// distributed greedily among the jobs (§5.2 steps 2–5).
 ///
 /// The shared running time is estimated as
-/// `T_sh = elapsed + Σ_j W'_j / Σ_j (G_eff_j · S_j(placement))` with
-/// `G_eff_j = Σ_i speed_i` over the job's share: the app's aggregate
-/// remaining exploration work divided by the aggregate *generation-weighted*
-/// effective throughput of the candidate allocation. On a uniform-speed
-/// cluster `G_eff = G` and this is exactly the paper's §5.2 step-4 formula;
-/// on a mixed-generation cluster a fast-GPU share is worth proportionally
-/// more, which is what makes the Agents' bids speed-aware. For
+/// `T_sh = elapsed + Σ_j W'_j / Σ_j (G_j · S_j(placement))`: the app's
+/// aggregate remaining exploration work divided by the aggregate effective
+/// throughput of the candidate allocation, the paper's §5.2 step-4 formula
+/// with `G_j` capped at the job's max parallelism. For
 /// hyper-parameter-sweep apps it models the app time-sharing its GPUs
 /// across the surviving jobs until the exploration has run its course,
 /// which is how the simulator (and a real HyperBand deployment) behaves.
 /// The estimate stays homogeneous of degree one in the allocation — the
 /// property the truthfulness proof of the partial-allocation mechanism
-/// relies on (§5.1). `T_id` stays defined on reference-speed GPUs, so ρ on
-/// a fast share can legitimately dip below its uniform-cluster value.
+/// relies on (§5.1).
 pub fn estimate_rho_for_aggregate(
     estimates: &[JobEstimate],
     elapsed: Time,
@@ -627,46 +597,15 @@ mod tests {
         assert_eq!(shares, vec![(JobId(0), vec![(MachineId(0), 1)])]);
     }
     #[test]
-    fn fast_gpu_share_lowers_rho() {
-        use themis_cluster::topology::GpuGeneration;
-        // Machine 0 is Volta (2.0), machine 1 is Pascal (1.0); same rack.
-        let mixed =
-            ClusterSpec::synthetic_mixed(1, 2, 4, &[GpuGeneration::Volta, GpuGeneration::Pascal]);
+    fn greedy_distribution_breaks_count_ties_toward_the_lower_machine_id() {
         let estimates = vec![est(0, 100.0, 100.0, 4, ModelArch::ResNet50)];
-        let fast: BTreeMap<MachineId, usize> = [(MachineId(0), 4)].into();
-        let slow: BTreeMap<MachineId, usize> = [(MachineId(1), 4)].into();
-        let rho_fast = estimate_rho_for_aggregate(&estimates, Time::ZERO, &fast, &mixed);
-        let rho_slow = estimate_rho_for_aggregate(&estimates, Time::ZERO, &slow, &mixed);
-        // Same GPU count, same locality: the Volta share is worth 2x.
-        assert!(
-            (rho_slow.rho / rho_fast.rho - 2.0).abs() < 1e-9,
-            "fast {} vs slow {}",
-            rho_fast.rho,
-            rho_slow.rho
-        );
-        // And the slow share matches the uniform-cluster estimate exactly:
-        // T_id is defined on reference-speed GPUs.
         let uniform = ClusterSpec::synthetic(1, 2, 4);
-        let rho_uniform = estimate_rho_for_aggregate(&estimates, Time::ZERO, &slow, &uniform);
-        assert_eq!(rho_slow, rho_uniform);
-    }
-
-    #[test]
-    fn greedy_distribution_breaks_count_ties_toward_faster_machines() {
-        use themis_cluster::topology::GpuGeneration;
-        // Machine 0 Pascal, machine 1 Volta, equal counts on offer.
-        let mixed =
-            ClusterSpec::synthetic_mixed(1, 2, 4, &[GpuGeneration::Pascal, GpuGeneration::Volta]);
-        let estimates = vec![est(0, 100.0, 100.0, 4, ModelArch::ResNet50)];
-        let award = [(0, 4), (1, 4)];
-        // The finish-time-critical job is packed onto the Volta machine.
-        let shares = split(&estimates, &[], &award, &mixed);
-        assert_eq!(shares, vec![(JobId(0), vec![(MachineId(1), 4)])]);
-        // On the uniform cluster the same tie goes to the lower machine id
-        // (the speed-blind behavior).
-        let uniform = ClusterSpec::synthetic(1, 2, 4);
-        let shares = split(&estimates, &[], &award, &uniform);
-        assert_eq!(shares, vec![(JobId(0), vec![(MachineId(0), 4)])]);
+        // Equal counts on offer: the finish-time-critical job is packed
+        // onto machine 0, whichever order the award lists them in.
+        for award in [[(0, 4), (1, 4)], [(1, 4), (0, 4)]] {
+            let shares = split(&estimates, &[], &award, &uniform);
+            assert_eq!(shares, vec![(JobId(0), vec![(MachineId(0), 4)])]);
+        }
     }
 
     #[test]

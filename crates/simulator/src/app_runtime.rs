@@ -17,7 +17,6 @@
 
 use crate::job_table::JobTable;
 use std::sync::Arc;
-use themis_cluster::alloc::GpuAlloc;
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, JobId};
 use themis_cluster::placement::{Locality, SpreadFold};
@@ -71,9 +70,6 @@ pub struct HeldJob {
     pub gpus: usize,
     /// How widely they are spread.
     pub locality: Locality,
-    /// Aggregate speed of the fastest `max_parallelism` of them
-    /// (`ClusterSpec::capped_speed`).
-    pub usable_speed: f64,
 }
 
 /// An app's [`HeldJob`]s in ascending job-id order, cached against the
@@ -85,22 +81,13 @@ pub(crate) struct HeldJobs {
     jobs: Vec<HeldJob>,
 }
 
-/// What [`HeldJobs::refresh`] folds one job's GPUs into.
-#[derive(Clone, Copy, Default)]
-struct JobFold {
-    /// GPU count and locality.
-    spread: SpreadFold,
-    /// Σ speed in ascending GPU order; summed on mixed generations only.
-    speed: f64,
-}
-
 /// The buffers [`HeldJobs::refresh`] folds an app's GPUs through, kept by
 /// the engine for their capacity.
 #[derive(Default)]
 pub(crate) struct HeldScratch {
-    /// One fold per job position, grown to the largest job count seen.
-    /// Every fold is empty between refreshes.
-    by_pos: Vec<JobFold>,
+    /// One fold of GPU count and locality per job position, grown to the
+    /// largest job count seen. Every fold is empty between refreshes.
+    by_pos: Vec<SpreadFold>,
     /// The positions the current refresh has folded a GPU into.
     touched: Vec<usize>,
 }
@@ -122,52 +109,27 @@ impl HeldJobs {
             self.jobs.reserve_exact(spec.num_jobs());
         }
         let topology = cluster.spec();
-        let uniform = topology.uniform_generation();
         let HeldScratch { by_pos, touched } = scratch;
         if by_pos.len() < spec.num_jobs() {
-            by_pos.resize(spec.num_jobs(), JobFold::default());
+            by_pos.resize(spec.num_jobs(), SpreadFold::default());
         }
         for (gpu, job) in cluster.gpu_jobs_of_app(spec.id) {
             let Some(pos) = spec.job_position(job) else {
                 continue;
             };
             let fold = &mut by_pos[pos];
-            if fold.spread.gpus() == 0 {
+            if fold.gpus() == 0 {
                 touched.push(pos);
             }
-            let loc = topology.location_of(gpu);
-            fold.spread.add(loc);
-            if uniform.is_none() {
-                fold.speed += loc.map_or(1.0, |l| l.speed());
-            }
+            fold.add(topology.location_of(gpu));
         }
         touched.sort_unstable();
         for pos in touched.drain(..) {
-            let JobFold { spread, speed } = std::mem::take(&mut by_pos[pos]);
-            let gpus = spread.gpus();
-            let cap = spec.jobs[pos].max_parallelism;
-            // `ClusterSpec::capped_speed` of the job's GPUs, bit for bit.
-            let usable_speed = match uniform {
-                _ if gpus.min(cap) == 0 => 0.0,
-                Some(g) => g.speed() * gpus.min(cap) as f64,
-                None if gpus <= cap => speed,
-                None => {
-                    let job = spec.jobs[pos].id;
-                    let alloc = GpuAlloc::from_sorted(
-                        cluster
-                            .gpu_jobs_of_app(spec.id)
-                            .filter(|(_, j)| *j == job)
-                            .map(|(gpu, _)| gpu)
-                            .collect(),
-                    );
-                    topology.capped_speed(&alloc, cap)
-                }
-            };
+            let spread = std::mem::take(&mut by_pos[pos]);
             self.jobs.push(HeldJob {
                 pos,
-                gpus,
+                gpus: spread.gpus(),
                 locality: spread.locality(),
-                usable_speed,
             });
         }
         // Position order is id order under generator numbering; sparse or
@@ -371,26 +333,18 @@ impl AppRuntime {
                 continue;
             }
             // Attained service and placement score accrue for the full
-            // interval the GPUs are held — physical GPU-minutes, never
-            // speed-weighted (a slow GPU occupies the cluster just as long).
+            // interval the GPUs are held.
             let gpu_minutes = dt.as_minutes() * job.gpus as f64;
             *attained_service += Time::minutes(gpu_minutes);
             let score = job.locality.score();
             placement_acc.0 += score * gpu_minutes;
             placement_acc.1 += gpu_minutes;
-            // Training progress only accrues after any restart penalty, at
-            // the generation-weighted effective rate G_eff = Σ speed_i × S.
+            // Training progress only accrues after any restart penalty.
             let start = restart_until.as_slice()[job.pos]
                 .unwrap_or(Time::ZERO)
                 .max(from);
             if start < to {
-                progress.advance_weighted(
-                    job_spec,
-                    to - start,
-                    job.gpus,
-                    job.usable_speed,
-                    job.locality,
-                );
+                progress.advance(job_spec, to - start, job.gpus, job.locality);
             }
             if progress.is_converged(job_spec) {
                 progress.mark_finished(to);

@@ -594,14 +594,8 @@ impl<S: Scheduler> Engine<S> {
                 while queued.next_if(|(j, _)| *j < job).is_some() {}
                 let already = queued.next_if(|(j, _)| *j == job).map(|(_, at)| at);
                 // Projections must stay symmetric with AppRuntime::advance,
-                // so they use the same held-job facts and the same
-                // generation-weighted effective rate.
-                let mut eta = progress.time_to_complete_weighted(
-                    job_spec,
-                    held.gpus,
-                    held.usable_speed,
-                    held.locality,
-                );
+                // so they use the same held-job facts.
+                let mut eta = progress.time_to_complete(job_spec, held.gpus, held.locality);
                 if let Some(restart) = rt.restart_until.as_slice()[held.pos] {
                     if restart > now {
                         eta += restart - now;

@@ -149,12 +149,7 @@ impl Scheduler for Box<dyn Scheduler> {
 ///    whole request (best-fit, reduces fragmentation),
 /// 3. otherwise spill across machines of one rack, then across racks.
 ///
-/// Ties at every step break toward the *faster* machine (higher GPU
-/// generation) before falling back to the lowest machine id, so on a
-/// mixed-generation cluster an equally-local fast offer beats a slow one.
-/// On a uniform-speed cluster every speed comparison is a tie and the pick
-/// is identical to the speed-blind one — the speed-1.0 purity the
-/// determinism baselines pin.
+/// Ties at every step break toward the lowest machine id.
 ///
 /// Returns fewer than `count` GPUs only if the cluster does not have enough
 /// free GPUs in total.
@@ -174,19 +169,14 @@ pub fn pick_gpus_packed<C: ClusterState>(
             free_by_machine.entry(m).or_default().push(gpu);
         }
     }
-    let speed = |m: MachineId| spec.machine_speed(m).unwrap_or(1.0);
 
     // 1. A preferred machine that fits the whole request: fewest free GPUs
-    //    first (best fit), faster machine on ties.
+    //    first (best fit).
     let preferred_fit = prefer_machines
         .iter()
         .filter_map(|m| free_by_machine.get(m).map(|gpus| (*m, gpus.len())))
         .filter(|(_, n)| *n >= count)
-        .min_by(|a, b| {
-            a.1.cmp(&b.1)
-                .then_with(|| speed(b.0).total_cmp(&speed(a.0)))
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        .min_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
     if let Some((machine, _)) = preferred_fit {
         return free_by_machine[&machine]
             .iter()
@@ -195,16 +185,11 @@ pub fn pick_gpus_packed<C: ClusterState>(
             .collect();
     }
 
-    // 2. Best-fit single machine, faster machine on ties.
+    // 2. Best-fit single machine.
     let best_fit = free_by_machine
         .iter()
         .filter(|(_, gpus)| gpus.len() >= count)
-        .min_by(|a, b| {
-            a.1.len()
-                .cmp(&b.1.len())
-                .then_with(|| speed(*b.0).total_cmp(&speed(*a.0)))
-                .then_with(|| a.0.cmp(b.0))
-        });
+        .min_by(|a, b| a.1.len().cmp(&b.1.len()).then_with(|| a.0.cmp(b.0)));
     if let Some((_, gpus)) = best_fit {
         return gpus.iter().take(count).copied().collect();
     }
@@ -227,14 +212,12 @@ pub fn pick_gpus_packed<C: ClusterState>(
             .iter()
             .filter(|(m, _)| spec.machine(**m).map(|ms| ms.rack) == Some(rack))
             .collect();
-        // Preferred machines first, then most-free first (pack densely),
-        // then faster first.
+        // Preferred machines first, then most-free first (pack densely).
         machines.sort_by(|a, b| {
             let ap = prefer_machines.contains(a.0);
             let bp = prefer_machines.contains(b.0);
             bp.cmp(&ap)
                 .then(b.1.len().cmp(&a.1.len()))
-                .then_with(|| speed(*b.0).total_cmp(&speed(*a.0)))
                 .then(a.0.cmp(b.0))
         });
         for (_, gpus) in machines {
@@ -247,28 +230,6 @@ pub fn pick_gpus_packed<C: ClusterState>(
         }
     }
     chosen
-}
-
-/// All free GPUs ordered fastest-first (generation speed descending, GPU id
-/// ascending within a generation). This is the speed-aware replacement for
-/// "free GPUs in id order" used by the placement-*insensitive* baselines
-/// (Tiresias, DRF): they still ignore locality, but on a mixed-generation
-/// cluster the least-served / smallest-share app is handed the fastest
-/// available silicon first. On a uniform-speed cluster the order is exactly
-/// id order (the stable sort never reorders equal speeds), preserving
-/// speed-1.0 purity.
-pub fn free_gpus_fastest_first<C: ClusterState>(cluster: &C) -> Vec<GpuId> {
-    let mut free = cluster.free_gpus();
-    let spec = cluster.spec();
-    if spec.uniform_generation().is_none() {
-        free.sort_by(|a, b| {
-            spec.speed_of(*b)
-                .unwrap_or(1.0)
-                .total_cmp(&spec.speed_of(*a).unwrap_or(1.0))
-                .then(a.cmp(b))
-        });
-    }
-    free
 }
 
 /// Splits an app-level GPU budget among the app's active jobs.
@@ -395,61 +356,21 @@ mod tests {
     }
 
     #[test]
-    fn packed_pick_prefers_faster_machines_at_equal_locality() {
-        use themis_cluster::topology::GpuGeneration;
-        // Machines 0/2 are Pascal (1.0), machines 1/3 are Volta (2.0); all
-        // idle, so every machine fits the request equally well.
-        let spec = themis_cluster::topology::ClusterSpec::synthetic_mixed(
-            2,
-            2,
-            4,
-            &[GpuGeneration::Pascal, GpuGeneration::Volta],
-        );
-        let c = Cluster::new(spec);
+    fn packed_pick_breaks_fit_ties_toward_the_lower_machine_id() {
+        let c = cluster();
+        let on = |gpus: &[GpuId]| -> BTreeSet<MachineId> {
+            gpus.iter()
+                .filter_map(|g| c.spec().machine_of(*g))
+                .collect()
+        };
+        // All four idle machines fit 4 GPUs equally well: the best-fit tie
+        // goes to machine 0.
         let gpus = pick_gpus_packed(&c, 4, &BTreeSet::new());
-        assert_eq!(gpus.len(), 4);
-        let machines: BTreeSet<_> = gpus
-            .iter()
-            .filter_map(|g| c.spec().machine_of(*g))
-            .collect();
-        assert_eq!(
-            machines,
-            [MachineId(1)].into_iter().collect(),
-            "the fast machine wins the best-fit tie"
-        );
-        // An explicit preference for a slow machine still wins (locality
-        // and footprint outrank speed).
-        let prefer: BTreeSet<MachineId> = [MachineId(2)].into_iter().collect();
+        assert_eq!(on(&gpus), [MachineId(0)].into_iter().collect());
+        // Two preferred machines tie the same way: machine 1 before 3.
+        let prefer: BTreeSet<MachineId> = [MachineId(3), MachineId(1)].into_iter().collect();
         let gpus = pick_gpus_packed(&c, 4, &prefer);
-        assert!(gpus
-            .iter()
-            .all(|g| c.spec().machine_of(*g) == Some(MachineId(2))));
-    }
-
-    #[test]
-    fn fastest_first_order_is_id_order_at_uniform_speed() {
-        use themis_cluster::topology::{ClusterSpec, GpuGeneration};
-        let uniform = Cluster::new(ClusterSpec::homogeneous(1, 2, 2));
-        assert_eq!(free_gpus_fastest_first(&uniform), uniform.free_gpus());
-
-        // Mixed: Volta machine 1's GPUs come first, id order within a tier.
-        let mixed = Cluster::new(ClusterSpec::synthetic_mixed(
-            1,
-            2,
-            2,
-            &[GpuGeneration::Pascal, GpuGeneration::Volta],
-        ));
-        assert_eq!(
-            free_gpus_fastest_first(&mixed),
-            vec![GpuId(2), GpuId(3), GpuId(0), GpuId(1)]
-        );
-        // The view sees the same order, minus overlay grants.
-        let mut view = mixed.view();
-        view.allocate(GpuId(2), AppId(0), JobId(0)).unwrap();
-        assert_eq!(
-            free_gpus_fastest_first(&view),
-            vec![GpuId(3), GpuId(0), GpuId(1)]
-        );
+        assert_eq!(on(&gpus), [MachineId(1)].into_iter().collect());
     }
 
     fn app_with_jobs(pars: &[usize]) -> AppRuntime {

@@ -84,28 +84,9 @@ impl JobSpec {
 
     /// Training throughput in iterations per minute with `gpus` GPUs placed
     /// at `locality`. Parallelism above `max_parallelism` is wasted.
-    /// Uniform-speed view of
-    /// [`iterations_per_minute_weighted`](Self::iterations_per_minute_weighted).
     pub fn iterations_per_minute(&self, gpus: usize, locality: Locality) -> f64 {
         let usable = gpus.min(self.max_parallelism);
-        self.iterations_per_minute_weighted(gpus, usable as f64, locality)
-    }
-
-    /// Training throughput with a *mixed-generation* allocation: `gpus`
-    /// GPUs held, of which the `min(gpus, max_parallelism)` fastest have
-    /// aggregate speed `usable_speed` (see
-    /// `ClusterSpec::capped_speed`). The rate is
-    /// `G_eff / serial_iter_time` with `G_eff = Σ speed_i × S(placement)`.
-    pub fn iterations_per_minute_weighted(
-        &self,
-        gpus: usize,
-        usable_speed: f64,
-        locality: Locality,
-    ) -> f64 {
-        let usable = gpus.min(self.max_parallelism);
-        let speedup = self
-            .sensitivity()
-            .effective_speedup_weighted(usable, usable_speed, locality);
+        let speedup = self.sensitivity().effective_speedup(usable, locality);
         if speedup <= 0.0 || self.serial_iter_time <= Time::ZERO {
             return 0.0;
         }
@@ -113,29 +94,11 @@ impl JobSpec {
     }
 
     /// Time needed to finish `work` GPU-minutes of serial work with `gpus`
-    /// GPUs placed at `locality`. Returns [`Time::INFINITY`] for zero GPUs.
-    /// Uniform-speed view of
-    /// [`time_for_work_weighted`](Self::time_for_work_weighted).
+    /// GPUs placed at `locality`. Returns [`Time::INFINITY`] when the
+    /// allocation has no throughput (zero GPUs).
     pub fn time_for_work(&self, work: Time, gpus: usize, locality: Locality) -> Time {
         let usable = gpus.min(self.max_parallelism);
-        self.time_for_work_weighted(work, gpus, usable as f64, locality)
-    }
-
-    /// Time needed to finish `work` with a mixed-generation allocation
-    /// (`usable_speed` as in
-    /// [`iterations_per_minute_weighted`](Self::iterations_per_minute_weighted)).
-    /// Returns [`Time::INFINITY`] when the allocation has no throughput.
-    pub fn time_for_work_weighted(
-        &self,
-        work: Time,
-        gpus: usize,
-        usable_speed: f64,
-        locality: Locality,
-    ) -> Time {
-        let usable = gpus.min(self.max_parallelism);
-        let speedup = self
-            .sensitivity()
-            .effective_speedup_weighted(usable, usable_speed, locality);
+        let speedup = self.sensitivity().effective_speedup(usable, locality);
         if speedup <= 0.0 {
             return Time::INFINITY;
         }
@@ -196,32 +159,15 @@ impl JobProgress {
     }
 
     /// Advances training by `dt` of wall-clock time using `gpus` GPUs placed
-    /// at `locality`. Accumulates GPU time and returns the number of
-    /// iterations completed during this interval. Uniform-speed view of
-    /// [`advance_weighted`](Self::advance_weighted).
+    /// at `locality`. Accumulates GPU time on *all* held GPUs (the paper's
+    /// "GPU Time" efficiency metric counts physical GPU-minutes, including
+    /// any held beyond `max_parallelism`) and returns the number of
+    /// iterations completed during this interval.
     pub fn advance(&mut self, spec: &JobSpec, dt: Time, gpus: usize, locality: Locality) -> f64 {
-        let usable = gpus.min(spec.max_parallelism);
-        self.advance_weighted(spec, dt, gpus, usable as f64, locality)
-    }
-
-    /// Advances training with a mixed-generation allocation: `gpus` GPUs
-    /// held, whose `min(gpus, max_parallelism)` fastest have aggregate
-    /// speed `usable_speed`. GPU time accrues on *all* held GPUs (the
-    /// paper's "GPU Time" efficiency metric counts physical GPU-minutes,
-    /// not speed-weighted ones); training progress accrues at the
-    /// speed-weighted effective rate.
-    pub fn advance_weighted(
-        &mut self,
-        spec: &JobSpec,
-        dt: Time,
-        gpus: usize,
-        usable_speed: f64,
-        locality: Locality,
-    ) -> f64 {
         if self.is_finished(spec) || gpus == 0 || dt <= Time::ZERO {
             return 0.0;
         }
-        let rate = spec.iterations_per_minute_weighted(gpus, usable_speed, locality);
+        let rate = spec.iterations_per_minute(gpus, locality);
         let possible = rate * dt.as_minutes();
         let remaining = self.iterations_left(spec);
         // Snap to completion when within floating-point noise of the target
@@ -242,22 +188,14 @@ impl JobProgress {
         done
     }
 
-    /// Remaining running time with a mixed-generation allocation
-    /// (`usable_speed` as in [`JobSpec::iterations_per_minute_weighted`]).
-    /// Must be kept symmetric with
-    /// [`advance_weighted`](Self::advance_weighted) — the engine projects
-    /// finish events with this and then advances to them.
-    pub fn time_to_complete_weighted(
-        &self,
-        spec: &JobSpec,
-        gpus: usize,
-        usable_speed: f64,
-        locality: Locality,
-    ) -> Time {
+    /// Remaining running time with `gpus` GPUs placed at `locality`. Must
+    /// be kept symmetric with [`advance`](Self::advance) — the engine
+    /// projects finish events with this and then advances to them.
+    pub fn time_to_complete(&self, spec: &JobSpec, gpus: usize, locality: Locality) -> Time {
         if self.is_finished(spec) {
             return Time::ZERO;
         }
-        spec.time_for_work_weighted(self.work_left(spec), gpus, usable_speed, locality)
+        spec.time_for_work(self.work_left(spec), gpus, locality)
     }
 
     /// Marks the job as killed by its app scheduler at `now`.
@@ -351,7 +289,7 @@ mod tests {
         let s = spec();
         let mut p = JobProgress::new();
         p.advance(&s, Time::minutes(5.0), 2, Locality::Machine);
-        let t = p.time_to_complete_weighted(&s, 4, 4.0, Locality::Slot);
+        let t = p.time_to_complete(&s, 4, Locality::Slot);
         let mut q = p.clone();
         q.advance(&s, t, 4, Locality::Slot);
         assert!(q.is_converged(&s));
@@ -359,30 +297,6 @@ mod tests {
         let mut r = p.clone();
         r.advance(&s, t * 0.99, 4, Locality::Slot);
         assert!(!r.is_converged(&s));
-    }
-
-    #[test]
-    fn weighted_progress_matches_speed_factor() {
-        let s = spec();
-        // Two GPUs of speed 2.0 each: twice the iterations of two reference
-        // GPUs over the same interval, while physical GPU time is unchanged.
-        let mut fast = JobProgress::new();
-        let mut reference = JobProgress::new();
-        let done_fast = fast.advance_weighted(&s, Time::minutes(5.0), 2, 4.0, Locality::Slot);
-        let done_ref = reference.advance(&s, Time::minutes(5.0), 2, Locality::Slot);
-        assert!((done_fast - 2.0 * done_ref).abs() < 1e-9);
-        assert_eq!(fast.gpu_time, reference.gpu_time);
-        // The weighted completion estimate stays symmetric with advance.
-        let eta = fast.time_to_complete_weighted(&s, 2, 4.0, Locality::Slot);
-        let mut replay = fast.clone();
-        replay.advance_weighted(&s, eta, 2, 4.0, Locality::Slot);
-        assert!(replay.is_converged(&s));
-        // Unit-speed weighted calls are bit-identical to the unweighted API.
-        let mut a = JobProgress::new();
-        let mut b = JobProgress::new();
-        a.advance(&s, Time::minutes(3.0), 4, Locality::Machine);
-        b.advance_weighted(&s, Time::minutes(3.0), 4, 4.0, Locality::Machine);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -70,30 +70,15 @@ impl PlacementSensitivity {
 
     /// Effective parallel speedup of `gpus` GPUs placed with the given
     /// locality: `G * S(locality)` (the denominator of the paper's running
-    /// time estimate). Returns 0 for zero GPUs. Equivalent to
-    /// [`effective_speedup_weighted`](Self::effective_speedup_weighted)
-    /// with every GPU at the reference speed 1.0.
+    /// time estimate). A single GPU never pays a communication penalty.
+    /// Returns 0 for zero GPUs.
     pub fn effective_speedup(&self, gpus: usize, locality: Locality) -> f64 {
-        self.effective_speedup_weighted(gpus, gpus as f64, locality)
-    }
-
-    /// Effective throughput of a *mixed-generation* allocation:
-    /// `G_eff = Σ speed_i × S(locality)`, the heterogeneous generalization
-    /// of the paper's `G × S(placement)` model. `gpus` is the number of
-    /// GPUs in the allocation and `speed` their aggregate speed
-    /// (`Σ speed_i`); at uniform reference speed `speed == gpus as f64` and
-    /// this reduces *exactly* (same float operations) to
-    /// [`effective_speedup`](Self::effective_speedup).
-    ///
-    /// A single GPU never pays a communication penalty but still runs at
-    /// its own speed. Returns 0 for zero GPUs.
-    pub fn effective_speedup_weighted(&self, gpus: usize, speed: f64, locality: Locality) -> f64 {
         if gpus == 0 {
             0.0
         } else if gpus == 1 {
-            speed
+            1.0
         } else {
-            speed * self.factor(locality)
+            gpus as f64 * self.factor(locality)
         }
     }
 
@@ -125,28 +110,6 @@ mod tests {
         assert_eq!(s.effective_speedup(1, Locality::CrossRack), 1.0);
         assert_eq!(s.effective_speedup(4, Locality::Slot), 4.0);
         assert!((s.effective_speedup(4, Locality::Rack) - 2.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_speedup_generalizes_the_uniform_model() {
-        let s = PlacementSensitivity::new(1.0, 0.9, 0.6, 0.4);
-        // Unit speed: weighted ≡ unweighted, bit for bit.
-        for gpus in 0..6 {
-            for loc in Locality::ALL {
-                assert_eq!(
-                    s.effective_speedup_weighted(gpus, gpus as f64, loc),
-                    s.effective_speedup(gpus, loc)
-                );
-            }
-        }
-        // Two 2.0-speed GPUs spanning machines: 4.0 × 0.9.
-        assert!((s.effective_speedup_weighted(2, 4.0, Locality::Machine) - 3.6).abs() < 1e-12);
-        // A lone fast GPU pays no communication penalty.
-        assert_eq!(
-            s.effective_speedup_weighted(1, 2.0, Locality::CrossRack),
-            2.0
-        );
-        assert_eq!(s.effective_speedup_weighted(0, 0.0, Locality::Slot), 0.0);
     }
 
     #[test]

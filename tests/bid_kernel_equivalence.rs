@@ -39,7 +39,7 @@ use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId, MachineId};
 use themis_cluster::placement::Locality;
 use themis_cluster::time::Time;
-use themis_cluster::topology::{ClusterSpec, GpuGeneration};
+use themis_cluster::topology::ClusterSpec;
 use themis_cluster::view::{ClusterState, ClusterView};
 use themis_core::agent::{Agent, AgentBuffers, MAX_BID_ENTRIES};
 use themis_core::arbiter::{AppStatus, Arbiter, LeftoverRecipients};
@@ -123,7 +123,6 @@ fn ref_share_locality(share: &JobShare, spec: &ClusterSpec) -> Locality {
 fn ref_greedy_job_distribution(
     estimates: &[JobEstimate],
     aggregate: &BTreeMap<MachineId, usize>,
-    spec: &ClusterSpec,
 ) -> BTreeMap<JobId, JobShare> {
     let mut remaining: BTreeMap<MachineId, usize> = aggregate
         .iter()
@@ -133,18 +132,15 @@ fn ref_greedy_job_distribution(
     let mut order: Vec<&JobEstimate> = estimates.iter().collect();
     order.sort_by(|a, b| a.work_left.cmp(&b.work_left).then(a.job.cmp(&b.job)));
 
-    let speed = |m: MachineId| spec.machine_speed(m).unwrap_or(1.0);
     let mut shares: BTreeMap<JobId, JobShare> = BTreeMap::new();
     for est in order {
         let mut need = est.max_parallelism;
         let mut share: JobShare = Vec::new();
         while need > 0 {
-            let Some((&machine, &avail)) =
-                remaining.iter().filter(|(_, c)| **c > 0).max_by(|a, b| {
-                    a.1.cmp(b.1)
-                        .then_with(|| speed(*a.0).total_cmp(&speed(*b.0)))
-                        .then_with(|| b.0.cmp(a.0))
-                })
+            let Some((&machine, &avail)) = remaining
+                .iter()
+                .filter(|(_, c)| **c > 0)
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
             else {
                 break;
             };
@@ -158,26 +154,6 @@ fn ref_greedy_job_distribution(
         }
     }
     shares
-}
-
-fn ref_share_speed(share: &JobShare, cap: usize, spec: &ClusterSpec) -> f64 {
-    let mut by_speed: Vec<(f64, usize)> = share
-        .iter()
-        .filter(|(_, count)| *count > 0)
-        .map(|(machine, count)| (spec.machine_speed(*machine).unwrap_or(1.0), *count))
-        .collect();
-    by_speed.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let mut left = cap;
-    let mut speed = 0.0;
-    for (machine_speed, count) in by_speed {
-        if left == 0 {
-            break;
-        }
-        let take = count.min(left);
-        speed += machine_speed * take as f64;
-        left -= take;
-    }
-    speed
 }
 
 fn ref_estimate_rho(
@@ -202,10 +178,7 @@ fn ref_estimate_rho(
         let share = share.expect("gpus > 0 implies share");
         let locality = ref_share_locality(share, spec);
         let usable = gpus.min(est.max_parallelism.max(1));
-        let usable_speed = ref_share_speed(share, usable, spec);
-        aggregate_speedup +=
-            est.sensitivity
-                .effective_speedup_weighted(usable, usable_speed, locality);
+        aggregate_speedup += est.sensitivity.effective_speedup(usable, locality);
     }
     let t_sh = if total_work_left <= Time::ZERO {
         elapsed
@@ -226,18 +199,12 @@ fn ref_pick_packed_subset(
     offer: &FreeVector,
     k: usize,
     prefer: &BTreeMap<MachineId, usize>,
-    spec: &ClusterSpec,
 ) -> FreeVector {
-    let speed = |m: MachineId| spec.machine_speed(m).unwrap_or(1.0);
     let mut machines: Vec<(MachineId, usize)> = offer.iter().collect();
     machines.sort_by(|a, b| {
         let a_pref = prefer.contains_key(&a.0);
         let b_pref = prefer.contains_key(&b.0);
-        b_pref
-            .cmp(&a_pref)
-            .then(b.1.cmp(&a.1))
-            .then_with(|| speed(b.0).total_cmp(&speed(a.0)))
-            .then(a.0.cmp(&b.0))
+        b_pref.cmp(&a_pref).then(b.1.cmp(&a.1)).then(a.0.cmp(&b.0))
     });
     let mut remaining = k;
     let mut chosen: Vec<(MachineId, usize)> = Vec::new();
@@ -287,7 +254,7 @@ impl RefAgent {
         let estimates = estimates_of(runtime);
         let elapsed = (now - runtime.spec.arrival).clamp_non_negative();
         let aggregate = self.current_aggregate(cluster);
-        let shares = ref_greedy_job_distribution(&estimates, &aggregate, cluster.spec());
+        let shares = ref_greedy_job_distribution(&estimates, &aggregate);
         ref_estimate_rho(&estimates, elapsed, &shares, cluster.spec())
     }
 
@@ -305,7 +272,7 @@ impl RefAgent {
         let current_rho = ref_estimate_rho(
             &estimates,
             elapsed,
-            &ref_greedy_job_distribution(&estimates, &current, spec),
+            &ref_greedy_job_distribution(&estimates, &current),
             spec,
         )
         .rho;
@@ -314,7 +281,7 @@ impl RefAgent {
         let held: usize = current.values().sum();
         let max_k = ref_uncapped_rows(&estimates, held, offer).min(MAX_BID_ENTRIES);
         for k in 1..=max_k {
-            let subset = ref_pick_packed_subset(offer, k, &current, spec);
+            let subset = ref_pick_packed_subset(offer, k, &current);
             if subset.total() < k {
                 break;
             }
@@ -322,7 +289,7 @@ impl RefAgent {
             for (machine, count) in subset.iter() {
                 *aggregate.entry(machine).or_insert(0) += count;
             }
-            let shares = ref_greedy_job_distribution(&estimates, &aggregate, spec);
+            let shares = ref_greedy_job_distribution(&estimates, &aggregate);
             let rho = ref_estimate_rho(&estimates, elapsed, &shares, spec).rho;
             table.push(subset, rho);
         }
@@ -357,7 +324,7 @@ impl RefAgent {
             })
             .filter(|e| e.max_parallelism > 0)
             .collect();
-        ref_greedy_job_distribution(&adjusted, &aggregate, cluster.spec())
+        ref_greedy_job_distribution(&adjusted, &aggregate)
     }
 }
 
@@ -471,18 +438,6 @@ impl<'a> RefLeftovers<'a> {
     }
 }
 
-/// Leftover machines in the order `run_auction` drains them.
-fn drain_order(leftover: &FreeVector, spec: &ClusterSpec) -> Vec<MachineId> {
-    let mut machines: Vec<MachineId> = leftover.machines().collect();
-    machines.sort_by(|a, b| {
-        spec.machine_speed(*b)
-            .unwrap_or(1.0)
-            .total_cmp(&spec.machine_speed(*a).unwrap_or(1.0))
-            .then(a.cmp(b))
-    });
-    machines
-}
-
 /// The parent commit's Arbiter, as far as a round's grants go.
 struct RefArbiter {
     rng: SmallRng,
@@ -502,7 +457,6 @@ impl RefArbiter {
         statuses: &[AppStatus],
         participants: &[AppId],
         bids: &[BidTable],
-        spec: &ClusterSpec,
     ) -> (BTreeMap<AppId, FreeVector>, BTreeMap<AppId, FreeVector>) {
         let auction = partial_allocation(bids, offer);
         let mut winners: BTreeMap<AppId, FreeVector> = BTreeMap::new();
@@ -513,7 +467,7 @@ impl RefArbiter {
         }
         let mut state = RefLeftovers::new(statuses, participants, &winners);
         let mut leftover = auction.leftover.clone();
-        for machine in drain_order(&leftover, spec) {
+        for machine in auction.leftover.machines() {
             while leftover.on_machine(machine) > 0 {
                 let Some(&(_, idx)) = state.candidates(machine).choose(&mut self.rng) else {
                     break;
@@ -589,7 +543,7 @@ impl RefScheduler {
         }
         let (mut grants, leftover_grants) =
             self.arbiter
-                .run_auction(&offer, &statuses, &participants, &bids, cluster.spec());
+                .run_auction(&offer, &statuses, &participants, &bids);
         for (app, extra) in leftover_grants {
             match grants.get_mut(&app) {
                 Some(won) => won.add_assign(&extra),
@@ -615,18 +569,9 @@ impl RefScheduler {
 // Random states.
 // ---------------------------------------------------------------------------
 
-/// Uniform and mixed-generation clusters, with machines of unequal size.
+/// Clusters with machines of equal and of unequal size.
 fn random_spec(rng: &mut SmallRng) -> ClusterSpec {
-    let cycles: [&[GpuGeneration]; 3] = [
-        &[GpuGeneration::Pascal, GpuGeneration::Volta],
-        &[
-            GpuGeneration::Volta,
-            GpuGeneration::Pascal,
-            GpuGeneration::Kepler,
-        ],
-        &[GpuGeneration::Ampere, GpuGeneration::Kepler],
-    ];
-    let spec = match rng.gen_range(0..4u8) {
+    match rng.gen_range(0..4u8) {
         0 => ClusterSpec::homogeneous(
             rng.gen_range(1..4),
             rng.gen_range(1..5),
@@ -641,11 +586,6 @@ fn random_spec(rng: &mut SmallRng) -> ClusterSpec {
             }
             b.build()
         }
-    };
-    if rng.gen_range(0..2u8) == 0 {
-        spec
-    } else {
-        spec.with_generation_cycle(cycles[rng.gen_range(0..cycles.len())])
     }
 }
 
@@ -794,7 +734,7 @@ fn random_state(rng: &mut SmallRng) -> State {
 }
 
 /// A sub-offer of what is free; now and then with a machine the spec does
-/// not know, which both sides must treat as reference-speed and slot-local.
+/// not know, which both sides must treat as slot-local.
 fn random_offer(rng: &mut SmallRng, cluster: &Cluster) -> FreeVector {
     let free = cluster.free_vector();
     let mut offer = match rng.gen_range(0..3u8) {
@@ -908,7 +848,7 @@ proptest! {
                     (MachineId(machine), rng.gen_range(0..7usize))
                 })
                 .collect();
-            let shares = ref_greedy_job_distribution(&estimates, &aggregate, spec);
+            let shares = ref_greedy_job_distribution(&estimates, &aggregate);
             let elapsed = Time::minutes(rng.gen_range(0.0..100.0));
             prop_assert_eq!(
                 estimate_rho_for_aggregate(&estimates, elapsed, &aggregate, spec),
@@ -984,7 +924,7 @@ proptest! {
         let mut old = RefLeftovers::new(&statuses, &participants, &winners);
         let mut new = LeftoverRecipients::default();
         new.reset(&statuses, &participants, &winners);
-        for machine in drain_order(&leftover, &spec) {
+        for machine in leftover.machines() {
             new.drain(machine);
             for _ in 0..leftover.on_machine(machine) {
                 let candidates = old.candidates(machine);
@@ -1006,7 +946,7 @@ proptest! {
         for _ in 0..2 {
             let outcome = arbiter.run_auction(&leftover, &statuses, &participants, &[], &spec);
             let (winners, grants) =
-                reference.run_auction(&leftover, &statuses, &participants, &[], &spec);
+                reference.run_auction(&leftover, &statuses, &participants, &[]);
             prop_assert_eq!(outcome.winners, winners);
             prop_assert_eq!(outcome.leftover_grants, grants);
         }

@@ -36,14 +36,14 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use themis_bench::policies::Policy;
-use themis_bench::scenarios::{ClusterKind, GenMix, Scenario};
+use themis_bench::scenarios::{ClusterKind, Scenario};
 use themis_cluster::alloc::{FreeVector, GpuAlloc};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::{AppId, GpuId, JobId, MachineId};
 use themis_cluster::lease::{Lease, LeaseTable};
 use themis_cluster::placement::{spread, Locality};
 use themis_cluster::time::Time;
-use themis_cluster::topology::{ClusterSpec, GpuGeneration};
+use themis_cluster::topology::ClusterSpec;
 use themis_cluster::view::ClusterState;
 use themis_hpo::api::{AppScheduler, JobViews};
 use themis_hpo::estimator::WorkEstimator;
@@ -335,27 +335,22 @@ fn restart_penalties<S: Scheduler>(engine: &Engine<S>) -> BTreeMap<(AppId, JobId
 }
 
 /// What an app's cached [`HeldJob`](themis_sim::app_runtime::HeldJob)s
-/// say, one `(job, gpus, locality, usable speed)` per GPU-holding job.
-type HeldFacts = Vec<(JobId, usize, Locality, f64)>;
+/// say, one `(job, gpus, locality)` per GPU-holding job.
+type HeldFacts = Vec<(JobId, usize, Locality)>;
 
 fn cached_holdings(rt: &AppRuntime) -> HeldFacts {
     rt.held_jobs()
         .iter()
-        .map(|h| (rt.spec.jobs[h.pos].id, h.gpus, h.locality, h.usable_speed))
+        .map(|h| (rt.spec.jobs[h.pos].id, h.gpus, h.locality))
         .collect()
 }
 
 /// The deleted regroup-every-round derivation: the same facts computed
-/// from scratch off the sorted per-job grouping, through `spread` and
-/// `capped_speed`.
+/// from scratch off the sorted per-job grouping, through `spread`.
 fn regrouped_holdings(cluster: &Cluster, rt: &AppRuntime) -> HeldFacts {
     jobs_of_app(cluster, rt.id())
         .into_iter()
-        .map(|(job, alloc)| {
-            let cap = rt.job_spec(job).expect("held job exists").max_parallelism;
-            let speed = cluster.spec().capped_speed(&alloc, cap);
-            (job, alloc.len(), spread(&alloc, cluster.spec()), speed)
-        })
+        .map(|(job, alloc)| (job, alloc.len(), spread(&alloc, cluster.spec())))
         .collect()
 }
 
@@ -942,10 +937,8 @@ proptest! {
     #![proptest_config(cases())]
 
     /// (a) After every round of a scripted run, each active app's cached
-    /// held jobs equal a fresh regroup of the cluster: job, GPU count,
-    /// locality and usable speed. Two racks of mixed-generation machines
-    /// make locality and speed vary, and jobs granted past their max
-    /// parallelism take the fastest-`cap` speed rule; staggered arrivals
+    /// held jobs equal a fresh regroup of the cluster: job, GPU count and
+    /// locality. Two racks of machines make locality vary; staggered arrivals
     /// give partial lease expiries and same-round renewals; multi-job apps
     /// converge, are killed by HyperBand and finish; apps are admitted and
     /// retired as in service mode. Of every three apps, the second numbers
@@ -957,8 +950,7 @@ proptest! {
         arrivals in prop::collection::vec(0u32..40, 2..6),
         machines in 1usize..4,
     ) {
-        let topology = ClusterSpec::homogeneous(2, machines, 3)
-            .with_generation_cycle(&GpuGeneration::ALL);
+        let topology = ClusterSpec::homogeneous(2, machines, 3);
         let mut specs = scripted_specs(&arrivals);
         for (i, app) in specs.iter_mut().enumerate() {
             for (pos, job) in app.jobs.iter_mut().enumerate() {
@@ -976,18 +968,16 @@ proptest! {
 
     /// (b) Once step 2 of a round has run, no finished job holds a GPU —
     /// for Themis, the four baselines and reliable `themis-dist`, on random
-    /// small traces over uniform and mixed-generation clusters.
+    /// small traces.
     #[test]
     fn finished_jobs_hold_no_gpus_after_step_two(
         policy in 0usize..6,
-        mix in 0usize..3,
         apps in 2usize..6,
         contention in 1u8..4,
         short_lease in 0u8..2,
         seed in 0u64..1_000,
     ) {
         let scenario = Scenario::new(ClusterKind::Rack16, apps, seed)
-            .with_gen_mix(GenMix::ALL[mix])
             .with_contention(f64::from(contention))
             .with_lease_minutes(if short_lease == 1 { 5.0 } else { 20.0 });
         let policy = Policy::all()[policy];

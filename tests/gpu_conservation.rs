@@ -8,8 +8,7 @@
 //! exceed cluster capacity. Scenarios come from the scenario-matrix
 //! generator with randomized axis values, so the invariant is exercised
 //! across contention levels, fairness knobs, leases, bursty arrivals,
-//! heavy 8-GPU jobs, GPU-generation mixes (where the speed-aware paths
-//! prefer fast silicon) and (for the distributed mode) transport faults —
+//! heavy 8-GPU jobs and (for the distributed mode) transport faults —
 //! for both Themis modes and all four baselines. A dropped `Win`
 //! notification or an Agent that misses a round mid-lease must never
 //! leak or double-lease a GPU; the actor-runtime cases extend the audit
@@ -20,7 +19,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use themis_bench::policies::Policy;
-use themis_bench::scenarios::{ClusterKind, GenMix, Matrix, Scenario};
+use themis_bench::scenarios::{ClusterKind, Matrix, Scenario};
 use themis_cluster::cluster::Cluster;
 use themis_cluster::ids::GpuId;
 use themis_cluster::time::Time;
@@ -164,7 +163,6 @@ fn property_cells() -> Vec<(Scenario, Policy)> {
             .with_failover(5),
     ];
     Matrix::new("property", ClusterKind::Rack16, 4, 11, Policy::all())
-        .axis(&GenMix::ALL, Scenario::with_gen_mix)
         .axis(&[2, 4], |s, apps| Scenario { apps, ..s })
         .axis(&[1.0, 4.0], Scenario::with_contention)
         .axis(&[0.2, 0.8], Scenario::with_fairness_knob)
